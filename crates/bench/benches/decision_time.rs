@@ -6,26 +6,21 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use murmuration_core::cache::{CachedStrategy, StrategyCache};
 use murmuration_partition::evolutionary;
 use murmuration_partition::LatencyEstimator;
-use murmuration_rl::env::{rollout, RolloutMode};
+use murmuration_rl::env::greedy_rollout;
 use murmuration_rl::{Condition, LstmPolicy, Scenario, SloKind};
 use murmuration_supernet::{AccuracyModel, SubnetSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bench_decisions(c: &mut Criterion) {
     let scenario = Scenario::augmented_computing(SloKind::Latency);
     // Hidden 64 as in the training default (paper uses 256 on a desktop).
     let policy = LstmPolicy::new(scenario.input_dim(), 64, scenario.arities(), 0);
     let cond = Condition { slo: 140.0, bw_mbps: vec![200.0], delay_ms: vec![20.0] };
-    let mut rng = StdRng::seed_from_u64(0);
 
     let mut g = c.benchmark_group("decision");
-    g.bench_function("rl_greedy_rollout", |b| {
-        b.iter(|| rollout(&policy, &scenario, &cond, RolloutMode::Greedy, &mut rng))
-    });
+    g.bench_function("rl_greedy_rollout", |b| b.iter(|| greedy_rollout(&policy, &scenario, &cond)));
 
     let cache = StrategyCache::new(10, 64);
-    let (actions, _, _) = rollout(&policy, &scenario, &cond, RolloutMode::Greedy, &mut rng);
+    let actions = greedy_rollout(&policy, &scenario, &cond);
     cache.put(&scenario, &cond, CachedStrategy { actions });
     g.bench_function("strategy_cache_hit", |b| b.iter(|| cache.get(&scenario, &cond)));
 

@@ -9,9 +9,10 @@
 //!
 //! Run: `cargo run -p murmuration-bench --release --bin fig18_search_time`
 
-use murmuration_bench::{murmuration_outcome, train_policy, CsvOut};
+use murmuration_bench::{train_policy, CsvOut};
 use murmuration_partition::evolutionary;
 use murmuration_partition::LatencyEstimator;
+use murmuration_rl::env::FallbackLadder;
 use murmuration_rl::{Condition, Scenario, SloKind};
 use murmuration_supernet::{AccuracyModel, SubnetSpec};
 use std::time::Instant;
@@ -28,11 +29,15 @@ fn main() {
     let policy = train_policy(&scenario, 500, 0);
     let cond = Condition { slo: 140.0, bw_mbps: vec![200.0], delay_ms: vec![20.0] };
 
-    // RL decision: one greedy rollout (what the runtime executes per miss).
+    // RL decision: what the runtime executes per cache miss — one greedy
+    // rollout, then the guard re-pricing the ladder it lowered at start-up.
+    let ladder = FallbackLadder::new(&scenario);
+    let alive = vec![true; scenario.devices.len()];
+    let _ = ladder.decide(&policy, &scenario, &cond, &alive); // packs the gate weights
     let t0 = Instant::now();
     let reps = 50;
     for _ in 0..reps {
-        let _ = murmuration_outcome(&policy, &scenario, &cond);
+        let _ = ladder.decide(&policy, &scenario, &cond, &alive);
     }
     let rl_host_s = t0.elapsed().as_secs_f64() / reps as f64;
 

@@ -16,11 +16,9 @@ use murmuration_edgesim::{Device, LinkState, NetworkState};
 use murmuration_models::zoo::BaselineModel;
 use murmuration_partition::compliance::Outcome;
 use murmuration_partition::{adcnn, neurosurgeon};
-use murmuration_rl::env::{rollout, RolloutMode};
+use murmuration_rl::env::greedy_rollout;
 use murmuration_rl::supreme::{self, SupremeConfig};
 use murmuration_rl::{Condition, LstmPolicy, Scenario};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -94,9 +92,7 @@ pub fn murmuration_policy_only_outcome(
     sc: &Scenario,
     cond: &Condition,
 ) -> Outcome {
-    let mut rng = StdRng::seed_from_u64(0);
-    let (actions, _, _) = rollout(policy, sc, cond, RolloutMode::Greedy, &mut rng);
-    let r = sc.evaluate(cond, &actions);
+    let r = sc.evaluate(cond, &greedy_rollout(policy, sc, cond));
     Outcome { latency_ms: r.latency_ms, accuracy_pct: r.accuracy_pct }
 }
 

@@ -12,7 +12,7 @@
 
 use murmuration_rl::{Condition, Scenario};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Capacity at or above which the cache splits into [`N_SHARDS`] shards.
@@ -59,7 +59,7 @@ pub struct StrategyCache {
 #[derive(Default)]
 struct Shard {
     map: HashMap<Vec<u16>, CachedStrategy>,
-    order: Vec<Vec<u16>>, // FIFO eviction order within the shard
+    order: VecDeque<Vec<u16>>, // FIFO eviction order within the shard
 }
 
 impl StrategyCache {
@@ -126,15 +126,23 @@ impl StrategyCache {
         }
     }
 
+    /// Whether a bucket is filled, without booking a hit or a miss: for
+    /// probes that are not requests (the background precompute).
+    pub fn contains(&self, sc: &Scenario, cond: &Condition) -> bool {
+        let key = self.key(sc, cond);
+        self.shards[self.shard_of(&key)].lock().map.contains_key(&key)
+    }
+
     /// Inserts a strategy for a condition bucket.
     pub fn put(&self, sc: &Scenario, cond: &Condition, strategy: CachedStrategy) {
         let key = self.key(sc, cond);
         let mut shard = self.shards[self.shard_of(&key)].lock();
         if shard.map.insert(key.clone(), strategy).is_none() {
-            shard.order.push(key);
+            shard.order.push_back(key);
             if shard.order.len() > self.shard_capacity {
-                let evict = shard.order.remove(0);
-                shard.map.remove(&evict);
+                if let Some(evict) = shard.order.pop_front() {
+                    shard.map.remove(&evict);
+                }
             }
         }
     }
@@ -216,6 +224,17 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn contains_does_not_count() {
+        let sc = sc();
+        let cache = StrategyCache::new(10, 16);
+        let c = cond(140.0, 100.0, 20.0);
+        assert!(!cache.contains(&sc, &c));
+        cache.put(&sc, &c, CachedStrategy { actions: vec![1] });
+        assert!(cache.contains(&sc, &c));
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::cache::{CachedStrategy, StrategyCache};
 use crate::monitor::LinkEstimate;
 use murmuration_partition::evolutionary::Genome;
+use murmuration_rl::env::FallbackLadder;
 use murmuration_rl::{Condition, LstmPolicy, Scenario};
 
 /// A concrete deployment decision.
@@ -20,13 +21,16 @@ pub struct DecisionModule {
     scenario: Scenario,
     policy: LstmPolicy,
     cache: StrategyCache,
+    /// The scenario's fallback rungs, lowered once: a miss re-prices them.
+    ladder: FallbackLadder,
 }
 
 impl DecisionModule {
     /// Wraps a trained policy with a strategy cache.
     pub fn new(scenario: Scenario, policy: LstmPolicy, cache_capacity: usize) -> Self {
-        let grid = scenario.grid_points;
-        DecisionModule { scenario, policy, cache: StrategyCache::new(grid, cache_capacity) }
+        let cache = StrategyCache::new(scenario.grid_points, cache_capacity);
+        let ladder = FallbackLadder::new(&scenario);
+        DecisionModule { scenario, policy, cache, ladder }
     }
 
     /// The scenario this module decides for.
@@ -83,8 +87,7 @@ impl DecisionModule {
             }
             self.cache.remove(&self.scenario, cond);
         }
-        let result =
-            murmuration_rl::env::decide_guarded_masked(&self.policy, &self.scenario, cond, alive);
+        let result = self.ladder.decide(&self.policy, &self.scenario, cond, alive);
         if healthy && allow_cache {
             self.cache.put(
                 &self.scenario,
@@ -104,10 +107,12 @@ impl DecisionModule {
     }
 
     /// Precomputes (and caches) a strategy for a *predicted* condition so
-    /// the next request under those conditions is a cache hit.
+    /// the next request under those conditions is a cache hit. Not a
+    /// request: the probe books neither a hit nor a miss.
     pub fn precompute(&self, cond: &Condition) {
-        if self.cache.get(&self.scenario, cond).is_none() {
-            let result = murmuration_rl::env::decide_guarded(&self.policy, &self.scenario, cond);
+        if !self.cache.contains(&self.scenario, cond) {
+            let alive = vec![true; self.scenario.devices.len()];
+            let result = self.ladder.decide(&self.policy, &self.scenario, cond, &alive);
             self.cache.put(&self.scenario, cond, CachedStrategy { actions: result.actions });
         }
     }

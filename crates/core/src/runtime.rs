@@ -839,10 +839,14 @@ mod tests {
         for t in 0..4 {
             rt.tick(&net, t as f64 * 100.0, &mut rng);
         }
+        // Ticks are not requests: the first filled the bucket and the rest
+        // found it filled, and none of them is booked as a hit or a miss.
+        assert_eq!(rt.cache_stats(), crate::cache::CacheStats::default());
         // The forecast equals the stable present → the first real request
         // is already cached.
         let r = rt.infer(&net, 500.0, &mut rng);
         assert!(r.cached, "precompute must warm the cache under stable conditions");
+        assert_eq!(rt.cache_stats(), crate::cache::CacheStats { hits: 1, misses: 0 });
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! network condition, paying the reward of Eq. (2) (latency SLO) or
 //! Eq. (3) (accuracy SLO).
 
-use crate::policy::{ActionHead, LstmPolicy};
+use crate::policy::{ActionHead, LstmPolicy, NUM_HEADS};
 use murmuration_edgesim::device::{augmented_computing_devices, device_swarm_devices};
 use murmuration_edgesim::{Device, LinkState, NetworkState};
 use murmuration_partition::evolutionary::Genome;
-use murmuration_partition::LatencyEstimator;
+use murmuration_partition::{ExecutionPlan, LatencyEstimator, UnitPlacement};
 use murmuration_supernet::{AccuracyModel, SearchSpace, SubnetConfig, SubnetSpec};
 use rand::Rng;
 
@@ -188,7 +188,8 @@ impl Scenario {
 
     /// The decision schedule: which head acts at each step.
     pub fn schedule(&self) -> Vec<ActionHead> {
-        let mut s = vec![ActionHead::Resolution];
+        let mut s = Vec::with_capacity(2 + 9 * self.space.num_stages);
+        s.push(ActionHead::Resolution);
         for _ in 0..self.space.num_stages {
             s.extend([
                 ActionHead::Kernel,
@@ -206,9 +207,8 @@ impl Scenario {
         s
     }
 
-    /// Head arities for constructing a matching [`LstmPolicy`].
-    pub fn arities(&self) -> Vec<usize> {
-        vec![
+    fn head_arities(&self) -> [usize; NUM_HEADS] {
+        [
             self.space.resolutions.len(),
             self.space.kernels.len(),
             self.space.depths.len(),
@@ -219,9 +219,19 @@ impl Scenario {
         ]
     }
 
+    /// Head arities for constructing a matching [`LstmPolicy`].
+    pub fn arities(&self) -> Vec<usize> {
+        self.head_arities().to_vec()
+    }
+
+    /// Option count of one head.
+    pub fn arity_of(&self, head: ActionHead) -> usize {
+        self.head_arities()[head as usize]
+    }
+
     /// Policy input dimension.
     pub fn input_dim(&self) -> usize {
-        1 + 2 * self.n_remote() + self.devices.len() + crate::policy::NUM_HEADS + 2
+        1 + 2 * self.n_remote() + self.devices.len() + NUM_HEADS + 2
     }
 
     /// Builds the policy input for one step.
@@ -234,6 +244,21 @@ impl Scenario {
         prev_action_frac: f32,
     ) -> Vec<f32> {
         let mut x = Vec::with_capacity(self.input_dim());
+        self.write_input(&mut x, cond, step_idx, total_steps, head, prev_action_frac);
+        x
+    }
+
+    /// [`build_input`](Self::build_input) into a reused buffer.
+    pub fn write_input(
+        &self,
+        x: &mut Vec<f32>,
+        cond: &Condition,
+        step_idx: usize,
+        total_steps: usize,
+        head: ActionHead,
+        prev_action_frac: f32,
+    ) {
+        x.clear();
         let (slo_lo, slo_hi) = self.slo_range;
         x.push(((cond.slo - slo_lo) / (slo_hi - slo_lo)) as f32);
         let (bw_lo, bw_hi) = self.bw_range;
@@ -247,19 +272,17 @@ impl Scenario {
         for dev in &self.devices {
             x.push(dev.kind.type_feature());
         }
-        for h in 0..crate::policy::NUM_HEADS {
+        for h in 0..NUM_HEADS {
             x.push(f32::from(h == head as usize));
         }
         x.push(prev_action_frac);
         x.push(step_idx as f32 / total_steps as f32);
         debug_assert_eq!(x.len(), self.input_dim());
-        x
     }
 
     /// Decodes an action sequence into a genome (config + placements).
     pub fn decode(&self, actions: &[usize]) -> Genome {
-        let sched = self.schedule();
-        assert_eq!(actions.len(), sched.len(), "action count");
+        assert_eq!(actions.len(), 2 + 9 * self.space.num_stages, "action count");
         let mut it = actions.iter().copied();
         let resolution = self.space.resolutions[it.next().unwrap()];
         let mut stages = Vec::with_capacity(self.space.num_stages);
@@ -307,17 +330,35 @@ impl Scenario {
         }
     }
 
-    /// Evaluates a full action sequence under a condition.
-    pub fn evaluate(&self, cond: &Condition, actions: &[usize]) -> EpisodeResult {
+    /// decode → lower → plan, and which remote links the plan uses.
+    fn lower(&self, actions: &[usize]) -> (Genome, SubnetSpec, ExecutionPlan, Vec<bool>) {
         let genome = self.decode(actions);
         let spec = SubnetSpec::lower(&genome.config);
         let plan = genome.plan(&spec, self.devices.len());
-        let net = self.network(cond);
-        let est = LatencyEstimator::new(&self.devices, &net);
-        let latency_ms = est.estimate(&spec, &plan).total_ms;
+        let mut used = vec![false; self.n_remote()];
+        for p in &plan.placements {
+            let devs = match p {
+                UnitPlacement::Single(d) => std::slice::from_ref(d),
+                UnitPlacement::Tiled(devs) => devs,
+            };
+            for &d in devs.iter().filter(|&&d| d > 0) {
+                used[d - 1] = true;
+            }
+        }
+        (genome, spec, plan, used)
+    }
+
+    /// Carries a strategy as far as it goes without a condition.
+    fn candidate(&self, actions: Vec<usize>) -> Candidate {
+        let (genome, spec, plan, used) = self.lower(&actions);
         let accuracy_pct = self.accuracy_model.predict(&genome.config);
-        let (reward, met) = self.reward(cond, latency_ms, accuracy_pct);
-        EpisodeResult { actions: actions.to_vec(), latency_ms, accuracy_pct, reward, met }
+        Candidate { actions, spec, plan, accuracy_pct, used }
+    }
+
+    /// Evaluates a full action sequence under a condition.
+    pub fn evaluate(&self, cond: &Condition, actions: &[usize]) -> EpisodeResult {
+        let net = self.network(cond);
+        self.candidate(actions.to_vec()).price(self, cond, &net)
     }
 
     /// Relabels a finished episode with the goal it *actually* achieved
@@ -336,27 +377,7 @@ impl Scenario {
     /// Which remote links a decoded strategy actually sends traffic over.
     /// `used[d-1]` is true when device `d` participates in the plan.
     pub fn used_links(&self, actions: &[usize]) -> Vec<bool> {
-        let genome = self.decode(actions);
-        let spec = SubnetSpec::lower(&genome.config);
-        let plan = genome.plan(&spec, self.devices.len());
-        let mut used = vec![false; self.n_remote()];
-        for p in &plan.placements {
-            match p {
-                murmuration_partition::UnitPlacement::Single(d) => {
-                    if *d > 0 {
-                        used[*d - 1] = true;
-                    }
-                }
-                murmuration_partition::UnitPlacement::Tiled(devs) => {
-                    for &d in devs {
-                        if d > 0 {
-                            used[d - 1] = true;
-                        }
-                    }
-                }
-            }
-        }
-        used
+        self.lower(actions).3
     }
 
     /// Tightens a condition to what a strategy actually *requires*: links
@@ -377,6 +398,29 @@ impl Scenario {
     }
 }
 
+/// A strategy with everything about it that no condition can change —
+/// lowered spec, plan, predicted accuracy, remote links used — so that
+/// pricing it under a condition is one [`LatencyEstimator::estimate`].
+#[derive(Clone, Debug)]
+struct Candidate {
+    actions: Vec<usize>,
+    spec: SubnetSpec,
+    plan: ExecutionPlan,
+    accuracy_pct: f32,
+    used: Vec<bool>,
+}
+
+impl Candidate {
+    /// Latency, accuracy and reward under `cond`, whose network is `net`.
+    fn price(&self, sc: &Scenario, cond: &Condition, net: &NetworkState) -> EpisodeResult {
+        let est = LatencyEstimator::new(&sc.devices, net);
+        let latency_ms = est.estimate(&self.spec, &self.plan).total_ms;
+        let (reward, met) = sc.reward(cond, latency_ms, self.accuracy_pct);
+        let accuracy_pct = self.accuracy_pct;
+        EpisodeResult { actions: self.actions.clone(), latency_ms, accuracy_pct, reward, met }
+    }
+}
+
 /// What a rollout returns: the chosen actions, the per-step (input, head)
 /// pairs for supervised replay, and per-step log-probabilities for PPO.
 pub type RolloutOutput = (Vec<usize>, Vec<(Vec<f32>, ActionHead)>, Vec<f32>);
@@ -390,6 +434,30 @@ pub enum RolloutMode {
     Sample { epsilon: f32 },
 }
 
+/// The episode loop every roll-out shares: builds each step's input in a
+/// reused buffer, advances the policy in place and lets `choose` pick from
+/// `(input, head, logits)`. Nothing is allocated per step.
+fn run_episode(
+    policy: &LstmPolicy,
+    scenario: &Scenario,
+    cond: &Condition,
+    mut choose: impl FnMut(&[f32], ActionHead, &[f32]) -> usize,
+) -> Vec<usize> {
+    let sched = scenario.schedule();
+    let mut st = policy.initial_state();
+    let mut x = Vec::with_capacity(scenario.input_dim());
+    let mut actions = Vec::with_capacity(sched.len());
+    let mut prev_frac = 0.0f32;
+    for (t, &head) in sched.iter().enumerate() {
+        scenario.write_input(&mut x, cond, t, sched.len(), head, prev_frac);
+        policy.advance(&x, &mut st, head);
+        let a = choose(&x, head, st.logits());
+        prev_frac = (a + 1) as f32 / st.logits().len() as f32;
+        actions.push(a);
+    }
+    actions
+}
+
 /// Runs the policy through one episode under `cond`.
 ///
 /// Returns the chosen actions, the (input, head) pairs (for supervised
@@ -401,29 +469,28 @@ pub fn rollout<R: Rng>(
     mode: RolloutMode,
     rng: &mut R,
 ) -> RolloutOutput {
-    let sched = scenario.schedule();
-    let total = sched.len();
-    let mut st = policy.initial_state();
-    let mut actions = Vec::with_capacity(total);
-    let mut steps = Vec::with_capacity(total);
-    let mut logps = Vec::with_capacity(total);
-    let mut prev_frac = 0.0f32;
-    for (t, &head) in sched.iter().enumerate() {
-        let x = scenario.build_input(cond, t, total, head, prev_frac);
-        let (logits, _) = policy.step(&x, &mut st, head);
-        let valid = policy.arity(head);
+    let (mut steps, mut logps) = (Vec::new(), Vec::new());
+    let actions = run_episode(policy, scenario, cond, |x, head, logits| {
+        let valid = logits.len();
         let a = match mode {
-            RolloutMode::Greedy => LstmPolicy::greedy_action(&logits, valid),
+            RolloutMode::Greedy => LstmPolicy::greedy_action(logits, valid),
             RolloutMode::Sample { epsilon } => {
-                LstmPolicy::sample_action(&logits, valid, epsilon, rng)
+                LstmPolicy::sample_action(logits, valid, epsilon, rng)
             }
         };
-        logps.push(LstmPolicy::logp(&logits, valid, a));
-        prev_frac = (a + 1) as f32 / valid as f32;
-        actions.push(a);
-        steps.push((x, head));
-    }
+        logps.push(LstmPolicy::logp(logits, valid, a));
+        steps.push((x.to_vec(), head));
+        a
+    });
     (actions, steps, logps)
+}
+
+/// The greedy episode alone — what deployment runs: no replay inputs, no
+/// log-probabilities.
+pub fn greedy_rollout(policy: &LstmPolicy, scenario: &Scenario, cond: &Condition) -> Vec<usize> {
+    run_episode(policy, scenario, cond, |_, _, logits| {
+        LstmPolicy::greedy_action(logits, logits.len())
+    })
 }
 
 /// Replays the schedule to regenerate the policy inputs for a stored
@@ -442,16 +509,7 @@ pub fn regenerate_inputs(
     for (t, &head) in sched.iter().enumerate() {
         let x = scenario.build_input(cond, t, total, head, prev_frac);
         out.push((x, head));
-        let arity = match head {
-            ActionHead::Resolution => scenario.space.resolutions.len(),
-            ActionHead::Kernel => scenario.space.kernels.len(),
-            ActionHead::Depth => scenario.space.depths.len(),
-            ActionHead::Expand => scenario.space.expands.len(),
-            ActionHead::Quant => scenario.space.quants.len(),
-            ActionHead::Partition => scenario.space.partitions.len(),
-            ActionHead::Device => scenario.devices.len(),
-        };
-        prev_frac = (actions[t] + 1) as f32 / arity as f32;
+        prev_frac = (actions[t] + 1) as f32 / scenario.arity_of(head) as f32;
     }
     out
 }
@@ -531,29 +589,65 @@ pub fn fallback_actions(scenario: &Scenario) -> Vec<Vec<usize>> {
             }
         }
     }
+    let sched = scenario.schedule();
     for a in &mut out {
-        for (t, head) in scenario.schedule().iter().enumerate() {
-            let arity = match head {
-                ActionHead::Resolution => space.resolutions.len(),
-                ActionHead::Kernel => space.kernels.len(),
-                ActionHead::Depth => space.depths.len(),
-                ActionHead::Expand => space.expands.len(),
-                ActionHead::Quant => space.quants.len(),
-                ActionHead::Partition => space.partitions.len(),
-                ActionHead::Device => scenario.devices.len(),
-            };
-            a[t] = a[t].min(arity - 1);
+        for (slot, &head) in a.iter_mut().zip(&sched) {
+            *slot = (*slot).min(scenario.arity_of(head) - 1);
         }
     }
     out
 }
 
-/// Estimator-guarded decision: runs the policy greedily, then checks it
-/// (and the canonical fallbacks) against the latency model under the
-/// observed conditions, returning the highest-reward strategy. This is the
-/// runtime's safety net — the system knows the network state and its own
-/// cost model, so it never deploys a predicted SLO violation when a
-/// feasible fallback exists.
+/// The fallback ladder of a scenario, lowered once: no rung depends on
+/// the condition, so a decision only re-prices them.
+#[derive(Clone, Debug)]
+pub struct FallbackLadder {
+    rungs: Vec<Candidate>,
+}
+
+impl FallbackLadder {
+    /// Lowers every [`fallback_actions`] rung of `scenario`.
+    pub fn new(scenario: &Scenario) -> Self {
+        let rungs = fallback_actions(scenario).into_iter().map(|a| scenario.candidate(a)).collect();
+        FallbackLadder { rungs }
+    }
+
+    /// Estimator-guarded decision over a possibly degraded fleet: runs the
+    /// policy greedily, then prices it and every rung under the observed
+    /// conditions, discarding strategies that place work on a dead device,
+    /// and returns the highest-reward one. This is the runtime's safety
+    /// net — the system knows the network state and its own cost model, so
+    /// it never deploys a predicted SLO violation when a feasible fallback
+    /// exists. `scenario` must be the one the ladder was built for.
+    pub fn decide(
+        &self,
+        policy: &LstmPolicy,
+        scenario: &Scenario,
+        cond: &Condition,
+        alive: &[bool],
+    ) -> EpisodeResult {
+        let picked = scenario.candidate(greedy_rollout(policy, scenario, cond));
+        let net = scenario.network(cond);
+        let mut best: Option<EpisodeResult> = None;
+        for c in std::iter::once(&picked).chain(&self.rungs).filter(|c| links_alive(&c.used, alive))
+        {
+            let r = c.price(scenario, cond, &net);
+            let better = best
+                .as_ref()
+                .is_none_or(|b| (r.met && !b.met) || (r.met == b.met && r.reward > b.reward));
+            if better {
+                best = Some(r);
+            }
+        }
+        // The all-local rungs use no remote link, so with a live
+        // coordinator (device 0, without which no request exists at all)
+        // `best` is always Some.
+        best.unwrap_or_else(|| self.rungs[0].price(scenario, cond, &net))
+    }
+}
+
+/// One-shot [`FallbackLadder::decide`] on a healthy fleet. A caller that
+/// decides repeatedly for one scenario should keep the ladder.
 pub fn decide_guarded(policy: &LstmPolicy, scenario: &Scenario, cond: &Condition) -> EpisodeResult {
     let alive = vec![true; scenario.devices.len()];
     decide_guarded_masked(policy, scenario, cond, &alive)
@@ -563,50 +657,22 @@ pub fn decide_guarded(policy: &LstmPolicy, scenario: &Scenario, cond: &Condition
 /// the whole fleet; the stem is pinned to device 0, so a dead coordinator
 /// makes everything infeasible.
 pub fn actions_feasible(scenario: &Scenario, actions: &[usize], alive: &[bool]) -> bool {
-    if !alive.first().copied().unwrap_or(false) {
-        return false;
-    }
-    scenario
-        .used_links(actions)
-        .iter()
-        .enumerate()
-        .all(|(i, &used)| !used || alive.get(i + 1).copied().unwrap_or(false))
+    links_alive(&scenario.used_links(actions), alive)
 }
 
-/// [`decide_guarded`] over a degraded fleet: strategies that place work on
-/// a dead device are discarded before scoring. The all-local fallback is
-/// always in the candidate set, so some feasible strategy always survives
-/// (device 0 is the coordinator and must be alive for a request to exist
-/// at all).
+fn links_alive(used: &[bool], alive: &[bool]) -> bool {
+    let up = |d: usize| alive.get(d).copied().unwrap_or(false);
+    up(0) && used.iter().enumerate().all(|(i, &used)| !used || up(i + 1))
+}
+
+/// One-shot [`FallbackLadder::decide`].
 pub fn decide_guarded_masked(
     policy: &LstmPolicy,
     scenario: &Scenario,
     cond: &Condition,
     alive: &[bool],
 ) -> EpisodeResult {
-    let mut rng = rand::rngs::mock::StepRng::new(0, 0);
-    let (actions, _, _) = rollout(policy, scenario, cond, RolloutMode::Greedy, &mut rng);
-    let mut best: Option<EpisodeResult> = if actions_feasible(scenario, &actions, alive) {
-        Some(scenario.evaluate(cond, &actions))
-    } else {
-        None
-    };
-    for fb in fallback_actions(scenario) {
-        if !actions_feasible(scenario, &fb, alive) {
-            continue;
-        }
-        let r = scenario.evaluate(cond, &fb);
-        let better = match &best {
-            None => true,
-            Some(b) => (r.met && !b.met) || (r.met == b.met && r.reward > b.reward),
-        };
-        if better {
-            best = Some(r);
-        }
-    }
-    // fallback_actions always contains the all-local ladder, which uses no
-    // remote link, so with a live coordinator `best` is always Some.
-    best.unwrap_or_else(|| scenario.evaluate(cond, &fallback_actions(scenario)[0]))
+    FallbackLadder::new(scenario).decide(policy, scenario, cond, alive)
 }
 
 #[cfg(test)]
@@ -774,6 +840,83 @@ mod tests {
                 latencies.insert((r.latency_ms * 10.0) as u64);
             }
             assert!(latencies.len() >= 4, "fallbacks must span distinct strategies");
+        }
+    }
+
+    /// The guard as it was before the ladder was lowered once: every rung
+    /// rebuilt through `evaluate`, and through `used_links` again, per call.
+    fn decide_by_rebuilding(
+        policy: &LstmPolicy,
+        sc: &Scenario,
+        cond: &Condition,
+        alive: &[bool],
+    ) -> EpisodeResult {
+        let mut best: Option<EpisodeResult> = None;
+        for a in std::iter::once(greedy_rollout(policy, sc, cond)).chain(fallback_actions(sc)) {
+            if !actions_feasible(sc, &a, alive) {
+                continue;
+            }
+            let r = sc.evaluate(cond, &a);
+            let better = match &best {
+                None => true,
+                Some(b) => (r.met && !b.met) || (r.met == b.met && r.reward > b.reward),
+            };
+            if better {
+                best = Some(r);
+            }
+        }
+        best.unwrap()
+    }
+
+    fn assert_same_bits(a: &EpisodeResult, b: &EpisodeResult) {
+        assert_eq!(a.actions, b.actions);
+        assert_eq!(a.latency_ms.to_bits(), b.latency_ms.to_bits());
+        assert_eq!(a.accuracy_pct.to_bits(), b.accuracy_pct.to_bits());
+        assert_eq!((a.reward.to_bits(), a.met), (b.reward.to_bits(), b.met));
+    }
+
+    #[test]
+    fn ladder_reprices_every_rung_bit_for_bit() {
+        for sc in [
+            Scenario::device_swarm(4, SloKind::Latency),
+            Scenario::augmented_computing(SloKind::Accuracy),
+        ] {
+            let ladder = FallbackLadder::new(&sc);
+            let fbs = fallback_actions(&sc);
+            assert_eq!(ladder.rungs.len(), fbs.len());
+            let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 3);
+            let all_up = vec![true; sc.devices.len()];
+            let mut one_dead = all_up.clone();
+            one_dead[1] = false;
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..50 {
+                let cond = sc.sample_condition(&mut rng);
+                let net = sc.network(&cond);
+                for (rung, fb) in ladder.rungs.iter().zip(&fbs) {
+                    assert_same_bits(&rung.price(&sc, &cond, &net), &sc.evaluate(&cond, fb));
+                    assert_eq!(
+                        links_alive(&rung.used, &one_dead),
+                        actions_feasible(&sc, fb, &one_dead)
+                    );
+                }
+                for alive in [&all_up, &one_dead] {
+                    let got = ladder.decide(&policy, &sc, &cond, alive);
+                    assert_same_bits(&got, &decide_by_rebuilding(&policy, &sc, &cond, alive));
+                    assert!(actions_feasible(&sc, &got.actions, alive));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_rollout_is_the_greedy_mode_of_rollout() {
+        let sc = Scenario::device_swarm(3, SloKind::Latency);
+        let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 5);
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..5 {
+            let cond = sc.sample_condition(&mut rng);
+            let (actions, _, _) = rollout(&policy, &sc, &cond, RolloutMode::Greedy, &mut rng);
+            assert_eq!(greedy_rollout(&policy, &sc, &cond), actions);
         }
     }
 

@@ -1,11 +1,9 @@
 //! Validation metrics: average reward and (normalized) SLO compliance over
 //! a fixed condition grid — the quantities plotted in Figs. 11–12.
 
-use crate::env::{rollout, Condition, RolloutMode, Scenario};
+use crate::env::{greedy_rollout, Condition, Scenario};
 use crate::policy::LstmPolicy;
 use murmuration_partition::evolutionary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One evaluation snapshot.
 #[derive(Clone, Copy, Debug)]
@@ -63,11 +61,10 @@ pub fn validation_conditions(sc: &Scenario, count: usize) -> Vec<Condition> {
 
 /// Greedy-policy evaluation over a condition set.
 pub fn evaluate_policy(policy: &LstmPolicy, sc: &Scenario, conds: &[Condition]) -> EvalReport {
-    let mut rng = StdRng::seed_from_u64(0); // greedy: rng unused
     let mut reward_sum = 0.0f64;
     let mut met = 0usize;
     for cond in conds {
-        let (actions, _, _) = rollout(policy, sc, cond, RolloutMode::Greedy, &mut rng);
+        let actions = greedy_rollout(policy, sc, cond);
         let r = sc.evaluate(cond, &actions);
         reward_sum += f64::from(r.reward);
         met += usize::from(r.met);
@@ -193,13 +190,12 @@ pub fn normalized_compliance(
     if achievable_count == 0 {
         return 0.0;
     }
-    let mut rng = StdRng::seed_from_u64(0);
     let mut met = 0usize;
     for (cond, &ok) in conds.iter().zip(achievable) {
         if !ok {
             continue;
         }
-        let (actions, _, _) = rollout(policy, sc, cond, RolloutMode::Greedy, &mut rng);
+        let actions = greedy_rollout(policy, sc, cond);
         met += usize::from(sc.evaluate(cond, &actions).met);
     }
     // The oracle is budgeted, so a strong policy can in principle exceed
@@ -233,11 +229,10 @@ pub fn pareto_frontier(points: &[(f64, f32)]) -> Vec<(f64, f32)> {
 /// The policy's accuracy/latency Pareto frontier over a condition set
 /// (each greedy decision contributes one point).
 pub fn policy_pareto(policy: &LstmPolicy, sc: &Scenario, conds: &[Condition]) -> Vec<(f64, f32)> {
-    let mut rng = StdRng::seed_from_u64(0);
     let points: Vec<(f64, f32)> = conds
         .iter()
         .map(|cond| {
-            let (actions, _, _) = rollout(policy, sc, cond, RolloutMode::Greedy, &mut rng);
+            let actions = greedy_rollout(policy, sc, cond);
             let r = sc.evaluate(cond, &actions);
             (r.latency_ms, r.accuracy_pct)
         })

@@ -9,10 +9,8 @@ use murmuration::edgesim::device::augmented_computing_devices;
 use murmuration::models::zoo::BaselineModel;
 use murmuration::partition::{adcnn, neurosurgeon, single};
 use murmuration::prelude::*;
-use murmuration::rl::env::{rollout, RolloutMode};
+use murmuration::rl::env::greedy_rollout;
 use murmuration::rl::supreme::{self, SupremeConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const SLO_MS: f64 = 140.0;
 
@@ -25,7 +23,6 @@ fn main() {
         &scenario,
         &SupremeConfig { steps: 1000, eval_every: 500, ..Default::default() },
     );
-    let mut rng = StdRng::seed_from_u64(1);
 
     println!("\nlatency SLO = {SLO_MS} ms, network delay = 25 ms");
     println!("{:>9} | {:>28} | {:>14} | {:>10}", "bw Mbps", "method", "latency ms", "acc %");
@@ -53,7 +50,7 @@ fn main() {
 
         // Murmuration: adapts model + partitioning to the conditions.
         let cond = Condition { slo: SLO_MS, bw_mbps: vec![bw], delay_ms: vec![25.0] };
-        let (actions, _, _) = rollout(&policy, &scenario, &cond, RolloutMode::Greedy, &mut rng);
+        let actions = greedy_rollout(&policy, &scenario, &cond);
         let r = scenario.evaluate(&cond, &actions);
         print_row(bw, "Murmuration (ours)", r.latency_ms, r.accuracy_pct);
     }

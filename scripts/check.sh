@@ -17,6 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> decision path (golden digests, scalar-cell oracle, allocation budgets: bits and counts, not timings)"
+timeout 600 cargo test -q -p murmuration-rl -p murmuration-core
+
 echo "==> chaos tests (bounded: a hang is a failure, not a stuck CI job)"
 timeout 300 cargo test -q --test executor_chaos --test runtime_degraded
 
@@ -173,5 +176,22 @@ echo "==> campaign smoke gate (>=20 scenarios x smoke grid, conservation + repla
 # retries — one bounded run, pass or fail.
 cargo build --release -q -p murmuration-bench --bin bench_campaign
 timeout 300 ./target/release/bench_campaign --smoke
+
+echo "==> end-to-end benchmark leg (its unit tests, then every workload untraced and traced, from the frozen sources)"
+# The driver runs BENCHMARK.json's command on every PR; a change that breaks
+# a workload, or only its traced run, must fail here first. Two seconds per
+# run checks that it runs and verifies its outputs, not how fast it is.
+timeout 900 cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
+for workload in steady_inproc swarm_tcp churn_decide overload_serve; do
+    for trace in 0 1; do
+        echo "    $workload --trace $trace"
+        timeout 300 cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace "$trace" >/dev/null
+    done
+done
+if git rev-parse --git-dir >/dev/null 2>&1 && ! git diff --quiet HEAD -- bench_e2e BENCHMARK.json; then
+    echo "error: bench_e2e/ or BENCHMARK.json differs from HEAD (the benchmark is frozen; building it must not rewrite its lock file)" >&2
+    exit 1
+fi
 
 echo "All checks passed."
