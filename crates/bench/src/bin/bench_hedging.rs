@@ -113,6 +113,13 @@ fn main() {
         std::env::var("MURMURATION_BENCH_REQS").ok().and_then(|v| v.parse().ok()).unwrap_or(60);
     let brownout_reqs = happy_reqs.max(40);
     let mut rng = StdRng::seed_from_u64(7);
+    // Portable kernels pinned, as in bench_transport and for its reason: the
+    // budgets here are shares of a request (≈2 ms of units when they were
+    // set), so the compute baseline must not move when the kernels speed up
+    // — bench_kernels gates those. The direct convolution halved this
+    // request on the vector path, which re-expressed the same trigger
+    // bookkeeping as twice the percentage.
+    murmuration_tensor::simd::force_scalar(true);
     let compute = Arc::new(ConvStackCompute::random(N_UNITS, 2, 8, 5));
     let input = Tensor::rand_uniform(Shape::nchw(1, 8, 48, 48), 1.0, &mut rng);
     let hedge = HedgeOptions::default();

@@ -1,11 +1,13 @@
 //! Kernel timing summary for the perf trajectory across PRs.
 //!
 //! Times the tensor-substrate hot kernels with plain wall-clock loops (no
-//! Criterion dependency, so it runs as a release bin) and writes a JSON
-//! summary to `results/BENCH_kernels.json` plus a table to stdout:
+//! Criterion dependency, so it runs as a release bin) and prints a table to
+//! stdout plus a JSON summary — to `target/BENCH_kernels.json`, so a run
+//! leaves the work tree clean, or over the checked-in
+//! `results/BENCH_kernels.json` with `--bless`:
 //!
 //! ```text
-//! cargo run -p murmuration-bench --release --bin bench_kernels
+//! cargo run -p murmuration-bench --release --bin bench_kernels [-- --bless]
 //! ```
 //!
 //! Iteration counts adapt to a per-benchmark time budget
@@ -18,7 +20,7 @@
 //! or any kernel falls below its recorded speedup floor. `scripts/check.sh`
 //! runs it under a timeout as the perf-regression leg of CI.
 
-use murmuration_tensor::conv::{conv2d, depthwise_conv2d, Conv2dParams};
+use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
     qconv2d, qgemm_f32, quantize_activations, QConv2dWeights, QGemmWeights,
@@ -37,13 +39,20 @@ use std::time::Instant;
 /// Floors are the best speedup recorded by a prior PR, with a little slack
 /// on sub-100 µs kernels where single-core timing noise dominates; the
 /// split/merge/quantize floors are pinned at 1.0 — those kernels regressed
-/// below seed once and must never again.
+/// below seed once and must never again. The 16×48×48 and 8×96×96 rows are
+/// the layers `bench_e2e`'s `steady_inproc` and `swarm_tcp` requests run;
+/// their baseline is im2col + GEMM (the parent of the direct convolution) on
+/// this host. `dense_32x28x28_k3` is the K > 256 shape, so its floor also
+/// guards the direct path's slab banking.
 const BASELINES: &[(&str, f64, f64, f64)] = &[
     ("gemm/64", 39.187, 26.943, 1.08),
     ("gemm/128", 313.069, 236.088, 1.50),
     ("gemm/256", 3260.280, 2056.893, 2.00),
     ("gemm/bt_32x784x288", 5084.552, 4483.117, 5.67),
-    ("conv2d/dense_32x28x28_k3", 1433.177, 1080.900, 2.00),
+    ("conv2d/dense_32x28x28_k3", 1433.177, 1080.900, 2.90),
+    ("conv2d/dense_16x48x48_k3", 662.670, 472.040, 2.00),
+    ("conv2d/dense_relu_16x48x48_k3", 858.880, 657.060, 2.00),
+    ("conv2d/dense_8x96x96_k3", 1328.010, 993.740, 2.00),
     ("conv2d/dense_batch4_32x28x28_k3", 6061.882, 4519.478, 1.23),
     ("conv2d/depthwise_32x28x28_k5", 1387.409, 1151.099, 2.58),
     ("conv2d/depthwise_border_32x14x14_k5_s2", 81.192, 66.294, 1.70),
@@ -208,6 +217,35 @@ fn main() {
         entries.push(time_it("quant/dequantize_b8_64x28x28", budget_ms, || q.dequantize()));
     }
 
+    // The layers a `bench_e2e` request runs (`ConvStackCompute`: c→c, k3,
+    // bias, ReLU): `steady_inproc`'s, then `swarm_tcp`'s with the int8 unit
+    // beside it. Last, so the rows above see the allocator state they were
+    // baselined in.
+    {
+        let p = Conv2dParams::same(3);
+        let mut layer = |c: usize, hw: usize| {
+            (
+                Tensor::rand_uniform(Shape::nchw(1, c, hw, hw), 1.0, &mut rng),
+                Tensor::rand_uniform(Shape::nchw(c, c, 3, 3), 0.2, &mut rng),
+                Tensor::rand_uniform(Shape::d1(c), 0.2, &mut rng),
+            )
+        };
+        let (x, w, b) = layer(16, 48);
+        entries
+            .push(time_it("conv2d/dense_16x48x48_k3", budget_ms, || conv2d(&x, &w, Some(&b), p)));
+        entries.push(time_it("conv2d/dense_relu_16x48x48_k3", budget_ms, || {
+            conv2d_relu(&x, &w, Some(&b), p)
+        }));
+        let (x, w, b) = layer(8, 96);
+        let dense = time_it("conv2d/dense_8x96x96_k3", budget_ms, || conv2d(&x, &w, Some(&b), p));
+        let qw = QConv2dWeights::quantize(&w);
+        let mut qe =
+            time_it("conv2d/qconv_8x96x96_k3", budget_ms, || qconv2d(&x, &qw, Some(&b), p));
+        qe.vs_f32_mean_us = Some(dense.mean_us);
+        entries.push(dense);
+        entries.push(qe);
+    }
+
     println!(
         "{:<42} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "kernel", "mean_us", "min_us", "iters", "speedup", "vs_f32"
@@ -247,14 +285,16 @@ fn main() {
         json.push_str(&format!("    \"{}\": {{{}}}{}\n", e.name, fields, sep));
     }
     json.push_str(&format!("  }},\n  \"simd\": {}\n}}\n", simd::detected()));
-    let dir = std::path::PathBuf::from("results");
+    let bless = std::env::args().any(|a| a == "--bless");
+    let dir = std::path::PathBuf::from(if bless { "results" } else { "target" });
     let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_kernels.json")) {
+    let path = dir.join("BENCH_kernels.json");
+    match std::fs::File::create(&path) {
         Ok(mut f) => {
             let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_kernels.json");
+            eprintln!("wrote {}", path.display());
         }
-        Err(e) => eprintln!("could not write results/BENCH_kernels.json: {e}"),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 
     // Regression gates. Only meaningful when the SIMD path is live — a

@@ -1256,22 +1256,20 @@ impl UnitCompute for ConvStackCompute {
     }
 
     fn run_unit(&self, unit: usize, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        match &self.qunits[unit] {
-            Some(qlayers) => {
-                for (q, (_, b, p)) in qlayers.iter().zip(&self.units[unit]) {
-                    cur = murmuration_tensor::int8::qconv2d(&cur, q, Some(b), *p);
-                    murmuration_tensor::activation::relu_inplace(&mut cur);
+        let layers = &self.units[unit];
+        let mut cur: Option<Tensor> = None;
+        for (l, (w, b, p)) in layers.iter().enumerate() {
+            let x = cur.as_ref().unwrap_or(input);
+            cur = Some(match &self.qunits[unit] {
+                Some(qlayers) => {
+                    let mut y = murmuration_tensor::int8::qconv2d(x, &qlayers[l], Some(b), *p);
+                    murmuration_tensor::activation::relu_inplace(&mut y);
+                    y
                 }
-            }
-            None => {
-                for (w, b, p) in &self.units[unit] {
-                    cur = murmuration_tensor::conv::conv2d(&cur, w, Some(b), *p);
-                    murmuration_tensor::activation::relu_inplace(&mut cur);
-                }
-            }
+                None => murmuration_tensor::conv::conv2d_relu(x, w, Some(b), *p),
+            });
         }
-        cur
+        cur.unwrap_or_else(|| input.clone())
     }
 }
 

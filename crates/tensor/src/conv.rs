@@ -1,28 +1,26 @@
-//! 2-D convolutions: im2col + GEMM standard path and a direct depthwise path.
+//! 2-D convolutions: a direct register-tiled path for stride-1 dense
+//! convolutions, im2col + GEMM for the strided ones, and a direct depthwise
+//! path.
 //!
-//! Both hot paths are written for throughput:
-//!
-//! * [`conv2d`] parallelizes over batch images; each Rayon task pulls its
-//!   im2col column buffer from the thread-local [`scratch`](crate::scratch)
-//!   pool (zero steady-state allocation) and the bias add is fused into the
-//!   GEMM epilogue via [`gemm_bias`].
-//! * [`depthwise_conv2d`] parallelizes over `(batch × channel)` planes and
-//!   splits every output plane into a bounds-check-free **interior** (with
-//!   fully unrolled k=3 / k=5 inner loops) and a checked **border** band, so
-//!   the per-tap `isize` casts and range tests of the naive kernel only run
-//!   on the few output pixels whose receptive field actually leaves the
-//!   input.
+//! * [`conv2d`] / [`conv2d_relu`] at stride 1 copy each image once into a
+//!   zero-padded scratch buffer and run a 4×16 register tile whose operands
+//!   are loaded straight from it — no column matrix is written, packed or
+//!   re-read, and bias and ReLU are applied as the tile is stored. The result
+//!   is bit-identical to im2col + [`gemm_bias`], which remains the path for
+//!   stride ≠ 1 and for backward. Workspaces come from the thread-local
+//!   [`scratch`](crate::scratch) pool (zero steady-state allocation).
+//! * [`depthwise_conv2d`] splits every output plane into a
+//!   bounds-check-free **interior** (with fully unrolled k=3 / k=5 inner
+//!   loops) and a checked **border** band, so the per-tap `isize` casts and
+//!   range tests of the naive kernel only run on the few output pixels whose
+//!   receptive field actually leaves the input.
 
-use crate::gemm::gemm_bias;
+use crate::activation::relu_inplace;
+use crate::gemm::{gemm_bias, KC, MR, NR};
 use crate::scratch;
 use crate::shape::{conv_out_size, Shape};
-use crate::simd;
+use crate::simd::{self, ConvTile};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
-
-/// Below this many output elements a kernel runs sequentially — parallel
-/// dispatch overhead dominates for tiny problems.
-const PAR_THRESHOLD: usize = 4096;
 
 /// Convolution geometry: square kernel, symmetric padding, uniform stride.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,9 +162,32 @@ pub fn col2im(cols: &[f32], c_in: usize, h: usize, w: usize, p: Conv2dParams, ou
 /// Standard convolution. `input` is NCHW, `weight` is `[c_out, c_in, k, k]`,
 /// optional `bias` is `[c_out]`. Returns NCHW output.
 ///
-/// Batch images are processed in parallel; each worker unfolds into a pooled
-/// scratch buffer and runs one GEMM with the bias fused into its epilogue.
+/// Stride 1 runs the direct register tile; any other stride unfolds each
+/// image into a pooled scratch buffer and runs one GEMM with the bias fused
+/// into its epilogue. The two agree bit for bit where both apply.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
+    conv2d_act(input, weight, bias, p, false)
+}
+
+/// [`conv2d`] followed by ReLU, with the activation fused into the store at
+/// stride 1. Bit-identical to `conv2d` then
+/// [`relu_inplace`](crate::activation::relu_inplace).
+pub fn conv2d_relu(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+) -> Tensor {
+    conv2d_act(input, weight, bias, p, true)
+}
+
+fn conv2d_act(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+    relu: bool,
+) -> Tensor {
     let (n, c_in, h, w) =
         (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
     let ws = weight.shape();
@@ -177,37 +198,148 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dP
     assert_eq!(ws.dim(3), p.kernel);
     let (oh, ow) = p.out_hw(h, w);
     let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    let img_in = c_in * h * w;
-    let img_out = c_out * oh * ow;
-    let in_data = input.data();
-    let w_data = weight.data();
     let bias_data = bias.map(|b| {
         assert_eq!(b.numel(), c_out, "bias length");
         b.data()
     });
-    let run_image = |b_ix: usize, out_img: &mut [f32]| {
+    if p.stride == 1 {
+        let dims = (c_in, h, w, c_out);
+        conv2d_direct(input.data(), dims, weight.data(), bias_data, p, relu, out.data_mut());
+        return out;
+    }
+    let images = input.data().chunks_exact(c_in * h * w);
+    for (img, out_img) in images.zip(out.data_mut().chunks_exact_mut(c_out * oh * ow)) {
         scratch::with(|cols| {
-            let img = &in_data[b_ix * img_in..(b_ix + 1) * img_in];
             let (rows, spatial) = im2col(img, c_in, h, w, p, cols);
-            gemm_bias(c_out, rows, spatial, w_data, cols, bias_data, out_img);
+            gemm_bias(c_out, rows, spatial, weight.data(), cols, bias_data, out_img);
         });
-    };
-    if n > 1 && n * img_out >= PAR_THRESHOLD {
-        out.data_mut()
-            .par_chunks_mut(img_out)
-            .enumerate()
-            .for_each(|(b_ix, out_img)| run_image(b_ix, out_img));
-    } else {
-        for (b_ix, out_img) in out.data_mut().chunks_exact_mut(img_out).enumerate() {
-            run_image(b_ix, out_img);
-        }
+    }
+    if relu {
+        relu_inplace(&mut out);
     }
     out
 }
 
+/// Stride-1 forward without a column matrix (DESIGN.md §8).
+///
+/// Each image is copied once into a zero-padded buffer (`NR` floats of tail
+/// slack keep the last row's 16-wide loads in bounds) and the weights are
+/// transposed into `MR`-row groups `[group][tap][MR]`. For every output row
+/// and 16-pixel strip, all groups run back to back over the same few image
+/// rows, each as one register tile stored once (edges through a stack tile).
+///
+/// The values are `im2col` + [`gemm_bias`]'s, bit for bit: zero-start
+/// accumulators take the taps in unfold order (padding taps multiply a stored
+/// 0.0, as in the column matrix), every [`KC`] taps they are added to a
+/// running sum that started at the bias, and ReLU comes last.
+fn conv2d_direct(
+    input: &[f32],
+    (c_in, h, w, c_out): (usize, usize, usize, usize),
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    p: Conv2dParams,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let k = p.kernel;
+    let (ph, pw) = (h + 2 * p.pad, w + 2 * p.pad);
+    let (oh, ow) = (ph - k + 1, pw - k + 1);
+    let taps = c_in * k * k;
+    let t = ConvTile { c_in, k, plane: ph * pw, pw, relu };
+    // Decided once per call so a concurrent override toggle cannot mix paths.
+    let use_simd = simd::simd_active();
+    let tile = |img: &[f32], wg: &[f32], bv: &[f32; MR], dst: &mut [f32], stride| {
+        if !(use_simd && simd::conv_tile_16(t, img, wg, bv, dst, stride)) {
+            conv_tile_portable(t, img, wg, bv, dst, stride);
+        }
+    };
+    scratch::with(|wg| {
+        scratch::with(|padded| {
+            // Rows past `c_out` in the last group stay zero; their outputs
+            // are never stored.
+            wg.clear();
+            wg.resize(c_out.div_ceil(MR) * taps * MR, 0.0);
+            for (co, w_row) in weight.chunks_exact(taps).enumerate() {
+                let base = (co / MR) * taps * MR + co % MR;
+                for (tap, &v) in w_row.iter().enumerate() {
+                    wg[base + tap * MR] = v;
+                }
+            }
+            // Borders and slack are zeroed here; only interiors are written.
+            padded.clear();
+            padded.resize(c_in * t.plane + NR, 0.0);
+            let images = input.chunks_exact(c_in * h * w);
+            for (img, out_img) in images.zip(out.chunks_exact_mut(c_out * oh * ow)) {
+                for (cy, src) in img.chunks_exact(w).enumerate() {
+                    let at = (cy / h) * t.plane + (cy % h + p.pad) * pw + p.pad;
+                    padded[at..at + w].copy_from_slice(src);
+                }
+                for oy in 0..oh {
+                    for ox0 in (0..ow).step_by(NR) {
+                        let origin = &padded[oy * pw + ox0..];
+                        let nr = NR.min(ow - ox0);
+                        for (g, wg_g) in wg.chunks_exact(taps * MR).enumerate() {
+                            let mr = MR.min(c_out - g * MR);
+                            let mut bv = [0.0f32; MR];
+                            if let Some(b) = bias {
+                                bv[..mr].copy_from_slice(&b[g * MR..g * MR + mr]);
+                            }
+                            let at = (g * MR * oh + oy) * ow + ox0;
+                            if nr == NR && mr == MR {
+                                tile(origin, wg_g, &bv, &mut out_img[at..], oh * ow);
+                            } else {
+                                let mut edge = [0.0f32; MR * NR];
+                                tile(origin, wg_g, &bv, &mut edge, NR);
+                                for (r, row) in edge.chunks_exact(NR).take(mr).enumerate() {
+                                    out_img[at + r * oh * ow..][..nr].copy_from_slice(&row[..nr]);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    });
+}
+
+/// Portable twin of [`simd::conv_tile_16`] (same arguments): a separately
+/// rounded multiply and add per tap, as in `gemm`'s scalar microkernel.
+fn conv_tile_portable(
+    t: ConvTile,
+    img: &[f32],
+    wg: &[f32],
+    bias: &[f32; MR],
+    out: &mut [f32],
+    row_stride: usize,
+) {
+    let mut bank = bias.map(|b| [b; NR]);
+    let mut acc = [[0.0f32; NR]; MR];
+    for (tap, wv) in wg.chunks_exact(MR).take(t.c_in * t.k * t.k).enumerate() {
+        if tap > 0 && tap % KC == 0 {
+            for (bv, av) in bank.as_flattened_mut().iter_mut().zip(acc.as_flattened_mut()) {
+                *bv += *av;
+                *av = 0.0;
+            }
+        }
+        let at = tap / (t.k * t.k) * t.plane + tap / t.k % t.k * t.pw + tap % t.k;
+        for (acc_row, &w_val) in acc.iter_mut().zip(wv) {
+            for (av, &bv) in acc_row.iter_mut().zip(&img[at..at + NR]) {
+                *av += w_val * bv;
+            }
+        }
+    }
+    for (r, (bank_row, acc_row)) in bank.iter().zip(&acc).enumerate() {
+        let dst = &mut out[r * row_stride..][..NR];
+        for (o, (bv, av)) in dst.iter_mut().zip(bank_row.iter().zip(acc_row)) {
+            let v = bv + av;
+            *o = if t.relu && v < 0.0 { 0.0 } else { v };
+        }
+    }
+}
+
 /// Depthwise convolution: `weight` is `[c, 1, k, k]`, each channel convolved
-/// with its own filter. Direct (non-GEMM) implementation, parallel over
-/// `(batch × channel)` planes with an interior/border split per plane.
+/// with its own filter. Direct (non-GEMM) implementation with an
+/// interior/border split per `(batch × channel)` plane.
 pub fn depthwise_conv2d(
     input: &Tensor,
     weight: &Tensor,
@@ -226,23 +358,12 @@ pub fn depthwise_conv2d(
     let bias_data = bias.map(|bt| bt.data());
     let plane_out = oh * ow;
     let plane_in = h * w;
-    let run_plane = |plane: usize, out_plane: &mut [f32]| {
+    for (plane, out_plane) in out.data_mut().chunks_exact_mut(plane_out).enumerate() {
         let ch = plane % c;
         let inp = &in_data[plane * plane_in..(plane + 1) * plane_in];
         let wk = &w_data[ch * k * k..(ch + 1) * k * k];
         let bv = bias_data.map_or(0.0, |bd| bd[ch]);
         dw_plane(inp, wk, bv, h, w, oh, ow, p, out_plane);
-    };
-    let planes = n * c;
-    if planes > 1 && planes * plane_out >= PAR_THRESHOLD {
-        out.data_mut()
-            .par_chunks_mut(plane_out)
-            .enumerate()
-            .for_each(|(plane, out_plane)| run_plane(plane, out_plane));
-    } else {
-        for (plane, out_plane) in out.data_mut().chunks_exact_mut(plane_out).enumerate() {
-            run_plane(plane, out_plane);
-        }
     }
     out
 }
@@ -481,7 +602,7 @@ fn dw_interior_k5(
     }
 }
 
-/// Naive reference convolution used for testing the im2col path.
+/// Naive reference convolution used for testing the fast paths.
 pub fn conv2d_ref(
     input: &Tensor,
     weight: &Tensor,

@@ -1,4 +1,4 @@
-//! Packed, register-blocked, Rayon-parallel GEMM.
+//! Packed, register-blocked GEMM.
 //!
 //! `C = A · B` with `A: m×k`, `B: k×n`, `C: m×n`, all row-major. The
 //! implementation follows the classic BLIS/GotoBLAS decomposition, sized for
@@ -14,9 +14,6 @@
 //!   that the compiler keeps in SIMD registers, with no per-element branches
 //!   (the old `av == 0.0` skip is gone — it cost a branch per multiply on
 //!   dense data to save work only on exact zeros).
-//! * **parallelism** — row blocks of `C` are distributed over Rayon tasks;
-//!   each task owns a disjoint `&mut` slice of `C`, the pattern the Rayon
-//!   guide recommends for data-race-free output writes.
 //!
 //! [`gemm_bt`] packs the transposed operand directly from its `n×k` storage
 //! and [`gemm_at`] transposes `A` once into scratch, so all four entry points
@@ -29,19 +26,15 @@
 
 use crate::scratch;
 use crate::simd;
-use rayon::prelude::*;
 
 /// Microkernel tile rows (rows of `A`/`C` per register tile).
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Microkernel tile columns (f32 accumulator lanes per row).
-const NR: usize = 16;
-/// k-dimension slab size: one packed slab is at most `KC × n` elements.
-const KC: usize = 256;
-/// Row-block height processed per Rayon task (multiple of `MR`).
-const ROW_BLOCK: usize = 32;
-/// Below this many output elements the sequential path is used (parallel
-/// dispatch overhead dominates for tiny problems).
-const PAR_THRESHOLD: usize = 64 * 64;
+pub(crate) const NR: usize = 16;
+/// k-dimension slab size: one packed slab is at most `KC × n` elements. `C`
+/// takes one rounded add per slab, so the direct convolution in
+/// [`crate::conv`] banks its accumulators on the same boundary.
+pub(crate) const KC: usize = 256;
 
 /// `c = a · b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n` (row-major).
 ///
@@ -128,8 +121,7 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 }
 
 /// Shared driver: for each `KC` slab, pack `B` via `pack_blk` and accumulate
-/// into `c`, parallelizing over disjoint row blocks of `c` when the output is
-/// large enough to amortize the dispatch.
+/// into `c`.
 fn gemm_acc_packed(
     m: usize,
     k: usize,
@@ -149,15 +141,7 @@ fn gemm_acc_packed(
             let kc = KC.min(k - k0);
             let slab = &mut packed[..n_panels * kc * NR];
             pack_blk(k0, kc, slab);
-            let slab: &[f32] = slab;
-            if m * n >= PAR_THRESHOLD && m > 1 {
-                c.par_chunks_mut(ROW_BLOCK * n).enumerate().for_each(|(blk, c_blk)| {
-                    let rows = c_blk.len() / n;
-                    gemm_block_packed(blk * ROW_BLOCK, rows, k0, kc, k, n, a, slab, c_blk);
-                });
-            } else {
-                gemm_block_packed(0, m, k0, kc, k, n, a, slab, c);
-            }
+            gemm_block_packed(m, k0, kc, k, n, a, slab, c);
         }
     });
 }
@@ -198,11 +182,10 @@ fn pack_bt_panels(b: &[f32], k: usize, k0: usize, kc: usize, n: usize, packed: &
     }
 }
 
-/// Accumulates rows `[i0, i0+rows)` of `C` for one packed slab, walking the
-/// output in `MR×NR` register tiles.
+/// Accumulates all `rows` of `C` for one packed slab, walking the output in
+/// `MR×NR` register tiles.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block_packed(
-    i0: usize,
     rows: usize,
     k0: usize,
     kc: usize,
@@ -210,17 +193,17 @@ fn gemm_block_packed(
     n: usize,
     a: &[f32],
     packed: &[f32],
-    c_blk: &mut [f32],
+    c: &mut [f32],
 ) {
     let n_panels = n.div_ceil(NR);
-    // Dispatch is decided once per block so a concurrent scalar-override
+    // Dispatch is decided once per slab so a concurrent scalar-override
     // toggle cannot change paths halfway through an output row.
     let use_simd = simd::simd_active();
     let mut r = 0;
     while r < rows {
         let mr = MR.min(rows - r);
         let a_row = |ri: usize| {
-            let base = (i0 + r + ri) * k + k0;
+            let base = (r + ri) * k + k0;
             &a[base..base + kc]
         };
         // Remainder tiles alias the last valid row; only `mr` rows are read.
@@ -238,7 +221,7 @@ fn gemm_block_packed(
             };
             for (ri, acc_row) in acc.iter().enumerate().take(mr) {
                 let base = (r + ri) * n + j0;
-                for (cv, &av) in c_blk[base..base + nr].iter_mut().zip(acc_row.iter()) {
+                for (cv, &av) in c[base..base + nr].iter_mut().zip(acc_row.iter()) {
                     *cv += av;
                 }
             }
@@ -344,9 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_reference() {
+    fn many_row_groups_match_reference() {
         let mut rng = StdRng::seed_from_u64(2);
-        let (m, k, n) = (130, 64, 70); // m*n > PAR_THRESHOLD
+        let (m, k, n) = (130, 64, 70); // many row groups, a column remainder
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
         let mut c = vec![0.0; m * n];

@@ -6,10 +6,10 @@
 //! The crate provides exactly what the rest of the system needs:
 //!
 //! * [`Tensor`] — an owned, contiguous NCHW tensor with shape algebra.
-//! * [`gemm`] — a blocked, Rayon-parallel matrix multiply; the backbone of
-//!   the im2col convolution path.
-//! * [`conv`] — direct/depthwise/im2col 2-D convolutions used by the
-//!   inference engine and the supernet trainer.
+//! * [`gemm`] — a packed, register-blocked matrix multiply; the backbone of
+//!   the im2col convolution path (strided convs and conv backward).
+//! * [`conv`] — direct (stride-1), im2col and depthwise 2-D convolutions used
+//!   by the inference engine and the supernet trainer.
 //! * [`pool`], [`activation`], [`pad`] — the remaining CNN primitives.
 //! * [`tile`] — FDSP-style spatial tiling (split a feature map into a
 //!   `rows × cols` grid with zero-padded halos so tiles can be convolved
@@ -27,13 +27,14 @@
 //! Design notes: hot loops are written over slices with explicit blocking;
 //! GEMM packs its B operand into cache-resident `NR`-column panels and
 //! dispatches a 4×16 register-tiled microkernel (AVX2/FMA when the CPU has
-//! it, scalar otherwise); the depthwise kernel splits each plane into a
-//! bounds-check-free interior and a checked border; parallelism uses Rayon
-//! over disjoint `&mut` output chunks (row blocks for GEMM, batch images for
-//! conv2d, batch×channel planes for depthwise); and steady-state forward
-//! passes do zero heap allocation — every kernel workspace (im2col columns,
-//! packing panels, transposes, int8 code buffers) comes from the
-//! thread-local [`scratch`] pools.
+//! it, scalar otherwise); the stride-1 dense convolution runs the same tile
+//! straight over a zero-padded copy of the image, bit-identical to im2col +
+//! GEMM; the depthwise kernel splits each plane into a bounds-check-free
+//! interior and a checked border; every kernel is sequential (callers that
+//! want cores run one request per thread); and steady-state forward passes
+//! allocate only their output — every kernel workspace (padded images, weight
+//! groups, im2col columns, packing panels, transposes, int8 code buffers)
+//! comes from the thread-local [`scratch`] pools.
 
 pub mod activation;
 pub mod conv;

@@ -1,8 +1,8 @@
 //! Thread-local scratch-buffer pools for kernel workspaces.
 //!
-//! The im2col column matrix, GEMM packing panels, and backward-pass
-//! temporaries are all short-lived workspaces whose size repeats from call
-//! to call. Allocating them fresh on every forward pass puts an allocator
+//! The direct convolution's padded image and weight groups, the im2col
+//! column matrix, GEMM packing panels, and backward-pass temporaries are all
+//! short-lived workspaces whose size repeats from call to call. Allocating them fresh on every forward pass puts an allocator
 //! round-trip (and a page-fault storm on first touch) on the inference hot
 //! path. This module keeps a small per-thread stack of reusable buffers so
 //! that steady-state forward passes do zero heap allocation: a buffer is
@@ -20,8 +20,8 @@
 //!   `clear()`/`resize()` before use (or overwrite every element they read).
 //! * Calls nest: each nested `with_*` pops a distinct buffer, so a kernel
 //!   that needs three workspaces simply nests three closures.
-//! * The pool is per-thread (no locks); Rayon workers each warm their own
-//!   pool after the first task they run.
+//! * The pool is per-thread (no locks); each worker thread warms its own
+//!   pool on the first requests it runs.
 //! * At most [`MAX_POOLED`] buffers are retained per thread per type;
 //!   extras are freed on return so pathological nesting cannot hoard
 //!   memory.

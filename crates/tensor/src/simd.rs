@@ -26,7 +26,9 @@
 //!
 //! * f32 kernels are ULP-bounded against scalar: FMA contracts each
 //!   multiply-add to one rounding, so results may differ from the scalar
-//!   path by O(k) ULPs over a k-long reduction — never more.
+//!   path by O(k) ULPs over a k-long reduction — never more. Within one
+//!   path, the direct-convolution tile and the GEMM tile over the unfolded
+//!   image agree bit for bit (`tests/conv_direct_exact.rs`).
 //! * Integer kernels (int8 GEMM, quantize encode) are **bit-exact** against
 //!   their scalar counterparts: i32 accumulation is exact in both, and both
 //!   sides round with round-to-nearest-even (`f32::round_ties_even` scalar,
@@ -183,6 +185,125 @@ unsafe fn f32_tile_16_avx2(
     for r in 0..4 {
         _mm256_storeu_ps(out[r].as_mut_ptr(), acc[r][0]);
         _mm256_storeu_ps(out[r].as_mut_ptr().add(8), acc[r][1]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 direct-convolution register tile
+// ---------------------------------------------------------------------------
+
+/// What every tile of one stride-1 convolution shares: channel count and
+/// kernel size, the padded image's channel (`plane`) and row (`pw`) pitch,
+/// and whether ReLU is fused into the store.
+#[derive(Clone, Copy, Debug)]
+pub struct ConvTile {
+    pub c_in: usize,
+    pub k: usize,
+    pub plane: usize,
+    pub pw: usize,
+    pub relu: bool,
+}
+
+/// Computes one 4×16 tile of a stride-1 convolution straight from the
+/// zero-padded image: four output channels at 16 consecutive pixels of one
+/// output row, stored at `out[r * row_stride..][..16]`.
+///
+/// `img` starts at the tile's origin `(channel 0, oy, ox0)`; `wg` is the
+/// weight group `[tap][4]` in `im2col` tap order `(c·k + ky)·k + kx`. The
+/// value is bit for bit what `gemm_bias` over the unfolded image gives:
+/// accumulators start at zero, and on every [`KC`](crate::gemm::KC) boundary
+/// and at the end they are added to a bank that starts at the bias. Returns
+/// `false` when the CPU lacks AVX2/FMA; nothing is written.
+pub fn conv_tile_16(
+    t: ConvTile,
+    img: &[f32],
+    wg: &[f32],
+    bias: &[f32; 4],
+    out: &mut [f32],
+    row_stride: usize,
+) -> bool {
+    if !detected() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!(t.c_in > 0 && t.k > 0, "empty conv tile");
+        assert!(
+            img.len() >= (t.c_in - 1) * t.plane + (t.k - 1) * t.pw + (t.k - 1) + 16,
+            "padded image too short for the tile's last tap"
+        );
+        assert!(wg.len() >= 4 * t.c_in * t.k * t.k, "weight group shorter than 4*c_in*k*k");
+        assert!(out.len() >= 3 * row_stride + 16, "output too short for the tile");
+        // SAFETY: AVX2+FMA presence was checked via `detected()`. The widest
+        // read is 16 f32 at `img[(c_in-1)*plane + (k-1)*pw + (k-1)]` and the
+        // kernel reads `4*c_in*k*k` f32 of `wg`, both asserted above; it
+        // writes 16 f32 at `out[r * row_stride]` for `r < 4`, also asserted.
+        unsafe {
+            conv_tile_16_avx2(t, img.as_ptr(), wg.as_ptr(), bias, out.as_mut_ptr(), row_stride)
+        }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (t, img, wg, bias, out, row_stride);
+        false
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX2+FMA are available, `img` is valid for
+/// `(c_in-1)*plane + (k-1)*pw + (k-1) + 16` f32 reads, `wg` for `4*c_in*k*k`
+/// reads, and `out` for 16 f32 writes at each `r * row_stride`, `r < 4`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::needless_range_loop)] // iterator forms spill the accumulators (+40 % per tile)
+unsafe fn conv_tile_16_avx2(
+    t: ConvTile,
+    img: *const f32,
+    mut wg: *const f32,
+    bias: &[f32; 4],
+    out: *mut f32,
+    row_stride: usize,
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_ps();
+    let mut bank = bias.map(|b| [_mm256_set1_ps(b); 2]);
+    let mut acc = [[zero; 2]; 4];
+    let mut open = 0; // taps in the open slab
+    for c in 0..t.c_in {
+        for ky in 0..t.k {
+            let row = img.add(c * t.plane + ky * t.pw);
+            for kx in 0..t.k {
+                if open == crate::gemm::KC {
+                    for r in 0..4 {
+                        bank[r][0] = _mm256_add_ps(bank[r][0], acc[r][0]);
+                        bank[r][1] = _mm256_add_ps(bank[r][1], acc[r][1]);
+                    }
+                    acc = [[zero; 2]; 4];
+                    open = 0;
+                }
+                let b0 = _mm256_loadu_ps(row.add(kx));
+                let b1 = _mm256_loadu_ps(row.add(kx + 8));
+                for r in 0..4 {
+                    let av = _mm256_broadcast_ss(&*wg.add(r));
+                    acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+                    acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+                }
+                wg = wg.add(4);
+                open += 1;
+            }
+        }
+    }
+    for r in 0..4 {
+        for half in 0..2 {
+            let mut v = _mm256_add_ps(bank[r][half], acc[r][half]);
+            if t.relu {
+                // `max(0, v)` in this operand order returns `v` for −0.0 and
+                // NaN, which is what `if v < 0 { 0 }` leaves.
+                v = _mm256_max_ps(zero, v);
+            }
+            _mm256_storeu_ps(out.add(r * row_stride + half * 8), v);
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use murmuration_tensor::activation::relu_inplace;
-use murmuration_tensor::conv::{conv2d, im2col, Conv2dParams};
+use murmuration_tensor::conv::{conv2d, conv2d_relu, im2col, Conv2dParams};
 use murmuration_tensor::gemm::gemm_bias;
 use murmuration_tensor::simd;
 use murmuration_tensor::{Shape, Tensor};
@@ -30,12 +30,6 @@ fn dispatch(scalar: bool) -> MutexGuard<'static, ()> {
     let guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     simd::force_scalar(scalar);
     guard
-}
-
-fn conv2d_relu(x: &Tensor, wt: &Tensor, bias: Option<&Tensor>, p: Conv2dParams) -> Tensor {
-    let mut y = conv2d(x, wt, bias, p);
-    relu_inplace(&mut y);
-    y
 }
 
 /// The oracle: one unfold and one bias-initialised GEMM per image.

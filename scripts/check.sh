@@ -52,11 +52,14 @@ echo "==> control-plane chaos (bounded: gossip failover + Byzantine reputation b
 timeout 300 cargo test -q --test failover_chaos
 timeout 300 cargo test -q -p murmuration-core --test gossip_proptest
 
-echo "==> scalar-fallback leg (full tensor + quantized-layer suites, SIMD forced off)"
+echo "==> scalar-fallback leg (full tensor + quantized-layer suites + executor parity, SIMD forced off)"
 # The SIMD dispatch satellite: the same tests must pass with the portable
 # kernels, and the parity/exactness suites inside them compare both paths.
+# The executor tests hold "distributed == local, bit for bit" on the
+# portable direct-convolution tile as well.
 MURMURATION_FORCE_SCALAR=1 timeout 600 cargo test -q -p murmuration-tensor
 MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-nn quantized
+MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core executor
 
 echo "==> fault-path lint gates (no unwrap/expect in hardened modules)"
 for f in crates/core/src/executor.rs crates/core/src/wire.rs \
