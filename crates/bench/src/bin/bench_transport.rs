@@ -1,8 +1,9 @@
 //! Transport overhead benchmark.
 //!
 //! Runs identical B32 happy-path plans through the executor over both
-//! transports — in-process channel workers vs real TCP worker servers on
-//! loopback — and gates the TCP overhead at ≤ 15% wall time. The point:
+//! transports — in-process channel workers vs `AsyncWorkerServer`s on
+//! loopback behind an `AsyncTcpTransport` — and gates the TCP overhead at
+//! ≤ 20% wall time. The point:
 //! the supervision machinery (outer framing + checksums, heartbeats,
 //! request-id correlation, backpressure accounting) must be cheap enough
 //! that distributing across processes is paid for by the network, not by
@@ -20,8 +21,7 @@ use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::GridSpec;
 use murmuration_tensor::{Shape, Tensor};
 use murmuration_transport::{
-    AsyncTcpTransport, AsyncWorkerServer, TcpTransport, TcpTransportConfig, WorkerConfig,
-    WorkerServer,
+    AsyncTcpTransport, AsyncWorkerServer, TcpTransportConfig, WorkerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,41 +107,21 @@ fn main() {
     let mut addrs = Vec::new();
     for dev in 0..n_devices {
         let cfg = WorkerConfig { dev_id: dev, ..Default::default() };
-        let srv = WorkerServer::bind("127.0.0.1:0", compute.clone() as Arc<dyn UnitCompute>, cfg)
-            .expect("bind loopback worker");
+        let srv =
+            AsyncWorkerServer::bind("127.0.0.1:0", compute.clone() as Arc<dyn UnitCompute>, cfg)
+                .expect("bind loopback worker");
         addrs.push(srv.local_addr().to_string());
         servers.push(srv);
     }
-    let transport = TcpTransport::connect(&addrs, TcpTransportConfig::default());
+    let transport = AsyncTcpTransport::connect(&addrs, TcpTransportConfig::default());
     assert!(transport.wait_connected(Duration::from_secs(10)), "loopback workers must connect");
     let tcp = Executor::with_transport(Box::new(transport));
-
-    // The readiness-based stack measures against the same budget: async
-    // workers behind one event loop, async coordinator on another.
-    let mut aservers = Vec::new();
-    let mut a_addrs = Vec::new();
-    for dev in 0..n_devices {
-        let cfg = WorkerConfig { dev_id: dev, ..Default::default() };
-        let srv =
-            AsyncWorkerServer::bind("127.0.0.1:0", compute.clone() as Arc<dyn UnitCompute>, cfg)
-                .expect("bind async loopback worker");
-        a_addrs.push(srv.local_addr().to_string());
-        aservers.push(srv);
-    }
-    let atransport = AsyncTcpTransport::connect(&a_addrs, TcpTransportConfig::default());
-    assert!(
-        atransport.wait_connected(Duration::from_secs(10)),
-        "async loopback workers must connect"
-    );
-    let atcp = Executor::with_transport(Box::new(atransport));
 
     struct Row {
         name: &'static str,
         inproc_ms: f64,
         tcp_ms: f64,
-        async_ms: f64,
         overhead_pct: f64,
-        async_overhead_pct: f64,
     }
     let mut rows = Vec::new();
     for (name, plan) in &plans {
@@ -151,7 +131,6 @@ fn main() {
         // after a long CI pipeline still absorb its settling noise).
         let mut inproc_ms = f64::INFINITY;
         let mut tcp_ms = f64::INFINITY;
-        let mut async_ms = f64::INFINITY;
         for _ in 0..5 {
             inproc_ms = inproc_ms.min(time_min_ms(budget_ms, || {
                 black_box(
@@ -165,16 +144,9 @@ fn main() {
                     tcp.execute_with(plan, &wire32, input.clone(), opts).expect("tcp happy path"),
                 );
             }));
-            async_ms = async_ms.min(time_min_ms(budget_ms, || {
-                black_box(
-                    atcp.execute_with(plan, &wire32, input.clone(), opts)
-                        .expect("async tcp happy path"),
-                );
-            }));
         }
         let overhead_pct = (tcp_ms - inproc_ms) / inproc_ms * 100.0;
-        let async_overhead_pct = (async_ms - inproc_ms) / inproc_ms * 100.0;
-        rows.push(Row { name, inproc_ms, tcp_ms, async_ms, overhead_pct, async_overhead_pct });
+        rows.push(Row { name, inproc_ms, tcp_ms, overhead_pct });
     }
 
     // Parity spot check while the executors are still warm: the bench
@@ -187,44 +159,29 @@ fn main() {
             tcp.execute_with(&plans[1].1, &wire32, input.clone(), opts).expect("tcp parity run");
         assert_eq!(a.data(), b.data(), "B32 outputs must be bit-identical across transports");
         assert_eq!(rep.reconnects, 0, "happy path must not reconnect");
-        let (c, arep) = atcp
-            .execute_with(&plans[1].1, &wire32, input.clone(), opts)
-            .expect("async tcp parity run");
-        assert_eq!(a.data(), c.data(), "async B32 outputs must be bit-identical too");
-        assert_eq!(arep.reconnects, 0, "async happy path must not reconnect");
     }
 
-    println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "happy path (B32)", "inproc_ms", "tcp_ms", "async_ms", "overhead", "async_ovh"
-    );
+    println!("{:<26} {:>12} {:>12} {:>10}", "happy path (B32)", "inproc_ms", "tcp_ms", "overhead");
     let mut worst = f64::MIN;
-    let mut worst_async = f64::MIN;
     for r in &rows {
         println!(
-            "{:<26} {:>12.3} {:>12.3} {:>12.3} {:>9.2}% {:>9.2}%",
-            r.name, r.inproc_ms, r.tcp_ms, r.async_ms, r.overhead_pct, r.async_overhead_pct
+            "{:<26} {:>12.3} {:>12.3} {:>9.2}%",
+            r.name, r.inproc_ms, r.tcp_ms, r.overhead_pct
         );
         worst = worst.max(r.overhead_pct);
-        worst_async = worst_async.max(r.async_overhead_pct);
     }
     println!("worst loopback-TCP overhead: {worst:.2}% (budget: {OVERHEAD_BUDGET_PCT:.0}%)");
-    println!(
-        "worst loopback async overhead: {worst_async:.2}% (budget: {OVERHEAD_BUDGET_PCT:.0}%)"
-    );
 
     let mut json = String::from("{\n  \"happy_path_b32\": {\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {{\"inproc_ms\": {:.4}, \"tcp_ms\": {:.4}, \"async_ms\": {:.4}, \
-             \"overhead_pct\": {:.3}, \"async_overhead_pct\": {:.3}}}{}\n",
-            r.name, r.inproc_ms, r.tcp_ms, r.async_ms, r.overhead_pct, r.async_overhead_pct, sep
+            "    \"{}\": {{\"inproc_ms\": {:.4}, \"tcp_ms\": {:.4}, \"overhead_pct\": {:.3}}}{}\n",
+            r.name, r.inproc_ms, r.tcp_ms, r.overhead_pct, sep
         ));
     }
     json.push_str(&format!(
         "  }},\n  \"worst_overhead_pct\": {worst:.3},\n  \
-         \"worst_async_overhead_pct\": {worst_async:.3},\n  \
          \"overhead_budget_pct\": {OVERHEAD_BUDGET_PCT:.1}\n}}\n"
     ));
     let dir = std::path::PathBuf::from("results");
@@ -238,10 +195,6 @@ fn main() {
     }
     if worst > OVERHEAD_BUDGET_PCT {
         eprintln!("WARNING: loopback-TCP overhead exceeds the {OVERHEAD_BUDGET_PCT:.0}% budget");
-        std::process::exit(1);
-    }
-    if worst_async > OVERHEAD_BUDGET_PCT {
-        eprintln!("WARNING: async loopback overhead exceeds the {OVERHEAD_BUDGET_PCT:.0}% budget");
         std::process::exit(1);
     }
 }

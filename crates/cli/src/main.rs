@@ -116,12 +116,11 @@ fn print_help() {
                       latency/accuracy/goodput Pareto fronts + robustness counters)\n\
            worker    Host one device's compute behind a TCP listener.\n\
                      --listen ADDR (e.g. 127.0.0.1:7070; port 0 = pick free)\n\
-                     --backend threaded|async (threaded; async = event-loop host)\n\
                      --dev D (0)  --units N (3)  --layers L (2)  --channels C (4)\n\
                      --compute-seed S (7)   (must match the coordinator)\n\
            exec      Run a plan through the distributed executor.\n\
-                     --transport inproc|tcp|tcp-async (inproc)\n\
-                     inproc: --devices N (2);  tcp/tcp-async: --workers ADDR[,ADDR..]\n\
+                     --transport inproc|tcp (inproc)\n\
+                     inproc: --devices N (2);  tcp: --workers ADDR[,ADDR..]\n\
                      --plan pingpong|single (pingpong)  --requests N (3)\n\
                      --quant 8|16|32 (32)  --input-seed S (1)\n\
                      --units/--layers/--channels/--compute-seed as for worker\n\

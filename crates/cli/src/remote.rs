@@ -1,6 +1,7 @@
 //! The distributed-mode commands: `worker` (host one device's compute
-//! behind a TCP listener) and `exec` (drive a plan through the executor
-//! over either transport).
+//! behind a TCP listener on the event-loop worker server) and `exec`
+//! (drive a plan through the executor over the in-process transport or
+//! over TCP to running workers).
 //!
 //! Both sides build the same deterministic [`ConvStackCompute`] from the
 //! same `--compute-seed`, so a coordinator and its remote workers hold
@@ -19,8 +20,7 @@ use murmuration_tensor::tile::GridSpec;
 use murmuration_tensor::{Shape, Tensor};
 use murmuration_transport::frame::fnv1a64;
 use murmuration_transport::{
-    AsyncTcpTransport, AsyncWorkerServer, TcpTransport, TcpTransportConfig, WorkerConfig,
-    WorkerServer,
+    AsyncTcpTransport, AsyncWorkerServer, TcpTransportConfig, WorkerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,28 +45,12 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let compute = compute_from(args)?;
     let cfg = WorkerConfig { dev_id: dev, ..Default::default() };
     let units: usize = args.get_parsed_or("units", 3)?;
-    // `--backend async` hosts the same compute behind the readiness-based
-    // event loop instead of blocking per-connection threads; the wire
-    // protocol is identical, so either coordinator transport can talk to
-    // either worker backend.
-    match args.get_or("backend", "threaded") {
-        "threaded" => {
-            let server = WorkerServer::bind(listen, compute, cfg)?;
-            println!("listening on {}", server.local_addr());
-            // A parent process parses that line; make sure it actually leaves.
-            std::io::stdout().flush()?;
-            eprintln!("worker dev {dev}: {units} unit(s), serving until killed");
-            server.run_until_stopped();
-        }
-        "async" => {
-            let server = AsyncWorkerServer::bind(listen, compute, cfg)?;
-            println!("listening on {}", server.local_addr());
-            std::io::stdout().flush()?;
-            eprintln!("worker dev {dev} (async): {units} unit(s), serving until killed");
-            server.run_until_stopped();
-        }
-        other => return Err(Box::new(ArgError(format!("--backend: unknown `{other}`")))),
-    }
+    let server = AsyncWorkerServer::bind(listen, compute, cfg)?;
+    println!("listening on {}", server.local_addr());
+    // A parent process parses that line; make sure it actually leaves.
+    std::io::stdout().flush()?;
+    eprintln!("worker dev {dev}: {units} unit(s), serving until killed");
+    server.run_until_stopped();
     Ok(())
 }
 
@@ -110,15 +94,13 @@ pub fn cmd_exec(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let quant = quant_from(args)?;
     let input_seed: u64 = args.get_parsed_or("input-seed", 1u64)?;
 
-    let (mut exec, n_devices, mode) = match args.get_or("transport", "inproc") {
+    let mode = args.get_or("transport", "inproc");
+    let (mut exec, n_devices) = match mode {
         "inproc" => {
             let n: usize = args.get_parsed_or("devices", 2)?;
-            (Executor::new(n, compute.clone()), n, "inproc".to_string())
+            (Executor::new(n, compute.clone()), n)
         }
-        // `tcp` supervises one blocking thread pair per worker; `tcp-async`
-        // drives every connection from a readiness-based event loop (the
-        // fleet-scale path). Same wire protocol, same worker binary.
-        kind @ ("tcp" | "tcp-async") => {
+        "tcp" => {
             let addrs: Vec<String> = args
                 .require("workers")?
                 .split(',')
@@ -132,26 +114,14 @@ pub fn cmd_exec(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 seed: args.get_parsed_or("seed", 0u64)?,
                 ..Default::default()
             };
-            let connect_budget = Duration::from_secs(10);
-            let transport: Box<dyn Transport> = if kind == "tcp" {
-                let t = TcpTransport::connect(&addrs, cfg);
-                if !t.wait_connected(connect_budget) {
-                    return Err(Box::new(ArgError(
-                        "not all workers reachable within 10 s (are they running?)".into(),
-                    )));
-                }
-                Box::new(t)
-            } else {
-                let t = AsyncTcpTransport::connect(&addrs, cfg);
-                if !t.wait_connected(connect_budget) {
-                    return Err(Box::new(ArgError(
-                        "not all workers reachable within 10 s (are they running?)".into(),
-                    )));
-                }
-                Box::new(t)
-            };
+            let transport = AsyncTcpTransport::connect(&addrs, cfg);
+            if !transport.wait_connected(Duration::from_secs(10)) {
+                return Err(Box::new(ArgError(
+                    "not all workers reachable within 10 s (are they running?)".into(),
+                )));
+            }
             let n = transport.n_devices();
-            (Executor::with_transport(transport), n, kind.to_string())
+            (Executor::with_transport(Box::new(transport)), n)
         }
         other => return Err(Box::new(ArgError(format!("--transport: unknown `{other}`")))),
     };

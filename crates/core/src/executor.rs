@@ -1,7 +1,7 @@
 //! The distributed Executor: the coordinator that drives a fleet of
 //! device workers through a [`Transport`] — in-process worker threads
 //! ([`InProcTransport`]) or real worker processes over TCP
-//! (`murmuration_transport::TcpTransport`).
+//! (`murmuration_transport::AsyncTcpTransport`).
 //!
 //! The executor runs *real tensor computation*: unit inputs are FDSP-tiled
 //! with [`murmuration_tensor::tile`], shipped through the transport after a
@@ -250,7 +250,7 @@ impl Executor {
     }
 
     /// Builds an executor over an arbitrary transport (e.g. a
-    /// `TcpTransport` reaching remote worker processes).
+    /// `AsyncTcpTransport` reaching remote worker processes).
     pub fn with_transport(transport: Box<dyn Transport>) -> Self {
         let n = transport.n_devices();
         assert!(n >= 1);

@@ -9,10 +9,11 @@
 //!   by crossbeam channels, the original executor internals. Shipping a
 //!   tensor across a "device boundary" still pays the full wire
 //!   encode/decode round trip so the byte format stays honest.
-//! * `murmuration_transport::TcpTransport` — blocking `std::net` sockets
-//!   carrying the same checksummed wire-v2 frames as length-delimited
-//!   messages, with per-connection heartbeats, reconnect, and at-most-once
-//!   resend dedup (see the `murmuration-transport` crate).
+//! * `murmuration_transport::AsyncTcpTransport` — non-blocking
+//!   `std::net` sockets on a small pool of event loops, carrying the same
+//!   checksummed wire-v2 frames as length-delimited messages, with
+//!   per-connection heartbeats, reconnect, and at-most-once resend dedup
+//!   (see the `murmuration-transport` crate).
 //!
 //! The contract every implementation must honour:
 //!

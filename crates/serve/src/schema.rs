@@ -368,9 +368,7 @@ pub fn required_keys_for(file_name: &str) -> Option<Vec<String>> {
             "gates/overhead_budget_pct",
         ])),
         "BENCH_kernels.json" => Some(strs(&["benchmarks"])),
-        "BENCH_transport.json" => {
-            Some(strs(&["worst_overhead_pct", "worst_async_overhead_pct", "overhead_budget_pct"]))
-        }
+        "BENCH_transport.json" => Some(strs(&["worst_overhead_pct", "overhead_budget_pct"])),
         "BENCH_swarm.json" => Some(strs(&[
             "workers",
             "host_driver_threads",

@@ -30,7 +30,9 @@ use murmuration_serve::{
 };
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::{Shape, Tensor};
-use murmuration_transport::{TcpTransport, TcpTransportConfig, WorkerConfig, WorkerServer};
+use murmuration_transport::{
+    AsyncTcpTransport, AsyncWorkerServer, TcpTransportConfig, WorkerConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -192,7 +194,7 @@ fn tcp_death_mid_stream_resolves_every_request() {
     let mut servers = Vec::new();
     let mut addrs = Vec::new();
     for dev in 0..3 {
-        let srv = WorkerServer::bind(
+        let srv = AsyncWorkerServer::bind(
             "127.0.0.1:0",
             Arc::clone(&compute) as Arc<dyn UnitCompute>,
             WorkerConfig { dev_id: dev, ..WorkerConfig::default() },
@@ -201,7 +203,7 @@ fn tcp_death_mid_stream_resolves_every_request() {
         addrs.push(srv.local_addr().to_string());
         servers.push(srv);
     }
-    let transport = TcpTransport::connect(&addrs, TcpTransportConfig::default());
+    let transport = AsyncTcpTransport::connect(&addrs, TcpTransportConfig::default());
     assert!(transport.wait_connected(Duration::from_secs(10)), "workers must connect");
     let exec = Arc::new(PipelineExecutor::new(
         Box::new(transport),

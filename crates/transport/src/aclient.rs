@@ -1,18 +1,27 @@
-//! The coordinator side of the *async* TCP transport:
-//! [`AsyncTcpTransport`] implements `murmuration_core::transport::Transport`
-//! with the exact supervision contracts of [`crate::client::TcpTransport`]
-//! — per-peer jittered-backoff reconnect, dead-peer declaration, heartbeat
-//! staleness, `(session, req_id)` at-most-once resend, cancel/hedge
-//! semantics, per-request deadline sweeps, graceful drain — but carried by
-//! a fixed [`crate::driver::DriverPool`] instead of three threads per
-//! peer. A 1 000-worker fleet costs one poller registration per
-//! connection and a handful of event-loop threads, not 3 000 OS threads.
+//! The coordinator side of the TCP transport: [`AsyncTcpTransport`]
+//! implements `murmuration_core::transport::Transport` over one supervised
+//! connection per device worker, every peer multiplexed onto a fixed
+//! [`crate::driver::DriverPool`]. A 1 000-worker fleet costs one poller
+//! registration per connection and a handful of event-loop threads.
 //!
-//! Parity with the threaded client is deliberate and test-enforced: the
-//! same session derivation (`fnv1a64(seed ‖ dev)`), the same jitter
-//! formula, the same teardown thresholds, the same wire frames in the
-//! same order. What this transport *adds* is typed robustness under
-//! fleet-scale pressure:
+//! # Connection supervision
+//!
+//! Each peer is one `PeerEntity` state machine on the event loop. A lost
+//! connection (io error, corrupt frame, `heartbeat_miss_limit` silent
+//! intervals) re-dials through a seeded, jittered, capped exponential
+//! backoff. Submitting threads push request frames straight into the
+//! peer's outbox, so the hot path has no hand-off to a driver thread.
+//! In-flight requests are *kept* across a teardown and resent (same
+//! request id, in id order) after reconnect — the worker's
+//! `(session, req_id)` dedup map makes the resend at-most-once. Only when
+//! the peer is declared dead (`fails_before_dead` consecutive connect
+//! failures; reconnection keeps trying), killed, or the transport shuts
+//! down are pending requests failed with a `Link` error — so the
+//! executor's wait always resolves. Liveness flips back on the next
+//! successful reconnect, which is how a healed partition restores the
+//! device.
+//!
+//! Fleet-scale pressure is bounded, and its overflow is typed:
 //!
 //! * a **global in-flight cap** across all peers — beyond it `submit`
 //!   fails fast with `SubmitError::Backpressure` instead of queueing
@@ -27,7 +36,6 @@
 //!   restart does not thunder 1 000 SYNs into one accept queue.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::client::TcpTransportConfig;
 use crate::driver::{ConnHandle, Ctx, Detach, DriverPool, Entity, Outbox, PushOutcome};
 use crate::frame::{self, Msg};
 use crate::poller;
@@ -43,11 +51,54 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Tuning for the async transport: the threaded client's supervision
-/// knobs plus the fleet-scale caps this transport adds.
+/// Per-peer connection supervision knobs. The defaults suit a LAN.
+#[derive(Clone, Copy, Debug)]
+pub struct TcpTransportConfig {
+    /// Idle interval between heartbeats; also the staleness bound used for
+    /// dead-peer detection.
+    pub heartbeat_interval: Duration,
+    /// Consecutive heartbeat intervals without traffic from the peer
+    /// before the connection is torn down and rebuilt.
+    pub heartbeat_miss_limit: u32,
+    /// Base reconnect backoff (doubles per failure, jittered).
+    pub reconnect_backoff: Duration,
+    /// Backoff cap.
+    pub reconnect_backoff_max: Duration,
+    /// Consecutive connect failures before the peer is declared dead and
+    /// pending requests are failed fast (reconnection keeps trying).
+    pub fails_before_dead: u32,
+    /// Bounded in-flight window per peer; `submit` blocks (briefly, and
+    /// never past peer death) when full.
+    pub max_in_flight: usize,
+    /// TCP connect timeout per attempt.
+    pub connect_timeout: Duration,
+    /// How long shutdown waits for in-flight work before failing it.
+    pub drain_timeout: Duration,
+    /// Seed for reconnect jitter and session ids.
+    pub seed: u64,
+}
+
+impl Default for TcpTransportConfig {
+    fn default() -> Self {
+        TcpTransportConfig {
+            heartbeat_interval: Duration::from_millis(200),
+            heartbeat_miss_limit: 3,
+            reconnect_backoff: Duration::from_millis(25),
+            reconnect_backoff_max: Duration::from_millis(1_000),
+            fails_before_dead: 4,
+            max_in_flight: 64,
+            connect_timeout: Duration::from_millis(500),
+            drain_timeout: Duration::from_secs(2),
+            seed: 0x6d75_726d,
+        }
+    }
+}
+
+/// Tuning for [`AsyncTcpTransport`]: the per-peer supervision knobs plus
+/// the fleet-scale caps.
 #[derive(Clone, Copy, Debug)]
 pub struct AsyncTcpTransportConfig {
-    /// The shared supervision knobs (heartbeats, backoff, windows…).
+    /// The per-peer supervision knobs (heartbeats, backoff, windows…).
     pub base: TcpTransportConfig,
     /// Per-peer outbound queue cap in bytes; overflow is typed
     /// backpressure, never unbounded memory.
@@ -80,7 +131,9 @@ impl From<TcpTransportConfig> for AsyncTcpTransportConfig {
     }
 }
 
-/// See [`crate::client`]: poisoning cannot corrupt the map invariants.
+/// Locks a mutex, recovering from poisoning (a panicked holder cannot
+/// corrupt our state invariants: every critical section leaves the maps
+/// consistent).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -92,12 +145,21 @@ struct PendingReq {
     tag: usize,
     attempt: u32,
     reply: Sender<TransportReply>,
+    /// Encoded request frame, kept for resend after a reconnect.
     bytes: Arc<Vec<u8>>,
+    /// [`TransportJob::deadline`], swept by [`APeer::sweep_expired`].
     expires_at: Option<Instant>,
 }
 
-/// Same bound as the threaded client (see there for rationale).
+/// How many cancelled request ids are remembered while waiting for the
+/// worker's acknowledgement (bounded so cancels for already-computed work,
+/// which never get a `"cancelled"` answer, cannot accumulate).
 const CANCELLED_CAP: usize = 256;
+
+/// Bound on buffered inbound gossip digests per peer. Gossip merging is
+/// idempotent and each digest carries full (not incremental) state, so
+/// dropping the oldest under pressure loses nothing that the next round
+/// does not resend.
 const GOSSIP_INBOX_CAP: usize = 64;
 
 /// Entity timer kinds.
@@ -107,6 +169,8 @@ const TK_RECONNECT: u32 = 2;
 #[derive(Default)]
 struct PeerQueues {
     inflight: HashMap<u64, PendingReq>,
+    /// Request ids cancelled by the executor (hedge losers) or expired:
+    /// their responses are swallowed instead of settled.
     cancelled: HashSet<u64>,
     cancelled_order: VecDeque<u64>,
     connected: bool,
@@ -203,8 +267,10 @@ impl APeer {
         self.cond.notify_all();
     }
 
-    /// Same per-request deadline sweep as the threaded client: expired
-    /// requests fail locally and their late responses are swallowed.
+    /// Fails every in-flight request whose per-request deadline has
+    /// passed, on the tick and on the reconnect timer alike, so a stalled
+    /// or partitioned socket cannot hold a request past its budget. A late
+    /// answer from the worker is swallowed (the id is marked cancelled).
     fn sweep_expired(&self) {
         let now = Instant::now();
         let expired: Vec<PendingReq> = {
@@ -274,10 +340,10 @@ enum Phase {
     Connected,
 }
 
-/// The per-peer protocol entity driven by the event loop. Owns exactly
-/// the state the threaded client kept across its supervisor/writer/reader
-/// threads — collapsed into one object because the driver serializes all
-/// callbacks for a given entity.
+/// The per-peer protocol entity driven by the event loop: connection
+/// phase, backoff, heartbeat staleness and resend progress. The driver
+/// serializes every callback for a given entity, so none of this state
+/// needs a lock.
 struct PeerEntity {
     peer: Arc<APeer>,
     rng: StdRng,
@@ -376,8 +442,8 @@ impl PeerEntity {
         }
     }
 
-    /// One heartbeat-interval tick while connected: deadline sweep,
-    /// staleness accounting, probe send. Mirrors the writer loop.
+    /// One tick while connected: deadline sweep, paused resends, and once
+    /// per heartbeat interval the staleness check and the probe.
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         if self.phase != Phase::Connected {
             return;
@@ -419,8 +485,8 @@ impl PeerEntity {
             }
             let _ = ctx.send(Arc::new(frame::encode_frame(&Msg::Heartbeat { nonce: self.nonce })));
         }
-        // Tick at half the heartbeat interval: staleness and deadline
-        // sweeps stay at threaded-client granularity.
+        // Tick at half the heartbeat interval, so an expired deadline or a
+        // silent peer is noticed within half an interval.
         ctx.timer(hb / 2, TK_TICK);
     }
 }
@@ -578,10 +644,12 @@ pub struct AsyncTcpTransport {
 }
 
 impl AsyncTcpTransport {
-    /// Connects to one worker per address (background, supervised).
-    /// Session ids are the same pure function of `(seed, dev)` as the
-    /// threaded client, so the two transports are interchangeable in
-    /// front of the same worker.
+    /// Connects to one worker per address; the driver dials in the
+    /// background (a slow worker is just a peer in its reconnect loop).
+    /// Session ids are a pure function of `(cfg.base.seed, device)`, so a
+    /// run replays from its seed — and two live coordinators sharing a
+    /// worker (a primary and its standby) must use distinct seeds, or their
+    /// ids collide in its dedup map.
     pub fn connect(addrs: &[String], cfg: impl Into<AsyncTcpTransportConfig>) -> Self {
         let cfg: AsyncTcpTransportConfig = cfg.into();
         assert!(!addrs.is_empty(), "need at least one worker address");
@@ -682,10 +750,16 @@ impl Transport for AsyncTcpTransport {
             peer.backpressure_rejections.fetch_add(1, Ordering::SeqCst);
             return Err(SubmitError::Backpressure);
         }
-        // Same encode as the threaded client (bit-for-bit parity).
+        // The socket always pays the full wire frame; quantization is only
+        // applied when the hop crosses a device boundary, mirroring the
+        // in-process semantics exactly (so B32 plans are bit-identical
+        // across transports).
         let quant = if job.cross_boundary { job.quant } else { BitWidth::B32 };
         let mut tframe = wire::encode(&job.input, quant);
         if peer.garble.load(Ordering::SeqCst) {
+            // Injected link corruption: the worker's checksum catches it
+            // and answers with a typed error — the real remote detection
+            // path, not a local simulation.
             let mid = tframe.len() / 2;
             tframe[mid] ^= 0x5A;
         }

@@ -1,11 +1,23 @@
-//! The worker side of the async transport: event-loop connections, the
-//! same at-most-once `(session, req_id)` dedup contract as
-//! [`crate::worker::WorkerServer`], and — the reason this module exists —
-//! **fleet-scale hosting**: [`SwarmWorkerHost`] serves hundreds to
+//! The worker side of the TCP transport. [`SwarmWorkerHost`] serves one to
 //! thousands of logical workers from one [`crate::driver::DriverPool`]
-//! plus one bounded compute pool, instead of three-plus threads per
-//! worker. That is what makes an in-process 1 000-worker swarm (and its
-//! connection-storm chaos suite) practical on a laptop-class machine.
+//! plus one bounded compute pool — what makes an in-process 1 000-worker
+//! swarm practical on a laptop-class machine; [`AsyncWorkerServer`] is its
+//! one-worker façade, the shape a worker process (the CLI's `worker`) uses.
+//!
+//! # At-most-once semantics
+//!
+//! A coordinator that loses its connection mid-request resends the same
+//! `(session, req_id)` after reconnecting. Each worker's bounded dedup map
+//! keyed by that pair computes an **unknown** id, re-routes a **pending**
+//! one's eventual response to the newest connection, and replays a
+//! **done** one's cached body — the last two flagged `deduped`, neither
+//! recomputed. Completed bodies are evicted oldest first past the
+//! capacity; a long-lived pending entry cannot pin those behind it.
+//! `Cancel` only stops still-queued work; `Vanish` stops the worker
+//! silently like a process crash. Heartbeats are acked on the event loop,
+//! never behind compute. Compute is serial *per worker* (FIFO), like the
+//! in-process transport's one thread per device, so TCP and in-proc runs
+//! schedule unit work identically.
 //!
 //! Accept-side storm control lives here: each worker's listener runs a
 //! token-bucket [`crate::driver::Acceptor`] that *sheds* (typed, counted)
@@ -14,16 +26,6 @@
 //! configured accept rate — refused coordinators retry through their own
 //! jittered backoff, which is exactly the smearing the client side
 //! implements.
-//!
-//! Request/response parity notes (mirroring the threaded worker):
-//! heartbeats are acked on the event-loop path, never behind compute; a
-//! duplicate delivery of pending work re-routes to the newest connection
-//! and flags the eventual response `deduped`; completed bodies are cached
-//! (bounded, stuck-head-proof eviction) and resent on duplicates;
-//! `Cancel` only stops still-queued work; `Vanish` stops the worker
-//! silently like a process crash. Compute is serial *per worker* (FIFO),
-//! so TCP and in-proc runs schedule unit work identically even when many
-//! workers share the pool's threads.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::driver::{
@@ -52,11 +54,28 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// Tuning for one [`AsyncWorkerServer`].
+#[derive(Clone, Copy, Debug)]
+pub struct WorkerConfig {
+    /// Which device this worker is (passed to `run_unit_on` so fault
+    /// injection and device-aware compute behave as in-process).
+    pub dev_id: usize,
+    /// Dedup map capacity (completed entries are evicted oldest first
+    /// beyond it).
+    pub dedup_capacity: usize,
+}
+
+impl Default for WorkerConfig {
+    fn default() -> Self {
+        WorkerConfig { dev_id: 0, dedup_capacity: 1024 }
+    }
+}
+
 /// Host-level tuning: storm control and pool sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct SwarmHostConfig {
-    /// Dedup map capacity per worker (same meaning as the threaded
-    /// [`crate::worker::WorkerConfig::dedup_capacity`]).
+    /// Dedup map capacity per worker (completed entries are evicted oldest
+    /// first beyond it; see [`WorkerConfig::dedup_capacity`]).
     pub dedup_capacity: usize,
     /// Accepts per second each listener admits once its burst budget is
     /// spent (0 = unlimited). Beyond it the listener *pauses* — the
@@ -106,7 +125,8 @@ struct ARoute {
 }
 
 impl ARoute {
-    /// Best-effort frame send, mirroring the threaded `write_route`.
+    /// Best-effort frame send: a dead connection just means the
+    /// coordinator will resend on its next one.
     fn send(&self, bytes: Arc<Vec<u8>>) {
         if matches!(self.outbox.lock().push(bytes), PushOutcome::Queued) {
             self.handle.nudge();
@@ -123,9 +143,7 @@ enum AEntry {
     Done { body: Body },
 }
 
-/// Bounded dedup map with the threaded worker's stuck-head-proof
-/// eviction: FIFO from the front, then a high-watermark sweep that drops
-/// old `Done` bodies *past* a long-lived pending head.
+/// Bounded `(session, req_id)` dedup map; see [`ADedup::evict`].
 struct ADedup {
     map: HashMap<(u64, u64), AEntry>,
     order: VecDeque<(u64, u64)>,
@@ -133,6 +151,16 @@ struct ADedup {
 }
 
 impl ADedup {
+    /// Evicts oldest *completed* entries beyond capacity. Pending entries
+    /// are never evicted (their count is bounded by the client's in-flight
+    /// window).
+    ///
+    /// Eviction is FIFO from the order front, but it must not stop at a
+    /// long-lived `Pending` head: a single stuck entry would otherwise
+    /// pin every completed body queued behind it and the map would grow
+    /// without bound for the life of the session. Past the capacity
+    /// high-watermark, the sweep walks the whole order and drops the
+    /// oldest `Done` entries wherever they sit.
     fn evict(&mut self) {
         while self.map.len() > self.cap {
             let Some(key) = self.order.front().copied() else { break };
@@ -429,9 +457,8 @@ impl Acceptor for WorkerAcceptor {
 
 /// Fixed thread pool executing unit work with per-worker FIFO serialism:
 /// a worker index is scheduled on at most one thread at a time, so each
-/// logical worker computes exactly like the threaded server's single
-/// compute thread, while a thousand mostly-idle workers share a handful
-/// of real threads.
+/// logical worker computes like one serial device, while a thousand
+/// mostly-idle workers share a handful of real threads.
 struct ComputePool {
     state: Mutex<CpState>,
     cond: Condvar,
@@ -533,7 +560,8 @@ fn compute_thread(pool: &Arc<ComputePool>, host: &Arc<HostShared>) {
     }
 }
 
-/// One unit of work, mirroring the threaded `compute_loop` body.
+/// One unit of work: skip it if cancelled while queued, else compute,
+/// cache the body in the dedup map and answer on the newest route.
 fn run_item(host: &Arc<HostShared>, item: AWorkItem) {
     let worker = &host.workers[item.worker];
     if worker.stop.load(Ordering::SeqCst) {
@@ -832,21 +860,21 @@ impl Drop for SwarmWorkerHost {
 // Single-worker façade
 // ---------------------------------------------------------------------------
 
-/// Drop-in async equivalent of [`crate::worker::WorkerServer`]: one
-/// worker, same API surface, served by the event-loop host. Exists so the
-/// chaos/parity suites can run identical scenarios over both backends.
+/// One worker process's serving half: a [`SwarmWorkerHost`] of one, on one
+/// event-loop thread and one compute thread, serving until
+/// [`stop`](Self::stop) or a simulated crash ([`UnitOutcome::Vanish`]).
 pub struct AsyncWorkerServer {
     host: SwarmWorkerHost,
 }
 
 impl AsyncWorkerServer {
-    /// Binds a listener on `addr` (the resolved port is reported by
-    /// [`local_addr`](Self::local_addr)) and serves `compute`, answering
-    /// as `cfg.dev_id` — the threaded server's exact usage in every test.
+    /// Binds a listener on `addr` (use port 0 for an ephemeral port; the
+    /// resolved one is reported by [`local_addr`](Self::local_addr)) and
+    /// serves `compute`, answering as `cfg.dev_id`.
     pub fn bind(
         addr: &str,
         compute: Arc<dyn UnitCompute>,
-        cfg: crate::worker::WorkerConfig,
+        cfg: WorkerConfig,
     ) -> std::io::Result<AsyncWorkerServer> {
         let host_cfg = SwarmHostConfig {
             dedup_capacity: cfg.dedup_capacity,
@@ -886,7 +914,9 @@ impl AsyncWorkerServer {
         self.host.cancelled_total()
     }
 
-    /// Current dedup-map population.
+    /// Current dedup-map population (pending + cached bodies). Bounded by
+    /// `dedup_capacity` plus the in-flight window; exposed so tests can
+    /// assert the bound over long request streams.
     pub fn dedup_len(&self) -> usize {
         self.host.dedup_len(0)
     }
@@ -935,5 +965,125 @@ impl UnitCompute for DevRemap {
     }
     fn run_unit_on(&self, _dev: usize, unit: usize, input: &Tensor) -> UnitOutcome {
         self.inner.run_unit_on(self.dev, unit, input)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::aclient::{AsyncTcpTransport, TcpTransportConfig};
+    use crossbeam::channel::unbounded;
+    use murmuration_core::transport::{Transport, TransportJob};
+    use murmuration_tensor::Shape;
+
+    /// A connection entity that never connects.
+    struct Inert;
+    impl Entity for Inert {}
+
+    /// An inert route: routes are only written on response, and this test
+    /// never sends one.
+    fn test_route(pool: &DriverPool) -> ARoute {
+        let outbox = Arc::new(parking_lot::Mutex::new(Outbox::new(1 << 20)));
+        let handle = pool.spawn_conn(Box::new(Inert), Arc::clone(&outbox));
+        ARoute { outbox, handle }
+    }
+
+    /// Regression: a single long-lived `Pending` at the FIFO front must
+    /// not pin completed bodies behind it. An evictor that stopped at the
+    /// first in-flight head grew a 10k-request stream's map to 10k
+    /// entries; the high-watermark sweep keeps it at capacity (+ the one
+    /// stuck entry).
+    #[test]
+    fn dedup_sweep_bounds_map_behind_stuck_pending() {
+        let cap = 64;
+        let mut d = ADedup { map: HashMap::new(), order: VecDeque::new(), cap };
+        let pool = DriverPool::new(1).unwrap();
+        let route = test_route(&pool);
+        // Request 0 never completes (its worker compute is stuck).
+        d.map.insert((1, 0), AEntry::Pending { route: route.clone(), resent: false });
+        d.order.push_back((1, 0));
+        for i in 1..=10_000u64 {
+            let key = (1, i);
+            // Delivery: insert Pending + insert-time eviction, exactly as
+            // `WorkerConn::handle_request` does.
+            d.map.insert(key, AEntry::Pending { route: route.clone(), resent: false });
+            d.order.push_back(key);
+            d.evict();
+            // Completion: body cached + completion-time eviction, as
+            // `run_item` does.
+            if let Some(e) = d.map.get_mut(&key) {
+                *e = AEntry::Done { body: Ok(Vec::new()) };
+            }
+            d.evict();
+            assert!(
+                d.map.len() <= cap + 1,
+                "dedup map must stay bounded behind a stuck head: {} entries at request {i}",
+                d.map.len()
+            );
+            assert_eq!(d.map.len(), d.order.len(), "order deque must track the map");
+        }
+        // The stuck entry survived the sweeps, still pending.
+        assert!(matches!(d.map.get(&(1, 0)), Some(AEntry::Pending { .. })));
+        // The freshest completed bodies are the ones retained.
+        assert!(matches!(d.map.get(&(1, 10_000)), Some(AEntry::Done { .. })));
+        pool.stop();
+    }
+
+    struct EchoCompute;
+    impl UnitCompute for EchoCompute {
+        fn n_units(&self) -> usize {
+            1
+        }
+        fn run_unit(&self, _unit: usize, input: &Tensor) -> Tensor {
+            input.clone()
+        }
+    }
+
+    /// End-to-end bound: a sustained request stream over the real wire
+    /// path keeps the worker's dedup map at its configured capacity.
+    #[test]
+    fn worker_dedup_stays_bounded_over_stream() {
+        let cap = 128;
+        let mut srv = AsyncWorkerServer::bind(
+            "127.0.0.1:0",
+            Arc::new(EchoCompute),
+            WorkerConfig { dedup_capacity: cap, ..WorkerConfig::default() },
+        )
+        .unwrap();
+        let transport = AsyncTcpTransport::connect(
+            &[srv.local_addr().to_string()],
+            TcpTransportConfig::default(),
+        );
+        assert!(transport.wait_connected(Duration::from_secs(10)));
+        let input = Arc::new(Tensor::zeros(Shape::nchw(1, 1, 2, 2)));
+        let (reply_tx, reply_rx) = unbounded();
+        for i in 0..2_000usize {
+            transport
+                .submit(
+                    0,
+                    TransportJob {
+                        unit: 0,
+                        input: Arc::clone(&input),
+                        quant: BitWidth::B32,
+                        cross_boundary: false,
+                        tag: i,
+                        attempt: 1,
+                        deadline: Some(Duration::from_secs(10)),
+                    },
+                    reply_tx.clone(),
+                )
+                .unwrap();
+            let reply = reply_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(reply.tag, i);
+            assert!(reply.result.is_ok());
+            assert!(
+                srv.dedup_len() <= cap + 1,
+                "dedup map exceeded its bound mid-stream: {}",
+                srv.dedup_len()
+            );
+        }
+        drop(transport);
+        srv.stop();
     }
 }

@@ -24,12 +24,11 @@
 //! The [`Outbox`] is shared between the driver and submitting threads
 //! (`Arc<Mutex<_>>`): a submitter pushes its frame and opportunistically
 //! flushes inline — zero driver involvement while the socket accepts
-//! writes, which keeps the request hot path within the same latency
-//! envelope as the threaded transport. Only when the kernel buffer fills
-//! does the residue stay queued, the driver gets nudged, and
-//! write-interest-driven flushing takes over. The queue is byte-capped:
-//! a slow peer surfaces as typed backpressure, never as unbounded
-//! coordinator memory.
+//! writes, so the request hot path pays no thread hand-off. Only when the
+//! kernel buffer fills does the residue stay queued, the driver gets
+//! nudged, and write-interest-driven flushing takes over. The queue is
+//! byte-capped: a slow peer surfaces as typed backpressure, never as
+//! unbounded coordinator memory.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::frame::{FrameAssembler, Msg};

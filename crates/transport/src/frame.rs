@@ -19,7 +19,7 @@
 //! connection down and reconnects); a corrupted *inner* frame is a typed
 //! per-request error.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Outer-frame header bytes: length + checksum.
 pub const HEADER_BYTES: usize = 8;
@@ -346,11 +346,10 @@ pub fn parse_payload(mut payload: Vec<u8>) -> Result<Msg, FrameError> {
     }
 }
 
-/// Reads exactly one frame from `r` (blocking; honors the stream's read
-/// timeout by surfacing `WouldBlock`/`TimedOut` as [`FrameError::Io`] —
-/// **only safe to retry if no bytes were consumed**, so callers should use
-/// a poll-then-read pattern or treat timeouts mid-frame as fatal; the
-/// supervisor treats any mid-frame error as connection-fatal).
+/// Reads exactly one frame from `r`, blocking until it is complete (EOF
+/// mid-frame is [`FrameError::Io`]). The whole-buffer reference decoder:
+/// [`FrameAssembler`] must agree with it on every byte stream, however the
+/// bytes are split.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Msg, FrameError> {
     let mut header = [0u8; HEADER_BYTES];
     r.read_exact(&mut header)?;
@@ -367,28 +366,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Msg, FrameError> {
     parse_payload(payload)
 }
 
-/// Writes one already-encoded frame to `w`.
-pub fn write_frame<W: Write>(w: &mut W, frame_bytes: &[u8]) -> std::io::Result<()> {
-    w.write_all(frame_bytes)
-}
-
-/// True when an io error is a read-timeout (retryable between frames).
-pub fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Incremental frame reassembly for non-blocking sockets: feed whatever
-/// bytes `read` returned — one byte at a time, a torn header, three
-/// coalesced frames — and pop complete messages out.
-///
-/// Semantics are byte-identical to [`read_frame`] over the same stream:
-/// the same checks run in the same order (length cap at header
-/// completion, checksum at payload completion, then [`parse_payload`]),
-/// so the async and blocking paths can never disagree about what a byte
-/// sequence means. Any [`FrameError::Corrupt`] is sticky: the stream can
-/// no longer be trusted to be in sync, so every later call returns the
-/// same error and pushed bytes are discarded — exactly the
-/// connection-fatal contract the supervisor expects.
+/// Where a [`FrameAssembler`] stands in the byte stream.
 enum AsmState {
     /// Collecting the 8 header bytes.
     Header { got: [u8; HEADER_BYTES], fill: usize },
@@ -398,7 +376,18 @@ enum AsmState {
     Corrupt(&'static str),
 }
 
-/// See [`AsmState`] — incremental, split-point-agnostic frame decoding.
+/// Incremental frame reassembly for non-blocking sockets: feed whatever
+/// bytes `read` returned — one byte at a time, a torn header, three
+/// coalesced frames — and pop complete messages out.
+///
+/// Semantics are byte-identical to [`read_frame`] over the same stream:
+/// the same checks run in the same order (length cap at header
+/// completion, checksum at payload completion, then [`parse_payload`]),
+/// so how the bytes were split can never change what a byte sequence
+/// means. Any [`FrameError::Corrupt`] is sticky: the stream can
+/// no longer be trusted to be in sync, so every later call returns the
+/// same error and pushed bytes are discarded — exactly the
+/// connection-fatal contract the supervisor expects.
 pub struct FrameAssembler {
     state: AsmState,
     /// Completed `(crc, payload)` pairs awaiting checksum + parse. The

@@ -18,9 +18,8 @@
 //! different scales.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::aclient::{AsyncTcpTransport, AsyncTcpTransportConfig};
+use crate::aclient::{AsyncTcpTransport, AsyncTcpTransportConfig, TcpTransportConfig};
 use crate::aworker::{SwarmHostConfig, SwarmWorkerHost};
-use crate::client::TcpTransportConfig;
 use murmuration_core::executor::{UnitCompute, UnitOutcome};
 use murmuration_core::transport::{SubmitError, Transport, TransportJob, TransportReply};
 use murmuration_tensor::quant::BitWidth;

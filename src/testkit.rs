@@ -15,20 +15,13 @@
 //! [`GossipChaos`]: murmuration_edgesim::scenario::GossipChaos
 //! [`ChaosConfig`]: murmuration_transport::ChaosConfig
 
-use murmuration_core::executor::UnitCompute;
-use murmuration_core::gossip::{GossipNode, MemberRecord};
-use murmuration_core::transport::{SubmitError, Transport, TransportJob, TransportReply};
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::GossipChaos;
 use murmuration_edgesim::LinkState;
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{default_classes, ServeConfig};
-use murmuration_transport::{
-    AsyncTcpTransport, AsyncWorkerServer, ChaosConfig, TcpTransport, TcpTransportConfig,
-    WorkerConfig, WorkerServer,
-};
-use std::net::SocketAddr;
+use murmuration_transport::ChaosConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,196 +92,6 @@ pub fn chaos_serve_config() -> ServeConfig {
         service_sleep: false,
         tick_interval_ms: 50.0,
         ..ServeConfig::engineered(default_classes())
-    }
-}
-
-/// Which transport implementation a parameterized suite is exercising.
-/// The chaos and parity suites run every scenario over both: the
-/// thread-per-connection client/server pair and the readiness-based
-/// event-loop pair must satisfy the exact same contracts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// `TcpTransport` + `WorkerServer`: blocking sockets, threads.
-    Threaded,
-    /// `AsyncTcpTransport` + `AsyncWorkerServer`: epoll event loops.
-    Async,
-}
-
-/// Both backends, for `for backend in BACKENDS { ... }` suites.
-pub const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Async];
-
-/// A worker server of either backend behind the accessor surface the
-/// suites assert on.
-pub enum TestWorker {
-    /// Threaded [`WorkerServer`].
-    Threaded(WorkerServer),
-    /// Event-loop [`AsyncWorkerServer`].
-    Async(AsyncWorkerServer),
-}
-
-impl TestWorker {
-    /// Binds a loopback worker of the given backend.
-    pub fn bind(backend: Backend, compute: Arc<dyn UnitCompute>, cfg: WorkerConfig) -> TestWorker {
-        match backend {
-            Backend::Threaded => TestWorker::Threaded(
-                WorkerServer::bind("127.0.0.1:0", compute, cfg).expect("bind threaded worker"),
-            ),
-            Backend::Async => TestWorker::Async(
-                AsyncWorkerServer::bind("127.0.0.1:0", compute, cfg).expect("bind async worker"),
-            ),
-        }
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            TestWorker::Threaded(w) => w.local_addr(),
-            TestWorker::Async(w) => w.local_addr(),
-        }
-    }
-
-    /// Units actually computed.
-    pub fn computed(&self) -> u64 {
-        match self {
-            TestWorker::Threaded(w) => w.computed(),
-            TestWorker::Async(w) => w.computed(),
-        }
-    }
-
-    /// Duplicate deliveries served from the dedup map.
-    pub fn deduped(&self) -> u64 {
-        match self {
-            TestWorker::Threaded(w) => w.deduped(),
-            TestWorker::Async(w) => w.deduped(),
-        }
-    }
-
-    /// Jobs dropped unrun by a timely cancel.
-    pub fn cancelled(&self) -> u64 {
-        match self {
-            TestWorker::Threaded(w) => w.cancelled(),
-            TestWorker::Async(w) => w.cancelled(),
-        }
-    }
-
-    /// Dedup-map population.
-    pub fn dedup_len(&self) -> usize {
-        match self {
-            TestWorker::Threaded(w) => w.dedup_len(),
-            TestWorker::Async(w) => w.dedup_len(),
-        }
-    }
-
-    /// Whether the server has stopped.
-    pub fn is_stopped(&self) -> bool {
-        match self {
-            TestWorker::Threaded(w) => w.is_stopped(),
-            TestWorker::Async(w) => w.is_stopped(),
-        }
-    }
-
-    /// Attaches a gossip participant.
-    pub fn attach_gossip(&self, node: GossipNode) {
-        match self {
-            TestWorker::Threaded(w) => w.attach_gossip(node),
-            TestWorker::Async(w) => w.attach_gossip(node),
-        }
-    }
-
-    /// Gossip membership snapshot.
-    pub fn gossip_members(&self) -> Vec<MemberRecord> {
-        match self {
-            TestWorker::Threaded(w) => w.gossip_members(),
-            TestWorker::Async(w) => w.gossip_members(),
-        }
-    }
-}
-
-/// A coordinator transport of either backend. Implements
-/// [`Transport`] by delegation, so it boxes straight into an
-/// `Executor`, and keeps the concrete-only `wait_connected` available.
-pub enum TestTransport {
-    /// Threaded [`TcpTransport`].
-    Threaded(TcpTransport),
-    /// Event-loop [`AsyncTcpTransport`].
-    Async(AsyncTcpTransport),
-}
-
-impl TestTransport {
-    /// Connects the given backend's coordinator transport to `addrs`.
-    pub fn connect(backend: Backend, addrs: &[String], cfg: TcpTransportConfig) -> TestTransport {
-        match backend {
-            Backend::Threaded => TestTransport::Threaded(TcpTransport::connect(addrs, cfg)),
-            Backend::Async => TestTransport::Async(AsyncTcpTransport::connect(addrs, cfg)),
-        }
-    }
-
-    /// Blocks until every peer is connected (or `timeout`).
-    pub fn wait_connected(&self, timeout: Duration) -> bool {
-        match self {
-            TestTransport::Threaded(t) => t.wait_connected(timeout),
-            TestTransport::Async(t) => t.wait_connected(timeout),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn Transport {
-        match self {
-            TestTransport::Threaded(t) => t,
-            TestTransport::Async(t) => t,
-        }
-    }
-}
-
-impl Transport for TestTransport {
-    fn n_devices(&self) -> usize {
-        self.as_dyn().n_devices()
-    }
-    fn is_alive(&self, dev: usize) -> bool {
-        self.as_dyn().is_alive(dev)
-    }
-    fn mark_dead(&self, dev: usize) {
-        self.as_dyn().mark_dead(dev)
-    }
-    fn submit(
-        &self,
-        dev: usize,
-        job: TransportJob,
-        reply: crossbeam::channel::Sender<TransportReply>,
-    ) -> Result<u64, SubmitError> {
-        self.as_dyn().submit(dev, job, reply)
-    }
-    fn cancel(&self, dev: usize, ticket: u64) {
-        self.as_dyn().cancel(dev, ticket)
-    }
-    fn kill_device(&self, dev: usize) {
-        self.as_dyn().kill_device(dev)
-    }
-    fn restart_device(&mut self, dev: usize) {
-        match self {
-            TestTransport::Threaded(t) => t.restart_device(dev),
-            TestTransport::Async(t) => t.restart_device(dev),
-        }
-    }
-    fn set_wire_corruption(&self, dev: usize, on: bool) {
-        self.as_dyn().set_wire_corruption(dev, on)
-    }
-    fn stats(&self) -> murmuration_core::transport::TransportStats {
-        self.as_dyn().stats()
-    }
-    fn link_rtt_ms(&self, dev: usize) -> Option<f64> {
-        self.as_dyn().link_rtt_ms(dev)
-    }
-    fn send_gossip(&self, dev: usize, payload: &[u8]) -> bool {
-        self.as_dyn().send_gossip(dev, payload)
-    }
-    fn drain_gossip(&self) -> Vec<Vec<u8>> {
-        self.as_dyn().drain_gossip()
-    }
-    fn shutdown(&mut self) {
-        match self {
-            TestTransport::Threaded(t) => Transport::shutdown(t),
-            TestTransport::Async(t) => Transport::shutdown(t),
-        }
     }
 }
 

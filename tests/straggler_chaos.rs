@@ -20,8 +20,8 @@ use murmuration::tensor::tile::GridSpec;
 use murmuration::tensor::{Shape, Tensor};
 use murmuration::testkit::with_watchdog;
 use murmuration::transport::{
-    ChaosConfig, ChaosDirection, ChaosProxy, TcpTransport, TcpTransportConfig, WorkerConfig,
-    WorkerServer,
+    AsyncTcpTransport, AsyncWorkerServer, ChaosConfig, ChaosDirection, ChaosProxy,
+    TcpTransportConfig, WorkerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -246,24 +246,16 @@ fn single_request_hedge_beats_brownout_device() {
 fn tcp_asymmetric_slow_link_hedges_onto_direct_worker() {
     with_watchdog(|| {
         let compute = Arc::new(ConvStackCompute::random(3, 2, 4, 7));
-        let mut w0 = WorkerServer::bind(
+        let mut w0 = AsyncWorkerServer::bind(
             "127.0.0.1:0",
             compute.clone() as Arc<dyn UnitCompute>,
-            WorkerConfig {
-                dev_id: 0,
-                read_timeout: Duration::from_millis(25),
-                ..Default::default()
-            },
+            WorkerConfig { dev_id: 0, ..Default::default() },
         )
         .expect("bind worker 0");
-        let mut w1 = WorkerServer::bind(
+        let mut w1 = AsyncWorkerServer::bind(
             "127.0.0.1:0",
             compute.clone() as Arc<dyn UnitCompute>,
-            WorkerConfig {
-                dev_id: 1,
-                read_timeout: Duration::from_millis(25),
-                ..Default::default()
-            },
+            WorkerConfig { dev_id: 1, ..Default::default() },
         )
         .expect("bind worker 1");
         // Replies from worker 1 ramp from instant to +60 ms over 1.5 s;
@@ -289,7 +281,7 @@ fn tcp_asymmetric_slow_link_hedges_onto_direct_worker() {
             drain_timeout: Duration::from_millis(500),
             seed: 99,
         };
-        let transport = TcpTransport::connect(&addrs, cfg);
+        let transport = AsyncTcpTransport::connect(&addrs, cfg);
         assert!(transport.wait_connected(Duration::from_secs(10)));
         let mut exec = Executor::with_transport(Box::new(transport));
 
