@@ -14,6 +14,12 @@
 //! (`MURMURATION_BENCH_MS`, default 300 ms after 3 warmup iterations), so
 //! slow seed kernels and fast optimized kernels both get stable numbers.
 //!
+//! The `conv2d/dense_*` rows split each image across the tensor crate's
+//! helper pool, so they depend on the thread count, which the header and the
+//! JSON's `threads` key state (`available_parallelism`, which honours the
+//! CPU affinity mask: under `taskset -c 0` it is 1 and nothing splits). The
+//! int8 `qconv2d` does not split, so its `vs_f32` ratio falls as threads rise.
+//!
 //! Each entry carries the PR-1 seed timing baked in below, and the binary
 //! *gates* on the result: it exits non-zero if the dense conv drops under
 //! 2× seed, the int8 GEMM under 2× this run's f32 GEMM at the same shape,
@@ -246,6 +252,8 @@ fn main() {
         entries.push(qe);
     }
 
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("threads: {threads} (available_parallelism; conv2d/dense_* rows split across them)");
     println!(
         "{:<42} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "kernel", "mean_us", "min_us", "iters", "speedup", "vs_f32"
@@ -284,7 +292,10 @@ fn main() {
         }
         json.push_str(&format!("    \"{}\": {{{}}}{}\n", e.name, fields, sep));
     }
-    json.push_str(&format!("  }},\n  \"simd\": {}\n}}\n", simd::detected()));
+    json.push_str(&format!(
+        "  }},\n  \"simd\": {},\n  \"threads\": {threads}\n}}\n",
+        simd::detected()
+    ));
     let bless = std::env::args().any(|a| a == "--bless");
     let dir = std::path::PathBuf::from(if bless { "results" } else { "target" });
     let _ = std::fs::create_dir_all(&dir);

@@ -8,15 +8,21 @@
 //!   re-read, and bias and ReLU are applied as the tile is stored. The result
 //!   is bit-identical to im2col + [`gemm_bias`], which remains the path for
 //!   stride ≠ 1 and for backward. Workspaces come from the thread-local
-//!   [`scratch`](crate::scratch) pool (zero steady-state allocation).
+//!   [`scratch`](crate::scratch) pool (zero steady-state allocation). An
+//!   image of at least 4 M MACs is cut into (weight group × row band) chunks
+//!   that [`par::for_each`] spreads over the device's cores, with the same
+//!   bits.
 //! * [`depthwise_conv2d`] splits every output plane into a
 //!   bounds-check-free **interior** (with fully unrolled k=3 / k=5 inner
 //!   loops) and a checked **border** band, so the per-tap `isize` casts and
 //!   range tests of the naive kernel only run on the few output pixels whose
 //!   receptive field actually leaves the input.
 
+use std::marker::PhantomData;
+
 use crate::activation::relu_inplace;
 use crate::gemm::{gemm_bias, KC, MR, NR};
+use crate::par;
 use crate::scratch;
 use crate::shape::{conv_out_size, Shape};
 use crate::simd::{self, ConvTile};
@@ -204,7 +210,14 @@ fn conv2d_act(
     });
     if p.stride == 1 {
         let dims = (c_in, h, w, c_out);
-        conv2d_direct(input.data(), dims, weight.data(), bias_data, p, relu, out.data_mut());
+        let image_macs = c_out * oh * ow * c_in * p.kernel * p.kernel;
+        let run: Runner = if image_macs >= PAR_MIN_MACS { &par::for_each } else { &serial };
+        // Read once per call and handed to every chunk: the AVX2 and portable
+        // tiles round differently, so a helper re-reading the flag could mix
+        // the two paths within one output.
+        let use_simd = simd::simd_active();
+        let (x, wt) = (input.data(), weight.data());
+        conv2d_direct(run, use_simd, x, dims, wt, bias_data, p, relu, out.data_mut());
         return out;
     }
     let images = input.data().chunks_exact(c_in * h * w);
@@ -220,19 +233,76 @@ fn conv2d_act(
     out
 }
 
+/// Output rows per chunk of the stride-1 convolution. With 4-channel weight
+/// groups it cuts both request layers — 16 ch at 48² and 8 ch at 96² — into
+/// 24 chunks, enough for two cores to finish close together.
+const BAND: usize = 8;
+
+/// Per-image MACs from which a stride-1 convolution is split across the
+/// [`par`] pool. The request layers carry ≈5.3 M. The 2×2 FDSP tiles of the
+/// same layers (≈1.4 M) stay whole: several tile workers already share the
+/// cores, and splitting them as well (a 1 M threshold) cost the tiled
+/// workload 10–28 % at p90.
+const PAR_MIN_MACS: usize = 4_000_000;
+
+/// How one image's chunks run: [`par::for_each`], [`serial`], or in tests a
+/// pool of a given size. Every runner calls each chunk exactly once.
+type Runner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
+
+/// The plain-loop [`Runner`], for convolutions under [`PAR_MIN_MACS`].
+fn serial(n: usize, chunk: &(dyn Fn(usize) + Sync)) {
+    (0..n).for_each(chunk);
+}
+
+/// One image's output, written by disjoint chunks from several threads.
+struct SharedOut<'a> {
+    ptr: *mut f32,
+    len: usize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: `SharedOut` only hands out slices through `slice`, whose contract
+// is that no two live ones overlap, so two threads never touch one element.
+unsafe impl Sync for SharedOut<'_> {}
+
+impl<'a> SharedOut<'a> {
+    fn new(out: &'a mut [f32]) -> Self {
+        SharedOut { ptr: out.as_mut_ptr(), len: out.len(), _out: PhantomData }
+    }
+
+    /// `len` elements from `at`.
+    ///
+    /// # Safety
+    /// No two slices obtained from one `SharedOut` may be alive at once and
+    /// overlap.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice(&self, at: usize, len: usize) -> &mut [f32] {
+        assert!(at + len <= self.len, "chunk outside the image");
+        // SAFETY: in bounds (asserted) of a buffer borrowed mutably for 'a;
+        // exclusivity is the caller's obligation.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(at), len) }
+    }
+}
+
 /// Stride-1 forward without a column matrix (DESIGN.md §8).
 ///
 /// Each image is copied once into a zero-padded buffer (`NR` floats of tail
 /// slack keep the last row's 16-wide loads in bounds) and the weights are
-/// transposed into `MR`-row groups `[group][tap][MR]`. For every output row
-/// and 16-pixel strip, all groups run back to back over the same few image
-/// rows, each as one register tile stored once (edges through a stack tile).
+/// transposed into `MR`-row groups `[group][tap][MR]`. The image is then cut
+/// into chunks of one group × [`BAND`] output rows, band-major, which `run`
+/// executes — possibly several at once. Within a chunk, every 16-pixel strip
+/// of every row is one register tile stored once (edges through a stack
+/// tile); `use_simd` picks the tile for the whole call.
 ///
-/// The values are `im2col` + [`gemm_bias`]'s, bit for bit: zero-start
-/// accumulators take the taps in unfold order (padding taps multiply a stored
-/// 0.0, as in the column matrix), every [`KC`] taps they are added to a
-/// running sum that started at the bias, and ReLU comes last.
+/// The values are `im2col` + [`gemm_bias`]'s, bit for bit, whatever the
+/// runner: zero-start accumulators take the taps in unfold order (padding
+/// taps multiply a stored 0.0, as in the column matrix), every [`KC`] taps
+/// they are added to a running sum that started at the bias, and ReLU comes
+/// last. Which thread runs a tile, and when, changes none of that.
+#[allow(clippy::too_many_arguments)]
 fn conv2d_direct(
+    run: Runner,
+    use_simd: bool,
     input: &[f32],
     (c_in, h, w, c_out): (usize, usize, usize, usize),
     weight: &[f32],
@@ -246,19 +316,18 @@ fn conv2d_direct(
     let (oh, ow) = (ph - k + 1, pw - k + 1);
     let taps = c_in * k * k;
     let t = ConvTile { c_in, k, plane: ph * pw, pw, relu };
-    // Decided once per call so a concurrent override toggle cannot mix paths.
-    let use_simd = simd::simd_active();
-    let tile = |img: &[f32], wg: &[f32], bv: &[f32; MR], dst: &mut [f32], stride| {
-        if !(use_simd && simd::conv_tile_16(t, img, wg, bv, dst, stride)) {
-            conv_tile_portable(t, img, wg, bv, dst, stride);
+    let tile = |img: &[f32], wg: &[f32], bv: &[f32; MR], dst: &mut [&mut [f32; NR]; MR]| {
+        if !(use_simd && simd::conv_tile_16(t, img, wg, bv, dst)) {
+            conv_tile_portable(t, img, wg, bv, dst);
         }
     };
+    let groups = c_out.div_ceil(MR);
     scratch::with(|wg| {
         scratch::with(|padded| {
             // Rows past `c_out` in the last group stay zero; their outputs
             // are never stored.
             wg.clear();
-            wg.resize(c_out.div_ceil(MR) * taps * MR, 0.0);
+            wg.resize(groups * taps * MR, 0.0);
             for (co, w_row) in weight.chunks_exact(taps).enumerate() {
                 let base = (co / MR) * taps * MR + co % MR;
                 for (tap, &v) in w_row.iter().enumerate() {
@@ -274,29 +343,52 @@ fn conv2d_direct(
                     let at = (cy / h) * t.plane + (cy % h + p.pad) * pw + p.pad;
                     padded[at..at + w].copy_from_slice(src);
                 }
-                for oy in 0..oh {
-                    for ox0 in (0..ow).step_by(NR) {
-                        let origin = &padded[oy * pw + ox0..];
-                        let nr = NR.min(ow - ox0);
-                        for (g, wg_g) in wg.chunks_exact(taps * MR).enumerate() {
-                            let mr = MR.min(c_out - g * MR);
-                            let mut bv = [0.0f32; MR];
-                            if let Some(b) = bias {
-                                bv[..mr].copy_from_slice(&b[g * MR..g * MR + mr]);
-                            }
-                            let at = (g * MR * oh + oy) * ow + ox0;
+                let (padded, wg) = (&padded[..], &wg[..]);
+                let out_img = SharedOut::new(out_img);
+                run(groups * oh.div_ceil(BAND), &|chunk| {
+                    let (band, g) = (chunk / groups, chunk % groups);
+                    let wg_g = &wg[g * taps * MR..][..taps * MR];
+                    let mr = MR.min(c_out - g * MR);
+                    let mut bv = [0.0f32; MR];
+                    if let Some(b) = bias {
+                        bv[..mr].copy_from_slice(&b[g * MR..g * MR + mr]);
+                    }
+                    let rows = band * BAND..oh.min(band * BAND + BAND);
+                    // The chunk's output: rows `rows` of channels g·MR + r, r < mr.
+                    let mut planes: [&mut [f32]; MR] = std::array::from_fn(|r| {
+                        if r >= mr {
+                            return &mut [][..];
+                        }
+                        let at = ((g * MR + r) * oh + rows.start) * ow;
+                        // SAFETY: chunks are disjoint — `run` calls each
+                        // (band, group) once, and this slice is that chunk's
+                        // band of one of its channels, which no other chunk
+                        // reads or writes. The slices die with the chunk, and
+                        // `run` returns only after every chunk has returned
+                        // and no helper still holds the job, so `out_img`'s
+                        // borrow outlives every access from any thread.
+                        unsafe { out_img.slice(at, rows.len() * ow) }
+                    });
+                    for oy in rows.clone() {
+                        for ox0 in (0..ow).step_by(NR) {
+                            let origin = &padded[oy * pw + ox0..];
+                            let nr = NR.min(ow - ox0);
+                            let at = (oy - rows.start) * ow + ox0;
                             if nr == NR && mr == MR {
-                                tile(origin, wg_g, &bv, &mut out_img[at..], oh * ow);
+                                let mut dst = planes.each_mut().map(|pl| {
+                                    pl[at..].first_chunk_mut::<NR>().expect("a full strip")
+                                });
+                                tile(origin, wg_g, &bv, &mut dst);
                             } else {
-                                let mut edge = [0.0f32; MR * NR];
-                                tile(origin, wg_g, &bv, &mut edge, NR);
-                                for (r, row) in edge.chunks_exact(NR).take(mr).enumerate() {
-                                    out_img[at + r * oh * ow..][..nr].copy_from_slice(&row[..nr]);
+                                let mut edge = [[0.0f32; NR]; MR];
+                                tile(origin, wg_g, &bv, &mut edge.each_mut());
+                                for (pl, row) in planes.iter_mut().zip(&edge).take(mr) {
+                                    pl[at..at + nr].copy_from_slice(&row[..nr]);
                                 }
                             }
                         }
                     }
-                }
+                });
             }
         });
     });
@@ -309,8 +401,7 @@ fn conv_tile_portable(
     img: &[f32],
     wg: &[f32],
     bias: &[f32; MR],
-    out: &mut [f32],
-    row_stride: usize,
+    out: &mut [&mut [f32; NR]; MR],
 ) {
     let mut bank = bias.map(|b| [b; NR]);
     let mut acc = [[0.0f32; NR]; MR];
@@ -328,8 +419,7 @@ fn conv_tile_portable(
             }
         }
     }
-    for (r, (bank_row, acc_row)) in bank.iter().zip(&acc).enumerate() {
-        let dst = &mut out[r * row_stride..][..NR];
+    for (dst, (bank_row, acc_row)) in out.iter_mut().zip(bank.iter().zip(&acc)) {
         for (o, (bv, av)) in dst.iter_mut().zip(bank_row.iter().zip(acc_row)) {
             let v = bv + av;
             *o = if t.relu && v < 0.0 { 0.0 } else { v };
@@ -818,6 +908,36 @@ mod tests {
         col2im(&y, c, h, w, p, &mut back);
         let rhs: f32 = x.data().iter().zip(back.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn split_is_bit_exact_for_any_helper_count() {
+        // c_out 6 leaves a half group, oh 13 a 5-row band, w 21 a partial
+        // strip; c_in·k² = 270 crosses KC; batch 2 reuses the padded buffer.
+        let mut rng = StdRng::seed_from_u64(31);
+        let (n, c_in, h, w, c_out) = (2, 30, 13, 21, 6);
+        let p = Conv2dParams::same(3);
+        let (oh, ow) = p.out_hw(h, w);
+        let x = Tensor::rand_uniform(Shape::nchw(n, c_in, h, w), 1.0, &mut rng);
+        let wt = Tensor::rand_uniform(Shape::nchw(c_out, c_in, 3, 3), 0.5, &mut rng);
+        let b = Tensor::rand_uniform(Shape::d1(c_out), 0.5, &mut rng);
+        let (dims, bias) = ((c_in, h, w, c_out), Some(b.data()));
+        let conv = |run: Runner, use_simd: bool, relu: bool| {
+            let mut out = vec![0.0f32; n * c_out * oh * ow];
+            conv2d_direct(run, use_simd, x.data(), dims, wt.data(), bias, p, relu, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        let pools: Vec<_> = (0..4).map(par::Pool::new).collect();
+        let paths: &[bool] = if simd::detected() { &[false, true] } else { &[false] };
+        for &use_simd in paths {
+            for relu in [false, true] {
+                let want = conv(&serial, use_simd, relu);
+                for (helpers, pool) in pools.iter().enumerate() {
+                    let got = conv(&|n, f| pool.for_each(n, f), use_simd, relu);
+                    assert!(got == want, "{helpers} helpers, simd {use_simd}, relu {relu}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * [`simd`] — runtime-dispatched AVX2/FMA microkernels behind every hot
 //!   loop above, with `MURMURATION_FORCE_SCALAR` forcing the portable
 //!   fallback for testing.
+//! * [`par`] — one process-wide pool of parked helper threads
+//!   (`available_parallelism() − 1`) that a single kernel call can spread its
+//!   chunks over.
 //!
 //! Design notes: hot loops are written over slices with explicit blocking;
 //! GEMM packs its B operand into cache-resident `NR`-column panels and
@@ -30,17 +33,22 @@
 //! it, scalar otherwise); the stride-1 dense convolution runs the same tile
 //! straight over a zero-padded copy of the image, bit-identical to im2col +
 //! GEMM; the depthwise kernel splits each plane into a bounds-check-free
-//! interior and a checked border; every kernel is sequential (callers that
-//! want cores run one request per thread); and steady-state forward passes
-//! allocate only their output — every kernel workspace (padded images, weight
-//! groups, im2col columns, packing panels, transposes, int8 code buffers)
-//! comes from the thread-local [`scratch`] pools.
+//! interior and a checked border. One kernel uses more than the calling
+//! thread: a stride-1 dense convolution of at least 4 M MACs per image
+//! splits across [`par`]'s helpers, bit-identical to its single-thread run;
+//! every other kernel (GEMM, im2col, depthwise, int8) is sequential, and
+//! callers that want more cores run one request per thread. Steady-state
+//! forward passes allocate only their output — every kernel workspace
+//! (padded images, weight groups, im2col columns, packing panels,
+//! transposes, int8 code buffers) comes from the thread-local [`scratch`]
+//! pools, and a split call allocates nothing for its chunks.
 
 pub mod activation;
 pub mod conv;
 pub mod gemm;
 pub mod int8;
 pub mod pad;
+pub mod par;
 pub mod pool;
 pub mod quant;
 pub mod scratch;

@@ -206,7 +206,7 @@ pub struct ConvTile {
 
 /// Computes one 4×16 tile of a stride-1 convolution straight from the
 /// zero-padded image: four output channels at 16 consecutive pixels of one
-/// output row, stored at `out[r * row_stride..][..16]`.
+/// output row, channel `r` stored into `out[r]`.
 ///
 /// `img` starts at the tile's origin `(channel 0, oy, ox0)`; `wg` is the
 /// weight group `[tap][4]` in `im2col` tap order `(c·k + ky)·k + kx`. The
@@ -219,8 +219,7 @@ pub fn conv_tile_16(
     img: &[f32],
     wg: &[f32],
     bias: &[f32; 4],
-    out: &mut [f32],
-    row_stride: usize,
+    out: &mut [&mut [f32; 16]; 4],
 ) -> bool {
     if !detected() {
         return false;
@@ -233,19 +232,24 @@ pub fn conv_tile_16(
             "padded image too short for the tile's last tap"
         );
         assert!(wg.len() >= 4 * t.c_in * t.k * t.k, "weight group shorter than 4*c_in*k*k");
-        assert!(out.len() >= 3 * row_stride + 16, "output too short for the tile");
         // SAFETY: AVX2+FMA presence was checked via `detected()`. The widest
         // read is 16 f32 at `img[(c_in-1)*plane + (k-1)*pw + (k-1)]` and the
         // kernel reads `4*c_in*k*k` f32 of `wg`, both asserted above; it
-        // writes 16 f32 at `out[r * row_stride]` for `r < 4`, also asserted.
+        // writes the four 16-f32 rows of `out`, exclusive borrows by type.
         unsafe {
-            conv_tile_16_avx2(t, img.as_ptr(), wg.as_ptr(), bias, out.as_mut_ptr(), row_stride)
+            conv_tile_16_avx2(
+                t,
+                img.as_ptr(),
+                wg.as_ptr(),
+                bias,
+                out.each_mut().map(|r| r.as_mut_ptr()),
+            )
         }
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (t, img, wg, bias, out, row_stride);
+        let _ = (t, img, wg, bias, out);
         false
     }
 }
@@ -253,7 +257,7 @@ pub fn conv_tile_16(
 /// # Safety
 /// Caller must ensure AVX2+FMA are available, `img` is valid for
 /// `(c_in-1)*plane + (k-1)*pw + (k-1) + 16` f32 reads, `wg` for `4*c_in*k*k`
-/// reads, and `out` for 16 f32 writes at each `r * row_stride`, `r < 4`.
+/// reads, and each `out[r]` for 16 f32 writes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::needless_range_loop)] // iterator forms spill the accumulators (+40 % per tile)
@@ -262,8 +266,7 @@ unsafe fn conv_tile_16_avx2(
     img: *const f32,
     mut wg: *const f32,
     bias: &[f32; 4],
-    out: *mut f32,
-    row_stride: usize,
+    out: [*mut f32; 4],
 ) {
     use std::arch::x86_64::*;
     let zero = _mm256_setzero_ps();
@@ -302,7 +305,7 @@ unsafe fn conv_tile_16_avx2(
                 // NaN, which is what `if v < 0 { 0 }` leaves.
                 v = _mm256_max_ps(zero, v);
             }
-            _mm256_storeu_ps(out.add(r * row_stride + half * 8), v);
+            _mm256_storeu_ps(out[r].add(half * 8), v);
         }
     }
 }

@@ -72,15 +72,16 @@ if ! grep -q 'pub mod schema;' crates/serve/src/lib.rs; then
     exit 1
 fi
 
-echo "==> unsafe-block safety-comment lint (SIMD kernels)"
-# Every `unsafe fn` / `unsafe {` in the hand-written kernel modules must be
-# preceded (within 12 lines, spanning doc sections and attributes) by a
-# SAFETY comment or a # Safety doc section.
-for f in crates/tensor/src/simd.rs crates/tensor/src/int8.rs; do
+echo "==> unsafe-block safety-comment lint (SIMD kernels, helper pool, split convolution)"
+# Every `unsafe fn` / `unsafe {` / `unsafe impl` in the hand-written kernel
+# modules must be preceded (within 12 lines, spanning doc sections and
+# attributes) by a SAFETY comment or a # Safety doc section.
+for f in crates/tensor/src/simd.rs crates/tensor/src/int8.rs \
+         crates/tensor/src/par.rs crates/tensor/src/conv.rs; do
     if ! awk -v file="$f" '
         BEGIN { bad = 0 }
         { line[NR] = $0 }
-        /unsafe (fn|\{)/ {
+        /unsafe (fn|impl|\{)/ {
             ok = 0
             for (i = NR - 1; i >= NR - 12 && i >= 1; i--)
                 if (tolower(line[i]) ~ /safety/) { ok = 1; break }
