@@ -18,25 +18,29 @@
 //! after the deadline), panic (worker survives, request fails), garble
 //! frames in transit (checksum failure), or — over TCP — lose their
 //! connection mid-request. The coordinator never blocks forever on any of
-//! them: every wait is a `recv_timeout` against a per-attempt deadline,
-//! failed attempts are retried with exponential backoff and failover onto
-//! surviving devices, and exhaustion surfaces as a typed [`ExecError`]
+//! them: every entry point runs its work as slots of one attempt state
+//! machine (`attempt`, which states the recovery rules) — a `Single` unit
+//! is one slot, a tiled unit one per FDSP tile, a stream one per request
+//! moving stage to stage — and exhaustion surfaces as a typed [`ExecError`]
 //! instead of a panic or a hang. Connection supervision (heartbeats,
 //! reconnect, resend dedup) happens below the trait; its counters surface
 //! in [`ExecReport`].
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod attempt;
+
 use crate::health::LatencyTracker;
-use crate::transport::{
-    InProcTransport, ReplyError, SubmitError, Transport, TransportJob, TransportReply,
-    TransportStats,
-};
+use crate::transport::{InProcTransport, Transport, TransportStats};
 use crate::wire::WireError;
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use attempt::{drive, Ctx, Slot, Work};
+use crossbeam::channel::unbounded;
 use murmuration_partition::{ExecutionPlan, UnitPlacement};
+use murmuration_tensor::activation::relu_inplace;
+use murmuration_tensor::conv::{conv2d_relu, Conv2dParams};
+use murmuration_tensor::int8::{qconv2d, QConv2dWeights};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::{merge_fdsp, split_fdsp, GridSpec};
-use murmuration_tensor::Tensor;
+use murmuration_tensor::{Shape, Tensor};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -202,18 +206,17 @@ pub struct Executor {
     lat: Mutex<Vec<LatencyTracker>>,
 }
 
-/// Marks a reply as coming from a hedge submission; the low bits still
-/// carry the attempt number for staleness filtering.
-const HEDGE_BIT: u32 = 1 << 31;
-
 /// Execution report.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecReport {
     /// Measured wall time of the distributed execution (host time).
     pub wall_ms: f64,
-    /// Re-dispatches after a failed attempt (any cause).
+    /// Attempts sent after a failed one (an error reply, a dead worker, a
+    /// missed deadline). Falling to the next device when a send is refused
+    /// happens within an attempt and is not a retry.
     pub retries: u32,
-    /// Completions on a device other than the planned one.
+    /// Completions whose winning primary ran on a device other than the
+    /// planned one (a hedge win counts in `hedges_won` instead).
     pub failovers: u32,
     /// Attempts that exceeded their deadline.
     pub deadline_misses: u32,
@@ -231,15 +234,6 @@ pub struct ExecReport {
     /// Cancels that verifiably dropped still-queued work at a worker
     /// (hedge losers that never ran).
     pub cancels_delivered: u64,
-}
-
-impl ExecReport {
-    fn absorb_stats(&mut self, delta: TransportStats) {
-        self.reconnects += delta.reconnects;
-        self.heartbeats_missed += delta.heartbeats_missed;
-        self.resends_deduped += delta.resends_deduped;
-        self.cancels_delivered += delta.cancels_delivered;
-    }
 }
 
 impl Executor {
@@ -300,13 +294,6 @@ impl Executor {
         self.transport.shutdown();
     }
 
-    /// Records one successful attempt's latency for `dev`.
-    fn observe_latency(&self, dev: usize, ms: f64) {
-        if let Some(t) = self.lat.lock().get_mut(dev) {
-            t.observe(ms);
-        }
-    }
-
     /// Observed per-attempt latency quantile for `dev`, if enough history
     /// exists (feeds gray-health reporting and diagnostics).
     pub fn latency_quantile(&self, dev: usize, q: f64) -> Option<f64> {
@@ -314,84 +301,23 @@ impl Executor {
     }
 
     /// When hedging should fire for an attempt on `dev`: `factor ×` the
-    /// observed latency quantile, floored, and only when that still beats
-    /// the attempt deadline (otherwise the deadline path handles it).
-    ///
-    /// The quantile basis is `min(dev's own, fleet median)`: a persistent
-    /// straggler inflates its own history until it no longer looks slow
-    /// to itself, so its trigger must stay anchored to what its peers
-    /// prove is achievable; a device with a tight history keeps its own
-    /// tighter trigger.
+    /// latency quantile, floored, if that beats the attempt deadline. The
+    /// quantile is `min(dev's own, fleet median)`: a persistent straggler
+    /// inflates its own history until it no longer looks slow to itself,
+    /// so its trigger stays anchored to what its peers prove achievable,
+    /// while a device with a tight history keeps its own.
     fn hedge_trigger(&self, dev: usize, h: &HedgeOptions, deadline: Duration) -> Option<Duration> {
-        let q_ms = {
-            let lat = self.lat.lock();
-            let t = lat.get(dev)?;
-            if t.len() < h.min_samples {
-                return None;
-            }
-            let own = t.quantile(h.quantile)?;
-            let mut fleet: Vec<f64> = lat
-                .iter()
-                .filter(|t| t.len() >= h.min_samples)
-                .filter_map(|t| t.quantile(h.quantile))
-                .collect();
-            fleet.sort_by(f64::total_cmp);
-            if fleet.is_empty() {
-                own
-            } else {
-                own.min(fleet[(fleet.len() - 1) / 2])
-            }
+        let lat = self.lat.lock();
+        let armed = |t: &LatencyTracker| {
+            (t.len() >= h.min_samples).then(|| t.quantile(h.quantile)).flatten()
         };
+        let own = armed(lat.get(dev)?)?;
+        let mut fleet: Vec<f64> = lat.iter().filter_map(armed).collect(); // holds `own`
+        fleet.sort_by(f64::total_cmp);
+        let q_ms = own.min(fleet[(fleet.len() - 1) / 2]);
         let trigger_s = (q_ms * h.factor / 1e3).max(h.min_trigger.as_secs_f64());
         let trigger = Duration::from_secs_f64(trigger_s);
         (trigger < deadline).then_some(trigger)
-    }
-
-    /// First non-shunned device other than `exclude` (hedge backup for a
-    /// single request, where the rest of the fleet is idle).
-    fn pick_backup(&self, exclude: usize, shunned: &[bool]) -> Option<usize> {
-        (0..self.n_devices()).find(|&d| d != exclude && !shunned[d])
-    }
-
-    /// Least-loaded backup under streamed load: hedging onto the busiest
-    /// survivor just moves the wait to a different queue, so the backup is
-    /// chosen by the coordinator's own outstanding-submission count.
-    fn pick_backup_least_loaded(
-        &self,
-        exclude: usize,
-        shunned: &[bool],
-        inflight: &[usize],
-    ) -> Option<usize> {
-        (0..self.n_devices()).filter(|&d| d != exclude && !shunned[d]).min_by_key(|&d| inflight[d])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        dev: usize,
-        unit: usize,
-        input: &Arc<Tensor>,
-        quant: BitWidth,
-        cross: bool,
-        tag: usize,
-        attempt: u32,
-        deadline: Option<Duration>,
-        reply: Sender<TransportReply>,
-    ) -> Result<u64, ExecError> {
-        let job = TransportJob {
-            unit,
-            input: Arc::clone(input),
-            quant,
-            cross_boundary: cross,
-            tag,
-            attempt,
-            deadline,
-        };
-        self.transport.submit(dev, job, reply).map_err(|e| match e {
-            SubmitError::DeviceDown => ExecError::DeviceDown { dev },
-            SubmitError::Wire(err) => ExecError::Wire { dev, err },
-            SubmitError::Backpressure => ExecError::Backpressure { dev },
-        })
     }
 
     /// Executes `input` through all units under `plan` with default
@@ -416,400 +342,18 @@ impl Executor {
         opts: ExecOptions,
     ) -> Result<(Tensor, ExecReport), ExecError> {
         assert_eq!(plan.placements.len(), wire.len(), "one wire entry per unit");
-        let start = Instant::now();
-        let stats0 = self.transport.stats();
-        let mut report = ExecReport::default();
-        // Devices shunned for the remainder of this call: seeded from the
-        // global belief, extended by timeouts/wire errors observed here.
-        let mut shunned: Vec<bool> = (0..self.n_devices()).map(|d| !self.is_alive(d)).collect();
+        let (start, stats0) = (Instant::now(), self.transport.stats());
+        let mut ctx = Ctx::new(self, opts);
         let mut data = Arc::new(input);
         let mut loc: usize = 0; // device currently holding `data`
-        let finish = |report: &mut ExecReport| {
-            report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            report.absorb_stats(self.transport.stats().since(&stats0));
-        };
-        for (unit, (placement, w)) in plan.placements.iter().zip(wire.iter()).enumerate() {
-            let run = match placement {
-                UnitPlacement::Single(d) => self.run_single(
-                    *d,
-                    unit,
-                    &data,
-                    w.in_quant,
-                    loc,
-                    &opts,
-                    &mut report,
-                    &mut shunned,
-                ),
-                UnitPlacement::Tiled(devs) => {
-                    assert_eq!(devs.len(), w.grid.tiles(), "tile/device count");
-                    self.run_tiled(devs, unit, &data, w, loc, &opts, &mut report, &mut shunned)
-                }
-            };
-            match run {
-                Ok((out, dev)) => {
-                    data = Arc::new(out);
-                    loc = dev;
-                }
-                Err(e) => {
-                    finish(&mut report);
-                    return Err(e);
-                }
-            }
+        for (unit, (placement, w)) in plan.placements.iter().zip(wire).enumerate() {
+            let (out, dev) = run_unit(&mut ctx, unit, placement, w, &data, loc)?;
+            data = Arc::new(out);
+            loc = dev;
         }
         // Result returns to device 0 (tiny logits; precision kept).
-        finish(&mut report);
         let out = Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone());
-        Ok((out, report))
-    }
-
-    /// First non-shunned device, preferring `preferred`.
-    fn pick_device(&self, preferred: usize, shunned: &[bool]) -> Option<usize> {
-        if !shunned[preferred] {
-            return Some(preferred);
-        }
-        (0..self.n_devices()).find(|&d| !shunned[d])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_single(
-        &self,
-        preferred: usize,
-        unit: usize,
-        data: &Arc<Tensor>,
-        quant: BitWidth,
-        loc: usize,
-        opts: &ExecOptions,
-        report: &mut ExecReport,
-        shunned: &mut [bool],
-    ) -> Result<(Tensor, usize), ExecError> {
-        let mut last_err: Option<ExecError> = None;
-        let mut attempts = 0usize;
-        while attempts < opts.max_attempts {
-            let dev = match self.pick_device(preferred, shunned) {
-                Some(d) => d,
-                None => {
-                    return Err(last_err.unwrap_or(ExecError::NoDevice { unit }));
-                }
-            };
-            if attempts > 0 {
-                report.retries += 1;
-                std::thread::sleep(opts.backoff * (1u32 << (attempts - 1).min(6)));
-            }
-            attempts += 1;
-            let attempt_no = attempts as u32;
-            // Fresh reply channel per attempt: a disconnect means *this*
-            // worker died holding *this* job, and stale replies from
-            // abandoned attempts can never be confused with live ones.
-            let (reply_tx, reply_rx) = unbounded();
-            // When hedging is on and this device has enough history, a
-            // spare sender keeps the channel open past the primary
-            // worker's death until the hedge decision. Without hedging the
-            // spare is never created, preserving disconnect-as-death.
-            let mut hedge_at = opts
-                .hedge
-                .as_ref()
-                .and_then(|h| self.hedge_trigger(dev, h, opts.deadline))
-                .map(|d| Instant::now() + d);
-            let mut spare_tx = hedge_at.map(|_| reply_tx.clone());
-            let ticket = match self.submit(
-                dev,
-                unit,
-                data,
-                quant,
-                dev != loc,
-                0,
-                attempt_no,
-                Some(opts.deadline),
-                reply_tx,
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    // Treat a corrupted link like a bad device: shun it
-                    // for this call and fail over.
-                    shunned[dev] = true;
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            let started = Instant::now();
-            let deadline_at = started + opts.deadline;
-            // Live submissions this attempt round: primary and at most one
-            // hedge, each `(device, cancel ticket, submitted at)`.
-            let mut primary: Option<(usize, u64, Instant)> = Some((dev, ticket, started));
-            let mut hedge: Option<(usize, u64, Instant)> = None;
-            'round: loop {
-                let wake = match hedge_at {
-                    Some(h) if hedge.is_none() => deadline_at.min(h),
-                    _ => deadline_at,
-                };
-                match reply_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                    Ok(reply) => {
-                        let is_hedge = reply.attempt & HEDGE_BIT != 0;
-                        if (reply.attempt & !HEDGE_BIT) != attempt_no {
-                            continue; // stale reply from an abandoned attempt
-                        }
-                        let side = if is_hedge { &mut hedge } else { &mut primary };
-                        let Some((sdev, _, sstart)) = side.take() else { continue };
-                        match reply.result {
-                            Ok(t) => {
-                                self.observe_latency(sdev, sstart.elapsed().as_secs_f64() * 1e3);
-                                // First result wins; cancel the loser.
-                                let loser = if is_hedge { &primary } else { &hedge };
-                                if let Some((ldev, lticket, _)) = loser {
-                                    self.transport.cancel(*ldev, *lticket);
-                                }
-                                if is_hedge {
-                                    report.hedges_won += 1;
-                                } else if sdev != preferred {
-                                    report.failovers += 1;
-                                }
-                                return Ok((t, sdev));
-                            }
-                            Err(ReplyError::Worker(msg)) => {
-                                last_err = Some(ExecError::WorkerPanic { dev: sdev, unit, msg });
-                            }
-                            Err(ReplyError::Link(_)) => {
-                                self.transport.mark_dead(sdev);
-                                shunned[sdev] = true;
-                                last_err = Some(ExecError::DeviceDown { dev: sdev });
-                            }
-                        }
-                        if primary.is_none() && hedge.is_none() {
-                            break 'round; // both sides failed: next attempt
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Every live submission's worker died holding its
-                        // job (the spare, if any, is gone too).
-                        for (d, _, _) in primary.iter().chain(hedge.iter()) {
-                            self.transport.mark_dead(*d);
-                            shunned[*d] = true;
-                            last_err = Some(ExecError::DeviceDown { dev: *d });
-                        }
-                        break 'round;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        let now = Instant::now();
-                        // Hedge trigger: the primary is straggling — fire
-                        // the speculative copy at a backup device.
-                        if hedge.is_none()
-                            && primary.is_some()
-                            && hedge_at.is_some_and(|h| now >= h)
-                            && now < deadline_at
-                        {
-                            hedge_at = None;
-                            if let (Some(tx), Some(backup)) =
-                                (spare_tx.clone(), self.pick_backup(dev, shunned))
-                            {
-                                let remaining = deadline_at.saturating_duration_since(now);
-                                if let Ok(ht) = self.submit(
-                                    backup,
-                                    unit,
-                                    data,
-                                    quant,
-                                    backup != loc,
-                                    0,
-                                    attempt_no | HEDGE_BIT,
-                                    Some(remaining),
-                                    tx,
-                                ) {
-                                    report.hedges_fired += 1;
-                                    hedge = Some((backup, ht, now));
-                                }
-                            }
-                            // Decision made: the spare must not keep the
-                            // channel alive past the live submissions.
-                            spare_tx = None;
-                            continue;
-                        }
-                        if now < deadline_at {
-                            continue; // woke for a hedge check only
-                        }
-                        report.deadline_misses += 1;
-                        // Straggler(s): shun and cancel whatever is still
-                        // out, then retry.
-                        for (d, t, _) in primary.iter().chain(hedge.iter()) {
-                            shunned[*d] = true;
-                            self.transport.cancel(*d, *t);
-                        }
-                        last_err = Some(ExecError::Timeout {
-                            dev,
-                            unit,
-                            waited_ms: opts.deadline.as_secs_f64() * 1e3,
-                        });
-                        break 'round;
-                    }
-                }
-            }
-        }
-        Err(ExecError::AttemptsExhausted {
-            unit,
-            attempts,
-            last: Box::new(last_err.unwrap_or(ExecError::NoDevice { unit })),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_tiled(
-        &self,
-        devs: &[usize],
-        unit: usize,
-        data: &Tensor,
-        w: &UnitWire,
-        loc: usize,
-        opts: &ExecOptions,
-        report: &mut ExecReport,
-        shunned: &mut [bool],
-    ) -> Result<(Tensor, usize), ExecError> {
-        let tiles: Vec<Arc<Tensor>> = split_fdsp(data, w.grid).into_iter().map(Arc::new).collect();
-        let n_tiles = tiles.len();
-        struct TileState {
-            dev: usize,
-            attempt: u32,
-            attempts: usize,
-            deadline: Instant,
-            done: Option<Tensor>,
-        }
-        let (reply_tx, reply_rx) = unbounded::<TransportReply>();
-        let mut states: Vec<TileState> = Vec::with_capacity(n_tiles);
-        // Dispatches tile `tag` to the first usable device, shipping from
-        // `loc`. Returns the device used, or the last error if every
-        // candidate fails at send time.
-        let dispatch = |tag: usize,
-                        preferred: usize,
-                        attempt: u32,
-                        shunned: &mut [bool]|
-         -> Result<(usize, Instant), ExecError> {
-            let mut last_err: Option<ExecError> = None;
-            loop {
-                let dev = match self.pick_device(preferred, shunned) {
-                    Some(d) => d,
-                    None => return Err(last_err.unwrap_or(ExecError::NoDevice { unit })),
-                };
-                match self.submit(
-                    dev,
-                    unit,
-                    &tiles[tag],
-                    w.in_quant,
-                    dev != loc,
-                    tag,
-                    attempt,
-                    Some(opts.deadline),
-                    reply_tx.clone(),
-                ) {
-                    Ok(_ticket) => return Ok((dev, Instant::now() + opts.deadline)),
-                    Err(e) => {
-                        shunned[dev] = true;
-                        last_err = Some(e);
-                        continue;
-                    }
-                }
-            }
-        };
-        for (tag, &planned) in devs.iter().enumerate() {
-            let (dev, deadline) = dispatch(tag, planned, 1, shunned)?;
-            if dev != planned {
-                report.failovers += 1;
-            }
-            states.push(TileState { dev, attempt: 1, attempts: 1, deadline, done: None });
-        }
-        let mut done = 0usize;
-        while done < n_tiles {
-            let next_deadline = states
-                .iter()
-                .filter(|s| s.done.is_none())
-                .map(|s| s.deadline)
-                .min()
-                .unwrap_or_else(Instant::now);
-            let wait = next_deadline.saturating_duration_since(Instant::now());
-            match reply_rx.recv_timeout(wait) {
-                Ok(reply) => {
-                    let st = &mut states[reply.tag];
-                    if st.done.is_some() || reply.attempt != st.attempt {
-                        continue; // stale reply from an abandoned attempt
-                    }
-                    match reply.result {
-                        Ok(t) => {
-                            st.done = Some(t);
-                            done += 1;
-                        }
-                        Err(err) => {
-                            let exec_err = match err {
-                                ReplyError::Worker(msg) => {
-                                    ExecError::WorkerPanic { dev: st.dev, unit, msg }
-                                }
-                                ReplyError::Link(_) => {
-                                    let dev = st.dev;
-                                    self.transport.mark_dead(dev);
-                                    shunned[dev] = true;
-                                    ExecError::DeviceDown { dev }
-                                }
-                            };
-                            if st.attempts >= opts.max_attempts {
-                                return Err(ExecError::AttemptsExhausted {
-                                    unit,
-                                    attempts: st.attempts,
-                                    last: Box::new(exec_err),
-                                });
-                            }
-                            report.retries += 1;
-                            let attempt = st.attempt + 1;
-                            let planned = devs[reply.tag];
-                            let (dev, deadline) = dispatch(reply.tag, planned, attempt, shunned)?;
-                            if dev != planned {
-                                report.failovers += 1;
-                            }
-                            let st = &mut states[reply.tag];
-                            st.dev = dev;
-                            st.attempt = attempt;
-                            st.attempts += 1;
-                            st.deadline = deadline;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    for tag in 0..n_tiles {
-                        if states[tag].done.is_some() || now < states[tag].deadline {
-                            continue;
-                        }
-                        report.deadline_misses += 1;
-                        shunned[states[tag].dev] = true;
-                        if states[tag].attempts >= opts.max_attempts {
-                            return Err(ExecError::AttemptsExhausted {
-                                unit,
-                                attempts: states[tag].attempts,
-                                last: Box::new(ExecError::Timeout {
-                                    dev: states[tag].dev,
-                                    unit,
-                                    waited_ms: opts.deadline.as_secs_f64() * 1e3,
-                                }),
-                            });
-                        }
-                        report.retries += 1;
-                        let attempt = states[tag].attempt + 1;
-                        let planned = devs[tag];
-                        let (dev, deadline) = dispatch(tag, planned, attempt, shunned)?;
-                        if dev != planned {
-                            report.failovers += 1;
-                        }
-                        let st = &mut states[tag];
-                        st.dev = dev;
-                        st.attempt = attempt;
-                        st.attempts += 1;
-                        st.deadline = deadline;
-                    }
-                }
-                // We hold `reply_tx`, so the channel cannot disconnect.
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ExecError::NoDevice { unit });
-                }
-            }
-        }
-        let gather_dev = states[0].dev;
-        let outs: Vec<Tensor> = states.into_iter().filter_map(|s| s.done).collect();
-        debug_assert_eq!(outs.len(), n_tiles);
-        Ok((merge_fdsp(&outs, w.grid), gather_dev))
+        Ok((out, self.finish(ctx.report, start, stats0)))
     }
 
     /// Streams several inputs through a chain of units pinned to devices
@@ -836,341 +380,86 @@ impl Executor {
         opts: ExecOptions,
     ) -> (Vec<Result<Tensor, ExecError>>, ExecReport) {
         assert!(!device_of_unit.is_empty());
-        let n_units = device_of_unit.len();
-        let n_inputs = inputs.len();
-        let start = Instant::now();
-        let stats0 = self.transport.stats();
-        let mut report = ExecReport::default();
-        let mut shunned: Vec<bool> = (0..self.n_devices()).map(|d| !self.is_alive(d)).collect();
-        let (reply_tx, reply_rx) = unbounded::<TransportReply>();
-
-        struct ReqState {
-            stage: usize,
-            /// Input of the current stage, pre-shipping (kept for retry).
-            cur_input: Arc<Tensor>,
-            /// Device holding `cur_input` (shipping source).
-            loc: usize,
-            dev: usize,
-            attempt: u32,
-            stage_attempts: usize,
-            deadline: Instant,
-            /// Cancellation ticket for the primary submission.
-            ticket: u64,
-            /// When the primary submission went out.
-            started: Instant,
-            /// The primary is still expected to answer.
-            primary_live: bool,
-            /// Live speculative copy: `(device, ticket, started)`.
-            hedge: Option<(usize, u64, Instant)>,
-            /// When to fire the hedge, if the primary is still out by then.
-            hedge_at: Option<Instant>,
-            result: Option<Result<Tensor, ExecError>>,
-        }
-        let mut states: Vec<ReqState> = inputs
-            .into_iter()
-            .map(|input| ReqState {
-                stage: 0,
-                cur_input: Arc::new(input),
-                loc: 0,
-                dev: 0,
-                attempt: 0,
-                stage_attempts: 0,
-                deadline: Instant::now(),
-                ticket: 0,
-                started: Instant::now(),
-                primary_live: false,
-                hedge: None,
-                hedge_at: None,
-                result: None,
-            })
-            .collect();
-        let mut completed = 0usize;
-        // Outstanding submissions per device (primaries + hedges), from
-        // the coordinator's own bookkeeping: feeds least-loaded backup
-        // selection so hedges escape congested queues.
-        let mut inflight: Vec<usize> = vec![0; self.n_devices()];
-
-        // Dispatches request `idx`'s current stage to the first usable
-        // device. On unrecoverable dispatch failure the request is marked
-        // failed (the stream continues).
-        let dispatch = |idx: usize,
-                        states: &mut Vec<ReqState>,
-                        shunned: &mut [bool],
-                        report: &mut ExecReport,
-                        completed: &mut usize,
-                        inflight: &mut [usize]| {
-            let planned = device_of_unit[states[idx].stage];
-            let attempt = states[idx].attempt + 1;
-            let mut last_err: Option<ExecError> = None;
-            loop {
-                let dev = match self.pick_device(planned, shunned) {
-                    Some(d) => d,
-                    None => {
-                        let unit = states[idx].stage;
-                        states[idx].result =
-                            Some(Err(last_err.unwrap_or(ExecError::NoDevice { unit })));
-                        *completed += 1;
-                        return;
-                    }
-                };
-                let st = &states[idx];
-                let ticket = match self.submit(
-                    dev,
-                    st.stage,
-                    &st.cur_input,
-                    quant,
-                    dev != st.loc,
-                    idx,
-                    attempt,
-                    Some(opts.deadline),
-                    reply_tx.clone(),
-                ) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        shunned[dev] = true;
-                        last_err = Some(e);
-                        continue;
-                    }
-                };
-                if dev != planned {
-                    report.failovers += 1;
-                }
-                inflight[dev] += 1;
-                let now = Instant::now();
-                let hedge_at = opts
-                    .hedge
-                    .as_ref()
-                    .and_then(|h| self.hedge_trigger(dev, h, opts.deadline))
-                    .map(|d| now + d);
-                let st = &mut states[idx];
-                st.dev = dev;
-                st.attempt = attempt;
-                st.stage_attempts += 1;
-                st.deadline = now + opts.deadline;
-                st.ticket = ticket;
-                st.started = now;
-                st.primary_live = true;
-                st.hedge = None;
-                st.hedge_at = hedge_at;
-                return;
-            }
-        };
-
-        for idx in 0..n_inputs {
-            dispatch(idx, &mut states, &mut shunned, &mut report, &mut completed, &mut inflight);
-        }
-        while completed < n_inputs {
-            let next_wake = states
-                .iter()
-                .filter(|s| s.result.is_none())
-                .map(|s| match s.hedge_at {
-                    Some(h) if s.hedge.is_none() && s.primary_live => s.deadline.min(h),
-                    _ => s.deadline,
-                })
-                .min()
-                .unwrap_or_else(Instant::now);
-            let wait = next_wake.saturating_duration_since(Instant::now());
-            match reply_rx.recv_timeout(wait) {
-                Ok(reply) => {
-                    let idx = reply.tag;
-                    let is_hedge = reply.attempt & HEDGE_BIT != 0;
-                    if states[idx].result.is_some()
-                        || (reply.attempt & !HEDGE_BIT) != states[idx].attempt
-                        || (is_hedge && states[idx].hedge.is_none())
-                        || (!is_hedge && !states[idx].primary_live)
-                    {
-                        continue; // stale reply from an abandoned attempt
-                    }
-                    match reply.result {
-                        Ok(t) => {
-                            // First result wins; cancel the loser.
-                            let st = &mut states[idx];
-                            let (winner, won_start) = if is_hedge {
-                                let (hdev, _, hstart) =
-                                    st.hedge.take().unwrap_or((st.dev, 0, st.started));
-                                inflight[hdev] = inflight[hdev].saturating_sub(1);
-                                if st.primary_live {
-                                    self.transport.cancel(st.dev, st.ticket);
-                                    inflight[st.dev] = inflight[st.dev].saturating_sub(1);
-                                }
-                                report.hedges_won += 1;
-                                (hdev, hstart)
-                            } else {
-                                inflight[st.dev] = inflight[st.dev].saturating_sub(1);
-                                if let Some((hdev, hticket, _)) = st.hedge.take() {
-                                    self.transport.cancel(hdev, hticket);
-                                    inflight[hdev] = inflight[hdev].saturating_sub(1);
-                                }
-                                (st.dev, st.started)
-                            };
-                            st.primary_live = false;
-                            st.hedge_at = None;
-                            st.dev = winner;
-                            self.observe_latency(winner, won_start.elapsed().as_secs_f64() * 1e3);
-                            let next = states[idx].stage + 1;
-                            if next < n_units {
-                                let st = &mut states[idx];
-                                st.stage = next;
-                                st.loc = st.dev;
-                                st.cur_input = Arc::new(t);
-                                st.stage_attempts = 0;
-                                dispatch(
-                                    idx,
-                                    &mut states,
-                                    &mut shunned,
-                                    &mut report,
-                                    &mut completed,
-                                    &mut inflight,
-                                );
-                            } else {
-                                states[idx].result = Some(Ok(t));
-                                completed += 1;
-                            }
-                        }
-                        Err(err) => {
-                            let st = &mut states[idx];
-                            let (fail_dev, other_live) = if is_hedge {
-                                let (hdev, _, _) =
-                                    st.hedge.take().unwrap_or((st.dev, 0, st.started));
-                                inflight[hdev] = inflight[hdev].saturating_sub(1);
-                                (hdev, st.primary_live)
-                            } else {
-                                st.primary_live = false;
-                                inflight[st.dev] = inflight[st.dev].saturating_sub(1);
-                                (st.dev, st.hedge.is_some())
-                            };
-                            let exec_err = match err {
-                                ReplyError::Worker(msg) => {
-                                    ExecError::WorkerPanic { dev: fail_dev, unit: st.stage, msg }
-                                }
-                                ReplyError::Link(_) => {
-                                    self.transport.mark_dead(fail_dev);
-                                    shunned[fail_dev] = true;
-                                    ExecError::DeviceDown { dev: fail_dev }
-                                }
-                            };
-                            if other_live {
-                                continue; // the surviving side may still win
-                            }
-                            let st = &states[idx];
-                            if st.stage_attempts >= opts.max_attempts {
-                                states[idx].result = Some(Err(ExecError::AttemptsExhausted {
-                                    unit: st.stage,
-                                    attempts: st.stage_attempts,
-                                    last: Box::new(exec_err),
-                                }));
-                                completed += 1;
-                            } else {
-                                report.retries += 1;
-                                dispatch(
-                                    idx,
-                                    &mut states,
-                                    &mut shunned,
-                                    &mut report,
-                                    &mut completed,
-                                    &mut inflight,
-                                );
-                            }
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                // We hold `reply_tx`, so the channel cannot disconnect.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            // Timer sweep — after EVERY event, not only on a quiet
-            // channel: under streamed load replies arrive continuously,
-            // and a timeout-only sweep would starve the hedge triggers.
-            {
-                let now = Instant::now();
-                for idx in 0..n_inputs {
-                    if states[idx].result.is_some() {
-                        continue;
-                    }
-                    // Hedge trigger: the primary is straggling — fire
-                    // the speculative copy at a backup device.
-                    if states[idx].primary_live
-                        && states[idx].hedge.is_none()
-                        && states[idx].hedge_at.is_some_and(|h| now >= h)
-                        && now < states[idx].deadline
-                    {
-                        states[idx].hedge_at = None;
-                        if let Some(backup) =
-                            self.pick_backup_least_loaded(states[idx].dev, &shunned, &inflight)
-                        {
-                            let st = &states[idx];
-                            let remaining = st.deadline.saturating_duration_since(now);
-                            if let Ok(ht) = self.submit(
-                                backup,
-                                st.stage,
-                                &st.cur_input,
-                                quant,
-                                backup != st.loc,
-                                idx,
-                                st.attempt | HEDGE_BIT,
-                                Some(remaining),
-                                reply_tx.clone(),
-                            ) {
-                                report.hedges_fired += 1;
-                                inflight[backup] += 1;
-                                states[idx].hedge = Some((backup, ht, now));
-                            }
-                        }
-                    }
-                    if now < states[idx].deadline {
-                        continue;
-                    }
-                    report.deadline_misses += 1;
-                    // Straggler(s): shun, cancel whatever is still
-                    // out, then retry.
-                    let st = &mut states[idx];
-                    shunned[st.dev] = true;
-                    if st.primary_live {
-                        self.transport.cancel(st.dev, st.ticket);
-                        inflight[st.dev] = inflight[st.dev].saturating_sub(1);
-                        st.primary_live = false;
-                    }
-                    if let Some((hdev, hticket, _)) = st.hedge.take() {
-                        self.transport.cancel(hdev, hticket);
-                        inflight[hdev] = inflight[hdev].saturating_sub(1);
-                    }
-                    st.hedge_at = None;
-                    let st = &states[idx];
-                    let err = ExecError::Timeout {
-                        dev: st.dev,
-                        unit: st.stage,
-                        waited_ms: opts.deadline.as_secs_f64() * 1e3,
-                    };
-                    if st.stage_attempts >= opts.max_attempts {
-                        states[idx].result = Some(Err(ExecError::AttemptsExhausted {
-                            unit: st.stage,
-                            attempts: st.stage_attempts,
-                            last: Box::new(err),
-                        }));
-                        completed += 1;
-                    } else {
-                        report.retries += 1;
-                        dispatch(
-                            idx,
-                            &mut states,
-                            &mut shunned,
-                            &mut report,
-                            &mut completed,
-                            &mut inflight,
-                        );
-                    }
-                }
-            }
-        }
-        report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.absorb_stats(self.transport.stats().since(&stats0));
-        let results = states
+        let (start, stats0) = (Instant::now(), self.transport.stats());
+        let mut ctx = Ctx::new(self, opts);
+        let (tx, rx) = unbounded();
+        let plan = device_of_unit;
+        let stage = |unit: usize, input, loc| Work { unit, planned: plan[unit], input, loc, quant };
+        let mut slots: Vec<Slot> = inputs
             .into_iter()
             .enumerate()
-            .map(|(idx, s)| s.result.unwrap_or(Err(ExecError::NoDevice { unit: idx })))
+            .map(|(i, x)| Slot::new(i, true, Some(tx.clone()), stage(0, Arc::new(x), 0)))
             .collect();
-        (results, report)
+        let mut results: Vec<Result<Tensor, ExecError>> =
+            (0..slots.len()).map(|unit| Err(ExecError::NoDevice { unit })).collect();
+        drive(&mut ctx, &mut slots, Some(&rx), |i, slot, settled| {
+            match settled {
+                // A finished stage hands its output to the next stage,
+                // shipped from the device that computed it.
+                Ok((t, dev)) if slot.unit() + 1 < plan.len() => {
+                    slot.stage(stage(slot.unit() + 1, Arc::new(t), dev))
+                }
+                settled => results[i] = settled.map(|(t, _)| t),
+            }
+            false
+        });
+        (results, self.finish(ctx.report, start, stats0))
     }
+
+    /// Stamps the wall time and the transport's counters since `stats0`.
+    fn finish(&self, mut r: ExecReport, start: Instant, stats0: TransportStats) -> ExecReport {
+        let d = self.transport.stats().since(&stats0);
+        r.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        (r.reconnects, r.heartbeats_missed) = (d.reconnects, d.heartbeats_missed);
+        (r.resends_deduped, r.cancels_delivered) = (d.resends_deduped, d.cancels_delivered);
+        r
+    }
+}
+
+/// Runs one unit of a plan on `data` (held by `loc`): a `Single` is one
+/// slot on reply channels of its own, `Tiled` one slot per FDSP tile on a
+/// shared channel, merged on the device that ran tile 0.
+fn run_unit(
+    ctx: &mut Ctx<'_>,
+    unit: usize,
+    placement: &UnitPlacement,
+    w: &UnitWire,
+    data: &Arc<Tensor>,
+    loc: usize,
+) -> Result<(Tensor, usize), ExecError> {
+    let work = |planned, input| Work { unit, planned, input, loc, quant: w.in_quant };
+    let devs = match placement {
+        UnitPlacement::Single(d) => {
+            let mut slot = Slot::new(0, true, None, work(*d, Arc::clone(data)));
+            let mut out = Err(ExecError::NoDevice { unit });
+            drive(ctx, std::slice::from_mut(&mut slot), None, |_, _, settled| {
+                out = settled;
+                true
+            });
+            return out;
+        }
+        UnitPlacement::Tiled(devs) => devs,
+    };
+    assert_eq!(devs.len(), w.grid.tiles(), "tile/device count");
+    let (tx, rx) = unbounded();
+    let mut slots: Vec<Slot> = split_fdsp(data, w.grid)
+        .into_iter()
+        .zip(devs)
+        .enumerate()
+        .map(|(tag, (tile, &d))| Slot::new(tag, false, Some(tx.clone()), work(d, Arc::new(tile))))
+        .collect();
+    let mut outs: Vec<Option<Tensor>> = (0..slots.len()).map(|_| None).collect();
+    let (mut gather, mut failed) = (loc, None);
+    drive(ctx, &mut slots, Some(&rx), |tag, _, settled| {
+        match settled {
+            Ok((t, dev)) => (outs[tag], gather) = (Some(t), if tag == 0 { dev } else { gather }),
+            Err(e) => failed = Some(e),
+        }
+        failed.is_some()
+    });
+    failed.map_or(Ok(()), Err)?;
+    let outs: Option<Vec<Tensor>> = outs.into_iter().collect();
+    Ok((merge_fdsp(&outs.ok_or(ExecError::NoDevice { unit })?, w.grid), gather))
 }
 
 /// A concrete [`UnitCompute`]: stacks of same-padded convolutions with
@@ -1186,10 +475,10 @@ impl Executor {
 /// distributed execution still reproduces local execution bit for bit.
 pub struct ConvStackCompute {
     /// Per unit: a list of (weight, bias, params) conv layers.
-    units: Vec<Vec<(Tensor, Tensor, murmuration_tensor::conv::Conv2dParams)>>,
+    units: Vec<Vec<(Tensor, Tensor, Conv2dParams)>>,
     /// Per unit: int8 weights for units running the quantized compute path
     /// (`None` = f32 unit).
-    qunits: Vec<Option<Vec<murmuration_tensor::int8::QConv2dWeights>>>,
+    qunits: Vec<Option<Vec<QConv2dWeights>>>,
 }
 
 impl ConvStackCompute {
@@ -1210,37 +499,23 @@ impl ConvStackCompute {
     ) -> Self {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let p = murmuration_tensor::conv::Conv2dParams::same(3);
-        let units: Vec<Vec<(Tensor, Tensor, murmuration_tensor::conv::Conv2dParams)>> = (0
-            ..n_units)
-            .map(|_| {
-                (0..layers_per_unit)
-                    .map(|_| {
-                        (
-                            Tensor::kaiming(
-                                murmuration_tensor::Shape::nchw(channels, channels, 3, 3),
-                                channels * 9,
-                                &mut rng,
-                            ),
-                            Tensor::zeros(murmuration_tensor::Shape::d1(channels)),
-                            p,
-                        )
+        let p = Conv2dParams::same(3);
+        let mut layer = || {
+            let w = Tensor::kaiming(Shape::nchw(channels, channels, 3, 3), channels * 9, &mut rng);
+            (w, Tensor::zeros(Shape::d1(channels)), p)
+        };
+        let units: Vec<Vec<(Tensor, Tensor, Conv2dParams)>> =
+            (0..n_units).map(|_| (0..layers_per_unit).map(|_| layer()).collect()).collect();
+        let qunits =
+            units
+                .iter()
+                .enumerate()
+                .map(|(u, layers)| {
+                    int8_units.get(u).copied().unwrap_or(false).then(|| {
+                        layers.iter().map(|(w, _, _)| QConv2dWeights::quantize(w)).collect()
                     })
-                    .collect()
-            })
-            .collect();
-        let qunits = units
-            .iter()
-            .enumerate()
-            .map(|(u, layers)| {
-                int8_units.get(u).copied().unwrap_or(false).then(|| {
-                    layers
-                        .iter()
-                        .map(|(w, _, _)| murmuration_tensor::int8::QConv2dWeights::quantize(w))
-                        .collect()
                 })
-            })
-            .collect();
+                .collect();
         ConvStackCompute { units, qunits }
     }
 
@@ -1262,11 +537,11 @@ impl UnitCompute for ConvStackCompute {
             let x = cur.as_ref().unwrap_or(input);
             cur = Some(match &self.qunits[unit] {
                 Some(qlayers) => {
-                    let mut y = murmuration_tensor::int8::qconv2d(x, &qlayers[l], Some(b), *p);
-                    murmuration_tensor::activation::relu_inplace(&mut y);
+                    let mut y = qconv2d(x, &qlayers[l], Some(b), *p);
+                    relu_inplace(&mut y);
                     y
                 }
-                None => murmuration_tensor::conv::conv2d_relu(x, w, Some(b), *p),
+                None => conv2d_relu(x, w, Some(b), *p),
             });
         }
         cur.unwrap_or_else(|| input.clone())
@@ -1498,6 +773,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.data(), local_reference(&inner, &input).data(), "failover stays exact");
         assert!(report.failovers >= 1, "must have failed over: {report:?}");
+        assert_eq!(report.deadline_misses, 0, "a disconnect is death, not a stall: {report:?}");
         assert!(!exec.is_alive(1), "crash must be discovered");
     }
 

@@ -11,11 +11,15 @@ mod counting_alloc;
 
 use counting_alloc::allocations_in;
 use murmuration_core::decision::DecisionModule;
-use murmuration_core::executor::{ConvStackCompute, UnitCompute};
+use murmuration_core::executor::{ConvStackCompute, ExecOptions, Executor, UnitCompute, UnitWire};
+use murmuration_partition::{ExecutionPlan, UnitPlacement};
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
+use murmuration_tensor::quant::BitWidth;
+use murmuration_tensor::tile::GridSpec;
 use murmuration_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const PARENT_MISS_ALLOCATIONS: u64 = 22_006;
 const BUDGET: u64 = PARENT_MISS_ALLOCATIONS / 3;
@@ -64,4 +68,47 @@ fn warm_f32_unit_allocates_only_its_output_tensors() {
     println!("allocations per warm {LAYERS}-layer f32 unit: {here} (second thread {there})");
     assert_eq!(here, LAYERS * ALLOCATIONS_PER_OUTPUT);
     assert_eq!(there, LAYERS * ALLOCATIONS_PER_OUTPUT);
+}
+
+/// Coordinator-thread allocator calls of the fourth `execute_with` of
+/// `plan` (three warm-ups). Workers run on their own threads, so this counts
+/// the executor's bookkeeping, reply channels, the wire round trip of every
+/// cross-device input, and tile split/merge — not the kernels.
+fn warm_execute_allocations(exec: &Executor, plan: &ExecutionPlan, wire: &[UnitWire]) -> u64 {
+    let mut rng = StdRng::seed_from_u64(1);
+    let input = Tensor::rand_uniform(Shape::nchw(1, 8, 24, 24), 1.0, &mut rng);
+    for _ in 0..3 {
+        exec.execute_with(plan, wire, input.clone(), ExecOptions::default()).expect("warm-up");
+    }
+    let input = input.clone();
+    let (run, n) = allocations_in(|| exec.execute_with(plan, wire, input, ExecOptions::default()));
+    run.expect("counted run");
+    n
+}
+
+/// The most allocator calls the executor made on the coordinator thread
+/// before its three attempt loops became one machine, over 30 runs of this
+/// test (debug and release): always 23 for the all-local plan (per unit a
+/// reply channel, its receiver's waker entry and the output's `Arc`), 59–65
+/// for the tiled-and-remote one, whose count wanders with the order in which
+/// tile replies arrive.
+const PARENT_ALL_LOCAL_MAX: u64 = 23;
+const PARENT_TILED_REMOTE_MAX: u64 = 65;
+
+#[test]
+fn warm_execute_allocates_no_more_than_the_three_loops_did() {
+    let exec = Executor::new(4, Arc::new(ConvStackCompute::random(7, 2, 8, 7)));
+    let wire = vec![UnitWire { grid: GridSpec::new(1, 1), in_quant: BitWidth::B32 }; 7];
+    let all_local = ExecutionPlan { placements: vec![UnitPlacement::Single(0); 7] };
+    let mut tiled_remote = all_local.clone();
+    tiled_remote.placements[1] = UnitPlacement::Tiled(vec![0, 1, 2, 3]);
+    tiled_remote.placements[3] = UnitPlacement::Single(1);
+    let mut tiled_wire = wire.clone();
+    tiled_wire[1].grid = GridSpec::new(2, 2);
+
+    let local = warm_execute_allocations(&exec, &all_local, &wire);
+    let tiled = warm_execute_allocations(&exec, &tiled_remote, &tiled_wire);
+    println!("allocations per warm execute: all-local {local}, tiled+remote {tiled}");
+    assert!(local <= PARENT_ALL_LOCAL_MAX, "all-local plan: {local} > {PARENT_ALL_LOCAL_MAX}");
+    assert!(tiled <= PARENT_TILED_REMOTE_MAX, "tiled plan: {tiled} > {PARENT_TILED_REMOTE_MAX}");
 }

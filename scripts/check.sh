@@ -32,7 +32,8 @@ MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-nn quantized
 MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core executor
 
 echo "==> fault-path lint gates (no unwrap/expect in hardened modules)"
-for f in crates/core/src/executor.rs crates/core/src/wire.rs \
+for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
+         crates/core/src/wire.rs \
          crates/core/src/fault.rs crates/core/src/health.rs \
          crates/core/src/gossip.rs \
          crates/tensor/src/simd.rs crates/tensor/src/int8.rs \
