@@ -9,8 +9,8 @@
 //! device. The planner picks the worker count `k` that minimizes latency
 //! under the current network state.
 
-use crate::estimator::{layers_time_ms, redistribute, wire_bytes, Holder};
-use murmuration_edgesim::{Device, NetworkState};
+use crate::estimator::{wire_bytes, Holders, LatencyEstimator};
+use murmuration_edgesim::{Device, DeviceId, NetworkState};
 use murmuration_models::{LayerSpec, ModelSpec};
 use murmuration_tensor::quant::BitWidth;
 
@@ -64,28 +64,17 @@ pub fn latency_with_workers(
     k: usize,
 ) -> f64 {
     assert!(k >= 1 && k <= devices.len());
-    let mut holders = vec![Holder { dev: 0, frac: 1.0, ready_ms: 0.0 }];
+    let est = LatencyEstimator { devices, net };
+    let workers: Vec<DeviceId> = (0..k).collect();
+    let mut holders = Holders::input();
     let mut bytes = model.input_bytes();
     for seg in segments(model) {
-        if k > 1 && tileable(seg) {
-            let dsts: Vec<(usize, f64)> = (0..k).map(|d| (d, 1.0 / k as f64)).collect();
-            let arrivals = redistribute(net, &holders, &dsts, bytes);
-            holders = arrivals
-                .iter()
-                .zip(dsts.iter())
-                .map(|(&(d, ready), &(_, frac))| {
-                    let t = layers_time_ms(&devices[d].profile(), seg, k);
-                    Holder { dev: d, frac, ready_ms: ready + t }
-                })
-                .collect();
-        } else {
-            let arrivals = redistribute(net, &holders, &[(0, 1.0)], bytes);
-            let t = layers_time_ms(&devices[0].profile(), seg, 1);
-            holders = vec![Holder { dev: 0, frac: 1.0, ready_ms: arrivals[0].1 + t }];
-        }
+        // k equal shares on devices 0..k, or the whole segment on device 0.
+        let tiles = if tileable(seg) { &workers[..] } else { &workers[..1] };
+        holders = est.step(&holders, tiles, bytes, seg, BitWidth::B32).0;
         bytes = wire_bytes(seg.last().unwrap().out_elems(), BitWidth::B32);
     }
-    redistribute(net, &holders, &[(0, 1.0)], bytes)[0].1
+    est.gather_ms(&holders, bytes)
 }
 
 /// Picks the best worker count for the current conditions.

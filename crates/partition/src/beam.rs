@@ -8,7 +8,7 @@
 //! problem has — it is the planner a deployment without a trained policy
 //! would use, and a strong deterministic oracle for the harness.
 
-use crate::estimator::{layers_time_ms_bits, redistribute, Holder};
+use crate::estimator::{Holders, LatencyEstimator};
 use crate::plan::{ExecutionPlan, UnitPlacement};
 use murmuration_edgesim::{Device, DeviceId, NetworkState};
 use murmuration_supernet::SubnetSpec;
@@ -17,7 +17,7 @@ use murmuration_supernet::SubnetSpec;
 #[derive(Clone)]
 struct BeamState {
     placements: Vec<UnitPlacement>,
-    holders: Vec<Holder>,
+    holders: Holders,
     /// Completion time of the slowest holder so far.
     frontier_ms: f64,
 }
@@ -41,9 +41,10 @@ pub fn plan_beam(
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
+    let est = LatencyEstimator { devices, net };
     let mut beam = vec![BeamState {
         placements: Vec::with_capacity(spec.units.len()),
-        holders: vec![Holder { dev: 0, frac: 1.0, ready_ms: 0.0 }],
+        holders: Holders::input(),
         frontier_ms: 0.0,
     }];
     let mut bytes_in = spec.input_bytes();
@@ -67,31 +68,15 @@ pub fn plan_beam(
             candidates.push(UnitPlacement::Tiled(local_first));
         }
         // Expand every beam state with every candidate.
+        let (layers, bits) = (&unit.layers, unit.compute_bits());
         let mut next: Vec<BeamState> = Vec::with_capacity(beam.len() * candidates.len());
         for state in &beam {
             for cand in &candidates {
-                let participants = cand.merged_shares();
-                let dsts: Vec<(DeviceId, f64)> =
-                    participants.iter().map(|&(d, f, _)| (d, f)).collect();
-                let arrivals = redistribute(net, &state.holders, &dsts, bytes_in);
-                let width = cand.width();
-                let holders: Vec<Holder> = arrivals
-                    .iter()
-                    .zip(participants.iter())
-                    .map(|(&(d, ready), &(_, frac, count))| {
-                        let t = layers_time_ms_bits(
-                            &devices[d].profile(),
-                            &unit.layers,
-                            width,
-                            unit.compute_bits(),
-                        );
-                        Holder { dev: d, frac, ready_ms: ready + t * count as f64 }
-                    })
-                    .collect();
-                let frontier = holders.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
+                let (holders, _) = est.step(&state.holders, cand.tiles(), bytes_in, layers, bits);
+                let frontier_ms = holders.ready_ms();
                 let mut placements = state.placements.clone();
                 placements.push(cand.clone());
-                next.push(BeamState { placements, holders, frontier_ms: frontier });
+                next.push(BeamState { placements, holders, frontier_ms });
             }
         }
         next.sort_by(|a, b| {
@@ -105,7 +90,7 @@ pub fn plan_beam(
     // Final gather of the logits to device 0 decides the winner.
     let mut best: Option<(ExecutionPlan, f64)> = None;
     for state in beam {
-        let done = redistribute(net, &state.holders, &[(0, 1.0)], bytes_in)[0].1;
+        let done = est.gather_ms(&state.holders, bytes_in);
         if best.as_ref().is_none_or(|(_, b)| done < *b) {
             best = Some((ExecutionPlan { placements: state.placements }, done));
         }

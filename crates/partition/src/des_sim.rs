@@ -7,8 +7,8 @@
 //! the closed-form [`LatencyEstimator`](crate::estimator::LatencyEstimator)
 //! — a strong property test over random specs, plans, and networks.
 
-use crate::estimator::{layers_time_ms_bits, Holder};
-use crate::plan::ExecutionPlan;
+use crate::estimator::{layers_time_ms_bits, redistribute, Holder};
+use crate::plan::{participants, ExecutionPlan};
 use murmuration_edgesim::des::EventQueue;
 use murmuration_edgesim::{Device, NetworkState};
 use murmuration_supernet::SubnetSpec;
@@ -36,7 +36,7 @@ pub fn simulate(
     // Per-unit participant lists (same-device tiles merged; they serialize
     // on their device).
     let shares: Vec<Vec<(usize, f64, usize)>> =
-        plan.placements.iter().map(|p| p.merged_shares()).collect();
+        plan.placements.iter().map(|p| participants(p.tiles()).collect()).collect();
     let widths: Vec<usize> = plan.placements.iter().map(|p| p.width()).collect();
     let n_units = spec.units.len();
 
@@ -84,9 +84,10 @@ pub fn simulate(
                         );
                     } else {
                         // Gather the logits back to device 0.
-                        let arrivals =
-                            crate::estimator::redistribute(net, &holders, &[(0, 1.0)], bytes);
-                        final_done = arrivals[0].1;
+                        if let Some((_, t)) = redistribute(net, &holders, [(0, 1.0)], bytes).next()
+                        {
+                            final_done = t;
+                        }
                     }
                 }
             }
@@ -104,9 +105,8 @@ fn schedule_unit_inputs(
     bytes: u64,
     unit: usize,
 ) {
-    let dsts: Vec<(usize, f64)> = participants.iter().map(|&(d, f, _)| (d, f)).collect();
-    let arrivals = crate::estimator::redistribute(net, holders, &dsts, bytes);
-    for (slot, &(_, ready)) in arrivals.iter().enumerate() {
+    let dsts = participants.iter().map(|&(d, f, _)| (d, f));
+    for (slot, (_, ready)) in redistribute(net, holders, dsts, bytes).enumerate() {
         q.schedule_at(ready.max(q.now_ms()), Ev::InputReady { unit, slot });
     }
 }

@@ -11,13 +11,16 @@
 //!   proportionally from every source device's output fraction, and
 //!   concurrent incoming transfers serialize on the destination's link.
 //!
-//! The same [`redistribute`] primitive is used by Murmuration's planner and
-//! by the Neurosurgeon/ADCNN baselines so the comparison is fair.
+//! Every price — the estimate, the beam planner's, ADCNN's — is a fold of
+//! [`LatencyEstimator::step`] over the units, so the comparison is fair;
+//! [`crate::des_sim`] re-derives the same semantics from events as an
+//! independent check.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::plan::ExecutionPlan;
+use crate::plan::{participants, ExecutionPlan};
 use murmuration_edgesim::{Device, DeviceId, NetworkState};
 use murmuration_models::LayerSpec;
-use murmuration_supernet::SubnetSpec;
+use murmuration_supernet::{ExecUnit, SubnetSpec};
 use murmuration_tensor::quant::BitWidth;
 
 /// Latency estimate split into its components.
@@ -40,41 +43,91 @@ pub struct Holder {
     pub ready_ms: f64,
 }
 
+/// Holders kept inline: the search space's largest grid is 2×2.
+const INLINE_HOLDERS: usize = 4;
+
+const INPUT: Holder = Holder { dev: 0, frac: 1.0, ready_ms: 0.0 };
+
+/// Who holds the tensor between two steps of the cost walk, in the
+/// producing unit's participant order. Up to [`INLINE_HOLDERS`] live
+/// inline, so pricing a search-space plan never allocates; wider fan-outs
+/// (ADCNN past four workers, hand-built `Tiled` lists) spill to `spill`.
+#[derive(Clone, Debug)]
+pub struct Holders {
+    len: usize,
+    inline: [Holder; INLINE_HOLDERS],
+    spill: Vec<Holder>,
+}
+
+impl Holders {
+    /// The input image: whole on device 0, ready at t = 0.
+    pub fn input() -> Self {
+        Holders { len: 1, inline: [INPUT; INLINE_HOLDERS], spill: Vec::new() }
+    }
+
+    fn push(&mut self, h: Holder) {
+        if self.len < INLINE_HOLDERS {
+            self.inline[self.len] = h;
+        } else {
+            if self.len == INLINE_HOLDERS {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(h);
+        }
+        self.len += 1;
+    }
+
+    /// When the slowest holder is ready.
+    pub fn ready_ms(&self) -> f64 {
+        self.iter().fold(0.0f64, |m, h| m.max(h.ready_ms))
+    }
+}
+
+impl std::ops::Deref for Holders {
+    type Target = [Holder];
+
+    fn deref(&self) -> &[Holder] {
+        if self.len <= INLINE_HOLDERS {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
 /// Redistributes `bytes` from `srcs` to destination devices with fractions
-/// `dsts`; returns per-destination ready times.
+/// `dsts`; yields per-destination ready times, lazily and in `dsts` order.
 ///
 /// Destination `d` first consumes whatever fraction is already co-located
 /// on it (free — this is what makes consecutive same-grid FDSP stages
 /// communication-free, as in ADCNN); the remaining need is pulled from the
 /// foreign sources proportionally to their shares. Incoming transfers
 /// serialize on `d`'s link and cannot start before every source is ready.
-pub fn redistribute(
-    net: &NetworkState,
-    srcs: &[Holder],
-    dsts: &[(DeviceId, f64)],
+pub fn redistribute<'a>(
+    net: &'a NetworkState,
+    srcs: &'a [Holder],
+    dsts: impl IntoIterator<Item = (DeviceId, f64)> + 'a,
     bytes: u64,
-) -> Vec<(DeviceId, f64)> {
+) -> impl Iterator<Item = (DeviceId, f64)> + 'a {
     let src_ready = srcs.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
-    dsts.iter()
-        .map(|&(d, fd)| {
-            let own: f64 = srcs.iter().filter(|s| s.dev == d).map(|s| s.frac).sum();
-            let foreign: f64 = srcs.iter().filter(|s| s.dev != d).map(|s| s.frac).sum();
-            let need = (fd - own).max(0.0);
-            let mut t = 0.0;
-            if need > 0.0 && foreign > 0.0 {
-                for s in srcs {
-                    if s.dev == d {
-                        continue;
-                    }
-                    let b = (bytes as f64 * need * s.frac / foreign).ceil() as u64;
-                    if b > 0 {
-                        t += net.transfer_ms(s.dev, d, b);
-                    }
+    dsts.into_iter().map(move |(d, fd)| {
+        let own: f64 = srcs.iter().filter(|s| s.dev == d).map(|s| s.frac).sum();
+        let foreign: f64 = srcs.iter().filter(|s| s.dev != d).map(|s| s.frac).sum();
+        let need = (fd - own).max(0.0);
+        let mut t = 0.0;
+        if need > 0.0 && foreign > 0.0 {
+            for s in srcs {
+                if s.dev == d {
+                    continue;
+                }
+                let b = (bytes as f64 * need * s.frac / foreign).ceil() as u64;
+                if b > 0 {
+                    t += net.transfer_ms(s.dev, d, b);
                 }
             }
-            (d, src_ready + t)
-        })
-        .collect()
+        }
+        (d, src_ready + t)
+    })
 }
 
 /// FDSP seam-overhead factor for a `tiles`-way split.
@@ -83,18 +136,8 @@ pub fn seam_overhead(tiles: usize) -> f64 {
 }
 
 /// Compute time of a layer sequence on one device, with MACs scaled by
-/// `1/tiles × seam_overhead` when tiled. f32 compute; see
-/// [`layers_time_ms_bits`] for precision-aware costing.
-pub fn layers_time_ms(
-    profile: &murmuration_edgesim::ComputeProfile,
-    layers: &[LayerSpec],
-    tiles: usize,
-) -> f64 {
-    layers_time_ms_bits(profile, layers, tiles, BitWidth::B32)
-}
-
-/// [`layers_time_ms`] at an explicit *compute* precision: `B8` charges
-/// MAC-bound layers at the profile's int8 rate (the device runs the
+/// `1/tiles × seam_overhead` when tiled, at *compute* precision `bits`: `B8`
+/// charges MAC-bound layers at the profile's int8 rate (the device runs the
 /// `murmuration_tensor::int8` kernels), anything wider is costed as f32.
 /// Callers derive `bits` from `ExecUnit::compute_bits()` so the estimate
 /// tracks what the executor actually runs.
@@ -139,54 +182,98 @@ impl<'a> LatencyEstimator<'a> {
         LatencyEstimator { devices, net }
     }
 
+    /// One step of the cost walk. The tensor of `bytes` held by `holders`
+    /// is redistributed to the merged participants of `tiles` (one device
+    /// per tile), each participant runs `layers` on its share at `bits` —
+    /// devices in parallel, tiles co-located on one device one after
+    /// another — and the participants become the new holders. Returns them
+    /// with the time the slowest input arrived.
+    pub fn step(
+        &self,
+        holders: &Holders,
+        tiles: &[DeviceId],
+        bytes: u64,
+        layers: &[LayerSpec],
+        bits: BitWidth,
+    ) -> (Holders, f64) {
+        let dsts = participants(tiles).map(|(d, frac, _)| (d, frac));
+        let arrivals = redistribute(self.net, holders, dsts, bytes);
+        let mut next = Holders { len: 0, ..Holders::input() };
+        let mut input_ready_ms = 0.0f64;
+        for ((d, ready), (_, frac, count)) in arrivals.zip(participants(tiles)) {
+            input_ready_ms = input_ready_ms.max(ready);
+            let t = layers_time_ms_bits(&self.devices[d].profile(), layers, tiles.len(), bits);
+            next.push(Holder { dev: d, frac, ready_ms: ready + t * count as f64 });
+        }
+        (next, input_ready_ms)
+    }
+
+    /// The walk's last step: the logits return to device 0, where nothing
+    /// is left to compute. Returns when they arrive.
+    pub fn gather_ms(&self, holders: &Holders, bytes: u64) -> f64 {
+        self.step(holders, &[0], bytes, &[], BitWidth::B32).1
+    }
+
     /// Estimates one inference of `spec` under `plan`. The input image
     /// starts on device 0 and the classification result must return there.
     pub fn estimate(&self, spec: &SubnetSpec, plan: &ExecutionPlan) -> LatencyBreakdown {
+        self.walk(spec, plan, |_, _, _, _| {})
+    }
+
+    /// Folds [`step`](Self::step) over the units and gathers the logits,
+    /// calling `observe(unit, tiles, input_ready_ms, done_ms)` per unit.
+    fn walk(
+        &self,
+        spec: &SubnetSpec,
+        plan: &ExecutionPlan,
+        mut observe: impl FnMut(&ExecUnit, &[DeviceId], f64, f64),
+    ) -> LatencyBreakdown {
         debug_assert!(plan.validate(spec, self.devices.len()).is_ok());
-        let mut holders = vec![Holder { dev: 0, frac: 1.0, ready_ms: 0.0 }];
+        let mut holders = Holders::input();
         let mut bytes = spec.input_bytes();
-        let mut compute_ms = 0.0;
-        let mut comm_ms = 0.0;
+        let (mut compute_ms, mut comm_ms) = (0.0, 0.0);
         for (unit, placement) in spec.units.iter().zip(&plan.placements) {
-            let participants = placement.merged_shares();
-            let dsts: Vec<(DeviceId, f64)> = participants.iter().map(|&(d, f, _)| (d, f)).collect();
-            // Communication: redistribute the unit input.
-            let arrivals = redistribute(self.net, &holders, &dsts, bytes);
-            let before = holders.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
-            let after_comm = arrivals.iter().fold(0.0f64, |m, &(_, t)| m.max(t));
-            comm_ms += after_comm - before;
-            // Compute: devices run in parallel, but tiles co-located on one
-            // device execute serially there.
-            let tiles = placement.width();
-            holders = arrivals
-                .iter()
-                .zip(participants.iter())
-                .map(|(&(d, ready), &(_, frac, count))| {
-                    let t = layers_time_ms_bits(
-                        &self.devices[d].profile(),
-                        &unit.layers,
-                        tiles,
-                        unit.compute_bits(),
-                    );
-                    Holder { dev: d, frac, ready_ms: ready + t * count as f64 }
-                })
-                .collect();
-            let after_compute = holders.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
-            compute_ms += after_compute - after_comm;
+            let before = holders.ready_ms();
+            let tiles = placement.tiles();
+            let (next, input_ready_ms) =
+                self.step(&holders, tiles, bytes, &unit.layers, unit.compute_bits());
+            holders = next;
+            let done_ms = holders.ready_ms();
+            comm_ms += input_ready_ms - before;
+            compute_ms += done_ms - input_ready_ms;
+            observe(unit, tiles, input_ready_ms, done_ms);
             bytes = unit.out_wire_bytes();
         }
-        // Return the logits to device 0.
-        let final_arrival = redistribute(self.net, &holders, &[(0, 1.0)], bytes);
-        let done = final_arrival[0].1;
-        let before = holders.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
+        let before = holders.ready_ms();
+        let done = self.gather_ms(&holders, bytes);
         comm_ms += done - before;
         LatencyBreakdown { total_ms: done, compute_ms, comm_ms }
     }
+
+    /// Like [`estimate`](Self::estimate) but also returns the per-unit
+    /// timeline (for debugging and the CLI's `estimate --trace`).
+    pub fn estimate_with_trace(
+        &self,
+        spec: &SubnetSpec,
+        plan: &ExecutionPlan,
+    ) -> (LatencyBreakdown, Vec<UnitTrace>) {
+        let mut trace = Vec::with_capacity(spec.units.len());
+        let breakdown = self.walk(spec, plan, |unit, tiles, input_ready_ms, done_ms| {
+            trace.push(UnitTrace {
+                unit: unit.name.clone(),
+                input_ready_ms,
+                done_ms,
+                devices: participants(tiles).map(|(d, _, _)| d).collect(),
+            });
+        });
+        (breakdown, trace)
+    }
 }
 
-/// Time to run a plain layer sequence entirely on one device (no comms).
+/// Time to run a plain f32 layer sequence entirely on one device (no
+/// comms): the baseline models are not quantized.
 pub fn sequential_time_ms(dev: &Device, layers: &[LayerSpec]) -> f64 {
-    layers_time_ms(&dev.profile(), layers, 1)
+    layers_time_ms_bits(&dev.profile(), layers, 1, BitWidth::B32)
 }
 
 /// Per-unit timing of one estimated inference.
@@ -199,52 +286,6 @@ pub struct UnitTrace {
     pub done_ms: f64,
     /// Devices participating.
     pub devices: Vec<DeviceId>,
-}
-
-impl<'a> LatencyEstimator<'a> {
-    /// Like [`estimate`](Self::estimate) but also returns the per-unit
-    /// timeline (for debugging and the CLI's `estimate --trace`).
-    pub fn estimate_with_trace(
-        &self,
-        spec: &SubnetSpec,
-        plan: &ExecutionPlan,
-    ) -> (LatencyBreakdown, Vec<UnitTrace>) {
-        let breakdown = self.estimate(spec, plan);
-        // Re-walk the chain, recording per-unit milestones (same math as
-        // estimate(); duplicated walk keeps the hot path allocation-free).
-        let mut holders = vec![Holder { dev: 0, frac: 1.0, ready_ms: 0.0 }];
-        let mut bytes = spec.input_bytes();
-        let mut trace = Vec::with_capacity(spec.units.len());
-        for (unit, placement) in spec.units.iter().zip(&plan.placements) {
-            let participants = placement.merged_shares();
-            let dsts: Vec<(DeviceId, f64)> = participants.iter().map(|&(d, f, _)| (d, f)).collect();
-            let arrivals = redistribute(self.net, &holders, &dsts, bytes);
-            let ready = arrivals.iter().fold(0.0f64, |m, &(_, t)| m.max(t));
-            let tiles = placement.width();
-            holders = arrivals
-                .iter()
-                .zip(participants.iter())
-                .map(|(&(d, r), &(_, frac, count))| {
-                    let t = layers_time_ms_bits(
-                        &self.devices[d].profile(),
-                        &unit.layers,
-                        tiles,
-                        unit.compute_bits(),
-                    );
-                    Holder { dev: d, frac, ready_ms: r + t * count as f64 }
-                })
-                .collect();
-            let done = holders.iter().fold(0.0f64, |m, h| m.max(h.ready_ms));
-            trace.push(UnitTrace {
-                unit: unit.name.clone(),
-                input_ready_ms: ready,
-                done_ms: done,
-                devices: participants.iter().map(|&(d, _, _)| d).collect(),
-            });
-            bytes = unit.out_wire_bytes();
-        }
-        (breakdown, trace)
-    }
 }
 
 /// Steady-state per-inference time of *pipelined* execution over a
@@ -271,10 +312,10 @@ pub fn pipelined_time_ms(
     let groups = (n_devices / tiles).clamp(1, n_stages) as f64;
     let stage_total: f64 = spec.units[1..spec.units.len() - 1]
         .iter()
-        .map(|u| layers_time_ms(&profile, &u.layers, tiles))
+        .map(|u| layers_time_ms_bits(&profile, &u.layers, tiles, BitWidth::B32))
         .sum();
-    let ends: f64 = layers_time_ms(&profile, &spec.units[0].layers, 1)
-        + layers_time_ms(&profile, &spec.units[spec.units.len() - 1].layers, 1);
+    let ends: f64 = layers_time_ms_bits(&profile, &spec.units[0].layers, 1, BitWidth::B32)
+        + layers_time_ms_bits(&profile, &spec.units[spec.units.len() - 1].layers, 1, BitWidth::B32);
     (stage_total / groups).max(ends) + handoff_ms
 }
 
@@ -300,7 +341,7 @@ mod tests {
     fn redistribute_identity_is_free() {
         let net = lan(2);
         let srcs = [Holder { dev: 1, frac: 1.0, ready_ms: 5.0 }];
-        let out = redistribute(&net, &srcs, &[(1, 1.0)], 1_000_000);
+        let out: Vec<_> = redistribute(&net, &srcs, [(1, 1.0)], 1_000_000).collect();
         assert_eq!(out, vec![(1, 5.0)]);
     }
 
@@ -308,7 +349,7 @@ mod tests {
     fn redistribute_single_to_single_matches_link() {
         let net = NetworkState::uniform(1, LinkState { bandwidth_mbps: 100.0, delay_ms: 10.0 });
         let srcs = [Holder { dev: 0, frac: 1.0, ready_ms: 2.0 }];
-        let out = redistribute(&net, &srcs, &[(1, 1.0)], 1_000_000);
+        let out: Vec<_> = redistribute(&net, &srcs, [(1, 1.0)], 1_000_000).collect();
         // 2.0 + 10 + 80 = 92.
         assert!((out[0].1 - 92.0).abs() < 1e-6, "{}", out[0].1);
     }
@@ -317,7 +358,7 @@ mod tests {
     fn scatter_splits_bytes() {
         let net = NetworkState::uniform(2, LinkState { bandwidth_mbps: 100.0, delay_ms: 0.0 });
         let srcs = [Holder { dev: 0, frac: 1.0, ready_ms: 0.0 }];
-        let out = redistribute(&net, &srcs, &[(1, 0.5), (2, 0.5)], 1_000_000);
+        let out: Vec<_> = redistribute(&net, &srcs, [(1, 0.5), (2, 0.5)], 1_000_000).collect();
         // Each gets 500 KB over its own link: 40 ms, in parallel.
         for &(_, t) in &out {
             assert!((t - 40.0).abs() < 1e-3, "{t}");
@@ -331,7 +372,7 @@ mod tests {
             Holder { dev: 1, frac: 0.5, ready_ms: 0.0 },
             Holder { dev: 2, frac: 0.5, ready_ms: 0.0 },
         ];
-        let out = redistribute(&net, &srcs, &[(0, 1.0)], 1_000_000);
+        let out: Vec<_> = redistribute(&net, &srcs, [(0, 1.0)], 1_000_000).collect();
         // Two 500 KB incoming transfers serialize: 80 ms.
         assert!((out[0].1 - 80.0).abs() < 1e-3, "{}", out[0].1);
     }
@@ -437,8 +478,8 @@ mod tests {
         let devices = device_swarm_devices(2);
         let spec = SubnetSpec::lower(&SearchSpace::default().min_config());
         let p = devices[0].profile();
-        let ends = layers_time_ms(&p, &spec.units[0].layers, 1)
-            + layers_time_ms(&p, &spec.units[6].layers, 1);
+        let ends = layers_time_ms_bits(&p, &spec.units[0].layers, 1, BitWidth::B32)
+            + layers_time_ms_bits(&p, &spec.units[6].layers, 1, BitWidth::B32);
         let t = pipelined_time_ms(&devices[0], &spec, 1000, 4, 0.0);
         assert!(t >= ends, "{t} vs floor {ends}");
     }

@@ -14,48 +14,32 @@ pub enum UnitPlacement {
 }
 
 impl UnitPlacement {
-    /// Devices participating in this placement, with the input fraction
-    /// each receives.
-    pub fn shares(&self) -> Vec<(DeviceId, f64)> {
+    /// The device of every tile, row-major (one entry for `Single`).
+    pub fn tiles(&self) -> &[DeviceId] {
         match self {
-            UnitPlacement::Single(d) => vec![(*d, 1.0)],
-            UnitPlacement::Tiled(devs) => {
-                let f = 1.0 / devs.len() as f64;
-                devs.iter().map(|&d| (d, f)).collect()
-            }
-        }
-    }
-
-    /// Participants with same-device tiles merged: `(device, combined
-    /// input fraction, tile count)`. Tiles mapped to one device execute
-    /// *serially* there, so timing models must use this view (first
-    /// occurrence order, deterministic).
-    pub fn merged_shares(&self) -> Vec<(DeviceId, f64, usize)> {
-        match self {
-            UnitPlacement::Single(d) => vec![(*d, 1.0, 1)],
-            UnitPlacement::Tiled(devs) => {
-                let f = 1.0 / devs.len() as f64;
-                let mut out: Vec<(DeviceId, f64, usize)> = Vec::new();
-                for &d in devs {
-                    if let Some(e) = out.iter_mut().find(|e| e.0 == d) {
-                        e.1 += f;
-                        e.2 += 1;
-                    } else {
-                        out.push((d, f, 1));
-                    }
-                }
-                out
-            }
+            UnitPlacement::Single(d) => std::slice::from_ref(d),
+            UnitPlacement::Tiled(devs) => devs,
         }
     }
 
     /// Number of parallel executors.
     pub fn width(&self) -> usize {
-        match self {
-            UnitPlacement::Single(_) => 1,
-            UnitPlacement::Tiled(v) => v.len(),
-        }
+        self.tiles().len()
     }
+}
+
+/// Participants of a tile list with same-device tiles merged: `(device,
+/// combined input fraction, tile count)`, in first-occurrence order. Tiles
+/// mapped to one device execute *serially* there, so timing models must use
+/// this view. Each fraction is summed tile by tile; nothing is allocated.
+pub fn participants(
+    tiles: &[DeviceId],
+) -> impl Iterator<Item = (DeviceId, f64, usize)> + Clone + '_ {
+    let f = 1.0 / tiles.len() as f64;
+    tiles.iter().enumerate().filter(move |&(i, d)| !tiles[..i].contains(d)).map(move |(i, &d)| {
+        let count = tiles[i..].iter().filter(|&&t| t == d).count();
+        (d, (0..count).fold(0.0, |frac, _| frac + f), count)
+    })
 }
 
 /// A complete plan: one placement per unit of a [`SubnetSpec`].
@@ -119,14 +103,8 @@ impl ExecutionPlan {
 
     /// All devices referenced anywhere in the plan, sorted and deduplicated.
     pub fn devices_used(&self) -> Vec<DeviceId> {
-        let mut devs: Vec<DeviceId> = self
-            .placements
-            .iter()
-            .flat_map(|p| match p {
-                UnitPlacement::Single(d) => vec![*d],
-                UnitPlacement::Tiled(v) => v.clone(),
-            })
-            .collect();
+        let mut devs: Vec<DeviceId> =
+            self.placements.iter().flat_map(|p| p.tiles().iter().copied()).collect();
         devs.sort_unstable();
         devs.dedup();
         devs
@@ -242,8 +220,7 @@ mod tests {
         let mut runner = proptest::test_runner::TestRunner::default();
         runner
             .run(&proptest::collection::vec(0usize..5, 1..12), |devs| {
-                let p = UnitPlacement::Tiled(devs.clone());
-                let merged = p.merged_shares();
+                let merged: Vec<_> = participants(&devs).collect();
                 // Fractions sum to 1 and counts sum to the tile count.
                 let frac: f64 = merged.iter().map(|m| m.1).sum();
                 prop_assert!((frac - 1.0).abs() < 1e-9);
@@ -275,7 +252,7 @@ mod tests {
     #[test]
     fn shares_sum_to_one() {
         let p = UnitPlacement::Tiled(vec![0, 1, 2, 0]);
-        let s: f64 = p.shares().iter().map(|(_, f)| f).sum();
+        let s: f64 = participants(p.tiles()).map(|(_, f, _)| f).sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert_eq!(p.width(), 4);
     }

@@ -77,7 +77,8 @@ fn random_net(n_remote: usize, rng: &mut StdRng) -> NetworkState {
 fn triples() -> Vec<(Vec<Device>, SubnetSpec, ExecutionPlan, NetworkState)> {
     let space = SearchSpace::default();
     let mut rng = StdRng::seed_from_u64(0x636f_7374);
-    let fleets = [device_swarm_devices(5), augmented_computing_devices(), heterogeneous_edge_devices()];
+    let fleets =
+        [device_swarm_devices(5), augmented_computing_devices(), heterogeneous_edge_devices()];
     let mut out = Vec::new();
     for devices in fleets {
         let n = devices.len();

@@ -12,7 +12,7 @@ use crate::policy::{ActionHead, LstmPolicy, NUM_HEADS};
 use murmuration_edgesim::device::{augmented_computing_devices, device_swarm_devices};
 use murmuration_edgesim::{Device, LinkState, NetworkState};
 use murmuration_partition::evolutionary::Genome;
-use murmuration_partition::{ExecutionPlan, LatencyEstimator, UnitPlacement};
+use murmuration_partition::{ExecutionPlan, LatencyEstimator};
 use murmuration_supernet::{AccuracyModel, SearchSpace, SubnetConfig, SubnetSpec};
 use rand::Rng;
 
@@ -337,11 +337,7 @@ impl Scenario {
         let plan = genome.plan(&spec, self.devices.len());
         let mut used = vec![false; self.n_remote()];
         for p in &plan.placements {
-            let devs = match p {
-                UnitPlacement::Single(d) => std::slice::from_ref(d),
-                UnitPlacement::Tiled(devs) => devs,
-            };
-            for &d in devs.iter().filter(|&&d| d > 0) {
+            for &d in p.tiles().iter().filter(|&&d| d > 0) {
                 used[d - 1] = true;
             }
         }
@@ -358,7 +354,8 @@ impl Scenario {
     /// Evaluates a full action sequence under a condition.
     pub fn evaluate(&self, cond: &Condition, actions: &[usize]) -> EpisodeResult {
         let net = self.network(cond);
-        self.candidate(actions.to_vec()).price(self, cond, &net)
+        let c = self.candidate(actions.to_vec());
+        c.price(self, cond, &net).result(&c)
     }
 
     /// Relabels a finished episode with the goal it *actually* achieved
@@ -411,13 +408,38 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// Latency, accuracy and reward under `cond`, whose network is `net`.
-    fn price(&self, sc: &Scenario, cond: &Condition, net: &NetworkState) -> EpisodeResult {
+    /// Latency and reward under `cond`, whose network is `net`.
+    fn price(&self, sc: &Scenario, cond: &Condition, net: &NetworkState) -> Price {
         let est = LatencyEstimator::new(&sc.devices, net);
         let latency_ms = est.estimate(&self.spec, &self.plan).total_ms;
         let (reward, met) = sc.reward(cond, latency_ms, self.accuracy_pct);
-        let accuracy_pct = self.accuracy_pct;
-        EpisodeResult { actions: self.actions.clone(), latency_ms, accuracy_pct, reward, met }
+        Price { latency_ms, reward, met }
+    }
+}
+
+/// What pricing a [`Candidate`] yields; only the winner becomes an
+/// [`EpisodeResult`], so the guard copies one action sequence per decision.
+#[derive(Clone, Copy, Debug)]
+struct Price {
+    latency_ms: f64,
+    reward: f32,
+    met: bool,
+}
+
+impl Price {
+    fn beats(&self, other: &Price) -> bool {
+        (self.met && !other.met) || (self.met == other.met && self.reward > other.reward)
+    }
+
+    fn result(self, c: &Candidate) -> EpisodeResult {
+        let Price { latency_ms, reward, met } = self;
+        EpisodeResult {
+            actions: c.actions.clone(),
+            latency_ms,
+            accuracy_pct: c.accuracy_pct,
+            reward,
+            met,
+        }
     }
 }
 
@@ -628,21 +650,20 @@ impl FallbackLadder {
     ) -> EpisodeResult {
         let picked = scenario.candidate(greedy_rollout(policy, scenario, cond));
         let net = scenario.network(cond);
-        let mut best: Option<EpisodeResult> = None;
+        let mut best: Option<(&Candidate, Price)> = None;
         for c in std::iter::once(&picked).chain(&self.rungs).filter(|c| links_alive(&c.used, alive))
         {
-            let r = c.price(scenario, cond, &net);
-            let better = best
-                .as_ref()
-                .is_none_or(|b| (r.met && !b.met) || (r.met == b.met && r.reward > b.reward));
-            if better {
-                best = Some(r);
+            let p = c.price(scenario, cond, &net);
+            if best.as_ref().is_none_or(|(_, b)| p.beats(b)) {
+                best = Some((c, p));
             }
         }
         // The all-local rungs use no remote link, so with a live
         // coordinator (device 0, without which no request exists at all)
         // `best` is always Some.
-        best.unwrap_or_else(|| self.rungs[0].price(scenario, cond, &net))
+        let (c, p) =
+            best.unwrap_or_else(|| (&self.rungs[0], self.rungs[0].price(scenario, cond, &net)));
+        p.result(c)
     }
 }
 
@@ -893,7 +914,10 @@ mod tests {
                 let cond = sc.sample_condition(&mut rng);
                 let net = sc.network(&cond);
                 for (rung, fb) in ladder.rungs.iter().zip(&fbs) {
-                    assert_same_bits(&rung.price(&sc, &cond, &net), &sc.evaluate(&cond, fb));
+                    assert_same_bits(
+                        &rung.price(&sc, &cond, &net).result(rung),
+                        &sc.evaluate(&cond, fb),
+                    );
                     assert_eq!(
                         links_alive(&rung.used, &one_dead),
                         actions_feasible(&sc, fb, &one_dead)

@@ -43,6 +43,7 @@ for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
          crates/transport/src/aclient.rs \
          crates/transport/src/aworker.rs \
          crates/transport/src/swarm.rs \
+         crates/partition/src/estimator.rs \
          crates/partition/src/pipeline.rs \
          crates/edgesim/src/scenario.rs; do
     if ! grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' "$f"; then
