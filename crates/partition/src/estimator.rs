@@ -12,7 +12,7 @@
 //!   concurrent incoming transfers serialize on the destination's link.
 //!
 //! Every price — the estimate, the beam planner's, ADCNN's — is a fold of
-//! [`LatencyEstimator::step`] over the units, so the comparison is fair;
+//! `LatencyEstimator::step` over the units, so the comparison is fair;
 //! [`crate::des_sim`] re-derives the same semantics from events as an
 //! independent check.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -53,7 +53,7 @@ const INPUT: Holder = Holder { dev: 0, frac: 1.0, ready_ms: 0.0 };
 /// inline, so pricing a search-space plan never allocates; wider fan-outs
 /// (ADCNN past four workers, hand-built `Tiled` lists) spill to `spill`.
 #[derive(Clone, Debug)]
-pub struct Holders {
+pub(crate) struct Holders {
     len: usize,
     inline: [Holder; INLINE_HOLDERS],
     spill: Vec<Holder>,
@@ -61,7 +61,7 @@ pub struct Holders {
 
 impl Holders {
     /// The input image: whole on device 0, ready at t = 0.
-    pub fn input() -> Self {
+    pub(crate) fn input() -> Self {
         Holders { len: 1, inline: [INPUT; INLINE_HOLDERS], spill: Vec::new() }
     }
 
@@ -78,7 +78,7 @@ impl Holders {
     }
 
     /// When the slowest holder is ready.
-    pub fn ready_ms(&self) -> f64 {
+    pub(crate) fn ready_ms(&self) -> f64 {
         self.iter().fold(0.0f64, |m, h| m.max(h.ready_ms))
     }
 }
@@ -188,7 +188,7 @@ impl<'a> LatencyEstimator<'a> {
     /// devices in parallel, tiles co-located on one device one after
     /// another — and the participants become the new holders. Returns them
     /// with the time the slowest input arrived.
-    pub fn step(
+    pub(crate) fn step(
         &self,
         holders: &Holders,
         tiles: &[DeviceId],
@@ -210,7 +210,7 @@ impl<'a> LatencyEstimator<'a> {
 
     /// The walk's last step: the logits return to device 0, where nothing
     /// is left to compute. Returns when they arrive.
-    pub fn gather_ms(&self, holders: &Holders, bytes: u64) -> f64 {
+    pub(crate) fn gather_ms(&self, holders: &Holders, bytes: u64) -> f64 {
         self.step(holders, &[0], bytes, &[], BitWidth::B32).1
     }
 
@@ -312,10 +312,10 @@ pub fn pipelined_time_ms(
     let groups = (n_devices / tiles).clamp(1, n_stages) as f64;
     let stage_total: f64 = spec.units[1..spec.units.len() - 1]
         .iter()
-        .map(|u| layers_time_ms_bits(&profile, &u.layers, tiles, BitWidth::B32))
+        .map(|u| layers_time_ms_bits(&profile, &u.layers, tiles, u.compute_bits()))
         .sum();
-    let ends: f64 = layers_time_ms_bits(&profile, &spec.units[0].layers, 1, BitWidth::B32)
-        + layers_time_ms_bits(&profile, &spec.units[spec.units.len() - 1].layers, 1, BitWidth::B32);
+    let whole = |u: &ExecUnit| layers_time_ms_bits(&profile, &u.layers, 1, u.compute_bits());
+    let ends = whole(&spec.units[0]) + whole(&spec.units[spec.units.len() - 1]);
     (stage_total / groups).max(ends) + handoff_ms
 }
 
@@ -482,5 +482,22 @@ mod tests {
             + layers_time_ms_bits(&p, &spec.units[6].layers, 1, BitWidth::B32);
         let t = pipelined_time_ms(&devices[0], &spec, 1000, 4, 0.0);
         assert!(t >= ends, "{t} vs floor {ends}");
+    }
+
+    #[test]
+    fn pipelining_one_device_never_beats_running_the_plan_straight_through() {
+        let devices = device_swarm_devices(1);
+        let net = lan(0);
+        let est = LatencyEstimator::new(&devices, &net);
+        for bits in [BitWidth::B8, BitWidth::B32] {
+            let mut cfg = SearchSpace::default().min_config();
+            for st in &mut cfg.stages {
+                st.quant = bits;
+            }
+            let spec = SubnetSpec::lower(&cfg);
+            let sequential = est.estimate(&spec, &ExecutionPlan::all_on(&spec, 0)).total_ms;
+            let pipelined = pipelined_time_ms(&devices[0], &spec, 1, 1, 0.0);
+            assert!(pipelined <= sequential, "{bits:?}: pipelined {pipelined} vs {sequential}");
+        }
     }
 }

@@ -31,8 +31,9 @@ impl UnitPlacement {
 /// Participants of a tile list with same-device tiles merged: `(device,
 /// combined input fraction, tile count)`, in first-occurrence order. Tiles
 /// mapped to one device execute *serially* there, so timing models must use
-/// this view. Each fraction is summed tile by tile; nothing is allocated.
-pub fn participants(
+/// this view. Each fraction is summed tile by tile (the order every price's
+/// bits were frozen with); nothing is allocated.
+pub(crate) fn participants(
     tiles: &[DeviceId],
 ) -> impl Iterator<Item = (DeviceId, f64, usize)> + Clone + '_ {
     let f = 1.0 / tiles.len() as f64;

@@ -427,10 +427,6 @@ struct Price {
 }
 
 impl Price {
-    fn beats(&self, other: &Price) -> bool {
-        (self.met && !other.met) || (self.met == other.met && self.reward > other.reward)
-    }
-
     fn result(self, c: &Candidate) -> EpisodeResult {
         let Price { latency_ms, reward, met } = self;
         EpisodeResult {
@@ -654,7 +650,10 @@ impl FallbackLadder {
         for c in std::iter::once(&picked).chain(&self.rungs).filter(|c| links_alive(&c.used, alive))
         {
             let p = c.price(scenario, cond, &net);
-            if best.as_ref().is_none_or(|(_, b)| p.beats(b)) {
+            let better = best
+                .as_ref()
+                .is_none_or(|(_, b)| (p.met && !b.met) || (p.met == b.met && p.reward > b.reward));
+            if better {
                 best = Some((c, p));
             }
         }
