@@ -232,9 +232,9 @@ fn main() {
     drop(hardened);
 
     // Degraded path: device 1 vanishes on its first job of each request;
-    // measured wall time includes detection (reply-channel disconnect) and
-    // failover to a survivor. Fresh executor per run — a vanished worker
-    // stays dead.
+    // measured wall time includes detection (the dropped job's `Link`
+    // reply) and failover to a survivor. Fresh executor per run — a
+    // vanished worker stays dead.
     let failover_ms = {
         let plan = ExecutionPlan {
             placements: vec![

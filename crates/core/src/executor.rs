@@ -14,15 +14,15 @@
 //!
 //! # Fault model
 //!
-//! Devices can crash (worker exits without replying), stall (reply arrives
-//! after the deadline), panic (worker survives, request fails), garble
-//! frames in transit (checksum failure), or — over TCP — lose their
-//! connection mid-request. The coordinator never blocks forever on any of
-//! them: every entry point runs its work as slots of one attempt state
-//! machine (`attempt`, which states the recovery rules) — a `Single` unit
-//! is one slot, a tiled unit one per FDSP tile, a stream one per request
-//! moving stage to stage — and exhaustion surfaces as a typed [`ExecError`]
-//! instead of a panic or a hang. Connection supervision (heartbeats,
+//! Devices can crash (the worker exits; its jobs answer a link error),
+//! stall (reply arrives after the deadline), panic (worker survives,
+//! request fails), garble frames in transit (checksum failure), or — over
+//! TCP — lose their connection mid-request. The coordinator never blocks
+//! forever on any of them: every entry point runs its work as slots of one
+//! attempt state machine (`attempt`, which states the recovery rules) — a
+//! `Single` unit is one slot, a tiled unit one per FDSP tile, a stream one
+//! per request moving stage to stage — and exhaustion surfaces as a typed
+//! [`ExecError`] instead of a panic or a hang. Connection supervision (heartbeats,
 //! reconnect, resend dedup) happens below the trait; its counters surface
 //! in [`ExecReport`].
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -46,12 +46,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one worker invocation produced. The `Vanish` arm lets fault
-/// injectors simulate a process crash: the worker thread exits without
-/// replying, exactly like a killed remote peer.
+/// injectors simulate a process crash: the worker thread exits, and the
+/// transport answers its jobs with a link error, like a killed remote peer.
 pub enum UnitOutcome {
     /// Normal completion.
     Output(Tensor),
-    /// Simulated crash: no reply is sent and the worker thread exits.
+    /// Simulated crash: the worker thread exits without computing.
     Vanish,
     /// Recoverable failure: an error reply is sent, the worker survives.
     Error(String),
@@ -342,6 +342,9 @@ impl Executor {
         opts: ExecOptions,
     ) -> Result<(Tensor, ExecReport), ExecError> {
         assert_eq!(plan.placements.len(), wire.len(), "one wire entry per unit");
+        for (u, p) in plan.placements.iter().enumerate() {
+            p.tiles().iter().for_each(|&d| self.check_device(u, d));
+        }
         let (start, stats0) = (Instant::now(), self.transport.stats());
         let mut ctx = Ctx::new(self, opts);
         let mut data = Arc::new(input);
@@ -380,6 +383,7 @@ impl Executor {
         opts: ExecOptions,
     ) -> (Vec<Result<Tensor, ExecError>>, ExecReport) {
         assert!(!device_of_unit.is_empty());
+        device_of_unit.iter().enumerate().for_each(|(u, &d)| self.check_device(u, d));
         let (start, stats0) = (Instant::now(), self.transport.stats());
         let mut ctx = Ctx::new(self, opts);
         let (tx, rx) = unbounded();
@@ -388,11 +392,11 @@ impl Executor {
         let mut slots: Vec<Slot> = inputs
             .into_iter()
             .enumerate()
-            .map(|(i, x)| Slot::new(i, true, Some(tx.clone()), stage(0, Arc::new(x), 0)))
+            .map(|(i, x)| Slot::new(i, true, tx.clone(), stage(0, Arc::new(x), 0)))
             .collect();
         let mut results: Vec<Result<Tensor, ExecError>> =
             (0..slots.len()).map(|unit| Err(ExecError::NoDevice { unit })).collect();
-        drive(&mut ctx, &mut slots, Some(&rx), |i, slot, settled| {
+        drive(&mut ctx, &mut slots, &rx, |i, slot, settled| {
             match settled {
                 // A finished stage hands its output to the next stage,
                 // shipped from the device that computed it.
@@ -406,6 +410,11 @@ impl Executor {
         (results, self.finish(ctx.report, start, stats0))
     }
 
+    /// Panics on a plan device this executor does not reach.
+    fn check_device(&self, unit: usize, dev: usize) {
+        assert!(dev < self.n_devices(), "unit {unit} placed on unknown device {dev}");
+    }
+
     /// Stamps the wall time and the transport's counters since `stats0`.
     fn finish(&self, mut r: ExecReport, start: Instant, stats0: TransportStats) -> ExecReport {
         let d = self.transport.stats().since(&stats0);
@@ -417,8 +426,10 @@ impl Executor {
 }
 
 /// Runs one unit of a plan on `data` (held by `loc`): a `Single` is one
-/// slot on reply channels of its own, `Tiled` one slot per FDSP tile on a
-/// shared channel, merged on the device that ran tile 0.
+/// slot, `Tiled` one slot per FDSP tile, merged on the device that ran
+/// tile 0. The reply channel is the unit's own: a new slot numbers its
+/// attempts from 1 again, so a late reply for an earlier unit must not
+/// reach it.
 fn run_unit(
     ctx: &mut Ctx<'_>,
     unit: usize,
@@ -428,11 +439,12 @@ fn run_unit(
     loc: usize,
 ) -> Result<(Tensor, usize), ExecError> {
     let work = |planned, input| Work { unit, planned, input, loc, quant: w.in_quant };
+    let (tx, rx) = unbounded();
     let devs = match placement {
         UnitPlacement::Single(d) => {
-            let mut slot = Slot::new(0, true, None, work(*d, Arc::clone(data)));
+            let mut slot = Slot::new(0, true, tx, work(*d, Arc::clone(data)));
             let mut out = Err(ExecError::NoDevice { unit });
-            drive(ctx, std::slice::from_mut(&mut slot), None, |_, _, settled| {
+            drive(ctx, std::slice::from_mut(&mut slot), &rx, |_, _, settled| {
                 out = settled;
                 true
             });
@@ -441,16 +453,15 @@ fn run_unit(
         UnitPlacement::Tiled(devs) => devs,
     };
     assert_eq!(devs.len(), w.grid.tiles(), "tile/device count");
-    let (tx, rx) = unbounded();
     let mut slots: Vec<Slot> = split_fdsp(data, w.grid)
         .into_iter()
         .zip(devs)
         .enumerate()
-        .map(|(tag, (tile, &d))| Slot::new(tag, false, Some(tx.clone()), work(d, Arc::new(tile))))
+        .map(|(tag, (tile, &d))| Slot::new(tag, false, tx.clone(), work(d, Arc::new(tile))))
         .collect();
     let mut outs: Vec<Option<Tensor>> = (0..slots.len()).map(|_| None).collect();
     let (mut gather, mut failed) = (loc, None);
-    drive(ctx, &mut slots, Some(&rx), |tag, _, settled| {
+    drive(ctx, &mut slots, &rx, |tag, _, settled| {
         match settled {
             Ok((t, dev)) => (outs[tag], gather) = (Some(t), if tag == 0 { dev } else { gather }),
             Err(e) => failed = Some(e),
@@ -467,8 +478,8 @@ fn run_unit(
 /// tests and examples. Deterministic from its seed, so a remote worker
 /// process built with the same parameters hosts bit-identical weights.
 ///
-/// Units whose plan selects 8-bit compute ([`ExecUnit::compute_bits`] in
-/// the supernet crate) carry pre-quantized int8 weights alongside the f32
+/// Units whose plan selects 8-bit compute
+/// ([`ExecUnit::compute_bits`](murmuration_supernet::ExecUnit::compute_bits)) carry pre-quantized int8 weights alongside the f32
 /// originals and run the `murmuration_tensor::int8` path. Quantization
 /// happens at construction — deterministic from the same seed — and the
 /// int8 kernels round identically on every device (SIMD or scalar), so
@@ -759,8 +770,8 @@ mod tests {
     #[test]
     fn worker_killed_mid_request_fails_over_not_hangs() {
         // Regression: a worker that dies between accepting a job and
-        // replying used to block the coordinator forever. Now the fresh
-        // reply channel disconnects and the request fails over.
+        // replying used to block the coordinator forever. Now the dropped
+        // job answers `Link` and the request fails over.
         let (exec, faulty, inner, input) = faulty_setup(2);
         faulty.script(1, 0, FaultKind::Vanish);
         let (out, report) = exec
@@ -773,7 +784,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.data(), local_reference(&inner, &input).data(), "failover stays exact");
         assert!(report.failovers >= 1, "must have failed over: {report:?}");
-        assert_eq!(report.deadline_misses, 0, "a disconnect is death, not a stall: {report:?}");
+        assert_eq!(report.deadline_misses, 0, "a Link reply is death, not a stall: {report:?}");
         assert!(!exec.is_alive(1), "crash must be discovered");
     }
 
@@ -887,6 +898,80 @@ mod tests {
         cur = inner.run_unit(2, &cur);
         assert_eq!(out.data(), cur.data(), "failover must not change tile math");
         assert!(report.deadline_misses >= 1 || report.failovers >= 1, "{report:?}");
+    }
+
+    /// A deadline no test below may reach: a vanished worker must be seen
+    /// through its `Link` reply, at once.
+    fn slow_deadline_opts() -> ExecOptions {
+        ExecOptions { deadline: Duration::from_secs(3), ..fast_opts() }
+    }
+
+    #[test]
+    fn vanished_tile_device_fails_over_without_a_deadline_miss() {
+        let (exec, faulty, inner, input) = faulty_setup(4);
+        faulty.script(3, 0, FaultKind::Vanish);
+        let grid = GridSpec::new(2, 2);
+        let plan = ExecutionPlan {
+            placements: vec![
+                UnitPlacement::Tiled(vec![0, 1, 2, 3]),
+                UnitPlacement::Single(0),
+                UnitPlacement::Single(0),
+            ],
+        };
+        let mut wire = wire_all(BitWidth::B32, GridSpec::new(1, 1), 3);
+        wire[0].grid = grid;
+        let (out, report) =
+            exec.execute_with(&plan, &wire, input.clone(), slow_deadline_opts()).unwrap();
+        let outs: Vec<Tensor> =
+            split_fdsp(&input, grid).iter().map(|t| inner.run_unit(0, t)).collect();
+        let expect = inner.run_unit(2, &inner.run_unit(1, &merge_fdsp(&outs, grid)));
+        assert_eq!(out.data(), expect.data());
+        assert_eq!(report.deadline_misses, 0, "{report:?}");
+        assert_eq!((report.retries, report.failovers), (1, 1), "{report:?}");
+        assert!(!exec.is_alive(3));
+    }
+
+    #[test]
+    fn vanished_stream_stage_fails_over_without_a_deadline_miss() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let (exec, faulty, inner, _) = faulty_setup(3);
+        faulty.script(1, 0, FaultKind::Vanish);
+        let mut rng = StdRng::seed_from_u64(11);
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::rand_uniform(Shape::nchw(1, 4, 10, 10), 1.0, &mut rng))
+            .collect();
+        let (outs, report) = exec.execute_stream_with(
+            &[0, 1, 2],
+            inputs.clone(),
+            BitWidth::B32,
+            slow_deadline_opts(),
+        );
+        for (input, out) in inputs.iter().zip(&outs) {
+            assert_eq!(out.as_ref().unwrap().data(), local_reference(&inner, input).data());
+        }
+        assert_eq!(report.deadline_misses, 0, "{report:?}");
+        assert_eq!(report.failovers, 4, "every request's stage 1 ran off-plan: {report:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 1 placed on unknown device 5")]
+    fn plan_on_an_unknown_device_is_rejected_up_front() {
+        let (exec, _, input) = setup(3);
+        let plan = ExecutionPlan {
+            placements: vec![
+                UnitPlacement::Single(0),
+                UnitPlacement::Single(5),
+                UnitPlacement::Single(0),
+            ],
+        };
+        let _ = exec.execute(&plan, &wire_all(BitWidth::B32, GridSpec::new(1, 1), 3), input);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 2 placed on unknown device 5")]
+    fn stream_on_an_unknown_device_is_rejected_up_front() {
+        let (exec, _, input) = setup(3);
+        let _ = exec.execute_stream(&[0, 1, 5], vec![input], BitWidth::B32);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The attempt state machine behind every executor entry point.
 //!
 //! A [`Slot`] is one `Single` unit, one FDSP tile, or one streamed request's
-//! current stage. Its inputs are dispatch, reply, a tick at an explicit
-//! `now`, and death; its effects are submit, cancel and `mark_dead` on the
-//! executor's transport, and the [`Settled`] value a step returns. It reads
-//! no clock and never blocks, so tests step it over a fake transport with
-//! made-up instants; [`drive`] feeds it real replies and real time.
+//! current stage. Its inputs are dispatch, reply and a tick at an explicit
+//! `now`; a worker's death arrives as a [`ReplyError::Link`] reply, which
+//! every transport owes each job it drops. Its effects are submit, cancel
+//! and `mark_dead` on the executor's transport, and the [`Settled`] value a
+//! step returns. It reads no clock and never blocks, so tests step it over
+//! a fake transport with made-up instants; [`drive`] feeds it real replies
+//! and real time.
 //!
 //! The rules, written once for every path:
 //!
 //! * **Send-time errors** shun the device and fall to the next candidate
 //!   within the same attempt; the slot fails only when no device is left.
-//! * **Retries** follow a failed attempt (an error reply, a death, a missed
+//! * **Retries** follow a failed attempt (an error reply, a missed
 //!   deadline) after a `backoff · 2^(k−1)` timer, capped at 2^6, until
 //!   `max_attempts` is spent.
 //! * **Failovers** count completions whose winning primary ran off-plan.
@@ -24,7 +26,7 @@
 
 use super::{ExecError, ExecOptions, ExecReport, Executor};
 use crate::transport::{ReplyError, SubmitError, TransportJob, TransportReply};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::Tensor;
 use std::sync::Arc;
@@ -45,7 +47,7 @@ pub(super) struct Ctx<'a> {
     exec: &'a Executor,
     opts: ExecOptions,
     /// Devices shunned for the rest of the call: seeded from the transport's
-    /// liveness belief, grown by send errors, deadlines and deaths.
+    /// liveness belief, grown by send errors, deadlines and `Link` replies.
     shunned: Vec<bool>,
     /// Outstanding submissions per device, kept only when hedging (they
     /// choose the hedge backup).
@@ -85,13 +87,6 @@ impl<'a> Ctx<'a> {
     fn cancel(&mut self, side: Side) {
         self.exec.transport.cancel(side.dev, side.ticket);
         self.load(side.dev, false);
-    }
-
-    /// Records hard evidence that `dev` is down.
-    fn kill(&mut self, dev: usize) -> ExecError {
-        self.exec.transport.mark_dead(dev);
-        self.shunned[dev] = true;
-        ExecError::DeviceDown { dev }
     }
 }
 
@@ -149,21 +144,14 @@ pub(super) struct Slot {
     tries: usize,
     last: Option<ExecError>,
     phase: Phase,
-    /// Reply sender: a clone of the call's shared one, or this attempt's
-    /// own, held only until the hedge decision so that the death of every
-    /// live worker disconnects the channel.
-    tx: Option<Tx>,
-    /// This attempt's own reply channel (Singles only).
-    rx: Option<Receiver<TransportReply>>,
+    /// Sender of the reply channel [`drive`] waits on.
+    tx: Tx,
 }
 
 impl Slot {
-    /// A slot replying on `shared` or, without it, on a fresh channel per
-    /// attempt.
-    pub(super) fn new(tag: usize, hedges: bool, shared: Option<Tx>, work: Work) -> Self {
-        let own = shared.is_none().then(unbounded);
-        let (tx, rx) = own.map_or((shared, None), |(tx, rx)| (Some(tx), Some(rx)));
-        Slot { tag, hedges, work, attempt: 0, tries: 0, last: None, phase: Phase::Idle, tx, rx }
+    /// A slot replying on `tx`.
+    pub(super) fn new(tag: usize, hedges: bool, tx: Tx, work: Work) -> Self {
+        Slot { tag, hedges, work, attempt: 0, tries: 0, last: None, phase: Phase::Idle, tx }
     }
 
     pub(super) fn unit(&self) -> usize {
@@ -202,9 +190,6 @@ impl Slot {
             .filter(|_| self.hedges)
             .and_then(|h| ctx.exec.hedge_trigger(dev, &h, ctx.opts.deadline))
             .map(|d| now + d);
-        if hedge_at.is_none() {
-            self.release_spare();
-        }
         let (primary, deadline) = (Some(Side { dev, ticket, sent: now }), now + ctx.opts.deadline);
         self.phase = Phase::Running(Attempt { dev, primary, hedge: None, hedge_at, deadline });
         None
@@ -239,22 +224,16 @@ impl Slot {
                 return Some(Ok((t, dev)));
             }
             Err(ReplyError::Worker(msg)) => ExecError::WorkerPanic { dev, unit, msg },
-            Err(ReplyError::Link(_)) => ctx.kill(dev),
+            // Hard evidence that the device is down.
+            Err(ReplyError::Link(_)) => {
+                ctx.exec.transport.mark_dead(dev);
+                ctx.shunned[dev] = true;
+                ExecError::DeviceDown { dev }
+            }
         });
         if other.is_some() {
             self.phase = Phase::Running(a); // the surviving side may still win
             return None;
-        }
-        self.attempt_failed(ctx, now)
-    }
-
-    /// This attempt's own reply channel disconnected: every live side's
-    /// worker died holding its job.
-    fn on_death(&mut self, ctx: &mut Ctx<'_>, now: Instant) -> Option<Settled> {
-        let Phase::Running(a) = self.phase else { return None };
-        for side in [a.primary, a.hedge].into_iter().flatten() {
-            ctx.load(side.dev, false);
-            self.last = Some(ctx.kill(side.dev));
         }
         self.attempt_failed(ctx, now)
     }
@@ -277,7 +256,6 @@ impl Slot {
                 Some(Side { dev, ticket, sent: now })
             });
             ctx.report.hedges_fired += u32::from(a.hedge.is_some());
-            self.release_spare();
         }
         if now < a.deadline {
             self.phase = Phase::Running(a);
@@ -296,12 +274,6 @@ impl Slot {
     fn attempt_failed(&mut self, ctx: &mut Ctx<'_>, now: Instant) -> Option<Settled> {
         if self.tries >= ctx.opts.max_attempts {
             return self.fail(true);
-        }
-        if self.rx.is_some() {
-            // The retry's own channel, opened now: while its sender is held
-            // nothing can arrive on it, so waiting on it is the backoff timer.
-            let (tx, rx) = unbounded();
-            (self.tx, self.rx) = (Some(tx), Some(rx));
         }
         self.phase = Phase::Backoff(now + ctx.opts.backoff * (1u32 << (self.tries - 1).min(6)));
         None
@@ -331,10 +303,7 @@ impl Slot {
             attempt: if hedge { self.attempt | HEDGE_BIT } else { self.attempt },
             deadline: Some(ttl),
         };
-        // The sender is present whenever a submission can happen; a detached
-        // one would only cost this attempt its deadline.
-        let reply = self.tx.clone().unwrap_or_else(|| unbounded().0);
-        let refused = match ctx.exec.transport.submit(dev, job, reply) {
+        let refused = match ctx.exec.transport.submit(dev, job, self.tx.clone()) {
             Ok(ticket) => {
                 ctx.load(dev, true);
                 return Some(ticket);
@@ -346,38 +315,26 @@ impl Slot {
         (ctx.shunned[dev], self.last) = (true, Some(refused));
         None
     }
-
-    /// Drops this attempt's own sender once no hedge can need it.
-    fn release_spare(&mut self) {
-        if self.rx.is_some() {
-            self.tx = None;
-        }
-    }
 }
 
 /// Runs `slots` until all have settled or `settle` (handed each settled
 /// slot and its index) returns `true`. Each round feeds one reply to its
 /// slot, ticks every slot — so a stage `settle` loads goes out at once —
-/// and waits for the next reply or timer on `shared`, or else on the single
-/// slot's own channel, whose disconnect is that attempt's death.
+/// and waits on `rx`, the channel the slots reply on, for the next reply
+/// or timer.
 pub(super) fn drive(
     ctx: &mut Ctx<'_>,
     slots: &mut [Slot],
-    shared: Option<&Receiver<TransportReply>>,
+    rx: &Receiver<TransportReply>,
     mut settle: impl FnMut(usize, &mut Slot, Settled) -> bool,
 ) {
-    let mut event: Result<TransportReply, _> = Err(RecvTimeoutError::Timeout);
+    let mut event: Option<TransportReply> = None;
     loop {
         let now = Instant::now();
-        let settled = match event {
-            Ok(reply) => {
-                let i = reply.tag;
-                slots.get_mut(i).and_then(|s| s.on_reply(ctx, reply, now)).map(|s| (i, s))
-            }
-            Err(RecvTimeoutError::Timeout) => None,
-            // Slots hold a shared channel's senders: only an own one dies.
-            Err(RecvTimeoutError::Disconnected) => slots[0].on_death(ctx, now).map(|s| (0, s)),
-        };
+        let settled = event.take().and_then(|reply| {
+            let i = reply.tag;
+            slots.get_mut(i).and_then(|s| s.on_reply(ctx, reply, now)).map(|s| (i, s))
+        });
         if let Some((i, s)) = settled {
             if settle(i, &mut slots[i], s) {
                 return;
@@ -394,9 +351,8 @@ pub(super) fn drive(
             }
         }
         let Some(wake) = slots.iter().filter_map(Slot::next_wake).min() else { return };
-        let wait = wake.saturating_duration_since(Instant::now());
-        let Some(rx) = shared.or(slots.first().and_then(|s| s.rx.as_ref())) else { return };
-        event = rx.recv_timeout(wait);
+        // The slots hold senders, so the channel never disconnects.
+        event = rx.recv_timeout(wake.saturating_duration_since(Instant::now())).ok();
     }
 }
 
@@ -406,6 +362,7 @@ mod tests {
     use super::*;
     use crate::executor::HedgeOptions;
     use crate::transport::Transport;
+    use crossbeam::channel::unbounded;
     use murmuration_tensor::Shape;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -498,14 +455,14 @@ mod tests {
         Work { unit: 0, planned, input, loc: 0, quant: BitWidth::B32 }
     }
 
-    /// A `Single` unit: reply channels of its own, hedging.
+    /// A `Single` unit: tag 0, hedging.
     fn single(planned: usize) -> Slot {
-        Slot::new(0, true, None, work(planned))
+        shared(0, planned, true)
     }
 
-    /// A tile (`hedges` false) or a stream request on a shared channel.
+    /// A tile (`hedges` false) or a stream request.
     fn shared(tag: usize, planned: usize, hedges: bool) -> Slot {
-        Slot::new(tag, hedges, Some(unbounded().0), work(planned))
+        Slot::new(tag, hedges, unbounded().0, work(planned))
     }
 
     fn ok(tag: usize, attempt: u32) -> TransportReply {
@@ -653,8 +610,9 @@ mod tests {
                 Call::Submit { dev: 1, attempt: 3 },
             ]
         );
-        // The worker holding attempt 3 dies: its reply channel disconnects.
-        let died = slot.on_death(&mut ctx, t2 + ms(1));
+        // The worker holding attempt 3 dies: its transport answers `Link`.
+        let gone = err(0, 3, ReplyError::Link("worker gone".into()));
+        let died = slot.on_reply(&mut ctx, gone, t2 + ms(1));
         assert_eq!(take(&calls), vec![Call::MarkDead(1)]);
         assert!(matches!(died, Some(Err(ExecError::AttemptsExhausted { .. }))), "{died:?}");
         assert_eq!(ctx.report.retries, 2);

@@ -183,7 +183,7 @@ pub struct HealthReport {
     pub reporter: NodeId,
     /// Which device the observation is about.
     pub device: u32,
-    /// Claimed [`HealthState`] wire code.
+    /// Claimed [`HealthState`](crate::health::HealthState) wire code.
     pub state: u8,
     /// Claimed routing-penalty multiplier (∞ = quarantined claim).
     pub penalty: f64,
@@ -228,7 +228,7 @@ pub enum GossipError {
     Truncated,
     /// Unknown wire version byte.
     Version(u8),
-    /// A length field exceeded [`MAX_RECORDS`].
+    /// A length field exceeded `MAX_RECORDS` (4096).
     TooLarge(usize),
 }
 

@@ -17,11 +17,11 @@
 //!
 //! The contract every implementation must honour:
 //!
-//! * `submit` either queues the job (the reply — success or a typed
-//!   failure — eventually arrives on the caller's channel, or the channel
-//!   disconnects) or fails fast with [`SubmitError`]. It may block briefly
-//!   for backpressure but never indefinitely: a dead peer always resolves
-//!   the wait.
+//! * `submit` either queues the job or fails fast with [`SubmitError`].
+//!   A queued job gets exactly one reply on the caller's channel — its
+//!   output, a worker error, or [`ReplyError::Link`] as soon as the worker
+//!   dies or drops it — unless it is cancelled first. `submit` may block
+//!   briefly for backpressure but never indefinitely.
 //! * Replies carry the `(tag, attempt)` the job was submitted with, so
 //!   the coordinator can discard stale replies from abandoned attempts.
 //! * Liveness (`is_alive`) is a belief, updated on hard evidence; the
@@ -31,7 +31,7 @@
 
 use crate::executor::{UnitCompute, UnitOutcome};
 use crate::wire::WireError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::Tensor;
 use parking_lot::Mutex;
@@ -155,10 +155,11 @@ pub trait Transport: Send + Sync {
     /// Records hard evidence that `dev` is down.
     fn mark_dead(&self, dev: usize);
 
-    /// Submits a job to `dev`. On success a [`TransportReply`] for
-    /// `(tag, attempt)` will eventually arrive on `reply` — or `reply`
-    /// disconnects, which the coordinator treats as the peer dying. The
-    /// returned ticket identifies this submission to [`Transport::cancel`].
+    /// Submits a job to `dev`. On success exactly one [`TransportReply`]
+    /// for `(tag, attempt)` arrives on `reply` unless the job is cancelled:
+    /// a worker that dies or drops the job answers [`ReplyError::Link`].
+    /// A refused send answers nothing on `reply`. The returned ticket
+    /// identifies this submission to [`Transport::cancel`].
     fn submit(
         &self,
         dev: usize,
@@ -222,13 +223,31 @@ pub trait Transport: Send + Sync {
     fn shutdown(&mut self) {}
 }
 
+/// An in-process job. Dropped unanswered (at a `Vanish`, behind a `Stop`,
+/// with a dead worker's queue) it answers [`ReplyError::Link`], as a TCP
+/// peer's teardown does; a cancel or a refused send clears `reply` first.
 struct InProcJob {
     unit: usize,
     input: Arc<Tensor>,
-    reply: Sender<TransportReply>,
+    reply: Option<Sender<TransportReply>>,
     tag: usize,
     attempt: u32,
     ticket: u64,
+}
+
+impl InProcJob {
+    fn answer(&mut self, result: Result<Tensor, ReplyError>) {
+        if let Some(reply) = self.reply.take() {
+            // The coordinator may have moved on; ignore send failures.
+            let _ = reply.send(TransportReply { tag: self.tag, attempt: self.attempt, result });
+        }
+    }
+}
+
+impl Drop for InProcJob {
+    fn drop(&mut self) {
+        self.answer(Err(ReplyError::Link("worker gone".to_owned())));
+    }
 }
 
 enum Msg {
@@ -297,12 +316,13 @@ fn spawn_worker(
     let handle = builder.spawn(move || {
         while let Ok(msg) = rx.recv() {
             match msg {
-                Msg::Run(job) => {
+                Msg::Run(mut job) => {
                     // A cancel that lands before the job is dequeued saves
                     // the compute entirely; the coordinator has already
                     // moved on, so no reply is owed.
                     if cancels.lock().remove(job.ticket) {
                         cancels_delivered.fetch_add(1, Ordering::SeqCst);
+                        job.reply = None;
                         continue;
                     }
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -311,8 +331,8 @@ fn spawn_worker(
                     let result = match outcome {
                         Ok(UnitOutcome::Output(t)) => Ok(t),
                         Ok(UnitOutcome::Error(msg)) => Err(ReplyError::Worker(msg)),
-                        // Simulated crash: die silently, dropping any
-                        // queued jobs — exactly what a killed peer does.
+                        // Simulated crash: the worker exits, and this job
+                        // and every queued one answer `Link`.
                         Ok(UnitOutcome::Vanish) => break,
                         Err(panic) => {
                             let msg = panic
@@ -323,13 +343,7 @@ fn spawn_worker(
                             Err(ReplyError::Worker(msg))
                         }
                     };
-                    // The coordinator may have moved on (timeout path);
-                    // ignore send failures.
-                    let _ = job.reply.send(TransportReply {
-                        tag: job.tag,
-                        attempt: job.attempt,
-                        result,
-                    });
+                    job.answer(result);
                 }
                 Msg::Stop => break,
             }
@@ -414,12 +428,13 @@ impl Transport for InProcTransport {
         let msg = Msg::Run(InProcJob {
             unit: job.unit,
             input,
-            reply,
+            reply: Some(reply),
             tag: job.tag,
             attempt: job.attempt,
             ticket,
         });
-        if self.senders[dev].send(msg).is_err() {
+        if let Err(SendError(Msg::Run(mut job))) = self.senders[dev].send(msg) {
+            job.reply = None; // a refused send is answered by its error alone
             self.mark_dead(dev);
             return Err(SubmitError::DeviceDown);
         }
@@ -538,25 +553,43 @@ mod tests {
         let (mut t, _, input) = setup();
         t.kill_device(1);
         assert!(!t.is_alive(1));
-        // The stop message races the submit through the same channel; the
-        // worker is gone after draining, so a (possibly second) submit
-        // eventually fails or its reply channel disconnects.
+        // The stop message races the submit through the same channel: the
+        // submit is refused once the worker is gone, and a job queued
+        // behind the stop answers `Link` when the worker drops it.
         std::thread::sleep(Duration::from_millis(20));
         let (tx, rx) = unbounded();
         match t.submit(1, job(&input, false), tx) {
             Err(SubmitError::DeviceDown) => {}
             Ok(_) => {
-                // Accepted into the drained queue: the reply never comes
-                // and the channel disconnects instead.
-                assert!(rx.recv_timeout(Duration::from_secs(5)).is_err());
+                let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(matches!(reply.result, Err(ReplyError::Link(_))));
             }
             Err(e) => panic!("unexpected submit error {e:?}"),
         }
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "one reply at most");
         t.restart_device(1);
         assert!(t.is_alive(1));
         let (tx, rx) = unbounded();
         t.submit(1, job(&input, false), tx).unwrap();
         assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().result.is_ok());
+    }
+
+    #[test]
+    fn vanished_worker_answers_held_and_queued_jobs_with_link() {
+        use crate::fault::{FaultKind, FaultyCompute};
+        let (_, compute, input) = setup();
+        let faulty = Arc::new(FaultyCompute::new(compute, 2));
+        faulty.script(1, 0, FaultKind::Vanish);
+        let t = InProcTransport::new(2, faulty);
+        let (tx, rx) = unbounded();
+        let accepted = (0..3).filter(|_| t.submit(1, job(&input, false), tx.clone()).is_ok());
+        let accepted = accepted.count();
+        drop(tx);
+        // Ends once every job has answered or been dropped.
+        let replies: Vec<TransportReply> = rx.iter().collect();
+        assert!(accepted >= 1);
+        assert_eq!(replies.len(), accepted, "one reply per accepted job");
+        assert!(replies.iter().all(|r| matches!(r.result, Err(ReplyError::Link(_)))));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A frame is: magic `MWIR` · u8 version · u8 bit-width (8/16/32) · u8
 //! rank · per-dim u32 sizes · f32 scale (quantized payloads) · u64 payload
-//! length · u32 folded-FNV-1a checksum (see [`frame_checksum`]) · payload.
+//! length · u32 folded-FNV-1a checksum (see `frame_checksum`) · payload.
 //! 8/16-bit payloads are *packed* integer codes, so the frame length
 //! matches the latency model's
 //! [`BitWidth::wire_bytes`](murmuration_tensor::quant::BitWidth::wire_bytes)

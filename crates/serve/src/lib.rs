@@ -60,8 +60,6 @@ pub use campaign::{
 pub use class::{default_classes, ClassKind, ClassSpec};
 pub use failover::{ClusterStats, CoordinatorSpec, FailoverCluster, FailoverConfig, PendingServe};
 pub use harness::{run_closed_loop, run_open_loop, ClassReport, LoadReport};
-pub use pipeline::{
-    PipelineExecutor, PipelineSnapshot, StageSnapshot, StreamOptions, StreamStageStats,
-};
+pub use pipeline::{PipelineSnapshot, StageSnapshot};
 pub use request::{Completion, RejectReason, Rejection, ServeOutcome};
 pub use server::{Clock, EnvModel, ServeConfig, ServeHandle, ServeStats};

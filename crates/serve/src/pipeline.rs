@@ -1,438 +1,32 @@
 //! Pipelined stage-parallel serving: the throughput execution mode.
 //!
-//! Two pieces live here, one per layer of the stack:
+//! `PipelineRig` is the serve-layer integration: a virtual-time
+//! stage-parallel server for throughput-mode SLO classes, driven by a
+//! [`PipelineDeploy`] from
+//! [`SharedRuntime::pipeline_decide`](murmuration_core::SharedRuntime::pipeline_decide).
+//! Stage threads model per-stage service (bottleneck-stage cost from the
+//! placement objective, scaled by any brownout factor from the fleet
+//! trace), micro-batch within a stage (batching and pipelining compose),
+//! and preserve the serve layer's conservation invariant
+//! `completed + rejected == submitted` through drain-on-shutdown and
+//! device-death rescue.
 //!
-//! * [`PipelineExecutor`] — a *real* streaming executor over the existing
-//!   [`Transport`] trait (in-process or TCP). A pipeline plan's stages
-//!   each get a coordinator-side stage thread; bounded queues connect
-//!   them, so request `k+1`'s stage 0 runs while request `k` sits in
-//!   stage 1. A stalled stage backpressures upstream instead of buffering
-//!   unboundedly; a dead stage device requeues its in-flight work on the
-//!   coordinator's fallback device or fails the request with a typed
-//!   [`ExecError`]. Every submitted input resolves exactly once
-//!   (conservation), including on drain-at-end-of-stream.
-//! * [`PipelineRig`] — the serve-layer integration: a virtual-time
-//!   stage-parallel server for throughput-mode SLO classes, driven by a
-//!   [`PipelineDeploy`] from
-//!   [`SharedRuntime::pipeline_decide`](murmuration_core::SharedRuntime::pipeline_decide).
-//!   Stage threads model per-stage service (bottleneck-stage cost from
-//!   the placement objective, scaled by any brownout factor from the
-//!   fleet trace), micro-batch within a stage (batching and pipelining
-//!   compose), and preserve the serve layer's conservation invariant
-//!   `completed + rejected == submitted` through drain-on-shutdown and
-//!   device-death rescue.
-//!
-//! The split mirrors the rest of the repo: the serve layer runs on the
-//! scaled virtual clock against modeled service times, while the
-//! transport/executor layer moves real tensors. The chaos suite covers
-//! both; the throughput bench drives the rig.
+//! The rig runs on the scaled virtual clock against modeled service times.
+//! Real tensors stream through a pipeline plan's stages in
+//! [`Executor::execute_stream_with`](murmuration_core::executor::Executor::execute_stream_with),
+//! given [`PipelinePlan::device_of_unit`](murmuration_partition::pipeline::PipelinePlan::device_of_unit):
+//! the one attempt machine every executor path runs on.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::class::{ClassKind, ClassSpec};
 use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
 use crate::server::{Clock, Counters, EnvModel};
-use murmuration_core::executor::ExecError;
-use murmuration_core::transport::{
-    ReplyError, SubmitError, Transport, TransportJob, TransportReply,
-};
 use murmuration_core::{PipelineDeploy, SharedRuntime};
-use murmuration_tensor::quant::BitWidth;
-use murmuration_tensor::Tensor;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Real-transport streaming executor
-// ---------------------------------------------------------------------------
-
-/// Knobs for [`PipelineExecutor`].
-#[derive(Clone, Copy, Debug)]
-pub struct StreamOptions {
-    /// Bounded depth of each inter-stage queue. 1 keeps exactly one
-    /// request queued per stage on top of the one being computed — the
-    /// paper-shaped "one in-flight request per stage per device" regime.
-    pub queue_cap: usize,
-    /// Per-unit, per-attempt reply deadline.
-    pub attempt_timeout: Duration,
-    /// Attempts per unit on a device before giving up on it.
-    pub max_attempts: u32,
-    /// Where in-flight stage work is requeued when a stage device dies
-    /// (`None` fails the affected requests instead).
-    pub fallback_dev: Option<usize>,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            queue_cap: 1,
-            attempt_timeout: Duration::from_secs(2),
-            max_attempts: 3,
-            fallback_dev: Some(0),
-        }
-    }
-}
-
-/// Per-stage counters of one executor, snapshotted by
-/// [`PipelineExecutor::stage_stats`].
-#[derive(Clone, Debug, Default)]
-pub struct StreamStageStats {
-    pub device: usize,
-    /// Unit range `[start, end)` the stage runs.
-    pub units: (usize, usize),
-    /// Requests this stage completed (computed and forwarded/emitted).
-    pub processed: u64,
-    /// Requests that failed at this stage (typed error emitted).
-    pub failed: u64,
-    /// Requests whose remaining stage work was requeued on the fallback
-    /// device after the stage device died.
-    pub requeued: u64,
-    /// Wall time this stage spent computing (ms).
-    pub busy_ms: f64,
-}
-
-struct StreamStageCounters {
-    processed: AtomicU64,
-    failed: AtomicU64,
-    requeued: AtomicU64,
-    busy_us: AtomicU64,
-}
-
-/// A streaming pipeline executor over a [`Transport`].
-///
-/// Construction takes the per-unit device map (from
-/// [`PipelinePlan::device_of_unit`](murmuration_partition::pipeline::PipelinePlan::device_of_unit)
-/// or any placement); contiguous runs on one device collapse into
-/// stages. [`run_stream`](Self::run_stream) then pushes a whole input
-/// stream through the stages concurrently.
-pub struct PipelineExecutor {
-    transport: Box<dyn Transport>,
-    /// `(device, first_unit, end_unit)` per stage.
-    stages: Vec<(usize, usize, usize)>,
-    opts: StreamOptions,
-    counters: Vec<StreamStageCounters>,
-    /// Globally unique attempt ids so stale replies from abandoned
-    /// attempts are never confused with live ones.
-    attempt_seq: AtomicU32,
-}
-
-impl PipelineExecutor {
-    /// Builds an executor for `device_of_unit` over `transport`.
-    pub fn new(
-        transport: Box<dyn Transport>,
-        device_of_unit: &[usize],
-        opts: StreamOptions,
-    ) -> Self {
-        assert!(!device_of_unit.is_empty(), "need at least one unit");
-        assert!(opts.queue_cap >= 1 && opts.max_attempts >= 1);
-        let mut stages: Vec<(usize, usize, usize)> = Vec::new();
-        for (u, &d) in device_of_unit.iter().enumerate() {
-            assert!(d < transport.n_devices(), "unit {u} placed on unknown device {d}");
-            match stages.last_mut() {
-                Some((dev, _, end)) if *dev == d => *end = u + 1,
-                _ => stages.push((d, u, u + 1)),
-            }
-        }
-        let counters = stages
-            .iter()
-            .map(|_| StreamStageCounters {
-                processed: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-                requeued: AtomicU64::new(0),
-                busy_us: AtomicU64::new(0),
-            })
-            .collect();
-        PipelineExecutor { transport, stages, opts, counters, attempt_seq: AtomicU32::new(0) }
-    }
-
-    /// Number of pipeline stages (contiguous same-device unit runs).
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// The transport this executor drives (chaos hooks: `kill_device`).
-    pub fn transport(&self) -> &dyn Transport {
-        &*self.transport
-    }
-
-    /// Administratively kills `dev` mid-stream (chaos hook).
-    pub fn kill_device(&self, dev: usize) {
-        self.transport.kill_device(dev);
-    }
-
-    /// Restarts `dev` after a kill.
-    pub fn restart_device(&mut self, dev: usize) {
-        self.transport.restart_device(dev);
-    }
-
-    /// Per-stage counter snapshot.
-    pub fn stage_stats(&self) -> Vec<StreamStageStats> {
-        self.stages
-            .iter()
-            .zip(&self.counters)
-            .map(|(&(device, start, end), c)| StreamStageStats {
-                device,
-                units: (start, end),
-                processed: c.processed.load(Ordering::Relaxed),
-                failed: c.failed.load(Ordering::Relaxed),
-                requeued: c.requeued.load(Ordering::Relaxed),
-                busy_ms: c.busy_us.load(Ordering::Relaxed) as f64 / 1000.0,
-            })
-            .collect()
-    }
-
-    /// Streams `inputs` through the pipeline and returns one result per
-    /// input, index-aligned: `results[i]` is input `i`'s logits or a
-    /// typed error. Exactly-once: every input resolves, stages drain
-    /// fully before this returns (drain-on-shutdown), and a request is
-    /// never both completed and failed.
-    pub fn run_stream(
-        &self,
-        inputs: Vec<Tensor>,
-        quant: BitWidth,
-    ) -> Vec<Result<Tensor, ExecError>> {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let (out_tx, out_rx) = channel::<(usize, Result<Tensor, ExecError>)>();
-        let mut results: Vec<Option<Result<Tensor, ExecError>>> = (0..n).map(|_| None).collect();
-        thread::scope(|scope| {
-            let mut txs: Vec<SyncSender<(usize, Arc<Tensor>)>> = Vec::new();
-            let mut rxs: Vec<Receiver<(usize, Arc<Tensor>)>> = Vec::new();
-            for _ in 0..self.stages.len() {
-                let (tx, rx) = sync_channel(self.opts.queue_cap);
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            // Stage `s` owns rx `s` and the *original* tx `s+1`, so when
-            // stage `s` finishes its input stream and exits, stage `s+1`'s
-            // receiver disconnects and the drain cascades.
-            let mut tx_iter = txs.into_iter();
-            let feed = tx_iter.next();
-            for (s, rx) in rxs.into_iter().enumerate() {
-                let next = tx_iter.next();
-                let out = out_tx.clone();
-                scope.spawn(move || self.stage_worker(s, rx, next, out, quant));
-            }
-            drop(out_tx);
-            if let Some(feed) = feed {
-                for (idx, input) in inputs.into_iter().enumerate() {
-                    // Blocks when stage 0 is full: backpressure reaches the
-                    // submitter, bounding total in-flight work.
-                    if feed.send((idx, Arc::new(input))).is_err() {
-                        results[idx] = Some(Err(ExecError::NoDevice { unit: self.stages[0].1 }));
-                    }
-                }
-            }
-            // `feed` drops here; stage 0 drains and the close cascades.
-            for (idx, result) in out_rx.iter() {
-                results[idx] = Some(result);
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // Unreachable unless a stage thread died abnormally; keep
-                // conservation anyway with a typed failure.
-                r.unwrap_or(Err(ExecError::NoDevice { unit: i }))
-            })
-            .collect()
-    }
-
-    fn stage_worker(
-        &self,
-        s: usize,
-        rx: Receiver<(usize, Arc<Tensor>)>,
-        next: Option<SyncSender<(usize, Arc<Tensor>)>>,
-        out: Sender<(usize, Result<Tensor, ExecError>)>,
-        quant: BitWidth,
-    ) {
-        let (dev, start, end) = self.stages[s];
-        let prev_dev = if s == 0 { 0 } else { self.stages[s - 1].0 };
-        let c = &self.counters[s];
-        for (idx, input) in rx.iter() {
-            let t0 = Instant::now();
-            let res = self.run_span(s, dev, prev_dev, start, end, input, quant, idx);
-            c.busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-            match res {
-                Ok(t) => {
-                    c.processed.fetch_add(1, Ordering::Relaxed);
-                    match &next {
-                        // Blocks when the next stage's queue is full —
-                        // the backpressure that keeps queues bounded.
-                        Some(nx) => {
-                            if nx.send((idx, Arc::new(t))).is_err() {
-                                let _ = out.send((idx, Err(ExecError::NoDevice { unit: end - 1 })));
-                            }
-                        }
-                        None => {
-                            let _ = out.send((idx, Ok(t)));
-                        }
-                    }
-                }
-                Err(e) => {
-                    c.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = out.send((idx, Err(e)));
-                }
-            }
-        }
-    }
-
-    /// Runs units `start..end` for request `idx`, preferring `dev` and
-    /// requeueing the remaining span on the fallback device if `dev`
-    /// fails mid-stage.
-    #[allow(clippy::too_many_arguments)]
-    fn run_span(
-        &self,
-        s: usize,
-        dev: usize,
-        prev_dev: usize,
-        start: usize,
-        end: usize,
-        input: Arc<Tensor>,
-        quant: BitWidth,
-        idx: usize,
-    ) -> Result<Tensor, ExecError> {
-        let mut on_dev = dev;
-        // Where the current activation logically lives (quantization
-        // applies when it crosses to a different device).
-        let mut loc = prev_dev;
-        let mut cur = input;
-        for unit in start..end {
-            match self.run_unit(on_dev, unit, &cur, quant, loc != on_dev, idx) {
-                Ok(t) => {
-                    cur = Arc::new(t);
-                    loc = on_dev;
-                }
-                Err(first) => {
-                    // Device-death requeue: finish the stage's remaining
-                    // span on the fallback device (the coordinator's own
-                    // worker) rather than dropping the request.
-                    let fb = match self.opts.fallback_dev {
-                        Some(fb) if fb != on_dev && self.transport.is_alive(fb) => fb,
-                        _ => return Err(first),
-                    };
-                    self.counters[s].requeued.fetch_add(1, Ordering::Relaxed);
-                    on_dev = fb;
-                    match self.run_unit(on_dev, unit, &cur, quant, loc != on_dev, idx) {
-                        Ok(t) => {
-                            cur = Arc::new(t);
-                            loc = on_dev;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        Ok(cur.as_ref().clone())
-    }
-
-    /// One unit on one device with bounded retries. Device-unreachable
-    /// failures return immediately (the caller decides about failover);
-    /// transient failures (timeout, worker error, wire corruption) retry
-    /// up to the attempt budget.
-    fn run_unit(
-        &self,
-        dev: usize,
-        unit: usize,
-        input: &Arc<Tensor>,
-        quant: BitWidth,
-        cross: bool,
-        tag: usize,
-    ) -> Result<Tensor, ExecError> {
-        let mut last: Option<ExecError> = None;
-        for _ in 0..self.opts.max_attempts {
-            let attempt = self.attempt_seq.fetch_add(1, Ordering::Relaxed);
-            let (rtx, rrx) = channel::<TransportReply>();
-            let job = TransportJob {
-                unit,
-                input: Arc::clone(input),
-                quant,
-                cross_boundary: cross,
-                tag,
-                attempt,
-                deadline: Some(self.opts.attempt_timeout),
-            };
-            match self.transport.submit(dev, job, rtx) {
-                Ok(_ticket) => {}
-                Err(SubmitError::DeviceDown) => return Err(ExecError::DeviceDown { dev }),
-                Err(SubmitError::Wire(err)) => {
-                    last = Some(ExecError::Wire { dev, err });
-                    continue;
-                }
-                Err(SubmitError::Backpressure) => {
-                    // The peer is saturated, not dead: burn this attempt
-                    // and let the retry budget smear the pressure out.
-                    last = Some(ExecError::Backpressure { dev });
-                    continue;
-                }
-            }
-            let deadline = Instant::now() + self.opts.attempt_timeout;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    last = Some(ExecError::Timeout {
-                        dev,
-                        unit,
-                        waited_ms: self.opts.attempt_timeout.as_secs_f64() * 1000.0,
-                    });
-                    break;
-                }
-                match rrx.recv_timeout(deadline - now) {
-                    Ok(reply) if reply.tag == tag && reply.attempt == attempt => {
-                        match reply.result {
-                            Ok(t) => return Ok(t),
-                            Err(ReplyError::Worker(msg)) => {
-                                last = Some(ExecError::WorkerPanic { dev, unit, msg });
-                                break;
-                            }
-                            Err(ReplyError::Link(_)) => {
-                                self.transport.mark_dead(dev);
-                                return Err(ExecError::DeviceDown { dev });
-                            }
-                        }
-                    }
-                    // Stale reply from an abandoned attempt: discard.
-                    Ok(_) => continue,
-                    Err(RecvTimeoutError::Timeout) => {
-                        last = Some(ExecError::Timeout {
-                            dev,
-                            unit,
-                            waited_ms: self.opts.attempt_timeout.as_secs_f64() * 1000.0,
-                        });
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.transport.mark_dead(dev);
-                        return Err(ExecError::DeviceDown { dev });
-                    }
-                }
-            }
-        }
-        Err(ExecError::AttemptsExhausted {
-            unit,
-            attempts: self.opts.max_attempts as usize,
-            last: Box::new(last.unwrap_or(ExecError::DeviceDown { dev })),
-        })
-    }
-}
-
-impl Drop for PipelineExecutor {
-    fn drop(&mut self) {
-        self.transport.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Virtual-time serving rig
-// ---------------------------------------------------------------------------
 
 /// A request travelling through the rig.
 pub(crate) struct RigJob {

@@ -1,23 +1,18 @@
-//! Chaos suite for the stage-parallel pipeline: device death and brownout
-//! mid-pipeline, over both layers of the stack.
+//! Chaos suite for the stage-parallel serving rig: device death and
+//! brownout mid-pipeline.
 //!
-//! * The **executor** half streams real tensors over real transports
-//!   (in-proc channels and TCP loopback workers) and loses a stage device
-//!   mid-stream: every submitted input must still resolve exactly once —
-//!   failed over to the coordinator, or failed with a *typed*
-//!   [`ExecError`] — never hang, never double-complete.
-//! * The **rig** half drives the virtual-time serving mode under Poisson
-//!   load with a fleet trace that kills one pipeline device and browns
-//!   out another: the serve-layer conservation invariant
-//!   (`completed + rejected == submitted`) must hold through the
-//!   mid-stream rescue and the shutdown drain, and death rejections must
-//!   carry the typed [`RejectReason::StageDead`].
+//! The rig drives the virtual-time serving mode under Poisson load with a
+//! fleet trace that kills one pipeline device and browns out another: the
+//! serve-layer conservation invariant (`completed + rejected ==
+//! submitted`) must hold through the mid-stream rescue and the shutdown
+//! drain, and death rejections must carry the typed
+//! [`RejectReason::StageDead`]. Streams of real tensors over a transport
+//! are the executor's; their chaos tests are the workspace root's
+//! `tests/executor_chaos.rs` and `tests/transport_chaos.rs`.
 //!
 //! Every test runs under a watchdog: a stuck queue or a lost drain
 //! aborts loudly instead of hanging the suite.
 
-use murmuration_core::executor::{ExecError, UnitCompute};
-use murmuration_core::transport::InProcTransport;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::{
     ArrivalTrace, DeviceTrace, FleetTrace, LinkState, NetworkState, RateShape,
@@ -25,13 +20,7 @@ use murmuration_edgesim::{
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{
-    run_open_loop, ClassSpec, EnvModel, PipelineExecutor, RejectReason, ServeConfig, ServeHandle,
-    ServeOutcome, StreamOptions,
-};
-use murmuration_tensor::quant::BitWidth;
-use murmuration_tensor::{Shape, Tensor};
-use murmuration_transport::{
-    AsyncTcpTransport, AsyncWorkerServer, TcpTransportConfig, WorkerConfig,
+    run_open_loop, ClassSpec, EnvModel, RejectReason, ServeConfig, ServeHandle, ServeOutcome,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,193 +54,6 @@ fn watchdog(label: &'static str, dur: Duration) -> Watchdog {
 impl Drop for Watchdog {
     fn drop(&mut self) {
         let _ = self.tx.send(());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Executor chaos: real tensors over real transports
-// ---------------------------------------------------------------------------
-
-/// Deterministic per-unit compute: adds `unit + 1` to every element, so
-/// the end-to-end result of units `0..n` is input + n*(n+1)/2 and output
-/// correctness is checkable regardless of which devices ran which units.
-struct AddCompute {
-    units: usize,
-}
-
-impl UnitCompute for AddCompute {
-    fn n_units(&self) -> usize {
-        self.units
-    }
-    fn run_unit(&self, unit: usize, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut().iter_mut() {
-            *v += (unit + 1) as f32;
-        }
-        out
-    }
-}
-
-fn stream_inputs(n: usize) -> Vec<Tensor> {
-    (0..n).map(|i| Tensor::full(Shape::nchw(1, 1, 2, 2), i as f32)).collect()
-}
-
-fn expected_sum(units: usize) -> f32 {
-    (units * (units + 1) / 2) as f32
-}
-
-#[test]
-fn inproc_stream_happy_path_conserves_and_computes() {
-    let _wd = watchdog("inproc_stream_happy_path_conserves_and_computes", Duration::from_secs(60));
-    let units = 6;
-    let compute = Arc::new(AddCompute { units });
-    let transport = Box::new(InProcTransport::new(3, compute));
-    // Three stages: units 0-1 on dev 0, 2-3 on dev 1, 4-5 on dev 2.
-    let exec = PipelineExecutor::new(transport, &[0, 0, 1, 1, 2, 2], StreamOptions::default());
-    assert_eq!(exec.n_stages(), 3);
-    let n = 24;
-    let results = exec.run_stream(stream_inputs(n), BitWidth::B32);
-    assert_eq!(results.len(), n, "exactly one result per input");
-    for (i, r) in results.iter().enumerate() {
-        let t = r.as_ref().unwrap_or_else(|e| panic!("input {i} failed: {e}"));
-        assert!(
-            (t.data()[0] - (i as f32 + expected_sum(units))).abs() < 1e-4,
-            "input {i} produced the wrong logits"
-        );
-    }
-    let stats = exec.stage_stats();
-    assert_eq!(stats.len(), 3);
-    for (s, st) in stats.iter().enumerate() {
-        assert_eq!(st.processed, n as u64, "stage {s} must process the full stream");
-        assert_eq!(st.failed, 0);
-        assert_eq!(st.requeued, 0);
-    }
-}
-
-#[test]
-fn inproc_death_mid_stream_fails_over_to_coordinator() {
-    let _wd =
-        watchdog("inproc_death_mid_stream_fails_over_to_coordinator", Duration::from_secs(60));
-    let units = 6;
-    let compute = Arc::new(AddCompute { units });
-    let transport = Box::new(InProcTransport::new(3, compute));
-    let exec = PipelineExecutor::new(
-        transport,
-        &[0, 0, 1, 1, 2, 2],
-        StreamOptions { fallback_dev: Some(0), ..StreamOptions::default() },
-    );
-    // Device 1 (middle stage) dies before the stream starts: every
-    // request's stage-1 span must be rescued onto the coordinator.
-    exec.kill_device(1);
-    let n = 12;
-    let results = exec.run_stream(stream_inputs(n), BitWidth::B32);
-    assert_eq!(results.len(), n);
-    for (i, r) in results.iter().enumerate() {
-        let t = r.as_ref().unwrap_or_else(|e| panic!("input {i} failed despite fallback: {e}"));
-        assert!(
-            (t.data()[0] - (i as f32 + expected_sum(units))).abs() < 1e-4,
-            "rescued input {i} produced the wrong logits"
-        );
-    }
-    let stats = exec.stage_stats();
-    assert_eq!(stats[1].requeued, n as u64, "every stage-1 span must be requeued");
-    assert_eq!(stats[1].failed, 0);
-}
-
-#[test]
-fn inproc_death_without_fallback_yields_typed_errors() {
-    let _wd =
-        watchdog("inproc_death_without_fallback_yields_typed_errors", Duration::from_secs(60));
-    let compute = Arc::new(AddCompute { units: 4 });
-    let transport = Box::new(InProcTransport::new(2, compute));
-    let exec = PipelineExecutor::new(
-        transport,
-        &[0, 0, 1, 1],
-        StreamOptions { fallback_dev: None, ..StreamOptions::default() },
-    );
-    exec.kill_device(1);
-    let n = 8;
-    let results = exec.run_stream(stream_inputs(n), BitWidth::B32);
-    assert_eq!(results.len(), n, "dead stage must still resolve every input");
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Err(
-                ExecError::DeviceDown { dev: 1 }
-                | ExecError::AttemptsExhausted { .. }
-                | ExecError::NoDevice { .. },
-            ) => {}
-            other => panic!("input {i}: expected a typed death error, got {other:?}"),
-        }
-    }
-    assert_eq!(exec.stage_stats()[1].failed, n as u64);
-}
-
-#[test]
-fn tcp_death_mid_stream_resolves_every_request() {
-    let _wd = watchdog("tcp_death_mid_stream_resolves_every_request", Duration::from_secs(120));
-    let units = 6;
-    let compute = Arc::new(AddCompute { units });
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for dev in 0..3 {
-        let srv = AsyncWorkerServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&compute) as Arc<dyn UnitCompute>,
-            WorkerConfig { dev_id: dev, ..WorkerConfig::default() },
-        )
-        .unwrap_or_else(|e| panic!("bind loopback worker {dev}: {e}"));
-        addrs.push(srv.local_addr().to_string());
-        servers.push(srv);
-    }
-    let transport = AsyncTcpTransport::connect(&addrs, TcpTransportConfig::default());
-    assert!(transport.wait_connected(Duration::from_secs(10)), "workers must connect");
-    let exec = Arc::new(PipelineExecutor::new(
-        Box::new(transport),
-        &[0, 0, 1, 1, 2, 2],
-        StreamOptions { fallback_dev: Some(0), ..StreamOptions::default() },
-    ));
-    // Kill the middle stage's device mid-stream, from another thread —
-    // the race against in-flight requests is the point.
-    let killer = {
-        let exec = Arc::clone(&exec);
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            exec.kill_device(1);
-        })
-    };
-    let n = 60;
-    let results = exec.run_stream(stream_inputs(n), BitWidth::B32);
-    killer.join().unwrap_or_else(|_| panic!("killer thread panicked"));
-    assert_eq!(results.len(), n, "every request resolves exactly once");
-    let mut ok = 0usize;
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Ok(t) => {
-                assert!(
-                    (t.data()[0] - (i as f32 + expected_sum(units))).abs() < 1e-4,
-                    "input {i}: wrong logits after mid-stream death"
-                );
-                ok += 1;
-            }
-            // A request caught at the instant of death may exhaust its
-            // budget before the failover engages; the error must be typed.
-            Err(
-                ExecError::DeviceDown { .. }
-                | ExecError::Timeout { .. }
-                | ExecError::AttemptsExhausted { .. }
-                | ExecError::Wire { .. }
-                | ExecError::NoDevice { .. }
-                | ExecError::WorkerPanic { .. }
-                | ExecError::Backpressure { .. },
-            ) => {}
-        }
-        let _ = i;
-    }
-    // The kill lands 30ms into a ~real-compute stream: the tail must have
-    // kept completing through the coordinator fallback.
-    assert!(ok > 0, "some requests must complete across the death");
-    for mut srv in servers {
-        srv.stop();
     }
 }
 

@@ -8,7 +8,7 @@
 //!   re-read, and bias and ReLU are applied as the tile is stored. The result
 //!   is bit-identical to im2col + [`gemm_bias`], which remains the path for
 //!   stride ≠ 1 and for backward. Workspaces come from the thread-local
-//!   [`scratch`](crate::scratch) pool (zero steady-state allocation). An
+//!   [`scratch`] pool (zero steady-state allocation). An
 //!   image of at least 4 M MACs is cut into (weight group × row band) chunks
 //!   that [`par::for_each`] spreads over the device's cores, with the same
 //!   bits.
@@ -177,7 +177,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, p: Conv2dP
 
 /// [`conv2d`] followed by ReLU, with the activation fused into the store at
 /// stride 1. Bit-identical to `conv2d` then
-/// [`relu_inplace`](crate::activation::relu_inplace).
+/// [`relu_inplace`].
 pub fn conv2d_relu(
     input: &Tensor,
     weight: &Tensor,

@@ -8,7 +8,7 @@
 //!   stays cache-resident while every row of `A` streams over it.
 //! * **packing** — each slab of `B` is repacked into `NR`-column panels
 //!   (`kc × NR`, zero-padded on the right edge) pulled from the thread-local
-//!   [`scratch`](crate::scratch) pool, so the microkernel reads `B`
+//!   [`scratch`] pool, so the microkernel reads `B`
 //!   contiguously regardless of `n` and steady-state calls do not allocate.
 //! * **microkernel** — an `MR×NR` (4 × 16) register tile: 64 f32 accumulators
 //!   that the compiler keeps in SIMD registers, with no per-element branches

@@ -56,7 +56,7 @@ const K_GROUP: usize = 4;
 
 /// A weight matrix quantized for int8 GEMM: `m × k` row-major i8 codes with
 /// one scale per row (per output channel), rows zero-padded to a multiple of
-/// [`K_GROUP`], plus the per-row code sums the vector path needs to undo the
+/// `K_GROUP` (4), plus the per-row code sums the vector path needs to undo the
 /// +128 activation offset.
 #[derive(Clone, Debug)]
 pub struct QGemmWeights {

@@ -22,7 +22,7 @@
 //!   that needs three workspaces simply nests three closures.
 //! * The pool is per-thread (no locks); each worker thread warms its own
 //!   pool on the first requests it runs.
-//! * At most [`MAX_POOLED`] buffers are retained per thread per type;
+//! * At most `MAX_POOLED` (8) buffers are retained per thread per type;
 //!   extras are freed on return so pathological nesting cannot hoard
 //!   memory.
 

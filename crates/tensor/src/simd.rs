@@ -211,7 +211,7 @@ pub struct ConvTile {
 /// `img` starts at the tile's origin `(channel 0, oy, ox0)`; `wg` is the
 /// weight group `[tap][4]` in `im2col` tap order `(c·k + ky)·k + kx`. The
 /// value is bit for bit what `gemm_bias` over the unfolded image gives:
-/// accumulators start at zero, and on every [`KC`](crate::gemm::KC) boundary
+/// accumulators start at zero, and on every `gemm::KC` boundary
 /// and at the end they are added to a bank that starts at the bias. Returns
 /// `false` when the CPU lacks AVX2/FMA; nothing is written.
 pub fn conv_tile_16(

@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh
 #
-# Runs the same checks CI would: rustfmt in check mode, clippy with warnings
-# denied, and the full test suite.
+# Runs the same checks CI would: rustfmt in check mode, clippy and rustdoc
+# with warnings denied, and the full test suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps (rustdoc warnings denied: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> cargo test -q (tier-1: every crate's suites, each binary once; bounded, so a hang fails)"
 # The root manifest's `default-members` covers the root package and every
@@ -33,7 +36,7 @@ MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core executo
 
 echo "==> fault-path lint gates (no unwrap/expect in hardened modules)"
 for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
-         crates/core/src/wire.rs \
+         crates/core/src/wire.rs crates/core/src/transport.rs \
          crates/core/src/fault.rs crates/core/src/health.rs \
          crates/core/src/gossip.rs \
          crates/tensor/src/simd.rs crates/tensor/src/int8.rs \

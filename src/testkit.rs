@@ -5,7 +5,9 @@
 //! the test instead of wedging CI), a seeded [`SharedRuntime`] factory,
 //! and a virtual-time-scaled [`ServeConfig`]. This module is the single
 //! home for all of them, plus the lowering from the scenario DSL's
-//! [`GossipChaos`] axis onto the transport layer's [`ChaosConfig`].
+//! [`GossipChaos`] axis onto the transport layer's [`ChaosConfig`], and
+//! [`AddCompute`], a unit compute whose results are checkable wherever
+//! the units ran.
 //!
 //! Only the top-level integration tests can use this module (per-crate
 //! tests cannot depend on the facade without a cycle).
@@ -15,13 +17,16 @@
 //! [`GossipChaos`]: murmuration_edgesim::scenario::GossipChaos
 //! [`ChaosConfig`]: murmuration_transport::ChaosConfig
 
+use murmuration_core::executor::{UnitCompute, UnitOutcome};
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::GossipChaos;
 use murmuration_edgesim::LinkState;
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{default_classes, ServeConfig};
+use murmuration_tensor::Tensor;
 use murmuration_transport::ChaosConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,7 +75,7 @@ pub fn shared_runtime(policy_seed: u64) -> Arc<SharedRuntime> {
     shared_runtime_for(Scenario::augmented_computing(SloKind::Latency), policy_seed)
 }
 
-/// A [`SharedRuntime`](murmuration_core::SharedRuntime) for an arbitrary
+/// A [`SharedRuntime`] for an arbitrary
 /// scenario with the default runtime config and a 200 ms latency SLO.
 pub fn shared_runtime_for(sc: Scenario, policy_seed: u64) -> Arc<SharedRuntime> {
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), policy_seed);
@@ -96,7 +101,7 @@ pub fn chaos_serve_config() -> ServeConfig {
 }
 
 /// Lowers the scenario DSL's gossip-chaos axis onto a transport
-/// [`ChaosConfig`](murmuration_transport::ChaosConfig) for proxy-based
+/// [`ChaosConfig`] for proxy-based
 /// tests, preserving the axis seed so the frame schedule replays.
 pub fn gossip_chaos_config(gossip: &GossipChaos, seed: u64) -> ChaosConfig {
     ChaosConfig {
@@ -105,5 +110,46 @@ pub fn gossip_chaos_config(gossip: &GossipChaos, seed: u64) -> ChaosConfig {
         dup_prob: gossip.dup_prob,
         dup_copies: 1,
         ..ChaosConfig::default()
+    }
+}
+
+/// Unit `u` adds `u + 1` to every element, so units `0..n` add
+/// `n(n+1)/2` whichever devices ran them; counts the jobs each device ran.
+pub struct AddCompute {
+    units: usize,
+    jobs: Vec<AtomicU64>,
+}
+
+impl AddCompute {
+    /// `units` units, job counters for `devices` devices.
+    pub fn new(units: usize, devices: usize) -> Self {
+        AddCompute { units, jobs: (0..devices).map(|_| AtomicU64::new(0)).collect() }
+    }
+
+    /// What units `0..n` add to an input.
+    pub fn sum(&self) -> f32 {
+        (self.units * (self.units + 1) / 2) as f32
+    }
+
+    /// Jobs each device has run so far.
+    pub fn jobs(&self) -> Vec<u64> {
+        self.jobs.iter().map(|j| j.load(Ordering::SeqCst)).collect()
+    }
+}
+
+impl UnitCompute for AddCompute {
+    fn n_units(&self) -> usize {
+        self.units
+    }
+
+    fn run_unit(&self, unit: usize, input: &Tensor) -> Tensor {
+        let mut out = input.clone();
+        out.data_mut().iter_mut().for_each(|v| *v += (unit + 1) as f32);
+        out
+    }
+
+    fn run_unit_on(&self, dev: usize, unit: usize, input: &Tensor) -> UnitOutcome {
+        self.jobs[dev].fetch_add(1, Ordering::SeqCst);
+        UnitOutcome::Output(self.run_unit(unit, input))
     }
 }

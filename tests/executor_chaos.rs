@@ -9,13 +9,13 @@
 
 use murmuration::partition::{ExecutionPlan, UnitPlacement};
 use murmuration::runtime::executor::{
-    ConvStackCompute, ExecError, ExecOptions, Executor, UnitCompute, UnitWire,
+    ConvStackCompute, ExecError, ExecOptions, ExecReport, Executor, UnitCompute, UnitWire,
 };
 use murmuration::runtime::fault::{FaultKind, FaultyCompute};
 use murmuration::tensor::quant::BitWidth;
 use murmuration::tensor::tile::GridSpec;
 use murmuration::tensor::{Shape, Tensor};
-use murmuration::testkit::with_watchdog;
+use murmuration::testkit::{with_watchdog, AddCompute};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,6 +100,74 @@ fn stream_survives_killing_k_of_n_devices_at_random_points() {
             Ok(())
         })
         .unwrap();
+}
+
+/// Request `i` of a stream: every element `i`.
+fn stream_inputs(n: usize) -> Vec<Tensor> {
+    (0..n).map(|i| Tensor::full(Shape::nchw(1, 1, 2, 2), i as f32)).collect()
+}
+
+/// Streams `n` requests through units `0..6`, two per device on devices
+/// 0, 1, 2, with the default options (2 s deadline, 3 attempts).
+fn three_stage_stream(
+    n: usize,
+    kill: &'static [usize],
+) -> (Arc<AddCompute>, Vec<Result<Tensor, ExecError>>, ExecReport) {
+    with_watchdog(move || {
+        let compute = Arc::new(AddCompute::new(6, 3));
+        let exec = Executor::new(3, compute.clone());
+        kill.iter().for_each(|&d| exec.kill_device(d));
+        let (results, report) =
+            exec.execute_stream(&[0, 0, 1, 1, 2, 2], stream_inputs(n), BitWidth::B32);
+        (compute, results, report)
+    })
+}
+
+#[test]
+fn inproc_stream_happy_path_conserves_and_computes() {
+    let n = 24;
+    let (compute, results, report) = three_stage_stream(n, &[]);
+    assert_eq!(results.len(), n, "exactly one result per input");
+    for (i, r) in results.iter().enumerate() {
+        let t = r.as_ref().unwrap_or_else(|e| panic!("input {i} failed: {e}"));
+        assert_eq!(t.data()[0], i as f32 + compute.sum(), "input {i} produced the wrong logits");
+    }
+    assert_eq!(compute.jobs(), vec![2 * n as u64; 3], "every stage processes the full stream");
+    assert_eq!((report.retries, report.failovers), (0, 0), "{report:?}");
+}
+
+#[test]
+fn inproc_death_mid_stream_fails_over_to_coordinator() {
+    // Device 1 (middle stage) dies before the stream starts: every
+    // request's stage-1 units must fail over to the coordinator.
+    let n = 12;
+    let (compute, results, report) = three_stage_stream(n, &[1]);
+    assert_eq!(results.len(), n);
+    for (i, r) in results.iter().enumerate() {
+        let t = r.as_ref().unwrap_or_else(|e| panic!("input {i} failed despite failover: {e}"));
+        assert_eq!(t.data()[0], i as f32 + compute.sum(), "input {i} produced the wrong logits");
+    }
+    assert_eq!(compute.jobs()[1], 0, "the dead device runs nothing");
+    assert_eq!(report.failovers, 2 * n as u32, "every stage-1 unit runs off-plan: {report:?}");
+}
+
+#[test]
+fn inproc_death_without_fallback_yields_typed_errors() {
+    // No live device at all: every input still resolves, with a typed error.
+    let n = 8;
+    let (compute, results, _) = three_stage_stream(n, &[0, 1, 2]);
+    assert_eq!(results.len(), n, "a dead fleet must still resolve every input");
+    for (i, r) in results.iter().enumerate() {
+        match r {
+            Err(
+                ExecError::DeviceDown { .. }
+                | ExecError::AttemptsExhausted { .. }
+                | ExecError::NoDevice { .. },
+            ) => {}
+            other => panic!("input {i}: expected a typed death error, got {other:?}"),
+        }
+    }
+    assert_eq!(compute.jobs(), vec![0; 3]);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 
 use murmuration::partition::{ExecutionPlan, UnitPlacement};
 use murmuration::runtime::executor::{
-    ConvStackCompute, ExecOptions, Executor, UnitCompute, UnitOutcome, UnitWire,
+    ConvStackCompute, ExecError, ExecOptions, Executor, UnitCompute, UnitOutcome, UnitWire,
 };
 use murmuration::runtime::fault::{FaultKind, FaultyCompute};
 use murmuration::runtime::gossip::{GossipConfig, GossipMsg, GossipNode, NodeId, NodeRole};
@@ -27,7 +27,7 @@ use murmuration::runtime::transport::Transport;
 use murmuration::tensor::quant::BitWidth;
 use murmuration::tensor::tile::GridSpec;
 use murmuration::tensor::{Shape, Tensor};
-use murmuration::testkit::with_watchdog;
+use murmuration::testkit::{with_watchdog, AddCompute};
 use murmuration::transport::{
     AsyncTcpTransport, AsyncTcpTransportConfig, AsyncWorkerServer, ChaosConfig, ChaosProxy,
     TcpTransportConfig, WorkerConfig,
@@ -332,6 +332,60 @@ fn random_chaos_stream_never_hangs_and_ok_results_are_exact() {
 #[test]
 fn random_chaos_stream_never_hangs_and_ok_results_are_exact_async() {
     random_chaos_stream_never_hangs_and_ok_results_are_exact_on(DRIVER_POOL);
+}
+
+#[test]
+fn tcp_death_mid_stream_resolves_every_request() {
+    with_watchdog(|| {
+        let compute = Arc::new(AddCompute::new(6, 3));
+        let servers: Vec<AsyncWorkerServer> =
+            (0..3).map(|dev| worker(dev, compute.clone())).collect();
+        let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+        let transport = AsyncTcpTransport::connect(&addrs, TcpTransportConfig::default());
+        assert!(transport.wait_connected(Duration::from_secs(10)), "workers must connect");
+        let exec = Arc::new(Executor::with_transport(Box::new(transport)));
+        // Kill the middle stage's device mid-stream, from another thread —
+        // the race against in-flight requests is the point.
+        let killer = {
+            let exec = Arc::clone(&exec);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                exec.kill_device(1);
+            })
+        };
+        let n = 60;
+        let inputs: Vec<Tensor> =
+            (0..n).map(|i| Tensor::full(Shape::nchw(1, 1, 2, 2), i as f32)).collect();
+        let (results, _) = exec.execute_stream(&[0, 0, 1, 1, 2, 2], inputs, BitWidth::B32);
+        killer.join().expect("killer thread panicked");
+        assert_eq!(results.len(), n, "every request resolves exactly once");
+        let mut ok = 0usize;
+        for (i, r) in results.iter().enumerate() {
+            match r {
+                Ok(t) => {
+                    assert_eq!(t.data()[0], i as f32 + compute.sum(), "input {i}: wrong logits");
+                    ok += 1;
+                }
+                // A request caught at the instant of death may exhaust its
+                // budget before the failover engages; the error must be typed.
+                Err(
+                    ExecError::DeviceDown { .. }
+                    | ExecError::Timeout { .. }
+                    | ExecError::AttemptsExhausted { .. }
+                    | ExecError::Wire { .. }
+                    | ExecError::NoDevice { .. }
+                    | ExecError::WorkerPanic { .. }
+                    | ExecError::Backpressure { .. },
+                ) => {}
+            }
+        }
+        // The kill lands 30 ms into the stream: the tail must have kept
+        // completing through the failover.
+        assert!(ok > 0, "some requests must complete across the death");
+        for mut srv in servers {
+            srv.stop();
+        }
+    });
 }
 
 /// A compute wrapper that parks the worker's compute thread until
