@@ -17,6 +17,7 @@
 use murmuration_core::executor::{ConvStackCompute, ExecOptions, Executor, HedgeOptions, UnitWire};
 use murmuration_core::fault::FaultyCompute;
 use murmuration_partition::{ExecutionPlan, UnitPlacement};
+use murmuration_serve::harness::percentile;
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::GridSpec;
 use murmuration_tensor::{Shape, Tensor};
@@ -40,12 +41,6 @@ fn opts(hedge: Option<HedgeOptions>) -> ExecOptions {
         backoff: Duration::from_millis(1),
         hedge,
     }
-}
-
-fn p99(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len()) - 1;
-    samples[idx]
 }
 
 struct Phase {
@@ -103,8 +98,9 @@ fn run_phase(
         hedges_won += report.hedges_won;
     }
     let mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
-    let p99_ms = p99(&mut samples);
-    let median_ms = samples[samples.len() / 2]; // p99() left them sorted
+    samples.sort_by(f64::total_cmp);
+    let p99_ms = percentile(&samples, 0.99);
+    let median_ms = samples[samples.len() / 2];
     Phase { mean_ms, median_ms, p99_ms, hedged_requests, hedges_fired, hedges_won, requests: reqs }
 }
 

@@ -659,10 +659,7 @@ fn cmd_campaign(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         None => specs,
     };
-    let cfg = CampaignConfig {
-        master_seed: args.get_parsed_or("seed", 42u64)?,
-        ..CampaignConfig::default()
-    };
+    let cfg = CampaignConfig { master_seed: args.get_parsed_or("seed", 42u64)? };
 
     println!(
         "campaign: {} scenario(s) x {} cells, seed {}",

@@ -2,10 +2,12 @@
 //! serving configurations and reports per-scenario Pareto fronts.
 //!
 //! The engine is a single-threaded, virtual-time discrete-event simulator
-//! over [`SharedRuntime`]'s decide/deploy path. It mirrors the real
-//! server's admission, priority-dispatch, and adaptive-batching formulas
-//! (see [`crate::server`]) but replaces the threaded worker pool with an
-//! event loop, for two reasons:
+//! over [`SharedRuntime`]'s decide/deploy path. Its classic and failover
+//! modes drive the threaded server's own serving policy (`policy`:
+//! admission, priority dispatch, shedding, the batch cut, batch cost, the
+//! EWMAs) under the server's own configuration, so a rule changes in both
+//! at once. Only the driver differs: an event loop instead of the worker
+//! pool, for two reasons:
 //!
 //! * **Determinism.** Same `(scenario name, master seed)` ⇒ *identical*
 //!   counters, bit for bit — the replay contract the campaign gates rely
@@ -15,16 +17,26 @@
 //!   Virtual time with no sleeping makes the 20-scenario matrix a CI
 //!   gate instead of an overnight job.
 //!
+//! The driver keeps only what the server cannot see: control ticks,
+//! brownout slow factors on the measured service time, the crash and the
+//! promotion schedule. It has no batching window: an idle worker takes
+//! what is queued at the instant it frees (the threaded window ends at
+//! the next arrival or after `batch_window_ms`, a wall-clock race).
+//!
 //! Three serving modes per cell: `classic` (the admission + micro-batch
 //! path), `pipeline` (stage-parallel placement from
 //! [`SharedRuntime::pipeline_decide`], bottleneck-rate draining, re-plan
-//! on stage death), and `failover` (primary coordinator death with a
-//! gossip-derived detection delay; buffered arrivals retry on the
-//! standby). Conservation — `completed + rejected == submitted`,
+//! on stage death; its own admission, like the server's pipeline rig), and
+//! `failover` (primary coordinator death with a gossip-derived detection
+//! delay; dropped and buffered requests retry through a fresh standby's
+//! admission). Conservation — `completed + rejected == submitted`,
 //! `lost == 0` — is asserted as a hard invariant in every cell.
 
 use crate::class::{default_classes, ClassKind, ClassSpec};
 use crate::harness::percentile;
+use crate::policy::{Batch, Policy};
+use crate::request::RejectReason;
+use crate::server::ServeConfig;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::{FleetKind, LoweredScenario, ScenarioSpec};
 use murmuration_edgesim::NetworkState;
@@ -34,7 +46,6 @@ use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::GridSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Partition-policy axis of the grid.
@@ -136,42 +147,27 @@ pub fn smoke_grid() -> Vec<GridCell> {
         .collect()
 }
 
-/// Engine knobs. Defaults mirror [`crate::server::ServeConfig::engineered`]
-/// so campaign numbers track the real server's shape.
+/// Campaign knobs: only the replay key. Serving runs under the threaded
+/// server's own configuration, [`ServeConfig::engineered`] over
+/// [`default_classes`].
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The master seed every scenario lowering and policy init derives
     /// from — the replay key.
     pub master_seed: u64,
-    /// The runtime-global SLO (also the pipeline-planning target).
-    pub slo: Slo,
-    pub classes: Vec<ClassSpec>,
-    pub n_workers: usize,
-    pub max_batch: usize,
-    /// Marginal per-request batch cost (1.0 = no batching win).
-    pub batch_marginal: f64,
-    pub tick_interval_ms: f64,
-    /// Monitor-priming ticks at t=0 before load starts.
-    pub warmup_ticks: usize,
-    /// Backlog bound for the pipeline mode, in bottleneck slots.
-    pub pipeline_queue_cap: usize,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        CampaignConfig {
-            master_seed: 42,
-            slo: Slo::LatencyMs(200.0),
-            classes: default_classes(),
-            n_workers: 2,
-            max_batch: 8,
-            batch_marginal: 0.35,
-            tick_interval_ms: 100.0,
-            warmup_ticks: 10,
-            pipeline_queue_cap: 64,
-        }
+        CampaignConfig { master_seed: 42 }
     }
 }
+
+/// The runtime-global SLO (also the pipeline-planning target).
+const SLO: Slo = Slo::LatencyMs(200.0);
+/// Monitor-priming ticks before load starts (and at a standby's
+/// promotion).
+const WARMUP_TICKS: usize = 10;
 
 /// Raw counters and samples from one cell run. All fields are
 /// deterministic in `(scenario name, master seed, cell)`.
@@ -205,6 +201,20 @@ impl CellStats {
     /// Requests unaccounted for — the conservation invariant demands 0.
     pub fn lost(&self) -> i64 {
         self.submitted as i64 - self.completed as i64 - self.rejected as i64
+    }
+
+    /// Books one completion with its end-to-end latency.
+    fn record(&mut self, spec: &ClassSpec, latency_ms: f64, accuracy_pct: f64) {
+        self.completed += 1;
+        self.latencies_ms.push(latency_ms);
+        self.accuracy_sum_pct += accuracy_pct;
+        let ok = match spec.kind {
+            ClassKind::Latency { deadline_ms } => latency_ms <= deadline_ms,
+            ClassKind::Accuracy { floor_pct } => accuracy_pct >= f64::from(floor_pct),
+        };
+        if ok {
+            self.slo_ok += 1;
+        }
     }
 }
 
@@ -454,7 +464,7 @@ fn build_runtime(
     }
     let policy_seed = spec.sub_seed(master_seed, 0x70 + salt);
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), policy_seed);
-    Arc::new(SharedRuntime::new(sc, policy, RuntimeConfig::default(), Slo::LatencyMs(200.0)))
+    Arc::new(SharedRuntime::new(sc, policy, RuntimeConfig::default(), SLO))
 }
 
 /// Effective device availability at `t`: the fleet trace says who is
@@ -483,60 +493,51 @@ fn slow_mult(lowered: &LoweredScenario, devices: &[usize], t_ms: f64) -> f64 {
         .fold(1.0, f64::max)
 }
 
-struct Job {
-    class: usize,
-    enqueue_ms: f64,
-    /// Set when the job is a failover retry (counted once, at replay).
-    retried: bool,
-}
-
-/// A scheduled completion: resolved into stats at the end (or crashed
-/// out by a coordinator death before its finish time).
-struct Scheduled {
-    class: usize,
-    enqueue_ms: f64,
-    finish_ms: f64,
+/// A batch in service on one worker.
+struct InService {
+    done_ms: f64,
+    dispatch_ms: f64,
+    base_ms: f64,
     accuracy_pct: f64,
     degraded: bool,
+    batch: Batch<()>,
 }
 
-/// Shared event-loop state for the classic/failover paths.
+/// One coordinator in virtual time: the serving policy core, its runtime
+/// and its workers, plus the environment the server cannot see coming
+/// (ticks, brownouts). Also the tick and stats state the pipeline mode
+/// shares.
 struct Engine<'a> {
-    cfg: &'a CampaignConfig,
+    cfg: ServeConfig,
     lowered: &'a LoweredScenario,
     rt: Arc<SharedRuntime>,
     rng: StdRng,
-    queues: Vec<VecDeque<Job>>,
-    ewma_ms: Vec<f64>,
-    worker_free: Vec<f64>,
+    policy: Policy<()>,
+    /// Per worker: the batch it is serving, if any.
+    workers: Vec<Option<InService>>,
+    now: f64,
     next_tick: f64,
-    scheduled: Vec<Scheduled>,
     stats: CellStats,
     n_remote: usize,
 }
 
 impl<'a> Engine<'a> {
-    fn new(
-        cfg: &'a CampaignConfig,
-        lowered: &'a LoweredScenario,
-        rt: Arc<SharedRuntime>,
-        seed: u64,
-    ) -> Self {
+    fn new(lowered: &'a LoweredScenario, rt: Arc<SharedRuntime>, seed: u64) -> Self {
+        let cfg = ServeConfig::engineered(default_classes());
         let n_remote = lowered.fleet.n_devices().saturating_sub(1).max(1);
         let mut eng = Engine {
+            policy: Policy::new(&cfg),
+            workers: (0..cfg.n_workers).map(|_| None).collect(),
             cfg,
             lowered,
             rt,
             rng: StdRng::seed_from_u64(seed),
-            queues: cfg.classes.iter().map(|_| VecDeque::new()).collect(),
-            ewma_ms: vec![50.0; cfg.classes.len()],
-            worker_free: vec![0.0; cfg.n_workers],
+            now: 0.0,
             next_tick: 0.0,
-            scheduled: Vec::new(),
             stats: CellStats::default(),
             n_remote,
         };
-        eng.warmup();
+        eng.warmup(0.0);
         eng
     }
 
@@ -544,12 +545,13 @@ impl<'a> Engine<'a> {
         NetworkState::uniform(self.n_remote, self.lowered.net.sample(t_ms))
     }
 
-    fn warmup(&mut self) {
-        let net = self.net_at(0.0);
-        for _ in 0..self.cfg.warmup_ticks {
-            self.rt.tick(&net, 0.0, &mut self.rng);
+    /// Primes the monitor at `t_ms`; the control cadence starts there.
+    fn warmup(&mut self, t_ms: f64) {
+        let net = self.net_at(t_ms);
+        for _ in 0..WARMUP_TICKS {
+            self.rt.tick(&net, t_ms, &mut self.rng);
         }
-        self.next_tick = self.cfg.tick_interval_ms;
+        self.next_tick = t_ms + self.cfg.tick_interval_ms;
     }
 
     /// Runs control-plane ticks up to (and including) `t_ms`.
@@ -563,189 +565,129 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The real server's slot estimate: workers × batch capacity,
-    /// discounted by the marginal batch cost.
-    fn slots(&self) -> f64 {
-        self.cfg.n_workers as f64 * self.cfg.max_batch as f64
-            / (1.0 + self.cfg.batch_marginal * (self.cfg.max_batch as f64 - 1.0))
-    }
-
-    fn backlog(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    fn busy_workers(&self, t_ms: f64) -> usize {
-        self.worker_free.iter().filter(|&&f| f > t_ms).count()
-    }
-
-    /// Admission at arrival time, mirroring the threaded server: bounded
-    /// per-class queues, then the EWMA wait-estimate gate for deadline
-    /// classes.
-    fn admit(&mut self, class: usize, t_ms: f64) {
+    /// One arrival of `class` at `t_ms`, after everything due before it.
+    fn arrive(&mut self, class: usize, t_ms: f64) {
+        self.run_until(t_ms);
+        self.advance_ticks(t_ms);
         self.stats.submitted += 1;
-        if !self.rt.monitor_ready() {
-            self.stats.rejected += 1;
-            self.stats.not_ready += 1;
-            return;
-        }
-        let spec = &self.cfg.classes[class];
-        if self.queues[class].len() >= spec.queue_capacity {
-            self.stats.rejected += 1;
-            self.stats.queue_full += 1;
-            return;
-        }
-        if let Some(deadline) = spec.deadline_ms() {
-            let ahead = (self.backlog() + self.busy_workers(t_ms)) as f64;
-            let needed = self.ewma_ms[class] * (ahead / self.slots() + 1.0);
-            if needed > deadline {
-                self.stats.rejected += 1;
-                self.stats.deadline_unmeetable += 1;
-                return;
-            }
-        }
-        self.queues[class].push_back(Job { class, enqueue_ms: t_ms, retried: false });
+        let _ = self.policy.submit(0, class, t_ms, ());
     }
 
-    /// Dispatches one batch at `t_ms` on the worker that freed. Returns
-    /// false when every queue is empty.
-    fn dispatch(&mut self, worker: usize, t_ms: f64) -> bool {
-        // Priority order is class order (interactive first); only jobs
-        // that have already arrived at `t_ms` are visible.
-        let Some(class) = (0..self.queues.len())
-            .find(|&c| self.queues[c].front().is_some_and(|j| j.enqueue_ms <= t_ms))
-        else {
-            return false;
-        };
-        let spec = self.cfg.classes[class].clone();
-        let est = self.ewma_ms[class];
-        // Shed queued requests whose deadline already expired.
-        if let Some(deadline) = spec.deadline_ms() {
-            while let Some(head) = self.queues[class].front() {
-                if head.enqueue_ms <= t_ms && (t_ms - head.enqueue_ms) + est >= deadline {
-                    let _ = self.queues[class].pop_front();
-                    self.stats.rejected += 1;
-                    self.stats.expired += 1;
-                } else {
-                    break;
-                }
-            }
-            if self.queues[class].is_empty() {
-                // Everything expired; let the caller retry other classes.
-                return self.dispatch(worker, t_ms);
-            }
-        }
-        // Decide once for the batch (identical class ⇒ identical SLO ⇒
-        // one strategy, the micro-batching contract).
-        let Some(decision) = self.rt.serve_decide(spec.slo()) else {
-            while let Some(_job) = self.queues[class].pop_front() {
-                self.stats.rejected += 1;
-                self.stats.not_ready += 1;
-            }
-            return true;
-        };
-        let net = self.net_at(t_ms);
-        let report = self.rt.deploy(&decision, &net);
-        let sf = slow_mult(self.lowered, &report.devices_used, t_ms);
-        let base = report.latency_ms * sf;
-        // Adaptive batch cut: member i rides only if its marginal finish
-        // still makes the deadline.
-        let mut batch: Vec<Job> = Vec::new();
-        while batch.len() < self.cfg.max_batch {
-            let Some(head) = self.queues[class].front() else { break };
-            if head.enqueue_ms > t_ms {
-                // Not yet arrived at the dispatch instant.
-                break;
-            }
-            if let Some(deadline) = spec.deadline_ms() {
-                let i = batch.len() as f64;
-                let finish = (t_ms - head.enqueue_ms) + base * (1.0 + self.cfg.batch_marginal * i);
-                if !batch.is_empty() && finish > deadline {
-                    break;
-                }
-            }
-            if let Some(job) = self.queues[class].pop_front() {
-                batch.push(job);
-            }
-        }
-        if batch.is_empty() {
-            return true;
-        }
-        let k = batch.len() as f64;
-        let total = base * (1.0 + self.cfg.batch_marginal * (k - 1.0));
-        self.worker_free[worker] = t_ms + total;
-        self.stats.batches += 1;
-        self.stats.batched_requests += batch.len() as u64;
-        self.ewma_ms[class] = 0.3 * base + 0.7 * self.ewma_ms[class];
-        for (i, job) in batch.into_iter().enumerate() {
-            let share = base * (1.0 + self.cfg.batch_marginal * i as f64);
-            if job.retried {
-                self.stats.retried += 1;
-            }
-            self.scheduled.push(Scheduled {
-                class: job.class,
-                enqueue_ms: job.enqueue_ms,
-                finish_ms: t_ms + share,
-                accuracy_pct: f64::from(report.accuracy_pct),
-                degraded: report.degradation.is_degraded(),
-            });
-        }
-        true
-    }
-
-    /// Drains dispatchable work up to time horizon `t_ms`: whenever a
-    /// worker is free before the horizon and a queue is non-empty, a
-    /// batch goes out at that worker's free time.
-    fn drain_until(&mut self, t_ms: f64) {
+    /// Steps to `horizon`: idle workers take batches at the current
+    /// instant, and batches finishing by the horizon complete in time
+    /// order (ties to the lower worker).
+    fn run_until(&mut self, horizon: f64) {
         loop {
-            if self.backlog() == 0 {
-                return;
-            }
-            let (worker, free_at) = self
-                .worker_free
+            self.dispatch();
+            let next = self
+                .workers
                 .iter()
-                .copied()
                 .enumerate()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap_or((0, 0.0));
-            let td = free_at.max(self.ready_floor());
-            if td > t_ms {
-                return;
+                .filter_map(|(w, s)| s.as_ref().map(|s| (w, s.done_ms)))
+                .min_by(|a, b| a.1.total_cmp(&b.1));
+            match next {
+                Some((w, done_ms)) if done_ms <= horizon => {
+                    self.now = done_ms;
+                    self.complete(w);
+                }
+                _ => break,
             }
-            self.advance_ticks(td);
-            if !self.dispatch(worker, td) {
-                return;
+        }
+        if horizon.is_finite() {
+            self.now = self.now.max(horizon);
+        }
+    }
+
+    /// Idle workers take batches at the current instant, the way the
+    /// threaded workers do, minus the batching window: one decide and one
+    /// deploy per prepared batch, with the brownout stretching the
+    /// measured base.
+    fn dispatch(&mut self) {
+        for w in 0..self.workers.len() {
+            while self.workers[w].is_none() {
+                let Some(mut batch) = self.policy.take() else { return };
+                let now = self.now;
+                self.advance_ticks(now);
+                let _ = self.policy.prepare(&mut batch, now);
+                if batch.items.is_empty() {
+                    continue;
+                }
+                let Some(decision) = self.rt.serve_decide(self.cfg.classes[batch.class].slo())
+                else {
+                    self.policy.refuse(batch, &RejectReason::NotReady);
+                    continue;
+                };
+                let report = self.rt.deploy(&decision, &self.net_at(now));
+                let base_ms =
+                    report.latency_ms * slow_mult(self.lowered, &report.devices_used, now);
+                let cost = self.policy.start(&batch, base_ms);
+                self.workers[w] = Some(InService {
+                    done_ms: now + cost,
+                    dispatch_ms: now,
+                    base_ms,
+                    accuracy_pct: f64::from(report.accuracy_pct),
+                    degraded: report.degradation.is_degraded(),
+                    batch,
+                });
             }
         }
     }
 
-    /// Earliest instant any queued job exists (min over queue heads) —
-    /// dispatching before it would serve work that has not arrived.
-    fn ready_floor(&self) -> f64 {
-        self.queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|j| j.enqueue_ms)
-            .fold(f64::INFINITY, f64::min)
+    /// Worker `w`'s batch finishes: every member completes.
+    fn complete(&mut self, w: usize) {
+        let Some(s) = self.workers[w].take() else { return };
+        for served in self.policy.finish(s.batch, s.dispatch_ms, s.base_ms, s.degraded) {
+            let spec = &self.cfg.classes[served.item.class];
+            self.stats.record(spec, served.queue_ms + served.service_ms, s.accuracy_pct);
+        }
     }
 
-    /// Resolves every scheduled completion into final counters.
+    /// Folds the coordinator's policy counters into the cell's
+    /// (completions and submissions are booked one by one).
+    fn fold(&mut self) {
+        let p = self.policy.stats();
+        let s = &mut self.stats;
+        s.rejected += p.rejected;
+        s.queue_full += p.queue_full;
+        s.deadline_unmeetable += p.deadline_unmeetable;
+        s.expired += p.expired;
+        s.not_ready += p.not_ready;
+        s.degraded_served += p.degraded_served;
+        s.batches += p.batches;
+        s.batched_requests += p.batched_requests;
+    }
+
+    /// The coordinator dies, as `ServeHandle::kill`: queued requests drop
+    /// unresolved (their classes are returned for retry) and batches in
+    /// service finish.
+    fn crash(&mut self) -> Vec<usize> {
+        let dropped: Vec<usize> = self.policy.abort().into_iter().map(|i| i.class).collect();
+        self.stats.crash_dropped += dropped.len() as u64;
+        for w in 0..self.workers.len() {
+            self.complete(w);
+        }
+        self.fold();
+        self.stats.failovers += 1;
+        dropped
+    }
+
+    /// A standby with runtime `rt` promotes at `promote_ms`: a fresh
+    /// serving stack (policy, EWMAs, workers), primed, takes `retries`
+    /// through its own admission.
+    fn promote(&mut self, rt: Arc<SharedRuntime>, promote_ms: f64, retries: &[usize]) {
+        self.rt = rt;
+        self.policy = Policy::new(&self.cfg);
+        self.now = promote_ms;
+        self.warmup(promote_ms);
+        for &class in retries {
+            self.stats.retried += 1;
+            let _ = self.policy.submit(0, class, promote_ms, ());
+        }
+    }
+
+    /// Final counters: the live coordinator's policy plus gray transitions.
     fn finalize(mut self) -> CellStats {
-        for sch in &self.scheduled {
-            let latency = sch.finish_ms - sch.enqueue_ms;
-            self.stats.completed += 1;
-            self.stats.latencies_ms.push(latency);
-            self.stats.accuracy_sum_pct += sch.accuracy_pct;
-            if sch.degraded {
-                self.stats.degraded_served += 1;
-            }
-            let ok = match self.cfg.classes[sch.class].kind {
-                ClassKind::Latency { deadline_ms } => latency <= deadline_ms,
-                ClassKind::Accuracy { floor_pct } => sch.accuracy_pct >= f64::from(floor_pct),
-            };
-            if ok {
-                self.stats.slo_ok += 1;
-            }
-        }
+        self.fold();
         let gray = self.rt.gray_transitions();
         self.stats.gray_suspects = gray.suspects;
         self.stats.gray_quarantines = gray.quarantines;
@@ -754,7 +696,7 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Classic mode: the admission + priority + micro-batch event loop.
+/// Classic mode: the serving policy driven over the arrival trace.
 fn run_classic(
     spec: &ScenarioSpec,
     cell: &GridCell,
@@ -762,23 +704,20 @@ fn run_classic(
     lowered: &LoweredScenario,
 ) -> CellStats {
     let rt = build_runtime(spec, cell, cfg.master_seed, 0);
-    let seed = spec.sub_seed(cfg.master_seed, 0x10);
-    let mut eng = Engine::new(cfg, lowered, rt, seed);
+    let mut eng = Engine::new(lowered, rt, spec.sub_seed(cfg.master_seed, 0x10));
     for arrival in lowered.arrivals.arrivals() {
-        eng.drain_until(arrival.t_ms);
-        eng.advance_ticks(arrival.t_ms);
-        eng.admit(arrival.class % cfg.classes.len(), arrival.t_ms);
+        eng.arrive(arrival.class % eng.cfg.classes.len(), arrival.t_ms);
     }
-    eng.drain_until(f64::INFINITY);
+    eng.run_until(f64::INFINITY);
     eng.finalize()
 }
 
 /// Failover mode: classic serving with a primary coordinator that dies
-/// at the scenario's kill time. Arrivals during the detection window are
-/// buffered and retried on the standby; in-flight work at the kill is
-/// crash-dropped and retried. Detection delay derives from the gossip
-/// constants (suspect + fail rounds) stretched by the scenario's gossip
-/// drop probability.
+/// at the scenario's kill time. Its queued requests, and arrivals during
+/// the detection window, retry on a standby that promotes with a fresh
+/// serving stack; batches in service at the kill finish. Detection delay
+/// derives from the gossip constants (suspect + fail rounds) stretched by
+/// the scenario's gossip drop probability.
 fn run_failover(
     spec: &ScenarioSpec,
     cell: &GridCell,
@@ -790,94 +729,46 @@ fn run_failover(
         // promotes and failover serving degenerates to classic.
         return run_classic(spec, cell, cfg, lowered);
     };
+    let primary = build_runtime(spec, cell, cfg.master_seed, 0);
+    let mut eng = Engine::new(lowered, primary, spec.sub_seed(cfg.master_seed, 0x10));
     // SWIM-ish detection: suspect_after + fail_after heartbeat rounds at
     // the tick cadence, stretched when gossip frames drop.
     let rounds = 3.0 + 6.0;
     let drop = lowered.gossip.drop_prob.clamp(0.0, 0.9);
-    let detect_ms = rounds * cfg.tick_interval_ms / (1.0 - drop);
-    let promote_ms = kill_ms + detect_ms;
-
-    let primary = build_runtime(spec, cell, cfg.master_seed, 0);
-    let seed = spec.sub_seed(cfg.master_seed, 0x10);
-    let mut eng = Engine::new(cfg, lowered, primary, seed);
-    let mut outage_buffer: Vec<usize> = Vec::new();
-    let mut crashed = false;
+    let promote_ms = kill_ms + rounds * eng.cfg.tick_interval_ms / (1.0 - drop);
+    let standby = || build_runtime(spec, cell, cfg.master_seed, 1);
+    let mut retries: Option<Vec<usize>> = None;
     let mut promoted = false;
-
-    let crash = |eng: &mut Engine, outage_buffer: &mut Vec<usize>| {
-        // In-flight work dies with the primary; queued work retries.
-        let mut survivors = Vec::new();
-        for sch in eng.scheduled.drain(..) {
-            if sch.finish_ms > kill_ms {
-                eng.stats.crash_dropped += 1;
-                outage_buffer.push(sch.class);
-            } else {
-                survivors.push(sch);
-            }
-        }
-        eng.scheduled = survivors;
-        for q in &mut eng.queues {
-            for job in q.drain(..) {
-                outage_buffer.push(job.class);
-            }
-        }
-        eng.stats.failovers += 1;
-    };
-
     for arrival in lowered.arrivals.arrivals() {
-        let t = arrival.t_ms;
-        if !crashed && t >= kill_ms {
-            eng.drain_until(kill_ms);
-            crash(&mut eng, &mut outage_buffer);
-            crashed = true;
+        let (class, t) = (arrival.class % eng.cfg.classes.len(), arrival.t_ms);
+        if retries.is_none() && t >= kill_ms {
+            eng.run_until(kill_ms);
+            retries = Some(eng.crash());
         }
-        if crashed && t < promote_ms {
-            // The primary is dead and the standby has not promoted:
-            // the cluster buffers the submit as a pending retry.
-            eng.stats.submitted += 1;
-            outage_buffer.push(arrival.class % cfg.classes.len());
-            continue;
-        }
-        if crashed && !promoted {
-            // Promotion: swap in the standby runtime and replay the
-            // buffered retries at the promotion instant.
-            promote(&mut eng, spec, cell, cfg, promote_ms, &mut outage_buffer);
+        if let Some(buffer) = retries.as_mut().filter(|_| !promoted) {
+            if t < promote_ms {
+                // No coordinator serves yet: the submit waits as a retry.
+                eng.stats.submitted += 1;
+                buffer.push(class);
+                continue;
+            }
+            eng.promote(standby(), promote_ms, buffer);
             promoted = true;
         }
-        eng.drain_until(t);
-        eng.advance_ticks(t);
-        eng.admit(arrival.class % cfg.classes.len(), t);
-    }
-    if !crashed {
-        eng.drain_until(kill_ms);
-        crash(&mut eng, &mut outage_buffer);
+        eng.arrive(class, t);
     }
     if !promoted {
-        promote(&mut eng, spec, cell, cfg, promote_ms, &mut outage_buffer);
+        let buffer = match retries {
+            Some(buffer) => buffer,
+            None => {
+                eng.run_until(kill_ms);
+                eng.crash()
+            }
+        };
+        eng.promote(standby(), promote_ms, &buffer);
     }
-    eng.drain_until(f64::INFINITY);
+    eng.run_until(f64::INFINITY);
     eng.finalize()
-}
-
-/// Swaps in a fresh standby runtime at `promote_ms` and requeues the
-/// outage buffer as retries.
-fn promote(
-    eng: &mut Engine,
-    spec: &ScenarioSpec,
-    cell: &GridCell,
-    cfg: &CampaignConfig,
-    promote_ms: f64,
-    outage_buffer: &mut Vec<usize>,
-) {
-    eng.rt = build_runtime(spec, cell, cfg.master_seed, 1);
-    eng.worker_free.iter_mut().for_each(|f| *f = f.max(promote_ms));
-    let net = eng.net_at(promote_ms);
-    for _ in 0..cfg.warmup_ticks {
-        eng.rt.tick(&net, promote_ms, &mut eng.rng);
-    }
-    for class in outage_buffer.drain(..) {
-        eng.queues[class].push_back(Job { class, enqueue_ms: promote_ms, retried: true });
-    }
 }
 
 /// Pipeline mode: one stage-parallel placement drains arrivals at the
@@ -891,14 +782,13 @@ fn run_pipeline(
     lowered: &LoweredScenario,
 ) -> CellStats {
     let rt = build_runtime(spec, cell, cfg.master_seed, 0);
-    let seed = spec.sub_seed(cfg.master_seed, 0x10);
-    let mut eng = Engine::new(cfg, lowered, rt, seed);
-
-    let mut deploy = eng.rt.pipeline_decide(cfg.slo, &eng.net_at(0.0));
+    let mut eng = Engine::new(lowered, rt, spec.sub_seed(cfg.master_seed, 0x10));
+    let (tick_ms, queue_cap) = (eng.cfg.tick_interval_ms, eng.cfg.pipeline_queue_cap as f64);
+    let mut deploy = eng.rt.pipeline_decide(SLO, &eng.net_at(0.0));
     let mut entry_free = 0.0f64;
     // (class, enqueue, finish, accuracy) of admitted-but-unfinished work.
     let mut inflight: Vec<(usize, f64, f64, f64)> = Vec::new();
-    let mut next_check = cfg.tick_interval_ms;
+    let mut next_check = tick_ms;
 
     // Serial fallback throughput when the planner has no pipeline.
     let fallback_ms =
@@ -914,7 +804,7 @@ fn run_pipeline(
                     p.plan.stages.iter().any(|s| !device_usable(lowered, s.device, next_check));
                 if dead {
                     eng.stats.replans += 1;
-                    let new = eng.rt.pipeline_decide(cfg.slo, &eng.net_at(next_check));
+                    let new = eng.rt.pipeline_decide(SLO, &eng.net_at(next_check));
                     // Re-time the backlog under the new plan (or the
                     // serial fallback) from the check instant.
                     let mut still: Vec<(usize, f64, f64, f64)> = Vec::new();
@@ -938,7 +828,7 @@ fn run_pipeline(
                     deploy = new;
                 }
             }
-            next_check += cfg.tick_interval_ms;
+            next_check += tick_ms;
         }
         eng.stats.submitted += 1;
         if !eng.rt.monitor_ready() {
@@ -946,8 +836,8 @@ fn run_pipeline(
             eng.stats.not_ready += 1;
             continue;
         }
-        let class = arrival.class % cfg.classes.len();
-        let spec_c = &cfg.classes[class];
+        let class = arrival.class % eng.cfg.classes.len();
+        let deadline = eng.cfg.classes[class].deadline_ms();
         let (gap, fill, acc) = match &deploy {
             Some(p) => {
                 let devices: Vec<usize> = p.plan.stages.iter().map(|s| s.device).collect();
@@ -962,13 +852,13 @@ fn run_pipeline(
         };
         let entry = entry_free.max(t);
         // Bounded backlog: the inter-stage queues hold only so much.
-        if entry - t > gap * cfg.pipeline_queue_cap as f64 {
+        if entry - t > gap * queue_cap {
             eng.stats.rejected += 1;
             eng.stats.queue_full += 1;
             continue;
         }
         let finish = entry + fill;
-        if let Some(deadline) = spec_c.deadline_ms() {
+        if let Some(deadline) = deadline {
             if finish - t > deadline {
                 eng.stats.rejected += 1;
                 eng.stats.deadline_unmeetable += 1;
@@ -979,13 +869,7 @@ fn run_pipeline(
         inflight.push((class, t, finish, acc));
     }
     for (class, enq, fin, acc) in inflight {
-        eng.scheduled.push(Scheduled {
-            class,
-            enqueue_ms: enq,
-            finish_ms: fin,
-            accuracy_pct: acc,
-            degraded: false,
-        });
+        eng.stats.record(&eng.cfg.classes[class], fin - enq, acc);
     }
     eng.finalize()
 }
@@ -1067,6 +951,15 @@ mod tests {
         assert_eq!(r.stats.lost(), 0);
         assert!(r.p95_ms > 0.0);
         assert!(r.accuracy_pct > 0.0);
+    }
+
+    #[test]
+    fn batched_requests_count_only_batches_of_two_or_more() {
+        // The server's rule (`ServeStats::batched_requests`): a batch of
+        // one is dispatched, not batched.
+        let spec = builtin_by_name("steady-augmented").unwrap();
+        let s = run_cell(&spec, &smoke_grid()[0], &quick_cfg()).stats;
+        assert!(s.batches > 0 && s.batched_requests < s.completed, "{s:?}");
     }
 
     #[test]

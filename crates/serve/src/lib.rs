@@ -9,16 +9,16 @@
 //! besides. This crate adds the three mechanisms that matter at that
 //! point, all on top of [`SharedRuntime`]'s lock-scoped request path:
 //!
-//! * **SLO classes & priority dispatch** ([`class`], `queue`) — requests
+//! * **SLO classes & priority dispatch** ([`class`], `policy`) — requests
 //!   are tagged with a class (latency deadline or accuracy floor); each
 //!   class gets a bounded queue, and workers drain in class-priority
 //!   order, so interactive traffic never queues behind best-effort bulk.
-//! * **Admission control & load shedding** ([`server`]) — a full queue or
+//! * **Admission control & load shedding** (`policy`) — a full queue or
 //!   an EWMA-predicted unmeetable deadline rejects at submit time with a
-//!   typed reason; requests whose deadline expires while queued are shed
+//!   typed reason; requests whose deadline can no longer be met are shed
 //!   at dispatch. Under overload the server degrades into *choosing* what
 //!   it fails, instead of failing everything late.
-//! * **Adaptive micro-batching** ([`server`]) — same-class requests
+//! * **Adaptive micro-batching** (`policy`) — same-class requests
 //!   coalesce into one decision + one supernet switch; only the marginal
 //!   compute serializes, so batching multiplies capacity under load while
 //!   a lone request still takes the idle fast path at direct-infer cost.
@@ -28,6 +28,11 @@
 //!   primary's heartbeats lapse; dropped requests fail over as retries
 //!   and conservation is restored at the cluster level.
 //!
+//! Admission, dispatch order, shedding and batching live once, in
+//! `policy`: a state machine with no threads and no clock. [`server`]
+//! drives it with worker threads on a scaled clock; [`campaign`] drives
+//! the same core in deterministic virtual time.
+//!
 //! The [`harness`] module drives it: open-loop trace replay (honest
 //! overload measurement), closed-loop clients, and percentile/goodput
 //! reports. `cli serve` / `cli loadtest` and `bench_serve` are thin
@@ -35,9 +40,9 @@
 //!
 //! The [`campaign`] module is the regression surface: it replays the
 //! declarative chaos scenarios from `edgesim::scenario` against a grid of
-//! partition policy × bit-width × serving mode in deterministic virtual
-//! time and emits per-scenario Pareto fronts; [`schema`] validates the
-//! resulting report files' shape in CI.
+//! partition policy × bit-width × serving mode through the serving policy
+//! in deterministic virtual time and emits per-scenario Pareto fronts;
+//! [`schema`] validates the resulting report files' shape in CI.
 //!
 //! [`SharedRuntime`]: murmuration_core::SharedRuntime
 
@@ -48,7 +53,7 @@ pub mod class;
 pub mod failover;
 pub mod harness;
 pub mod pipeline;
-mod queue;
+mod policy;
 pub mod request;
 pub mod schema;
 pub mod server;

@@ -1,13 +1,21 @@
-//! The serving loop: admission → class queues → priority dispatch →
-//! micro-batched decide/deploy on a shared runtime.
+//! The threaded serving driver: admission → class queues → priority
+//! dispatch → micro-batched decide/deploy on a shared runtime.
+//!
+//! Every rule about a request's fate — admission, which class drains
+//! next, shedding, the batch cut, batch cost, the EWMAs, conservation —
+//! lives in `policy`, a state machine with no threads and no clock. This
+//! module drives it with threads and a scaled clock; the campaign drives
+//! the same core in virtual time.
 //!
 //! # Threads
 //!
-//! * **Submitters** (caller threads) run admission control and enqueue.
-//! * **Workers** block on the queue fabric, drain same-class batches,
+//! * **Submitters** (caller threads) run admission and enqueue under the
+//!   policy's mutex; an idle server serves a lone `submit_wait` inline.
+//! * **Workers** wait on a condvar beside the policy, take same-class
+//!   batches (waiting one batching window for stragglers when short),
 //!   decide once per batch ([`SharedRuntime::serve_decide`]), deploy once
-//!   (one supernet switch amortized over the batch), and resolve every
-//!   request with a typed outcome.
+//!   (one supernet switch amortized over the batch), sleep the batch's
+//!   cost, and resolve every request with a typed outcome.
 //! * **One control thread** owns monitoring: it ticks the runtime on a
 //!   fixed virtual-time cadence and replays the fault trace. Workers never
 //!   touch the monitor, so the decision path is sampling-free and
@@ -23,16 +31,16 @@
 
 use crate::class::{ClassKind, ClassSpec};
 use crate::pipeline::{PipelineRig, PipelineSnapshot};
-use crate::queue::{ClassQueues, Offer, Pending, Take};
+use crate::policy::{Batch, Item, Policy};
 use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
 use murmuration_core::SharedRuntime;
 use murmuration_edgesim::trace::NetworkTrace;
 use murmuration_edgesim::{FleetTrace, LinkState, NetworkState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -182,14 +190,11 @@ impl Clock {
     }
 }
 
-/// Monotonic counters, exported via [`ServeHandle::stats`]. Conservation
-/// invariant: `completed + rejected == submitted` once the server has shut
-/// down (every submitted request resolves exactly once). Shared between
-/// the batched worker path and the pipeline rig so the invariant covers
-/// both execution modes.
+/// The pipeline rig's counters. The batched path counts in its `Policy`;
+/// [`ServeHandle::stats`] adds the two, so the conservation invariant
+/// `completed + rejected == submitted` covers both execution modes.
 #[derive(Default)]
 pub(crate) struct Counters {
-    pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) queue_full: AtomicU64,
@@ -198,9 +203,6 @@ pub(crate) struct Counters {
     pub(crate) not_ready: AtomicU64,
     pub(crate) stage_dead: AtomicU64,
     pub(crate) shutdown_rejects: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) max_batch_seen: AtomicU64,
     pub(crate) degraded_served: AtomicU64,
     pub(crate) pipeline_submitted: AtomicU64,
     pub(crate) pipeline_completed: AtomicU64,
@@ -273,24 +275,30 @@ impl ServeStats {
     }
 }
 
+/// Where a queued request's outcome goes; `None` for the idle fast path,
+/// which answers on the submitter's own thread.
+type Reply = Option<Sender<ServeOutcome>>;
+
+fn rejected<P>(item: &Item<P>, reason: RejectReason, t_ms: f64) -> ServeOutcome {
+    ServeOutcome::Rejected(Rejection { id: item.id, class: item.class, reason, t_ms })
+}
+
+fn send(item: Item<Reply>, outcome: ServeOutcome) {
+    if let Some(tx) = item.payload {
+        let _ = tx.send(outcome);
+    }
+}
+
 struct ServerCore {
     rt: Arc<SharedRuntime>,
     env: EnvModel,
     cfg: ServeConfig,
-    queues: ClassQueues,
     clock: Clock,
+    /// The serving policy; `work` wakes workers when it may hold a batch.
+    policy: Mutex<Policy<Reply>>,
+    work: Condvar,
     next_id: AtomicU64,
-    /// Requests currently being served by workers (batches in flight).
-    in_flight: AtomicUsize,
-    /// EWMA of per-request service time (f64 bits); 0 until first sample.
-    ewma_service_bits: AtomicU64,
-    /// Per-class EWMA of the unbatched deployment latency (f64 bits) — the
-    /// adaptive batcher's cost-model input. Per class because each class's
-    /// SLO steers the decision toward different models, whose deployment
-    /// latencies differ; a shared estimate would let a cheap class drag the
-    /// estimate below an expensive class's real cost.
-    ewma_base_bits: Vec<AtomicU64>,
-    /// Stops the control thread (workers stop via queue shutdown).
+    /// Stops the control thread (workers stop via policy shutdown).
     stop: AtomicBool,
     counters: Arc<Counters>,
     /// The stage-parallel pipeline for throughput-mode classes, when any
@@ -299,170 +307,61 @@ struct ServerCore {
 }
 
 impl ServerCore {
-    fn ewma_service_ms(&self) -> f64 {
-        f64::from_bits(self.ewma_service_bits.load(Ordering::Relaxed))
+    /// Poison-tolerant lock: a panicking worker must not wedge the whole
+    /// server, so the (plain-old-data) policy is adopted as is.
+    fn policy(&self) -> MutexGuard<'_, Policy<Reply>> {
+        self.policy.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn update_ewma(&self, per_request_ms: f64) {
-        // Benign read-modify-write race: the EWMA is an estimate.
-        let old = self.ewma_service_ms();
-        let new = if old == 0.0 { per_request_ms } else { 0.3 * per_request_ms + 0.7 * old };
-        self.ewma_service_bits.store(new.to_bits(), Ordering::Relaxed);
-    }
-
-    fn ewma_base_ms(&self, class: usize) -> f64 {
-        f64::from_bits(self.ewma_base_bits[class].load(Ordering::Relaxed))
-    }
-
-    fn update_ewma_base(&self, class: usize, base_ms: f64) {
-        let old = self.ewma_base_ms(class);
-        let new = if old == 0.0 { base_ms } else { 0.3 * base_ms + 0.7 * old };
-        self.ewma_base_bits[class].store(new.to_bits(), Ordering::Relaxed);
-    }
-
-    fn reject(&self, id: u64, class: usize, reason: RejectReason) -> Rejection {
-        self.counters.note_reject(&reason);
-        Rejection { id, class, reason, t_ms: self.clock.now_ms() }
-    }
-
-    /// Admission check for a latency-class request: predicted queue wait
-    /// plus one service time must fit inside the deadline. Accuracy-class
-    /// requests always pass (no deadline to miss).
-    fn admit(&self, class: usize) -> Result<(), RejectReason> {
-        if !self.cfg.admission {
-            return Ok(());
+    /// Serves one batch dispatched at `now`: the policy sheds and cuts it,
+    /// then one decide and one deploy serve what is left, the worker
+    /// sleeps the batch's cost, and every member resolves exactly once
+    /// through `resolve`.
+    fn serve_batch(
+        &self,
+        mut batch: Batch<Reply>,
+        now: f64,
+        mut resolve: impl FnMut(Item<Reply>, ServeOutcome),
+    ) {
+        let (expired, requeued) = self.policy().prepare(&mut batch, now);
+        if requeued > 0 {
+            self.work.notify_one();
         }
-        let Some(deadline) = self.cfg.classes[class].deadline_ms() else {
-            return Ok(());
-        };
-        let ewma = self.ewma_service_ms();
-        if ewma <= 0.0 {
-            return Ok(()); // no evidence yet — admit optimistically
+        for (item, reason) in expired {
+            let outcome = rejected(&item, reason, now);
+            resolve(item, outcome);
         }
-        let ahead = self.queues.backlog_ahead(class) + self.in_flight.load(Ordering::Relaxed);
-        // Batching drains `max_batch` requests per `batch_cost` of worker
-        // time, so the effective per-request drain rate scales with both
-        // the worker pool and the batch factor.
-        let batch_factor = 1.0 + self.cfg.batch_marginal * (self.cfg.max_batch as f64 - 1.0);
-        let drain_per_slot = self.cfg.max_batch as f64 / batch_factor;
-        let slots = self.cfg.n_workers as f64 * drain_per_slot;
-        let needed_ms = ewma * (ahead as f64 / slots + 1.0);
-        if needed_ms > deadline {
-            Err(RejectReason::DeadlineUnmeetable { needed_ms, budget_ms: deadline })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Serves one same-class batch: shed expired requests, decide once,
-    /// deploy once, attribute per-request service shares, resolve all.
-    fn serve_batch(&self, batch: Vec<Pending>) {
-        let t_dispatch = self.clock.now_ms();
-        let Some(first) = batch.first() else { return };
-        let class = first.class;
-        // Predictive shed: once admission is on, a request whose remaining
-        // budget no longer covers one estimated service time would only
-        // complete late — spending capacity on a guaranteed SLO miss.
-        // Shed it now and give the slot to a request that can still win.
-        let est = if self.cfg.admission {
-            let per_class = self.ewma_base_ms(class);
-            if per_class > 0.0 {
-                per_class
-            } else {
-                self.ewma_service_ms()
-            }
-        } else {
-            0.0
-        };
-        let mut live = Vec::with_capacity(batch.len());
-        for p in batch {
-            match p.deadline_ms {
-                Some(d) if t_dispatch - p.enqueue_ms + est >= d => {
-                    let r = self.reject(
-                        p.id,
-                        p.class,
-                        RejectReason::Expired {
-                            waited_ms: t_dispatch - p.enqueue_ms,
-                            deadline_ms: d,
-                        },
-                    );
-                    let _ = p.tx.send(ServeOutcome::Rejected(r));
-                }
-                _ => live.push(p),
-            }
-        }
-        if live.is_empty() {
+        if batch.items.is_empty() {
             return;
         }
-        let spec = &self.cfg.classes[class];
-        // Adaptive batch cut: a latency-class batch is only as large as its
-        // members' budgets allow. Position `i` pays a predicted share of
-        // `est_base * (1 + marginal*i)`, so a deep batch puts its tail past
-        // the deadline even when every member was individually admissible.
-        // Cut the batch at the first position whose predicted completion
-        // would miss, and hand the tail back to the queue front (order
-        // preserved — those requests become head positions next round).
-        if let (Some(deadline), true) = (spec.deadline_ms(), self.cfg.admission) {
-            let est_base = self.ewma_base_ms(class);
-            if est_base > 0.0 {
-                let keep = live
-                    .iter()
-                    .enumerate()
-                    .skip(1) // the head already passed the shed check
-                    .find(|(i, p)| {
-                        let waited = t_dispatch - p.enqueue_ms;
-                        let share = est_base * (1.0 + self.cfg.batch_marginal * *i as f64);
-                        waited + share > deadline
-                    })
-                    .map(|(i, _)| i);
-                if let Some(keep) = keep {
-                    let tail = live.split_off(keep);
-                    self.queues.requeue_front(tail);
-                }
-            }
-        }
+        let spec = &self.cfg.classes[batch.class];
         let Some(decision) = self.rt.serve_decide(spec.slo()) else {
-            for p in live {
-                let r = self.reject(p.id, p.class, RejectReason::NotReady);
-                let _ = p.tx.send(ServeOutcome::Rejected(r));
+            for item in self.policy().refuse(batch, &RejectReason::NotReady) {
+                let outcome = rejected(&item, RejectReason::NotReady, now);
+                resolve(item, outcome);
             }
             return;
         };
-        let net = self.env.network_at(t_dispatch);
-        let report = self.rt.deploy(&decision, &net);
-        let k = live.len();
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters.max_batch_seen.fetch_max(k as u64, Ordering::Relaxed);
-        if k >= 2 {
-            self.counters.batched_requests.fetch_add(k as u64, Ordering::Relaxed);
-        }
+        let report = self.rt.deploy(&decision, &self.env.network_at(now));
         let base = report.latency_ms;
-        self.update_ewma_base(class, base);
-        let batch_total_ms = base * (1.0 + self.cfg.batch_marginal * (k as f64 - 1.0));
+        let cost = self.policy().start(&batch, base);
         if self.cfg.service_sleep {
-            thread::sleep(self.clock.wall(batch_total_ms));
+            thread::sleep(self.clock.wall(cost));
         }
-        self.update_ewma(batch_total_ms / k as f64);
+        let k = batch.items.len();
         let degraded = report.degradation.is_degraded();
-        if degraded {
-            self.counters.degraded_served.fetch_add(live.len() as u64, Ordering::Relaxed);
-        }
-        for (i, p) in live.into_iter().enumerate() {
-            // Request i's share: the pipeline fill plus its position in
-            // the batch's serialized compute.
-            let service_ms = base * (1.0 + self.cfg.batch_marginal * i as f64);
-            let queue_ms = t_dispatch - p.enqueue_ms;
-            let total_ms = queue_ms + service_ms;
+        let served = self.policy().finish(batch, now, base, degraded);
+        for s in served {
+            let total_ms = s.queue_ms + s.service_ms;
             let slo_ok = match spec.kind {
                 ClassKind::Latency { deadline_ms } => total_ms <= deadline_ms,
                 ClassKind::Accuracy { floor_pct } => report.accuracy_pct >= floor_pct,
             };
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            let _ = p.tx.send(ServeOutcome::Done(Completion {
-                id: p.id,
-                class: p.class,
-                queue_ms,
-                service_ms,
+            let outcome = ServeOutcome::Done(Completion {
+                id: s.item.id,
+                class: s.item.class,
+                queue_ms: s.queue_ms,
+                service_ms: s.service_ms,
                 total_ms,
                 deploy_ms: report.latency_ms,
                 accuracy_pct: report.accuracy_pct,
@@ -470,27 +369,41 @@ impl ServerCore {
                 cached: decision.cached,
                 degraded,
                 slo_ok,
-            }));
+            });
+            resolve(s.item, outcome);
         }
     }
 
+    /// Takes batches until shutdown has drained the queues. A short batch
+    /// waits one batching window for same-class stragglers.
     fn worker_loop(&self) {
-        let window = if self.cfg.batch_window_ms > 0.0 && self.cfg.max_batch > 1 {
-            Some(self.clock.wall(self.cfg.batch_window_ms))
-        } else {
-            None
-        };
+        let window = (self.cfg.batch_window_ms > 0.0 && self.cfg.max_batch > 1)
+            .then(|| self.clock.wall(self.cfg.batch_window_ms));
         loop {
-            match self.queues.take_batch(self.cfg.max_batch, window) {
-                Take::Shutdown => break,
-                Take::Batch(batch) => {
-                    let k = batch.len();
-                    self.in_flight.fetch_add(k, Ordering::Relaxed);
-                    self.serve_batch(batch);
-                    // serve_batch resolved every request in the batch.
-                    self.in_flight.fetch_sub(k, Ordering::Relaxed);
+            let mut policy = self.policy();
+            let mut batch = loop {
+                if let Some(batch) = policy.take() {
+                    break batch;
+                }
+                if policy.is_shutdown() {
+                    return;
+                }
+                policy = self.work.wait(policy).unwrap_or_else(PoisonError::into_inner);
+            };
+            if let Some(window) = window {
+                if batch.items.len() < self.cfg.max_batch && !policy.is_shutdown() {
+                    policy = self
+                        .work
+                        .wait_timeout(policy, window)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                    policy.top_up(&mut batch);
                 }
             }
+            drop(policy);
+            // More work may remain for other workers.
+            self.work.notify_one();
+            self.serve_batch(batch, self.clock.now_ms(), send);
         }
     }
 
@@ -521,15 +434,11 @@ impl ServeHandle {
     /// ready before the first request), then the control thread and the
     /// worker pool.
     pub fn start(rt: Arc<SharedRuntime>, env: EnvModel, cfg: ServeConfig) -> Self {
-        assert!(!cfg.classes.is_empty(), "need at least one SLO class");
-        assert!(cfg.n_workers >= 1 && cfg.max_batch >= 1);
+        let policy = Mutex::new(Policy::new(&cfg));
         let clock = Clock::new(cfg.time_scale);
         // Warm-up tick at t=0 so serve_decide never sees a cold monitor.
         let mut rng = StdRng::seed_from_u64(cfg.base_seed ^ 0x5eed);
         rt.tick(&env.network_at(0.0), 0.0, &mut rng);
-        let capacities = cfg.classes.iter().map(|c| c.queue_capacity).collect();
-        let queues = ClassQueues::new(capacities, cfg.fifo);
-        let n_classes_atomics = cfg.classes.iter().map(|_| AtomicU64::new(0)).collect();
         let counters = Arc::new(Counters::default());
         // Boot the stage-parallel pipeline when a class opted into
         // throughput mode and the planner finds a placement. On `None`
@@ -559,12 +468,10 @@ impl ServeHandle {
             rt,
             env,
             cfg,
-            queues,
             clock,
+            policy,
+            work: Condvar::new(),
             next_id: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
-            ewma_service_bits: AtomicU64::new(0),
-            ewma_base_bits: n_classes_atomics,
             stop: AtomicBool::new(false),
             counters,
             rig,
@@ -606,7 +513,6 @@ impl ServeHandle {
         assert!(class < self.core.cfg.classes.len(), "unknown class {class}");
         let core = &self.core;
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
-        core.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel();
         // Throughput-mode classes stream through the pipeline rig (its
         // own admission + bounded entry queue); everything else takes the
@@ -617,28 +523,14 @@ impl ServeHandle {
                 return rx;
             }
         }
-        if let Err(reason) = core.admit(class) {
-            let r = core.reject(id, class, reason);
-            let _ = tx.send(ServeOutcome::Rejected(r));
-            return rx;
-        }
-        let pending = Pending {
-            id,
-            class,
-            enqueue_ms: core.clock.now_ms(),
-            deadline_ms: core.cfg.classes[class].deadline_ms(),
-            tx,
-        };
-        match core.queues.offer(pending) {
-            Offer::Enqueued => {}
-            Offer::Full(p) => {
-                let r = core.reject(p.id, p.class, RejectReason::QueueFull { class });
-                let _ = p.tx.send(ServeOutcome::Rejected(r));
+        let now = core.clock.now_ms();
+        let queued = core.policy().submit(id, class, now, Some(tx));
+        match queued {
+            Ok(()) => core.work.notify_one(),
+            Err((reason, Some(tx))) => {
+                let _ = tx.send(ServeOutcome::Rejected(Rejection { id, class, reason, t_ms: now }));
             }
-            Offer::Shutdown(p) => {
-                let r = core.reject(p.id, p.class, RejectReason::Shutdown);
-                let _ = p.tx.send(ServeOutcome::Rejected(r));
-            }
+            Err((_, None)) => {}
         }
         rx
     }
@@ -649,64 +541,53 @@ impl ServeHandle {
     /// direct-infer price.
     pub fn submit_wait(&self, class: usize) -> ServeOutcome {
         let core = &self.core;
-        if core.cfg.inline_when_idle
-            && !core.cfg.classes[class].pipeline
-            && core.queues.is_empty()
-            && core.in_flight.load(Ordering::Relaxed) == 0
-        {
-            return self.serve_inline(class);
+        assert!(class < core.cfg.classes.len(), "unknown class {class}");
+        if core.cfg.inline_when_idle && !core.cfg.classes[class].pipeline {
+            if let Some(outcome) = self.serve_inline(class) {
+                return outcome;
+            }
         }
         match self.submit(class).recv() {
             Ok(outcome) => outcome,
-            // The server dropped the sender without resolving — only
-            // possible if a worker panicked; surface it as a shutdown.
-            Err(_) => ServeOutcome::Rejected(core.reject(u64::MAX, class, RejectReason::Shutdown)),
+            // The server dropped the sender without resolving — a crash or
+            // a panicked worker; surface it as a shutdown.
+            Err(_) => {
+                core.policy().note_reject(&RejectReason::Shutdown);
+                let t_ms = core.clock.now_ms();
+                ServeOutcome::Rejected(Rejection {
+                    id: u64::MAX,
+                    class,
+                    reason: RejectReason::Shutdown,
+                    t_ms,
+                })
+            }
         }
     }
 
-    /// The idle fast path: one request, no queue, no handoff.
-    fn serve_inline(&self, class: usize) -> ServeOutcome {
-        assert!(class < self.core.cfg.classes.len(), "unknown class {class}");
+    /// The idle fast path: the same batch path for a batch of one, run on
+    /// the caller's thread with no queue and no handoff. `None` when the
+    /// server is not idle.
+    fn serve_inline(&self, class: usize) -> Option<ServeOutcome> {
         let core = &self.core;
+        let mut policy = core.policy();
+        if !policy.is_idle() {
+            return None;
+        }
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
-        core.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Err(reason) = core.admit(class) {
-            return ServeOutcome::Rejected(core.reject(id, class, reason));
+        let now = core.clock.now_ms();
+        let admitted = policy.submit_inline(id, class, now, None);
+        drop(policy);
+        match admitted {
+            Ok(batch) => {
+                // A batch resolves each member exactly once.
+                let mut outcome = None;
+                core.serve_batch(batch, now, |_, o| outcome = Some(o));
+                outcome
+            }
+            Err((reason, _)) => {
+                Some(ServeOutcome::Rejected(Rejection { id, class, reason, t_ms: now }))
+            }
         }
-        let t = core.clock.now_ms();
-        let spec = &core.cfg.classes[class];
-        let Some(decision) = core.rt.serve_decide(spec.slo()) else {
-            return ServeOutcome::Rejected(core.reject(id, class, RejectReason::NotReady));
-        };
-        let report = core.rt.deploy(&decision, &core.env.network_at(t));
-        if core.cfg.service_sleep {
-            thread::sleep(core.clock.wall(report.latency_ms));
-        }
-        core.update_ewma(report.latency_ms);
-        core.update_ewma_base(class, report.latency_ms);
-        core.counters.batches.fetch_add(1, Ordering::Relaxed);
-        core.counters.max_batch_seen.fetch_max(1, Ordering::Relaxed);
-        core.counters.completed.fetch_add(1, Ordering::Relaxed);
-        if report.degradation.is_degraded() {
-            core.counters.degraded_served.fetch_add(1, Ordering::Relaxed);
-        }
-        let slo_ok = match spec.kind {
-            ClassKind::Latency { deadline_ms } => report.latency_ms <= deadline_ms,
-            ClassKind::Accuracy { floor_pct } => report.accuracy_pct >= floor_pct,
-        };
-        ServeOutcome::Done(Completion {
-            id,
-            class,
-            queue_ms: 0.0,
-            service_ms: report.latency_ms,
-            total_ms: report.latency_ms,
-            deploy_ms: report.latency_ms,
-            accuracy_pct: report.accuracy_pct,
-            batch_size: 1,
-            cached: decision.cached,
-            degraded: report.degradation.is_degraded(),
-            slo_ok,
-        })
     }
 
     /// Marks a device down mid-load (chaos hook; also purges cached
@@ -720,30 +601,30 @@ impl ServeHandle {
         self.core.rt.set_device_up(dev);
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the batched path's policy plus the pipeline rig.
     pub fn stats(&self) -> ServeStats {
         let c = &self.core.counters;
+        let rig = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let p = self.core.policy().stats();
         let gray = self.core.rt.gray_transitions();
         ServeStats {
+            submitted: p.submitted + rig(&c.pipeline_submitted),
+            completed: p.completed + rig(&c.completed),
+            rejected: p.rejected + rig(&c.rejected),
+            queue_full: p.queue_full + rig(&c.queue_full),
+            deadline_unmeetable: p.deadline_unmeetable + rig(&c.deadline_unmeetable),
+            expired: p.expired + rig(&c.expired),
+            not_ready: p.not_ready + rig(&c.not_ready),
+            stage_dead: p.stage_dead + rig(&c.stage_dead),
+            shutdown_rejects: p.shutdown_rejects + rig(&c.shutdown_rejects),
+            degraded_served: p.degraded_served + rig(&c.degraded_served),
             gray_suspects: gray.suspects,
             gray_quarantines: gray.quarantines,
             gray_readmissions: gray.readmissions,
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            queue_full: c.queue_full.load(Ordering::Relaxed),
-            deadline_unmeetable: c.deadline_unmeetable.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            not_ready: c.not_ready.load(Ordering::Relaxed),
-            stage_dead: c.stage_dead.load(Ordering::Relaxed),
-            shutdown_rejects: c.shutdown_rejects.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_requests: c.batched_requests.load(Ordering::Relaxed),
-            max_batch_seen: c.max_batch_seen.load(Ordering::Relaxed),
-            degraded_served: c.degraded_served.load(Ordering::Relaxed),
-            pipeline_submitted: c.pipeline_submitted.load(Ordering::Relaxed),
-            pipeline_completed: c.pipeline_completed.load(Ordering::Relaxed),
-            pipeline_requeued: c.pipeline_requeued.load(Ordering::Relaxed),
+            pipeline_submitted: rig(&c.pipeline_submitted),
+            pipeline_completed: rig(&c.pipeline_completed),
+            pipeline_requeued: rig(&c.pipeline_requeued),
+            ..p
         }
     }
 
@@ -794,25 +675,25 @@ impl ServeHandle {
     /// requests, which the failover layer re-serves elsewhere. Returns
     /// `(final stats, dropped request count)`.
     pub fn kill(mut self) -> (ServeStats, usize) {
-        let dropped = self.core.queues.abort();
-        self.core.stop.store(true, Ordering::Relaxed);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(c) = self.control.take() {
-            let _ = c.join();
-        }
+        let dropped = self.core.policy().abort().len();
+        self.core.work.notify_all();
+        self.join_threads();
         (self.stats(), dropped)
     }
 
     fn shutdown_inner(&mut self) {
-        self.core.queues.shutdown();
+        self.core.policy().shutdown();
+        self.core.work.notify_all();
         // Drain the pipeline before joining workers: every accepted
         // pipeline job resolves (conservation), new ones get a typed
         // shutdown rejection.
         if let Some(rig) = &self.core.rig {
             rig.shutdown();
         }
+        self.join_threads();
+    }
+
+    fn join_threads(&mut self) {
         self.core.stop.store(true, Ordering::Relaxed);
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -826,5 +707,27 @@ impl ServeHandle {
 impl Drop for ServeHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::class::default_classes;
+    use murmuration_core::RuntimeConfig;
+    use murmuration_partition::compliance::Slo;
+    use murmuration_rl::{LstmPolicy, Scenario, SloKind};
+
+    #[test]
+    #[should_panic(expected = "unknown class")]
+    fn submit_wait_rejects_an_unknown_class_by_name() {
+        let sc = Scenario::augmented_computing(SloKind::Latency);
+        let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
+        let rt = SharedRuntime::new(sc, policy, RuntimeConfig::default(), Slo::LatencyMs(200.0));
+        let link = LinkState { bandwidth_mbps: 300.0, delay_ms: 8.0 };
+        let cfg =
+            ServeConfig { service_sleep: false, ..ServeConfig::engineered(default_classes()) };
+        let handle = ServeHandle::start(Arc::new(rt), EnvModel::constant(link, 1), cfg);
+        let _ = handle.submit_wait(3);
     }
 }

@@ -29,7 +29,7 @@ fn same_spec_and_seed_replays_bit_for_bit() {
         .run(&(0usize..n, 0usize..2, 0usize..3, 0usize..3, 0u64..1_000), |(idx, p, q, m, seed)| {
             let spec = &specs[idx];
             let cell = cell_from(p, q, m);
-            let cfg = CampaignConfig { master_seed: seed, ..CampaignConfig::default() };
+            let cfg = CampaignConfig { master_seed: seed };
             let a = run_cell(spec, &cell, &cfg);
             let b = run_cell(spec, &cell, &cfg);
             prop_assert_eq!(a.fingerprint(), b.fingerprint());
@@ -52,7 +52,7 @@ fn different_seeds_usually_diverge() {
     let cell = cell_from(0, 0, 0);
     let mut distinct = std::collections::HashSet::new();
     for seed in 0..8u64 {
-        let cfg = CampaignConfig { master_seed: seed, ..CampaignConfig::default() };
+        let cfg = CampaignConfig { master_seed: seed };
         distinct.insert(run_cell(spec, &cell, &cfg).fingerprint());
     }
     assert!(distinct.len() >= 7, "8 seeds produced only {} distinct runs", distinct.len());

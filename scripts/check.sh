@@ -76,6 +76,17 @@ if ! grep -q 'pub mod schema;' crates/serve/src/lib.rs; then
     echo "error: crates/serve/src/schema.rs left the crate-wide lint gate" >&2
     exit 1
 fi
+if ! grep -q '^mod policy;' crates/serve/src/lib.rs; then
+    echo "error: crates/serve/src/policy.rs left the crate-wide lint gate" >&2
+    exit 1
+fi
+# The serving policy is one clockless, threadless core driven by both the
+# threaded server and the campaign's virtual-time loop: instants are passed
+# in, never read, and locking belongs to the drivers.
+if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/serve/src/policy.rs; then
+    echo "error: crates/serve/src/policy.rs names a clock, a thread or a lock" >&2
+    exit 1
+fi
 
 echo "==> unsafe-block safety-comment lint (SIMD kernels, helper pool, split convolution)"
 # Every `unsafe fn` / `unsafe {` / `unsafe impl` in the hand-written kernel
