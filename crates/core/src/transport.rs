@@ -11,7 +11,7 @@
 //!   encode/decode round trip so the byte format stays honest.
 //! * `murmuration_transport::AsyncTcpTransport` — non-blocking
 //!   `std::net` sockets on a small pool of event loops, carrying the same
-//!   checksummed wire-v2 frames as length-delimited messages, with
+//!   checksummed wire-v3 frames as length-delimited messages, with
 //!   per-connection heartbeats, reconnect, and at-most-once resend dedup
 //!   (see the `murmuration-transport` crate).
 //!

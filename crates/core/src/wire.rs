@@ -1,24 +1,36 @@
 //! Wire protocol for inter-device tensor transfer — the byte-level format
 //! the paper's gRPC messages would carry.
 //!
-//! A frame is: magic `MWIR` · u8 version · u8 bit-width (8/16/32) · u8
-//! rank · per-dim u32 sizes · f32 scale (quantized payloads) · u64 payload
-//! length · u32 folded-FNV-1a checksum (see `frame_checksum`) · payload.
-//! 8/16-bit payloads are *packed* integer codes, so the frame length
-//! matches the latency model's
+//! A frame (version 3) is: magic `MWIR` · u8 version · u8 bit-width
+//! (8/16/32) · u8 rank · per-dim u32 sizes · f32 scale (quantized payloads)
+//! · u64 payload length · u32 lane-FNV-1a checksum (see `frame_checksum`)
+//! · payload. 8/16-bit payloads are *packed* integer codes, so the frame
+//! length matches the latency model's
 //! [`BitWidth::wire_bytes`](murmuration_tensor::quant::BitWidth::wire_bytes)
-//! accounting (± the fixed header).
+//! accounting (± the fixed header). A code is [`round_half_away`]`(x /
+//! scale, qmax)` with `scale = max|x| / qmax`: ties away from zero, NaN → 0,
+//! the same codes on the scalar and AVX2 paths.
 //!
 //! The checksum covers every frame byte except the checksum field itself,
 //! so corruption anywhere — header or payload — is detected rather than
-//! silently dequantized into garbage activations.
+//! silently dequantized into garbage activations. Version 3 changed only
+//! the checksum's definition (the payload is summed in 64 independent
+//! lanes, so it vectorises); a version-2 frame is rejected as "bad
+//! version" before any checksum is compared.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use murmuration_tensor::quant::BitWidth;
-use murmuration_tensor::{Shape, Tensor};
+use murmuration_tensor::quant::{round_half_away, symmetric_scale, BitWidth};
+use murmuration_tensor::{simd, Shape, Tensor};
 
 const MAGIC: &[u8; 4] = b"MWIR";
-const VERSION: u8 = 2;
+/// Frame format version, byte 4 of every frame.
+pub const VERSION: u8 = 3;
+
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+const FNV_PRIME: u32 = 0x0100_0193;
+/// Independent FNV chains over the payload: lane `i` takes the payload's
+/// little-endian words `i mod LANES`, one 256-byte block per round.
+const LANES: usize = 64;
 
 /// Frame decode errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,36 +65,46 @@ pub fn header_bytes(rank: usize) -> usize {
     checksum_offset(rank) + 4
 }
 
-/// Checksum over every frame byte except the checksum field itself:
-/// FNV-1a stepped byte-wise over the short header, then folded four bytes
-/// per step over the payload (4x fewer serially-dependent multiplies,
-/// which dominate FNV's cost on megabyte activations). Every step — word
-/// or byte — is an xor followed by an odd multiply, both invertible mod
-/// 2^32, so any single-byte change anywhere always changes the sum, the
-/// same guarantee as classic byte-wise FNV-1a.
+/// One FNV-1a step: an xor, then a multiply by an odd constant. Both are
+/// bijections of `h` mod 2^32 for a fixed input, and of the input for a
+/// fixed `h`.
+#[inline]
+fn fnv_step(h: u32, x: u32) -> u32 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Checksum over every frame byte except the checksum field itself.
+///
+/// The short header is FNV-1a stepped byte-wise. The payload's whole
+/// 256-byte blocks feed `LANES` independent FNV-1a chains, word `j` of a
+/// block into lane `j`, so the multiplies of one block do not wait on each
+/// other and the loop vectorises; the lanes are then folded into the sum
+/// in order by ordinary FNV steps, and the trailing words and bytes follow
+/// on the serial chain. Every step is an xor and an odd multiply, so a
+/// change to any single byte changes its lane (or the chain) at that step,
+/// and every later step carries the change through: a one-byte corruption
+/// anywhere always changes the sum, as with classic byte-wise FNV-1a.
 fn frame_checksum(frame: &[u8], crc_off: usize) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in &frame[..crc_off] {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+    let mut h = frame[..crc_off].iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, u32::from(b)));
+    let (blocks, rest) = frame[crc_off + 4..].as_chunks::<{ 4 * LANES }>();
+    let mut lanes = [FNV_OFFSET; LANES];
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.as_chunks::<4>().0) {
+            *lane = fnv_step(*lane, u32::from_le_bytes(*w));
+        }
     }
-    let payload = &frame[crc_off + 4..];
-    let mut words = payload.chunks_exact(4);
-    for w in &mut words {
-        h ^= u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    for &b in words.remainder() {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+    h = lanes.iter().fold(h, |h, &lane| fnv_step(h, lane));
+    let (words, bytes) = rest.as_chunks::<4>();
+    h = words.iter().fold(h, |h, w| fnv_step(h, u32::from_le_bytes(*w)));
+    bytes.iter().fold(h, |h, &b| fnv_step(h, u32::from(b)))
 }
 
 /// Encodes a tensor at the given wire precision.
 pub fn encode(t: &Tensor, bits: BitWidth) -> Vec<u8> {
     let dims = &t.shape().0;
-    let mut out = Vec::with_capacity(header_bytes(dims.len()) + t.numel() * 4);
+    let data = t.data();
+    let frame_len = frame_bytes(data.len(), dims.len(), bits);
+    let mut out = Vec::with_capacity(frame_len);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(bits.bits() as u8);
@@ -90,42 +112,40 @@ pub fn encode(t: &Tensor, bits: BitWidth) -> Vec<u8> {
     for &d in dims {
         out.extend_from_slice(&(d as u32).to_le_bytes());
     }
+    // One dispatch decision for the whole operation (absmax and encode).
+    let use_simd = simd::simd_active();
+    let qmax = if bits == BitWidth::B8 { 127.0f32 } else { 32767.0 };
+    let scale = match bits {
+        BitWidth::B32 => 0.0, // unused
+        BitWidth::B16 | BitWidth::B8 => symmetric_scale(data, qmax, use_simd),
+    };
+    out.extend_from_slice(&scale.to_le_bytes());
+    let start = header_bytes(dims.len());
+    out.extend_from_slice(&((frame_len - start) as u64).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // checksum placeholder
+    out.resize(frame_len, 0);
+    let payload = &mut out[start..];
+    let inv = 1.0 / scale;
     match bits {
+        // Array chunks (`as_chunks`, not `chunks_exact`): with the width in
+        // the type this lowers to a straight copy on little-endian targets;
+        // a byte-indexed `chunks_exact` loop compiles to a byte loop.
         BitWidth::B32 => {
-            out.extend_from_slice(&0f32.to_le_bytes()); // scale unused
-            let payload_len = t.numel() * 4;
-            out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes()); // checksum placeholder
-
-            // Bulk conversion: resize once, then fill fixed-width chunks —
-            // this lowers to a straight memcpy on little-endian targets.
-            let start = out.len();
-            out.resize(start + payload_len, 0);
-            for (dst, v) in out[start..].chunks_exact_mut(4).zip(t.data()) {
-                dst.copy_from_slice(&v.to_le_bytes());
+            for (dst, v) in payload.as_chunks_mut::<4>().0.iter_mut().zip(data) {
+                *dst = v.to_le_bytes();
             }
         }
-        BitWidth::B16 | BitWidth::B8 => {
-            let qmax = if bits == BitWidth::B8 { 127.0f32 } else { 32767.0 };
-            let absmax = t.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if absmax == 0.0 { 1.0 } else { absmax / qmax };
-            out.extend_from_slice(&scale.to_le_bytes());
-            let inv = 1.0 / scale;
-            if bits == BitWidth::B8 {
-                let payload_len = t.numel();
-                out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes()); // checksum placeholder
-                for &v in t.data() {
-                    let c = (v * inv).round().clamp(-qmax, qmax) as i8;
-                    out.push(c as u8);
+        BitWidth::B16 => {
+            if !(use_simd && simd::encode_half_away_i16(data, inv, qmax, payload)) {
+                for (dst, &v) in payload.as_chunks_mut::<2>().0.iter_mut().zip(data) {
+                    *dst = (round_half_away(v * inv, qmax) as i16).to_le_bytes();
                 }
-            } else {
-                let payload_len = t.numel() * 2;
-                out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes()); // checksum placeholder
-                for &v in t.data() {
-                    let c = (v * inv).round().clamp(-qmax, qmax) as i16;
-                    out.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        BitWidth::B8 => {
+            if !(use_simd && simd::encode_half_away_i8(data, inv, qmax, payload)) {
+                for (dst, &v) in payload.iter_mut().zip(data) {
+                    *dst = round_half_away(v * inv, qmax) as i8 as u8;
                 }
             }
         }
@@ -197,12 +217,15 @@ pub fn decode(frame: &[u8]) -> Result<Tensor, WireError> {
         return Err(WireError::Checksum { expect: want_crc, got: got_crc });
     }
     let data: Vec<f32> = match bits {
+        // Array chunks, as in `encode`, so the B32 loop compiles to a copy.
         BitWidth::B32 => {
-            payload.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+            payload.as_chunks::<4>().0.iter().map(|&c| f32::from_le_bytes(c)).collect()
         }
         BitWidth::B16 => payload
-            .chunks_exact(2)
-            .map(|c| i16::from_le_bytes([c[0], c[1]]) as f32 * scale)
+            .as_chunks::<2>()
+            .0
+            .iter()
+            .map(|&c| i16::from_le_bytes(c) as f32 * scale)
             .collect(),
         BitWidth::B8 => payload.iter().map(|&b| b as i8 as f32 * scale).collect(),
     };
@@ -332,6 +355,82 @@ mod tests {
             b[i] ^= 1 << rng.gen_range(0..8);
             let _ = decode(&b); // must not panic; may error or round-trip
         }
+    }
+
+    /// The v2 encoder's code formula, kept as the reference the libm-free
+    /// quantizer must match bit for bit.
+    fn v2_code(v: f32, inv: f32, qmax: f32) -> i32 {
+        (v * inv).round().clamp(-qmax, qmax) as i32
+    }
+
+    #[test]
+    fn quantized_codes_match_the_v2_formula() {
+        // Exact halves (ties), their neighbours, signed zeros, NaN and
+        // values past the absmax-derived scale's range, on whichever path
+        // dispatch picks (the scalar-forced test run covers the other).
+        let mut vals = vec![0.0f32, -0.0, f32::NAN, 127.0, -127.0, 1e-40, -1e-40];
+        for k in -130..=130 {
+            let x = k as f32 + 0.5;
+            vals.extend([x, x.next_up(), x.next_down(), k as f32]);
+        }
+        let t = Tensor::from_vec(Shape::d1(vals.len()), vals.clone());
+        for (bits, qmax, width) in [(BitWidth::B8, 127.0f32, 1), (BitWidth::B16, 32767.0, 2)] {
+            let frame = encode(&t, bits);
+            let hb = header_bytes(1);
+            let sb = &frame[hb - 16..hb - 12];
+            let scale = f32::from_le_bytes([sb[0], sb[1], sb[2], sb[3]]);
+            assert_eq!(scale, vals.iter().fold(0.0f32, |m, &v| m.max(v.abs())) / qmax);
+            let inv = 1.0 / scale;
+            for (i, (code, &v)) in frame[hb..].chunks_exact(width).zip(&vals).enumerate() {
+                let got = if width == 1 {
+                    i32::from(code[0] as i8)
+                } else {
+                    i32::from(i16::from_le_bytes([code[0], code[1]]))
+                };
+                assert_eq!(got, v2_code(v, inv, qmax), "{bits:?} element {i} ({v:e})");
+            }
+            decode(&frame).unwrap();
+        }
+        // A 1.0 scale makes the halves themselves the scaled values.
+        let halves: Vec<f32> = (-127..127).map(|k| k as f32 + 0.5).chain([127.0]).collect();
+        let t = Tensor::from_vec(Shape::d1(halves.len()), halves.clone());
+        let frame = encode(&t, BitWidth::B8);
+        for (&c, &v) in frame[header_bytes(1)..].iter().zip(&halves) {
+            assert_eq!(i32::from(c as i8), v2_code(v, 1.0, 127.0), "{v}");
+        }
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_rejected() {
+        // Element counts whose payloads end mid-block (and, for 8 and 16
+        // bits, mid-word), so the flips hit the header, the checksum field,
+        // the lanes, the trailing words and the trailing bytes.
+        let mut rng = StdRng::seed_from_u64(36);
+        for (bits, numel) in [(BitWidth::B8, 333), (BitWidth::B16, 333), (BitWidth::B32, 333)] {
+            let t = Tensor::rand_uniform(Shape::nchw(1, 1, 9, numel / 9), 3.0, &mut rng);
+            let good = encode(&t, bits);
+            assert_ne!((good.len() - header_bytes(4)) % 256, 0);
+            assert!(decode(&good).is_ok());
+            let mut frame = good.clone();
+            for pos in 0..frame.len() {
+                for mask in [0x01u8, 0x80, 0xFF, 0x5A] {
+                    frame[pos] ^= mask;
+                    match decode(&frame) {
+                        Err(WireError::Checksum { .. } | WireError::Malformed(_)) => {}
+                        Ok(_) => panic!("{bits:?}: byte {pos} ^= {mask:#04x} went undetected"),
+                    }
+                    frame[pos] ^= mask;
+                }
+            }
+            assert_eq!(frame, good);
+        }
+    }
+
+    #[test]
+    fn version_two_frames_fail_as_bad_version() {
+        let mut frame = encode(&sample(), BitWidth::B32);
+        frame[4] = 2;
+        assert_eq!(decode(&frame).unwrap_err(), WireError::Malformed("bad version"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the wire-v2 frame decoder: `wire::decode` is the
+//! Property tests for the wire frame decoder: `wire::decode` is the
 //! first thing that touches bytes off a (real, now) network, so it must
 //! never panic — every input, however mangled, resolves to `Ok` or a typed
 //! `WireError`.
@@ -7,8 +7,8 @@
 //! * arbitrary byte strings (fuzzing the parser cold),
 //! * random truncations of valid frames (a connection cut mid-frame),
 //! * single-byte mutations of valid frames (link corruption — which the
-//!   FNV-1a checksum must always catch: its per-byte step is invertible,
-//!   so one changed byte always changes the sum).
+//!   lane-FNV-1a checksum must always catch: each of its steps is
+//!   invertible, so one changed byte always changes the sum).
 
 use murmuration_core::wire;
 use murmuration_tensor::quant::BitWidth;
@@ -63,7 +63,7 @@ fn arbitrary_bytes_with_valid_magic_still_never_panic() {
                 }
             }
             if bytes.len() > 4 {
-                bytes[4] = 2; // wire version
+                bytes[4] = wire::VERSION;
             }
             decode_never_panics(&bytes).map_err(proptest::test_runner::TestCaseError::fail)?;
             Ok(())

@@ -27,7 +27,6 @@ pub mod evolutionary;
 pub mod neurosurgeon;
 pub mod pipeline;
 pub mod plan;
-pub mod sensitivity;
 pub mod single;
 
 pub use estimator::{LatencyBreakdown, LatencyEstimator};

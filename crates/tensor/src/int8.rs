@@ -131,9 +131,7 @@ pub fn quantize_activations_into(data: &[f32], out: &mut Vec<i8>) -> f32 {
     out.clear();
     out.resize(data.len(), 0);
     let use_simd = simd::simd_active();
-    let absmax = if use_simd { simd::absmax(data) } else { None }
-        .unwrap_or_else(|| data.iter().fold(0.0f32, |a, &v| a.max(v.abs())));
-    let scale = if absmax == 0.0 { 1.0 } else { absmax / A_QMAX };
+    let scale = crate::quant::symmetric_scale(data, A_QMAX, use_simd);
     let inv = 1.0 / scale;
     if !(use_simd && simd::encode_i8(data, inv, A_QMAX, out)) {
         for (c, &v) in out.iter_mut().zip(data.iter()) {

@@ -47,6 +47,39 @@ impl BitWidth {
     }
 }
 
+/// The wire's code for one scaled value: `x.round().clamp(-qmax, qmax) as
+/// i32` (ties away from zero, NaN → 0), computed without a libm call.
+///
+/// Clamps first, truncates, then steps by ±1 when the exact remainder
+/// `c − trunc(c)` reaches ±0.5. For an integer `qmax < 2²³` every step is
+/// exact: clamping commutes with rounding to an integer bound, the clamped
+/// value fits `i32`, and the remainder of a float and its truncation is
+/// representable. NaN survives the clamp, truncates to 0 and compares
+/// false, so it codes to 0 as `as` does. [`crate::simd::encode_half_away_i8`]
+/// and [`crate::simd::encode_half_away_i16`] are its vector twins.
+#[inline]
+pub fn round_half_away(x: f32, qmax: f32) -> i32 {
+    let c = x.clamp(-qmax, qmax);
+    let t = c as i32;
+    let r = c - t as f32;
+    // Branch-free, so loops over it vectorise.
+    t + i32::from(r >= 0.5) - i32::from(r <= -0.5)
+}
+
+/// The symmetric scale `max|x| / qmax` of `data` (1.0 for an all-zero
+/// input), NaN skipped. The absmax runs on the AVX2 reduction when
+/// `use_simd` (the caller's one [`simd::simd_active`] reading for the whole
+/// operation), else as a scalar fold; the two agree bit for bit.
+pub fn symmetric_scale(data: &[f32], qmax: f32, use_simd: bool) -> f32 {
+    let absmax = if use_simd { simd::absmax(data) } else { None }
+        .unwrap_or_else(|| data.iter().fold(0.0f32, |m, &v| m.max(v.abs())));
+    if absmax == 0.0 {
+        1.0
+    } else {
+        absmax / qmax
+    }
+}
+
 /// A quantized feature map as it would travel on the wire.
 #[derive(Clone, Debug)]
 pub struct QuantizedTensor {
@@ -76,9 +109,7 @@ impl QuantizedTensor {
         };
         let data = t.data();
         let use_simd = simd::simd_active();
-        let absmax = if use_simd { simd::absmax(data) } else { None }
-            .unwrap_or_else(|| data.iter().fold(0.0f32, |m, &v| m.max(v.abs())));
-        let scale = if absmax == 0.0 { 1.0 } else { absmax / qmax };
+        let scale = symmetric_scale(data, qmax, use_simd);
         let inv = 1.0 / scale;
         let mut codes = vec![0i32; data.len()];
         if !(use_simd && simd::encode_i32(data, inv, qmax, &mut codes)) {

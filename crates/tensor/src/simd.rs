@@ -32,7 +32,10 @@
 //! * Integer kernels (int8 GEMM, quantize encode) are **bit-exact** against
 //!   their scalar counterparts: i32 accumulation is exact in both, and both
 //!   sides round with round-to-nearest-even (`f32::round_ties_even` scalar,
-//!   `vcvtps2dq` vector).
+//!   `vcvtps2dq` vector). The wire encode rounds half away from zero by the
+//!   same truncate-and-step arithmetic on both sides
+//!   ([`crate::quant::round_half_away`]). Every encode maps NaN to code 0
+//!   and every absmax skips NaN, as the scalar `as` cast and `f32::max` do.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -453,8 +456,9 @@ unsafe fn dw_row5_s1_avx2(
 // Quantization helpers
 // ---------------------------------------------------------------------------
 
-/// Vectorized `max(|x|)` over a slice. `None` when the vector path is
-/// unavailable (or the slice is empty); the caller runs its scalar fold.
+/// Vectorized `max(|x|)` over a slice, skipping NaN like the scalar
+/// `fold(0.0, f32::max)`. `None` when the vector path is unavailable (or the
+/// slice is empty); the caller runs its scalar fold.
 pub fn absmax(data: &[f32]) -> Option<f32> {
     if !detected() || data.is_empty() {
         return None;
@@ -481,13 +485,15 @@ unsafe fn absmax_avx2(d: *const f32, n: usize) -> f32 {
     let mut m0 = _mm256_setzero_ps();
     let mut m1 = _mm256_setzero_ps();
     let mut i = 0;
+    // `maxps` returns its second operand when either is NaN, so the running
+    // maximum goes second: a NaN input is skipped, as `f32::max` skips it.
     while i + 16 <= n {
-        m0 = _mm256_max_ps(m0, _mm256_and_ps(_mm256_loadu_ps(d.add(i)), sign_mask));
-        m1 = _mm256_max_ps(m1, _mm256_and_ps(_mm256_loadu_ps(d.add(i + 8)), sign_mask));
+        m0 = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(d.add(i)), sign_mask), m0);
+        m1 = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(d.add(i + 8)), sign_mask), m1);
         i += 16;
     }
     while i + 8 <= n {
-        m0 = _mm256_max_ps(m0, _mm256_and_ps(_mm256_loadu_ps(d.add(i)), sign_mask));
+        m0 = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(d.add(i)), sign_mask), m0);
         i += 8;
     }
     let m = _mm256_max_ps(m0, m1);
@@ -505,7 +511,8 @@ unsafe fn absmax_avx2(d: *const f32, n: usize) -> f32 {
 /// `out[i] = round_ties_even(clamp(data[i] * inv, -qmax, qmax))`.
 ///
 /// Bit-exact with the scalar formula (both clamp before rounding and round
-/// half-to-even). Returns `false` when the vector path is unavailable.
+/// half-to-even; NaN codes to 0 as `as` maps it). Returns `false` when the
+/// vector path is unavailable.
 pub fn encode_i32(data: &[f32], inv: f32, qmax: f32, out: &mut [i32]) -> bool {
     if !detected() {
         return false;
@@ -541,7 +548,7 @@ unsafe fn encode_i32_avx2(d: *const f32, n: usize, inv: f32, qmax: f32, out: *mu
         let v = _mm256_mul_ps(_mm256_loadu_ps(d.add(i)), vi);
         let c = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
         // vcvtps2dq rounds to nearest-even, matching f32::round_ties_even.
-        _mm256_storeu_si256(out.add(i).cast(), _mm256_cvtps_epi32(c));
+        _mm256_storeu_si256(out.add(i).cast(), nan_to_zero(v, _mm256_cvtps_epi32(c)));
         i += 8;
     }
     while i < n {
@@ -587,7 +594,7 @@ unsafe fn encode_i8_avx2(d: *const f32, n: usize, inv: f32, qmax: f32, out: *mut
     let mut i = 0;
     while i + 8 <= n {
         let v = _mm256_mul_ps(_mm256_loadu_ps(d.add(i)), vi);
-        let c = _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(v, lo), hi));
+        let c = nan_to_zero(v, _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(v, lo), hi)));
         // Narrow 8×i32 → 8×i8: the values are already in [-127, 127], so the
         // saturating packs are pure width changes.
         let lo128 = _mm256_castsi256_si128(c);
@@ -599,6 +606,124 @@ unsafe fn encode_i8_avx2(d: *const f32, n: usize, inv: f32, qmax: f32, out: *mut
     }
     while i < n {
         *out.add(i) = ((*d.add(i) * inv).clamp(-qmax, qmax)).round_ties_even() as i8;
+        i += 1;
+    }
+}
+
+/// Zeroes the lanes of `codes` whose `v` is NaN: `vcvtps2dq` and the clamp's
+/// `maxps` turn NaN into a bound, where the scalar `as` cast gives 0.
+///
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn nan_to_zero(
+    v: std::arch::x86_64::__m256,
+    codes: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    _mm256_and_si256(codes, _mm256_castps_si256(_mm256_cmp_ps::<_CMP_ORD_Q>(v, v)))
+}
+
+/// Vectorized wire encode to packed i8 codes,
+/// `out[i] = round_half_away(data[i] * inv, qmax) as i8` (see
+/// [`crate::quant::round_half_away`]; `qmax ≤ 127`). Bit-exact with the
+/// scalar formula. Returns `false` when the vector path is unavailable.
+pub fn encode_half_away_i8(data: &[f32], inv: f32, qmax: f32, out: &mut [u8]) -> bool {
+    if !detected() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(data.len(), out.len(), "encode length mismatch");
+        assert!(qmax <= 127.0, "i8 encode requires qmax <= 127");
+        // SAFETY: AVX2 presence was checked via `detected()`; `out` holds one
+        // byte per element (asserted), and codes fit i8 (asserted).
+        unsafe {
+            encode_half_away_avx2::<false>(data.as_ptr(), data.len(), inv, qmax, out.as_mut_ptr())
+        }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (data, inv, qmax, out);
+        false
+    }
+}
+
+/// Vectorized wire encode to packed little-endian i16 codes (the formula of
+/// [`encode_half_away_i8`], `qmax ≤ 32767`, two bytes per element).
+/// Bit-exact with the scalar formula. Returns `false` when the vector path
+/// is unavailable.
+pub fn encode_half_away_i16(data: &[f32], inv: f32, qmax: f32, out: &mut [u8]) -> bool {
+    if !detected() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(2 * data.len(), out.len(), "encode length mismatch");
+        assert!(qmax <= 32767.0, "i16 encode requires qmax <= 32767");
+        // SAFETY: AVX2 presence was checked via `detected()`; `out` holds two
+        // bytes per element (asserted), and codes fit i16 (asserted).
+        unsafe {
+            encode_half_away_avx2::<true>(data.as_ptr(), data.len(), inv, qmax, out.as_mut_ptr())
+        }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (data, inv, qmax, out);
+        false
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX2 is available, `d` is valid for `n` f32 reads,
+/// `out` for `n` (`WIDE`: `2n`) byte writes, and `qmax` fits the code width.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn encode_half_away_avx2<const WIDE: bool>(
+    d: *const f32,
+    n: usize,
+    inv: f32,
+    qmax: f32,
+    out: *mut u8,
+) {
+    use std::arch::x86_64::*;
+    let vi = _mm256_set1_ps(inv);
+    let lo = _mm256_set1_ps(-qmax);
+    let hi = _mm256_set1_ps(qmax);
+    let half = _mm256_set1_ps(0.5);
+    let neg_half = _mm256_set1_ps(-0.5);
+    let mut i = 0;
+    while i + 8 <= n {
+        let v = _mm256_mul_ps(_mm256_loadu_ps(d.add(i)), vi);
+        let c = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+        let t = _mm256_cvttps_epi32(c);
+        let r = _mm256_sub_ps(c, _mm256_cvtepi32_ps(t));
+        // Compare masks are all ones (-1): subtracting `up` steps +1,
+        // adding `down` steps -1.
+        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(r, half));
+        let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(r, neg_half));
+        let q = nan_to_zero(v, _mm256_add_epi32(_mm256_sub_epi32(t, up), down));
+        // The codes already fit the width, so the saturating packs only
+        // narrow them.
+        let w16 = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+        if WIDE {
+            _mm_storeu_si128(out.add(2 * i).cast(), w16);
+        } else {
+            _mm_storel_epi64(out.add(i).cast(), _mm_packs_epi16(w16, w16));
+        }
+        i += 8;
+    }
+    while i < n {
+        let q = crate::quant::round_half_away(*d.add(i) * inv, qmax);
+        if WIDE {
+            std::ptr::copy_nonoverlapping((q as i16).to_le_bytes().as_ptr(), out.add(2 * i), 2);
+        } else {
+            *out.add(i) = q as i8 as u8;
+        }
         i += 1;
     }
 }

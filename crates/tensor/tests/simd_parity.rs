@@ -99,6 +99,48 @@ fn activation_codes_are_bit_identical() {
     assert_eq!(v.0, s.0, "activation codes must be bit-identical across paths");
 }
 
+/// Bit patterns of an f32 slice, so NaN results compare equal to themselves.
+fn bits_of(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn quantize_paths_agree_on_nan_inf_and_negative_zero() {
+    // A NaN inside the vector main loop must neither reset the running
+    // absmax nor become a clamp bound: 100 at 0, NaN at 16, 1 at 32 once
+    // gave the vector path a scale from 1.0 and the scalar path one from 100.
+    let mut finite: Vec<f32> = (0..67).map(|i| ((i as f32 * 0.9).sin() - 0.2) * 0.9).collect();
+    finite[0] = 100.0;
+    finite[16] = f32::NAN;
+    finite[32] = 1.0;
+    finite[5] = -0.0;
+    finite[41] = -f32::NAN;
+    finite[63] = f32::NAN;
+    let mut infinite = finite.clone();
+    infinite[9] = f32::INFINITY;
+    infinite[50] = f32::NEG_INFINITY;
+    let all_nan = vec![f32::NAN; 20];
+    for data in [&finite, &infinite, &all_nan] {
+        let scalar_absmax = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        if let Some(m) = simd::absmax(data) {
+            assert_eq!(m.to_bits(), scalar_absmax.to_bits(), "absmax skips NaN");
+        }
+        let t = Tensor::from_vec(Shape::d1(data.len()), data.clone());
+        for bits in [BitWidth::B8, BitWidth::B16] {
+            let (v, s, _g) =
+                both_paths(|| bits_of(QuantizedTensor::quantize(&t, bits).dequantize().data()));
+            assert_eq!(v, s, "quantize({bits:?}) across paths");
+        }
+        let (v, s, _g) = both_paths(|| murmuration_tensor::int8::quantize_activations(data));
+        assert_eq!(v.1.to_bits(), s.1.to_bits(), "activation scale");
+        assert_eq!(v.0, s.0, "activation codes across paths");
+    }
+    // With a finite scale, NaN codes to 0 and the scale comes from 100.
+    let (codes, scale) = murmuration_tensor::int8::quantize_activations(&finite);
+    assert_eq!(scale, 100.0 / 127.0);
+    assert_eq!((codes[16], codes[41], codes[63], codes[5]), (0, 0, 0, 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -334,7 +334,7 @@ fn pump(shared: &Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream, lane:
             let at = HEADER_BYTES + rng.gen_range(0..len);
             frame[at] ^= 0xA5;
             // Header checksum untouched: the *receiver* detects this — the
-            // outer crc for framing-metadata bytes, the inner wire-v2
+            // outer crc for framing-metadata bytes, the inner wire-v3
             // checksum for tensor-body bytes past the covered prefix.
             debug_assert!(
                 at - HEADER_BYTES >= CRC_COVER

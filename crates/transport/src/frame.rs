@@ -8,7 +8,7 @@
 //! `crc` is [`check32`] over the payload's first [`CRC_COVER`] bytes. The
 //! payload's first byte is the message type; the rest is the message body,
 //! little-endian throughout. Tensor data rides *inside* [`Msg::Request`] /
-//! [`Msg::ResponseOk`] as a complete wire-v2 frame
+//! [`Msg::ResponseOk`] as a complete wire-v3 frame
 //! (`murmuration_core::wire`), which carries its own checksum over every
 //! body byte — so the outer crc only needs to protect the framing metadata
 //! (lengths, ids, type bytes; control messages are tiny and fully
@@ -27,7 +27,7 @@ pub const HEADER_BYTES: usize = 8;
 pub const MAX_PAYLOAD: usize = 1 << 30;
 /// Payload prefix covered by the outer checksum: all framing metadata and
 /// every control message, while self-checksummed tensor bodies are left to
-/// their own (stronger, full-coverage) wire-v2 checksum.
+/// their own (stronger, full-coverage) wire-v3 checksum.
 pub const CRC_COVER: usize = 256;
 /// Protocol version carried in [`Msg::Hello`].
 pub const PROTO_VERSION: u8 = 1;
@@ -53,16 +53,16 @@ pub enum Msg {
         /// Protocol version ([`PROTO_VERSION`]).
         version: u8,
     },
-    /// Run `unit` on the tensor encoded in `frame` (a wire-v2 frame).
+    /// Run `unit` on the tensor encoded in `frame` (a wire-v3 frame).
     Request {
         /// Request id, unique within the session; echoed in the response.
         req_id: u64,
         /// Execution unit to run.
         unit: u32,
-        /// Input tensor as a complete wire-v2 frame.
+        /// Input tensor as a complete wire-v3 frame.
         frame: Vec<u8>,
     },
-    /// Successful unit output (always a B32 wire-v2 frame — outputs are
+    /// Successful unit output (always a B32 wire-v3 frame — outputs are
     /// never re-quantized, matching the in-process transport exactly).
     ResponseOk {
         /// Echo of the request id.
@@ -70,7 +70,7 @@ pub enum Msg {
         /// True when this response served a duplicate delivery from the
         /// dedup map instead of recomputing.
         deduped: bool,
-        /// Output tensor as a B32 wire-v2 frame.
+        /// Output tensor as a B32 wire-v3 frame.
         frame: Vec<u8>,
     },
     /// The unit failed (panic, injected error, undecodable request).

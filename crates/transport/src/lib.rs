@@ -1,8 +1,9 @@
 //! # murmuration-transport
 //!
-//! Real TCP transport for the distributed executor: the wire-v2 frames
-//! that `murmuration-core` has always round-tripped through its in-process
-//! channels, carried over actual `std::net` sockets that can fail.
+//! Real TCP transport for the distributed executor: the wire-v3 frames
+//! (`core::wire`, lane-FNV-1a checksummed) that `murmuration-core`
+//! round-trips through its in-process channels, carried over actual
+//! `std::net` sockets that can fail.
 //!
 //! * [`frame`] — the outer socket framing: length-delimited, checksummed
 //!   messages (hello / request / response / heartbeat / goodbye / cancel /

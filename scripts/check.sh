@@ -25,14 +25,23 @@ echo "==> cargo test -q (tier-1: every crate's suites, each binary once; bounded
 # prints each binary's wall time on its `test result:` line.
 timeout 1800 cargo test -q
 
-echo "==> scalar-fallback leg (full tensor + quantized-layer suites + executor parity, SIMD forced off)"
+echo "==> scalar-fallback leg (full tensor + quantized-layer suites + executor parity + wire, SIMD forced off)"
 # The SIMD dispatch satellite: the same tests must pass with the portable
 # kernels, and the parity/exactness suites inside them compare both paths.
 # The executor tests hold "distributed == local, bit for bit" on the
-# portable direct-convolution tile as well.
+# portable direct-convolution tile as well, and the wire suites check the
+# portable quantizer's codes and the checksum on its frames.
 MURMURATION_FORCE_SCALAR=1 timeout 600 cargo test -q -p murmuration-tensor
 MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-nn quantized
 MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core executor
+MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core wire
+MURMURATION_FORCE_SCALAR=1 timeout 300 cargo test -q -p murmuration-core --test wire_proptest
+
+echo "==> exhaustive wire rounding (all 2^32 f32 inputs, both widths, scalar and AVX2, release)"
+# The libm-free wire quantizer against the round-then-clamp formula it
+# replaced, on every input: ≈50 s of test time on two threads of a
+# 2-vCPU x86-64 VM, plus the release build of the test binary.
+timeout 900 cargo test --release -q -p murmuration-tensor --test wire_rounding -- --ignored
 
 echo "==> fault-path lint gates (no unwrap/expect in hardened modules)"
 for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
