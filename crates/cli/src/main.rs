@@ -13,10 +13,11 @@ mod args;
 mod remote;
 
 use args::{ArgError, Args};
-use murmuration_core::{Runtime, RuntimeConfig, SharedRuntime};
+use murmuration_core::fleet::Input;
+use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::trace::NetworkTrace;
 use murmuration_edgesim::{
-    ArrivalTrace, DeviceTrace, FleetTrace, LinkState, NetworkState, RateShape,
+    ArrivalTrace, DeviceStatus, DeviceTrace, FleetTrace, LinkState, NetworkState, RateShape,
 };
 use murmuration_partition::compliance::Slo;
 use murmuration_partition::{ExecutionPlan, LatencyEstimator};
@@ -384,7 +385,7 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             n_devices - 1
         ))));
     }
-    let mut rt = Runtime::new(sc, policy, RuntimeConfig::default(), initial);
+    let rt = SharedRuntime::new(sc, policy, RuntimeConfig::default(), initial);
     let mut rng = StdRng::seed_from_u64(args.get_parsed_or("seed", 0u64)?);
     let base = LinkState { bandwidth_mbps: 150.0, delay_ms: 20.0 };
     let trace = NetworkTrace::random_walk(base, 400.0, requests * 2 + 4, 4.0, 11);
@@ -394,15 +395,16 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut met = 0usize;
     for i in 0..requests {
+        let t = i as f64 * 400.0;
         if kill_device != usize::MAX {
+            let force = |status| [Input::Force { dev: kill_device, status }];
             if i == kill_at {
-                rt.set_device_down(kill_device);
+                rt.observe(t, force(DeviceStatus::Down));
             }
             if i == revive_at {
-                rt.set_device_up(kill_device);
+                rt.observe(t, force(DeviceStatus::Up));
             }
         }
-        let t = i as f64 * 400.0;
         let link = trace.sample(t);
         let net = NetworkState::uniform(n_remote, link);
         rt.tick(&net, t, &mut rng);

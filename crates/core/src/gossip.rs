@@ -12,7 +12,7 @@
 //!   SWIM refutation rule: a node seeing itself suspected bumps its own
 //!   incarnation, so a stale rumor cannot permanently kill a live node.
 //! * **Health dissemination** — each node attaches its local
-//!   [`FleetHealth`] observations ([`HealthReport`]: graded state,
+//!   [`Fleet`](crate::fleet::Fleet) observations ([`HealthReport`]: graded state,
 //!   routing penalty, p50/p95 latency digest) to every gossip exchange,
 //!   versioned per reporter so replayed or duplicated frames are
 //!   idempotent.
@@ -24,7 +24,7 @@
 //!   exactly the ones trimmed), and reporters whose claims repeatedly
 //!   disagree with direct observation lose weight until they are ignored
 //!   entirely. Aggregated peer penalties are *capped* when folded into
-//!   [`FleetHealth`] (see `peer_penalty_cap`): gossip steers routing, but
+//!   the fleet (see `peer_penalty_cap`): gossip steers routing, but
 //!   quarantine always requires local evidence plus a local canary pass.
 //!
 //! Everything is driven by explicit ticks and caller-provided seeds —
@@ -32,7 +32,6 @@
 //! bit-for-bit.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::health::FleetHealth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -391,7 +390,6 @@ pub struct GossipNode {
     /// Local tick at which each peer's heartbeat last advanced.
     last_advance: BTreeMap<NodeId, u64>,
     tick: u64,
-    report_version: u64,
     rng: StdRng,
 }
 
@@ -418,7 +416,6 @@ impl GossipNode {
             reports: BTreeMap::new(),
             last_advance: BTreeMap::new(),
             tick: 0,
-            report_version: 0,
             rng: StdRng::seed_from_u64(seed ^ me.0),
         }
     }
@@ -542,42 +539,10 @@ impl GossipNode {
         delta
     }
 
-    /// Replaces this node's own health reports with fresh observations
-    /// from its local [`FleetHealth`], bumping the report version.
-    pub fn publish_local_health(&mut self, fleet: &FleetHealth) {
-        self.report_version += 1;
-        let version = self.report_version;
-        for dev in 0..fleet.n_devices() {
-            let (p50, p95) = fleet.latency_digest(dev).unwrap_or((f64::NAN, f64::NAN));
-            self.reports.insert(
-                (self.me, dev as u32),
-                HealthReport {
-                    reporter: self.me,
-                    device: dev as u32,
-                    state: fleet.state(dev).code(),
-                    penalty: fleet.penalty(dev),
-                    p50_ms: p50,
-                    p95_ms: p95,
-                    version,
-                },
-            );
-        }
-    }
-
-    /// All carried reports about `device` from reporters other than
-    /// `exclude` (pass the local node to keep self-reports out of peer
-    /// aggregation).
-    pub fn peer_reports_for(&self, device: u32, exclude: NodeId) -> Vec<HealthReport> {
-        self.reports
-            .values()
-            .filter(|r| r.device == device && r.reporter != exclude)
-            .copied()
-            .collect()
-    }
-
-    /// Every report currently carried.
-    pub fn reports(&self) -> Vec<HealthReport> {
-        self.reports.values().copied().collect()
+    /// Every carried report from reporters other than `exclude` (pass
+    /// the local node to keep self-reports out of peer aggregation).
+    pub fn peer_reports(&self, exclude: NodeId) -> Vec<HealthReport> {
+        self.reports.values().filter(|r| r.reporter != exclude).copied().collect()
     }
 
     /// Up to `fanout` random live peers to push-pull with this round.
@@ -727,6 +692,7 @@ impl ReputationAggregator {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::fleet::{Fleet, Input};
     use crate::health::{HealthConfig, HealthState};
 
     fn node(seed: u64, index: u64, role: NodeRole, rank: u32) -> GossipNode {
@@ -743,11 +709,12 @@ mod tests {
     #[test]
     fn digest_round_trips_through_wire() {
         let mut a = node(1, 0, NodeRole::Coordinator, 0);
-        let mut fleet = FleetHealth::new(3, HealthConfig::default());
+        let mut fleet = Fleet::new(3, HealthConfig::default());
         for i in 0..16 {
-            let _ = fleet.on_success(1, 10.0 + (i % 3) as f64, i as f64);
+            fleet.step(i as f64, Input::Latency { dev: 1, ms: 10.0 + (i % 3) as f64 });
         }
-        a.publish_local_health(&fleet);
+        let reports = fleet.export_reports(a.id(), 1);
+        a.merge(&GossipMsg { from: a.id(), members: Vec::new(), reports });
         let _ = a.tick();
         let msg = a.digest();
         let decoded = GossipMsg::decode(&msg.encode()).unwrap();

@@ -1,34 +1,24 @@
-//! Graded device-health tracking for gray failures.
+//! The vocabulary of gray-failure detection.
 //!
-//! Crash-stop faults are handled by the binary dead-mask in
-//! [`crate::runtime`]; this module covers the *gray* failures that mask
-//! misses: a device that is slow-but-alive (thermal throttling, a
-//! contended CPU, an asymmetric congested link) never crashes, yet drags
-//! every partitioned request's tail latency. Each device gets a robust
-//! latency tracker (EWMA plus windowed median/MAD outlier scoring, fed
-//! from executor per-attempt timings and transport heartbeat RTTs) that
-//! drives a graded state machine:
+//! Crash-stop faults are the down flag of [`crate::fleet`]; this module
+//! names what covers the *gray* failures that flag misses: a device that
+//! is slow-but-alive (thermal throttling, a contended CPU, an asymmetric
+//! congested link) never crashes, yet drags every partitioned request's
+//! tail latency. [`LatencyTracker`] is the robust per-device (or per-link)
+//! statistic — EWMA plus windowed median/MAD outlier scoring — that the
+//! fleet feeds from execution latencies and heartbeat RTTs and the
+//! executor's hedge trigger reads its tail quantile from. [`HealthState`]
+//! is the graded state those outliers walk a device through,
+//! [`HealthConfig`] the thresholds, dwell times and penalties of that
+//! walk, and [`HealthTransitions`] its counters. The state machine itself
+//! is [`crate::fleet::Fleet`].
 //!
-//! ```text
-//!            outliers ≥ suspect_after          outliers keep coming
-//!  Healthy ───────────────────────► Suspect ─────────────────────► Quarantined
-//!     ▲  ◄──────────────────────────┘  ▲                              │
-//!     │     inliers ≥ clear_after       │ canary outlier/failure      │ backoff
-//!     │                                 │ (backoff doubles)           ▼ elapsed
-//!     └──────────────── passing canaries ≤────────────────────── Probation
-//!            (probation_canaries inlier successes)
-//! ```
-//!
-//! The scheduler consumes this as a *penalty*, not a binary mask:
+//! The scheduler consumes the grade as a *penalty*, not a binary mask:
 //! `Suspect`/`Probation` devices keep serving but their links are
 //! reported degraded (so decisions route around them), while
-//! `Quarantined` devices are removed from the placeable mask entirely
-//! until a canary probe re-admits them. `Healthy` is unreachable from
-//! quarantine without passing canaries — a property the proptests pin.
-//!
-//! Everything here is driven by explicit timestamps (`now_ms`), never the
-//! wall clock, so state-machine behaviour is exactly reproducible under
-//! test and in virtual-time simulations.
+//! `Quarantined` devices leave the placeable mask entirely until a canary
+//! probe re-admits them. `Healthy` is unreachable from quarantine without
+//! passing canaries — a property the proptests pin.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
@@ -243,392 +233,37 @@ pub struct HealthTransitions {
     pub readmissions: u64,
 }
 
-/// What a health update caused, so callers can react (purge caches on
-/// quarantine, log re-admissions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthEvent {
-    /// No state transition of interest.
-    None,
-    /// The device just entered `Quarantined`.
-    Quarantined,
-    /// The device just returned to `Healthy` after passing its canaries.
-    Readmitted,
-}
-
-/// One device's gray-health machine.
-#[derive(Clone, Debug)]
-struct DeviceGrayHealth {
-    tracker: LatencyTracker,
-    link: LatencyTracker,
-    state: HealthState,
-    bad_streak: u32,
-    good_streak: u32,
-    canary_passes: u32,
-    quarantined_at_ms: f64,
-    backoff_ms: f64,
-    /// Trace-driven slowdown factor (virtual simulations); folded into
-    /// the penalty but never into the measured state machine.
-    virtual_slow: Option<f64>,
-    /// Peer-reported (gossip-aggregated) penalty; folded into the penalty
-    /// capped at `peer_penalty_cap`, never into the state machine.
-    peer_penalty: Option<f64>,
-}
-
-impl DeviceGrayHealth {
-    fn new(cfg: &HealthConfig) -> Self {
-        DeviceGrayHealth {
-            tracker: LatencyTracker::new(cfg.alpha, cfg.window),
-            link: LatencyTracker::new(cfg.alpha, cfg.window),
-            state: HealthState::Healthy,
-            bad_streak: 0,
-            good_streak: 0,
-            canary_passes: 0,
-            quarantined_at_ms: 0.0,
-            backoff_ms: cfg.canary_backoff_ms,
-            virtual_slow: None,
-            peer_penalty: None,
-        }
-    }
-
-    fn quarantine(&mut self, cfg: &HealthConfig, now_ms: f64, double_backoff: bool) -> HealthEvent {
-        if double_backoff {
-            self.backoff_ms = (self.backoff_ms * 2.0).min(cfg.canary_backoff_max_ms);
-        }
-        self.state = HealthState::Quarantined;
-        self.quarantined_at_ms = now_ms;
-        self.bad_streak = 0;
-        self.good_streak = 0;
-        self.canary_passes = 0;
-        HealthEvent::Quarantined
-    }
-
-    fn readmit(&mut self, cfg: &HealthConfig) -> HealthEvent {
-        self.state = HealthState::Healthy;
-        self.bad_streak = 0;
-        self.good_streak = 0;
-        self.canary_passes = 0;
-        self.backoff_ms = cfg.canary_backoff_ms;
-        HealthEvent::Readmitted
-    }
-
-    /// An outlier-grade bad signal (slow sample, RTT spike, or failure).
-    fn on_bad(&mut self, cfg: &HealthConfig, now_ms: f64) -> HealthEvent {
-        match self.state {
-            HealthState::Healthy => {
-                self.good_streak = 0;
-                self.bad_streak += 1;
-                if self.bad_streak >= cfg.suspect_after {
-                    self.state = HealthState::Suspect;
-                }
-                HealthEvent::None
-            }
-            HealthState::Suspect => {
-                self.good_streak = 0;
-                self.bad_streak += 1;
-                if self.bad_streak >= cfg.suspect_after + cfg.quarantine_after {
-                    self.quarantine(cfg, now_ms, false)
-                } else {
-                    HealthEvent::None
-                }
-            }
-            // A failed canary: back to quarantine with a longer dwell.
-            HealthState::Probation => self.quarantine(cfg, now_ms, true),
-            HealthState::Quarantined => HealthEvent::None,
-        }
-    }
-
-    /// An inlier-grade good signal (a timely success).
-    fn on_good(&mut self, cfg: &HealthConfig) -> HealthEvent {
-        match self.state {
-            HealthState::Healthy => {
-                self.bad_streak = 0;
-                HealthEvent::None
-            }
-            HealthState::Suspect => {
-                self.bad_streak = 0;
-                self.good_streak += 1;
-                if self.good_streak >= cfg.clear_after {
-                    self.state = HealthState::Healthy;
-                    self.good_streak = 0;
-                }
-                HealthEvent::None
-            }
-            HealthState::Probation => {
-                self.canary_passes += 1;
-                if self.canary_passes >= cfg.probation_canaries {
-                    self.readmit(cfg)
-                } else {
-                    HealthEvent::None
-                }
-            }
-            // A late straggler reply finishing after quarantine: informs
-            // the tracker, never the state machine (re-admission only
-            // flows through the canary path).
-            HealthState::Quarantined => HealthEvent::None,
-        }
-    }
-
-    fn on_success(&mut self, cfg: &HealthConfig, latency_ms: f64, now_ms: f64) -> HealthEvent {
-        let outlier = self.tracker.is_slow_outlier(latency_ms, cfg);
-        self.tracker.observe(latency_ms);
-        if outlier {
-            self.on_bad(cfg, now_ms)
-        } else {
-            self.on_good(cfg)
-        }
-    }
-
-    fn on_failure(&mut self, cfg: &HealthConfig, now_ms: f64) -> HealthEvent {
-        // A hard failure is a strong gray signal: jump straight past the
-        // single-outlier grace toward Suspect.
-        if self.state == HealthState::Healthy {
-            self.bad_streak = self.bad_streak.max(cfg.suspect_after.saturating_sub(1));
-        }
-        self.on_bad(cfg, now_ms)
-    }
-
-    fn canary_due(&self, now_ms: f64) -> bool {
-        self.state == HealthState::Quarantined && now_ms - self.quarantined_at_ms >= self.backoff_ms
-    }
-
-    /// Advances quarantine to probation once the backoff has elapsed.
-    fn poll(&mut self, now_ms: f64) -> HealthEvent {
-        if self.canary_due(now_ms) {
-            self.state = HealthState::Probation;
-            self.canary_passes = 0;
-        }
-        HealthEvent::None
-    }
-
-    /// Penalty from direct local evidence only (state machine + trace
-    /// slowdown) — the reference that peer claims are scored against, so
-    /// a gossiped lie can never poison its own refutation.
-    fn measured_penalty(&self, cfg: &HealthConfig) -> f64 {
-        let measured = match self.state {
-            HealthState::Healthy => 1.0,
-            HealthState::Suspect => cfg.suspect_penalty,
-            HealthState::Probation => cfg.probation_penalty,
-            HealthState::Quarantined => f64::INFINITY,
-        };
-        measured.max(self.virtual_slow.unwrap_or(1.0))
-    }
-
-    fn penalty(&self, cfg: &HealthConfig) -> f64 {
-        let peer = self
-            .peer_penalty
-            .filter(|p| p.is_finite() && *p > 1.0)
-            .map_or(1.0, |p| p.min(cfg.peer_penalty_cap));
-        self.measured_penalty(cfg).max(peer)
-    }
-}
-
-/// Gray-health tracking for a whole fleet. Device 0 (the coordinator /
-/// local device) is pinned `Healthy`: there is no backup to route its
-/// work to, so penalizing it only hurts.
-pub struct FleetHealth {
-    cfg: HealthConfig,
-    devs: Vec<DeviceGrayHealth>,
-    transitions: HealthTransitions,
-}
-
-impl FleetHealth {
-    /// A fleet of `n` devices, all initially healthy.
-    pub fn new(n_devices: usize, cfg: HealthConfig) -> Self {
-        FleetHealth {
-            cfg,
-            devs: (0..n_devices).map(|_| DeviceGrayHealth::new(&cfg)).collect(),
-            transitions: HealthTransitions::default(),
-        }
-    }
-
-    /// Folds one health event (and the surrounding state change) into the
-    /// monotone transition counters.
-    fn count(&mut self, before: HealthState, dev: usize, ev: HealthEvent) -> HealthEvent {
-        let after = self.state(dev);
-        if before == HealthState::Healthy && after == HealthState::Suspect {
-            self.transitions.suspects += 1;
-        }
-        match ev {
-            HealthEvent::Quarantined => self.transitions.quarantines += 1,
-            HealthEvent::Readmitted => self.transitions.readmissions += 1,
-            HealthEvent::None => {}
-        }
-        ev
-    }
-
-    /// Number of tracked devices.
-    pub fn n_devices(&self) -> usize {
-        self.devs.len()
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
-    /// Feeds one successful execution's latency. Device 0 only updates
-    /// its tracker.
-    pub fn on_success(&mut self, dev: usize, latency_ms: f64, now_ms: f64) -> HealthEvent {
-        let cfg = self.cfg;
-        let Some(d) = self.devs.get_mut(dev) else { return HealthEvent::None };
-        if dev == 0 {
-            d.tracker.observe(latency_ms);
-            return HealthEvent::None;
-        }
-        let before = d.state;
-        let ev = d.on_success(&cfg, latency_ms, now_ms);
-        self.count(before, dev, ev)
-    }
-
-    /// Feeds one hard execution failure.
-    pub fn on_failure(&mut self, dev: usize, now_ms: f64) -> HealthEvent {
-        let cfg = self.cfg;
-        let Some(d) = self.devs.get_mut(dev) else { return HealthEvent::None };
-        if dev == 0 {
-            return HealthEvent::None;
-        }
-        let before = d.state;
-        let ev = d.on_failure(&cfg, now_ms);
-        self.count(before, dev, ev)
-    }
-
-    /// Feeds one transport heartbeat RTT for the link to `dev`. An RTT
-    /// spike counts like a latency outlier (the link is part of the gray
-    /// surface); timely RTTs only update the link tracker — they must not
-    /// mask compute slowness.
-    pub fn on_link_rtt(&mut self, dev: usize, rtt_ms: f64, now_ms: f64) -> HealthEvent {
-        let cfg = self.cfg;
-        let Some(d) = self.devs.get_mut(dev) else { return HealthEvent::None };
-        let outlier = d.link.is_slow_outlier(rtt_ms, &cfg);
-        d.link.observe(rtt_ms);
-        if dev == 0 || !outlier {
-            return HealthEvent::None;
-        }
-        let before = d.state;
-        let ev = d.on_bad(&cfg, now_ms);
-        self.count(before, dev, ev)
-    }
-
-    /// Advances quarantined devices whose canary backoff has elapsed into
-    /// `Probation`. Call before routing decisions.
-    pub fn poll(&mut self, now_ms: f64) {
-        for d in &mut self.devs {
-            let _ = d.poll(now_ms);
-        }
-    }
-
-    /// Whether `dev`'s canary probe is due (still quarantined, backoff
-    /// elapsed, not yet polled into probation).
-    pub fn canary_due(&self, dev: usize, now_ms: f64) -> bool {
-        self.devs.get(dev).is_some_and(|d| d.canary_due(now_ms))
-    }
-
-    /// Current state of one device.
-    pub fn state(&self, dev: usize) -> HealthState {
-        self.devs.get(dev).map_or(HealthState::Healthy, |d| d.state)
-    }
-
-    /// Current state of every device.
-    pub fn states(&self) -> Vec<HealthState> {
-        self.devs.iter().map(|d| d.state).collect()
-    }
-
-    /// Latency penalty multiplier for one device (1.0 healthy, ∞
-    /// quarantined).
-    pub fn penalty(&self, dev: usize) -> f64 {
-        self.devs.get(dev).map_or(1.0, |d| d.penalty(&self.cfg))
-    }
-
-    /// Penalties for every device.
-    pub fn penalties(&self) -> Vec<f64> {
-        self.devs.iter().map(|d| d.penalty(&self.cfg)).collect()
-    }
-
-    /// `mask[d]` is true when `d` may receive planned work (everything
-    /// except `Quarantined`).
-    pub fn placeable_mask(&self) -> Vec<bool> {
-        self.devs.iter().map(|d| d.state != HealthState::Quarantined).collect()
-    }
-
-    /// Trace-driven slowdown (virtual simulations): a factor > 1 folds
-    /// into the penalty without touching the measured state machine;
-    /// `None` clears it.
-    pub fn set_virtual_slowdown(&mut self, dev: usize, factor: Option<f64>) {
-        if dev == 0 {
-            return;
-        }
-        if let Some(d) = self.devs.get_mut(dev) {
-            d.virtual_slow = factor.filter(|f| f.is_finite() && *f > 1.0);
-        }
-    }
-
-    /// Observed latency quantile for `dev`, if enough history exists.
-    pub fn latency_quantile(&self, dev: usize, q: f64) -> Option<f64> {
-        self.devs.get(dev).and_then(|d| d.tracker.quantile(q))
-    }
-
-    /// Peer-reported (gossip-aggregated) penalty for `dev`. Folds into
-    /// [`FleetHealth::penalty`] capped at
-    /// [`HealthConfig::peer_penalty_cap`]; never touches the local state
-    /// machine or the placeable mask — gossip alone cannot quarantine,
-    /// only local evidence plus a canary pass can. `None` clears it.
-    /// Device 0 ignores peer claims (pinned healthy).
-    pub fn set_peer_penalty(&mut self, dev: usize, penalty: Option<f64>) {
-        if dev == 0 {
-            return;
-        }
-        if let Some(d) = self.devs.get_mut(dev) {
-            d.peer_penalty = penalty.filter(|p| p.is_finite() && *p > 1.0);
-        }
-    }
-
-    /// Penalty from direct local evidence only — excludes any gossiped
-    /// peer claims, so reputation scoring compares a claim against what
-    /// *this* node actually measured.
-    pub fn local_penalty(&self, dev: usize) -> f64 {
-        self.devs.get(dev).map_or(1.0, |d| d.measured_penalty(&self.cfg))
-    }
-
-    /// Number of latency samples directly observed for `dev` (gates
-    /// whether local evidence is strong enough to judge peer claims).
-    pub fn local_samples(&self, dev: usize) -> usize {
-        self.devs.get(dev).map_or(0, |d| d.tracker.len())
-    }
-
-    /// The peer-reported penalty currently folded in for `dev` (after the
-    /// cap), or 1.0.
-    pub fn peer_penalty(&self, dev: usize) -> f64 {
-        self.devs
-            .get(dev)
-            .and_then(|d| d.peer_penalty)
-            .map_or(1.0, |p| p.min(self.cfg.peer_penalty_cap))
-    }
-
-    /// Monotone counters of graded-state transitions since construction.
-    pub fn transitions(&self) -> HealthTransitions {
-        self.transitions
-    }
-
-    /// Compact latency digest for gossip: (p50, p95) over the window, if
-    /// the tracker has history.
-    pub fn latency_digest(&self, dev: usize) -> Option<(f64, f64)> {
-        let d = self.devs.get(dev)?;
-        Some((d.tracker.quantile(0.5)?, d.tracker.quantile(0.95)?))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    //! The graded walk, driven through the fleet that runs it.
     use super::*;
+    use crate::fleet::{DeviceView, Fleet, Input};
+    use crate::gossip::{HealthReport, NodeId, ReputationConfig};
 
     fn cfg() -> HealthConfig {
         HealthConfig::default()
     }
 
-    fn warm(fleet: &mut FleetHealth, dev: usize, n: usize) {
+    fn on_success(fleet: &mut Fleet, dev: usize, ms: f64, now: f64) {
+        fleet.step(now, Input::Latency { dev, ms });
+    }
+
+    fn on_failure(fleet: &mut Fleet, dev: usize, now: f64) {
+        fleet.step(now, Input::Outcome { dev, ok: false });
+    }
+
+    fn on_link_rtt(fleet: &mut Fleet, dev: usize, ms: f64, now: f64) {
+        fleet.step(now, Input::LinkRtt { dev, ms });
+    }
+
+    fn view(fleet: &Fleet, dev: usize) -> DeviceView {
+        fleet.snapshot().devices[dev]
+    }
+
+    fn warm(fleet: &mut Fleet, dev: usize, n: usize) {
         for i in 0..n {
-            let _ = fleet.on_success(dev, 10.0 + (i % 3) as f64 * 0.2, i as f64);
+            on_success(fleet, dev, 10.0 + (i % 3) as f64 * 0.2, i as f64);
         }
     }
 
@@ -662,161 +297,176 @@ mod tests {
 
     #[test]
     fn persistent_straggler_walks_to_quarantine() {
-        let mut fleet = FleetHealth::new(3, cfg());
+        let mut fleet = Fleet::new(3, cfg());
         warm(&mut fleet, 1, 16);
-        assert_eq!(fleet.state(1), HealthState::Healthy);
+        assert_eq!(view(&fleet, 1).state, HealthState::Healthy);
         let mut quarantined = false;
         for i in 0..12 {
-            if fleet.on_success(1, 120.0, 100.0 + i as f64) == HealthEvent::Quarantined {
+            on_success(&mut fleet, 1, 120.0, 100.0 + i as f64);
+            if view(&fleet, 1).state == HealthState::Quarantined {
                 quarantined = true;
                 break;
             }
         }
-        assert!(quarantined, "10x slowdown must quarantine: {:?}", fleet.state(1));
-        assert!(!fleet.placeable_mask()[1]);
-        assert!(fleet.penalty(1).is_infinite());
+        assert!(quarantined, "10x slowdown must quarantine: {:?}", view(&fleet, 1).state);
+        assert!(!view(&fleet, 1).placeable);
+        assert!(view(&fleet, 1).penalty.is_infinite());
     }
 
     #[test]
     fn suspect_clears_with_inliers() {
-        let mut fleet = FleetHealth::new(2, cfg());
+        let mut fleet = Fleet::new(2, cfg());
         warm(&mut fleet, 1, 16);
         for _ in 0..cfg().suspect_after {
-            let _ = fleet.on_success(1, 120.0, 50.0);
+            on_success(&mut fleet, 1, 120.0, 50.0);
         }
-        assert_eq!(fleet.state(1), HealthState::Suspect);
-        assert!(fleet.penalty(1) > 1.0);
+        assert_eq!(view(&fleet, 1).state, HealthState::Suspect);
+        assert!(view(&fleet, 1).penalty > 1.0);
         for _ in 0..cfg().clear_after {
-            let _ = fleet.on_success(1, 10.0, 60.0);
+            on_success(&mut fleet, 1, 10.0, 60.0);
         }
-        assert_eq!(fleet.state(1), HealthState::Healthy);
-        assert_eq!(fleet.penalty(1), 1.0);
+        assert_eq!(view(&fleet, 1).state, HealthState::Healthy);
+        assert_eq!(view(&fleet, 1).penalty, 1.0);
     }
 
     #[test]
     fn canary_readmission_round_trip() {
         let c = cfg();
-        let mut fleet = FleetHealth::new(2, c);
+        let mut fleet = Fleet::new(2, c);
         warm(&mut fleet, 1, 16);
         for i in 0..12 {
-            let _ = fleet.on_success(1, 150.0, 100.0 + i as f64);
+            on_success(&mut fleet, 1, 150.0, 100.0 + i as f64);
         }
-        assert_eq!(fleet.state(1), HealthState::Quarantined);
+        assert_eq!(view(&fleet, 1).state, HealthState::Quarantined);
         // Not due yet: polling before the backoff changes nothing.
-        fleet.poll(150.0);
-        assert_eq!(fleet.state(1), HealthState::Quarantined);
+        fleet.step(150.0, Input::Poll);
+        assert_eq!(view(&fleet, 1).state, HealthState::Quarantined);
         // Backoff elapses: probation, then canaries re-admit.
         let due = 150.0 + c.canary_backoff_ms;
         assert!(fleet.canary_due(1, due));
-        fleet.poll(due);
-        assert_eq!(fleet.state(1), HealthState::Probation);
-        assert!(fleet.placeable_mask()[1], "probation devices are placeable");
-        let mut ev = HealthEvent::None;
+        fleet.step(due, Input::Poll);
+        assert_eq!(view(&fleet, 1).state, HealthState::Probation);
+        assert!(view(&fleet, 1).placeable, "probation devices are placeable");
         for _ in 0..c.probation_canaries {
-            ev = fleet.on_success(1, 10.0, due + 1.0);
+            on_success(&mut fleet, 1, 10.0, due + 1.0);
         }
-        assert_eq!(ev, HealthEvent::Readmitted);
-        assert_eq!(fleet.state(1), HealthState::Healthy);
+        assert_eq!(fleet.snapshot().transitions.readmissions, 1);
+        assert_eq!(view(&fleet, 1).state, HealthState::Healthy);
     }
 
     #[test]
     fn failed_canary_doubles_backoff() {
         let c = cfg();
-        let mut fleet = FleetHealth::new(2, c);
+        let mut fleet = Fleet::new(2, c);
         warm(&mut fleet, 1, 16);
         for i in 0..12 {
-            let _ = fleet.on_success(1, 150.0, i as f64);
+            on_success(&mut fleet, 1, 150.0, i as f64);
         }
-        fleet.poll(12.0 + c.canary_backoff_ms);
-        assert_eq!(fleet.state(1), HealthState::Probation);
+        fleet.step(12.0 + c.canary_backoff_ms, Input::Poll);
+        assert_eq!(view(&fleet, 1).state, HealthState::Probation);
         // Canary fails (still slow): re-quarantined with a doubled dwell.
         let t1 = 12.0 + c.canary_backoff_ms + 1.0;
-        assert_eq!(fleet.on_success(1, 150.0, t1), HealthEvent::Quarantined);
+        on_success(&mut fleet, 1, 150.0, t1);
+        assert_eq!(view(&fleet, 1).state, HealthState::Quarantined);
         assert!(!fleet.canary_due(1, t1 + c.canary_backoff_ms + 1.0));
         assert!(fleet.canary_due(1, t1 + 2.0 * c.canary_backoff_ms + 1.0));
     }
 
     #[test]
     fn hard_failures_are_gray_signals_too() {
-        let mut fleet = FleetHealth::new(2, cfg());
+        let mut fleet = Fleet::new(2, cfg());
         warm(&mut fleet, 1, 16);
-        let _ = fleet.on_failure(1, 0.0);
-        assert_eq!(fleet.state(1), HealthState::Suspect);
+        on_failure(&mut fleet, 1, 0.0);
+        assert_eq!(view(&fleet, 1).state, HealthState::Suspect);
     }
 
     #[test]
     fn link_rtt_spikes_count_inliers_do_not_clear() {
         let c = cfg();
-        let mut fleet = FleetHealth::new(2, c);
+        let mut fleet = Fleet::new(2, c);
         for i in 0..16 {
-            let _ = fleet.on_link_rtt(1, 5.0, i as f64);
+            on_link_rtt(&mut fleet, 1, 5.0, i as f64);
         }
-        assert_eq!(fleet.state(1), HealthState::Healthy);
+        assert_eq!(view(&fleet, 1).state, HealthState::Healthy);
         for i in 0..c.suspect_after {
-            let _ = fleet.on_link_rtt(1, 80.0, 20.0 + i as f64);
+            on_link_rtt(&mut fleet, 1, 80.0, 20.0 + f64::from(i));
         }
-        assert_eq!(fleet.state(1), HealthState::Suspect);
+        assert_eq!(view(&fleet, 1).state, HealthState::Suspect);
         // Timely RTTs alone never clear compute suspicion.
         for i in 0..8 {
-            let _ = fleet.on_link_rtt(1, 5.0, 30.0 + i as f64);
+            on_link_rtt(&mut fleet, 1, 5.0, 30.0 + i as f64);
         }
-        assert_eq!(fleet.state(1), HealthState::Suspect);
+        assert_eq!(view(&fleet, 1).state, HealthState::Suspect);
     }
 
     #[test]
     fn device_zero_is_pinned_healthy() {
-        let mut fleet = FleetHealth::new(2, cfg());
+        let mut fleet = Fleet::new(2, cfg());
         warm(&mut fleet, 0, 16);
         for _ in 0..20 {
-            let _ = fleet.on_success(0, 500.0, 0.0);
-            let _ = fleet.on_failure(0, 0.0);
+            on_success(&mut fleet, 0, 500.0, 0.0);
+            on_failure(&mut fleet, 0, 0.0);
         }
-        assert_eq!(fleet.state(0), HealthState::Healthy);
-        fleet.set_virtual_slowdown(0, Some(10.0));
-        assert_eq!(fleet.penalty(0), 1.0);
+        assert_eq!(view(&fleet, 0).state, HealthState::Healthy);
+        fleet.step(
+            0.0,
+            Input::Force { dev: 0, status: murmuration_edgesim::DeviceStatus::Slow(10.0) },
+        );
+        assert_eq!(view(&fleet, 0).penalty, 1.0);
     }
 
     #[test]
     fn peer_penalty_caps_and_never_quarantines() {
         let c = cfg();
-        let mut fleet = FleetHealth::new(3, c);
+        let mut fleet = Fleet::new(3, c);
+        // One trusted peer (trim 0) so a single claim takes effect.
+        fleet.set_reputation_config(ReputationConfig { trim: 0, ..ReputationConfig::default() });
+        let mut claim = |dev: u32, penalty: f64| {
+            let r = HealthReport {
+                reporter: NodeId(7),
+                device: dev,
+                state: HealthState::Suspect.code(),
+                penalty,
+                p50_ms: f64::NAN,
+                p95_ms: f64::NAN,
+                version: 1,
+            };
+            fleet.fold_peer_reports(&[r]);
+            fleet.snapshot().devices[dev as usize]
+        };
         // A peer claiming a device is catastrophically slow moves routing
         // penalty only up to the cap, and the device stays placeable.
-        fleet.set_peer_penalty(1, Some(1e9));
-        assert_eq!(fleet.state(1), HealthState::Healthy);
-        assert_eq!(fleet.penalty(1), c.peer_penalty_cap);
-        assert!(fleet.placeable_mask()[1]);
-        // Clearing restores the nominal penalty; device 0 ignores claims.
-        fleet.set_peer_penalty(1, None);
-        assert_eq!(fleet.penalty(1), 1.0);
-        fleet.set_peer_penalty(0, Some(3.0));
-        assert_eq!(fleet.penalty(0), 1.0);
-        // Sub-unity or non-finite claims are discarded.
-        fleet.set_peer_penalty(2, Some(0.5));
-        assert_eq!(fleet.penalty(2), 1.0);
-        fleet.set_peer_penalty(2, Some(f64::INFINITY));
-        assert_eq!(fleet.penalty(2), 1.0);
+        let v = claim(1, 1e9);
+        assert_eq!(v.state, HealthState::Healthy);
+        assert_eq!(v.penalty, c.peer_penalty_cap);
+        assert!(v.placeable);
+        // A nominal claim clears it; device 0 ignores claims.
+        assert_eq!(claim(1, 1.0).penalty, 1.0);
+        assert_eq!(claim(0, 3.0).penalty, 1.0);
+        // Sub-unity or NaN claims carry no penalty.
+        assert_eq!(claim(2, 0.5).penalty, 1.0);
+        assert_eq!(claim(2, f64::NAN).penalty, 1.0);
     }
 
     #[test]
     fn transitions_count_suspects_quarantines_readmissions() {
         let c = cfg();
-        let mut fleet = FleetHealth::new(2, c);
+        let mut fleet = Fleet::new(2, c);
         warm(&mut fleet, 1, 16);
-        assert_eq!(fleet.transitions(), HealthTransitions::default());
+        assert_eq!(fleet.snapshot().transitions, HealthTransitions::default());
         for i in 0..12 {
-            let _ = fleet.on_success(1, 150.0, 100.0 + i as f64);
+            on_success(&mut fleet, 1, 150.0, 100.0 + i as f64);
         }
-        let t = fleet.transitions();
+        let t = fleet.snapshot().transitions;
         assert_eq!(t.suspects, 1);
         assert_eq!(t.quarantines, 1);
         assert_eq!(t.readmissions, 0);
         let due = 200.0 + c.canary_backoff_ms;
-        fleet.poll(due);
+        fleet.step(due, Input::Poll);
         for _ in 0..c.probation_canaries {
-            let _ = fleet.on_success(1, 10.0, due + 1.0);
+            on_success(&mut fleet, 1, 10.0, due + 1.0);
         }
-        assert_eq!(fleet.transitions().readmissions, 1);
+        assert_eq!(fleet.snapshot().transitions.readmissions, 1);
     }
 
     #[test]
@@ -834,12 +484,13 @@ mod tests {
 
     #[test]
     fn virtual_slowdown_folds_into_penalty_only() {
-        let mut fleet = FleetHealth::new(2, cfg());
-        fleet.set_virtual_slowdown(1, Some(3.0));
-        assert_eq!(fleet.state(1), HealthState::Healthy);
-        assert_eq!(fleet.penalty(1), 3.0);
-        assert!(fleet.placeable_mask()[1]);
-        fleet.set_virtual_slowdown(1, None);
-        assert_eq!(fleet.penalty(1), 1.0);
+        use murmuration_edgesim::DeviceStatus;
+        let mut fleet = Fleet::new(2, cfg());
+        fleet.step(0.0, Input::Force { dev: 1, status: DeviceStatus::Slow(3.0) });
+        assert_eq!(view(&fleet, 1).state, HealthState::Healthy);
+        assert_eq!(view(&fleet, 1).penalty, 3.0);
+        assert!(view(&fleet, 1).placeable);
+        fleet.step(0.0, Input::Force { dev: 1, status: DeviceStatus::Up });
+        assert_eq!(view(&fleet, 1).penalty, 1.0);
     }
 }

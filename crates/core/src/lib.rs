@@ -32,6 +32,11 @@
 //!   per-unit dispatch table (grids + wire precisions).
 //! * [`fault`] — fault injection ([`fault::FaultyCompute`]): kill, stall,
 //!   panic, or slow any device's worker to exercise the recovery paths.
+//! * [`fleet`] — the fleet view: liveness, graded gray health, routing
+//!   penalties and peer reputation as one clockless state machine, read
+//!   by every decision as one snapshot.
+//! * [`health`] — the gray-failure vocabulary: robust latency trackers,
+//!   the graded `HealthState` and its thresholds.
 //! * [`gossip`] — the decentralized control plane: SWIM-style gossip
 //!   membership, reputation-weighted trimmed aggregation of peer health
 //!   reports, and the deterministic primary-coordinator ranking that
@@ -42,6 +47,7 @@ pub mod cache;
 pub mod decision;
 pub mod executor;
 pub mod fault;
+pub mod fleet;
 pub mod gossip;
 pub mod health;
 pub mod monitor;
@@ -54,6 +60,6 @@ pub mod transport;
 pub mod wire;
 
 pub use runtime::{
-    Degradation, DeployReport, PipelineDeploy, RequestReport, Runtime, RuntimeConfig,
-    ServeDecision, SharedRuntime,
+    Degradation, DeployReport, PipelineDeploy, RequestReport, RuntimeConfig, ServeDecision,
+    SharedRuntime,
 };

@@ -6,29 +6,31 @@
 //! supernet → report the deployment's latency/accuracy under the *ground
 //! truth* network (what a real request would experience).
 //!
-//! # Concurrency split
+//! # Concurrency
 //!
-//! The runtime comes in two flavours sharing one implementation:
+//! [`SharedRuntime`] is `Send + Sync` and every method takes `&self`.
+//! Request-path state (strategy cache, the fleet view, the resident
+//! supernet) lives behind interior locks so serve-layer workers can
+//! decide and deploy concurrently while monitoring ticks happen on a
+//! control thread. Per-request randomness comes from seeded streams
+//! ([`SharedRuntime::infer_seeded`]) so results are deterministic under
+//! concurrency.
 //!
-//! * [`SharedRuntime`] — `Send + Sync`, every method takes `&self`.
-//!   Request-path state (strategy cache, device health, the resident
-//!   supernet) lives behind interior locks so serve-layer workers can
-//!   decide and deploy concurrently while monitoring ticks happen on a
-//!   control thread. Per-request randomness comes from seeded streams
-//!   ([`SharedRuntime::infer_seeded`]) so results are deterministic under
-//!   concurrency.
-//! * [`Runtime`] — the original single-threaded `&mut self + &mut Rng`
-//!   API, now a thin wrapper that derefs to a [`SharedRuntime`]. Existing
-//!   tests, figures, and examples run unchanged.
+//! Everything believed about the devices — down, graded gray health,
+//! routing penalties, peer reputation — is one [`Fleet`] behind one
+//! mutex. A decision and a deployment each read it once, as one
+//! [`FleetSnapshot`], so a plan and the `Degradation` reported beside it
+//! describe the same fleet.
 
 use crate::decision::DecisionModule;
-use crate::gossip::{HealthReport, NodeId, ReputationAggregator, ReputationConfig};
-use crate::health::{FleetHealth, HealthConfig, HealthEvent, HealthState, HealthTransitions};
+use crate::fleet::{Fleet, FleetSnapshot, Input};
+use crate::gossip::{HealthReport, NodeId, ReputationConfig};
+use crate::health::HealthConfig;
 use crate::monitor::{LinkEstimate, NetworkMonitor};
 use crate::predictor::MonitorPredictor;
 use crate::reconfig::InMemorySupernet;
 use crate::slo::SloApi;
-use murmuration_edgesim::{DeviceStatus, FleetTrace, NetworkState};
+use murmuration_edgesim::{FleetTrace, NetworkState};
 use murmuration_partition::compliance::Slo;
 use murmuration_partition::evolutionary::Genome;
 use murmuration_partition::pipeline::{plan_pipeline, score_pipeline, PipelinePlan};
@@ -38,8 +40,6 @@ use murmuration_supernet::{SubnetConfig, SubnetSpec};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Runtime tuning knobs.
@@ -55,10 +55,6 @@ pub struct RuntimeConfig {
     pub cache_capacity: usize,
     /// Forecast horizon for strategy precomputation (ms); 0 disables.
     pub precompute_horizon_ms: f64,
-    /// Consecutive execution failures before a device is marked down.
-    pub health_threshold: usize,
-    /// Gray-failure (straggler) detection knobs.
-    pub gray: HealthConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -69,8 +65,6 @@ impl Default for RuntimeConfig {
             monitor_noise: 0.05,
             cache_capacity: 512,
             precompute_horizon_ms: 500.0,
-            health_threshold: 1,
-            gray: HealthConfig::default(),
         }
     }
 }
@@ -92,54 +86,6 @@ impl Degradation {
     /// Whether the request was served under any degradation at all.
     pub fn is_degraded(&self) -> bool {
         !self.down_devices.is_empty() || !self.quarantined_devices.is_empty() || self.forced_local
-    }
-}
-
-/// Device-health bookkeeping: consecutive-failure counting with a
-/// threshold, fed by executor outcomes. Device 0 (local) is never marked
-/// down — the runtime itself runs there.
-struct DeviceHealth {
-    failures: Vec<usize>,
-    down: Vec<bool>,
-    threshold: usize,
-}
-
-impl DeviceHealth {
-    fn new(n_devices: usize, threshold: usize) -> Self {
-        DeviceHealth {
-            failures: vec![0; n_devices],
-            down: vec![false; n_devices],
-            threshold: threshold.max(1),
-        }
-    }
-
-    fn alive_mask(&self) -> Vec<bool> {
-        self.down.iter().map(|&d| !d).collect()
-    }
-
-    fn record(&mut self, dev: usize, ok: bool) {
-        if dev == 0 || dev >= self.down.len() {
-            return;
-        }
-        if ok {
-            self.failures[dev] = 0;
-            self.down[dev] = false;
-        } else {
-            self.failures[dev] += 1;
-            if self.failures[dev] >= self.threshold {
-                self.down[dev] = true;
-            }
-        }
-    }
-
-    fn force(&mut self, dev: usize, down: bool) {
-        if dev == 0 || dev >= self.down.len() {
-            return;
-        }
-        self.down[dev] = down;
-        if !down {
-            self.failures[dev] = 0;
-        }
     }
 }
 
@@ -229,13 +175,8 @@ pub struct SharedRuntime {
     monitor: Mutex<NetworkMonitor>,
     decision: DecisionModule,
     supernet: Mutex<InMemorySupernet>,
-    health: Mutex<DeviceHealth>,
-    gray: Mutex<FleetHealth>,
-    /// Per-reporter reputation for gossiped health claims.
-    reputation: Mutex<ReputationAggregator>,
+    fleet: Mutex<Fleet>,
     cfg: RuntimeConfig,
-    /// Latest virtual time seen by tick/infer (f64 bits).
-    last_t_ms: AtomicU64,
 }
 
 impl SharedRuntime {
@@ -260,11 +201,8 @@ impl SharedRuntime {
             )),
             decision: DecisionModule::new(scenario, policy, cfg.cache_capacity),
             supernet: Mutex::new(InMemorySupernet::new(space)),
-            health: Mutex::new(DeviceHealth::new(n_devices, cfg.health_threshold)),
-            gray: Mutex::new(FleetHealth::new(n_devices, cfg.gray)),
-            reputation: Mutex::new(ReputationAggregator::new(ReputationConfig::default())),
+            fleet: Mutex::new(Fleet::new(n_devices, HealthConfig::default())),
             cfg,
-            last_t_ms: AtomicU64::new(0.0f64.to_bits()),
         }
     }
 
@@ -297,122 +235,38 @@ impl SharedRuntime {
         }
     }
 
-    /// Current liveness belief, one flag per device (device 0 is the local
-    /// device and always alive).
-    pub fn alive_mask(&self) -> Vec<bool> {
-        self.health.lock().alive_mask()
+    /// The fleet as it stands: per device, down, graded health,
+    /// placeable and routing penalty, plus the transition counters.
+    pub fn fleet(&self) -> FleetSnapshot {
+        self.fleet.lock().snapshot()
     }
 
-    /// Feeds one executor outcome into health tracking: `ok = false`
-    /// counts toward the consecutive-failure threshold, `ok = true` clears
-    /// it (and revives a device believed down). When a device crosses the
-    /// threshold, every cached strategy that placed work on it is purged.
-    /// Hard failures are also gray signals — a flapping worker should not
-    /// re-enter the fleet as a first-class citizen.
-    pub fn report_exec_outcome(&self, dev: usize, ok: bool) {
-        let newly_down = {
-            let mut health = self.health.lock();
-            let was_down = health.down.get(dev).copied().unwrap_or(false);
-            health.record(dev, ok);
-            let is_down = health.down.get(dev).copied().unwrap_or(false);
-            is_down && !was_down
-        };
-        let ev =
-            if ok { HealthEvent::None } else { self.gray.lock().on_failure(dev, self.last_t_ms()) };
-        if newly_down || ev == HealthEvent::Quarantined {
-            self.decision.purge_infeasible(&self.placeable_mask());
+    /// Feeds fleet inputs stamped `now_ms` (execution outcomes and
+    /// latencies, heartbeat RTTs, forced statuses, polls) under one lock.
+    /// When they remove a device from the placeable set, every cached
+    /// strategy that placed work on it is purged; re-admission never
+    /// resurrects them (they were dropped, not suspended).
+    pub fn observe(&self, now_ms: f64, inputs: impl IntoIterator<Item = Input>) {
+        let mut fleet = self.fleet.lock();
+        let mut shrank = false;
+        for input in inputs {
+            shrank |= fleet.step(now_ms, input);
+        }
+        if shrank {
+            let placeable = fleet.snapshot().placeable_mask();
+            drop(fleet);
+            self.decision.purge_infeasible(&placeable);
         }
     }
 
-    /// Feeds one *successful* execution's measured latency into the
-    /// gray-failure detector. Latency outliers walk a device through
-    /// `Suspect → Probation → Quarantined`; quarantining purges every
-    /// cached strategy that placed work on the device, and re-admission
-    /// never resurrects them (they were dropped, not suspended).
-    pub fn report_exec_latency(&self, dev: usize, latency_ms: f64, t_ms: f64) {
-        let ev = self.gray.lock().on_success(dev, latency_ms, t_ms);
-        match ev {
-            HealthEvent::Quarantined => {
-                self.decision.purge_infeasible(&self.placeable_mask());
-            }
-            HealthEvent::Readmitted | HealthEvent::None => {}
-        }
-    }
-
-    /// Feeds a transport heartbeat RTT into the gray-failure detector: a
-    /// congested or lossy link makes a device slow even when its compute
-    /// is fine.
-    pub fn report_link_rtt(&self, dev: usize, rtt_ms: f64, t_ms: f64) {
-        let ev = self.gray.lock().on_link_rtt(dev, rtt_ms, t_ms);
-        if ev == HealthEvent::Quarantined {
-            self.decision.purge_infeasible(&self.placeable_mask());
-        }
-    }
-
-    /// Advances the gray-health clock: quarantined devices whose canary
-    /// backoff elapsed move to probation (placeable again, under penalty,
-    /// until canaries pass or fail). Call from the control loop.
-    pub fn poll_gray(&self, t_ms: f64) {
-        self.gray.lock().poll(t_ms);
-    }
-
-    /// Per-device graded health states from the gray-failure detector.
-    pub fn gray_states(&self) -> Vec<HealthState> {
-        self.gray.lock().states()
-    }
-
-    /// Per-device soft routing penalties (1.0 = healthy, `inf` =
-    /// quarantined).
-    pub fn gray_penalties(&self) -> Vec<f64> {
-        self.gray.lock().penalties()
-    }
-
-    /// Where work may be placed: alive (crash detector) *and* not
-    /// quarantined (gray detector). This is the mask decisions and
-    /// feasibility checks run against.
-    pub fn placeable_mask(&self) -> Vec<bool> {
-        let alive = self.alive_mask();
-        let gray = self.gray.lock().placeable_mask();
-        alive.iter().zip(gray.iter()).map(|(&a, &g)| a && g).collect()
-    }
-
-    fn last_t_ms(&self) -> f64 {
-        f64::from_bits(self.last_t_ms.load(Ordering::Relaxed))
-    }
-
-    /// Manually marks a device down (e.g. from an out-of-band failure
-    /// detector). Cached strategies using it are purged.
-    pub fn set_device_down(&self, dev: usize) {
-        self.health.lock().force(dev, true);
-        self.decision.purge_infeasible(&self.placeable_mask());
-    }
-
-    /// Manually revives a device.
-    pub fn set_device_up(&self, dev: usize) {
-        self.health.lock().force(dev, false);
-    }
-
-    /// Syncs health from a fault trace at virtual time `t_ms`. `Slow`
-    /// devices stay up but carry a virtual slowdown in the gray-failure
-    /// detector, so decisions route around them proportionally (a 10×
+    /// Forces every device's status from a fault trace at `t_ms`. `Slow`
+    /// devices stay up but carry the trace's slowdown as a routing
+    /// penalty, so decisions route around them proportionally (a 10×
     /// brownout is worth avoiding even before the latency trackers see
     /// it).
-    pub fn apply_fleet_trace(&self, fleet: &FleetTrace, t_ms: f64) {
-        let n = self.scenario().devices.len().min(fleet.n_devices());
-        for dev in 1..n {
-            match fleet.status(dev, t_ms) {
-                DeviceStatus::Down => self.set_device_down(dev),
-                DeviceStatus::Up => {
-                    self.set_device_up(dev);
-                    self.gray.lock().set_virtual_slowdown(dev, None);
-                }
-                DeviceStatus::Slow(f) => {
-                    self.set_device_up(dev);
-                    self.gray.lock().set_virtual_slowdown(dev, Some(f));
-                }
-            }
-        }
-        self.poll_gray(t_ms);
+    pub fn apply_fleet_trace(&self, trace: &FleetTrace, t_ms: f64) {
+        let n = self.scenario().devices.len().min(trace.n_devices());
+        self.observe(t_ms, (1..n).map(|dev| Input::Force { dev, status: trace.status(dev, t_ms) }));
     }
 
     /// Clamps the links of unplaceable devices to the scenario's worst
@@ -422,20 +276,15 @@ impl SharedRuntime {
     /// penalized (Suspect/Probation) devices proportionally so the policy
     /// routes *around* stragglers without banning them. Remote link `i`
     /// serves device `i + 1`.
-    fn mask_condition(
-        &self,
-        mut cond: Condition,
-        placeable: &[bool],
-        penalty: &[f64],
-    ) -> Condition {
+    fn mask_condition(&self, mut cond: Condition, fleet: &FleetSnapshot) -> Condition {
         let sc = self.scenario();
         for (i, (bw, delay)) in cond.bw_mbps.iter_mut().zip(cond.delay_ms.iter_mut()).enumerate() {
-            if !placeable.get(i + 1).copied().unwrap_or(false) {
+            let Some(dev) = fleet.devices.get(i + 1).filter(|d| d.placeable) else {
                 *bw = sc.bw_range.0;
                 *delay = sc.delay_range.1;
                 continue;
-            }
-            let p = penalty.get(i + 1).copied().unwrap_or(1.0);
+            };
+            let p = dev.penalty;
             if p > 1.0 && p.is_finite() {
                 *bw = (*bw / p).max(sc.bw_range.0);
                 *delay = (*delay * p).min(sc.delay_range.1);
@@ -450,22 +299,21 @@ impl SharedRuntime {
     /// [`DecisionModule::decide_masked`]). On the serve path this runs on
     /// the control thread; workers never touch the monitor.
     pub fn tick<R: Rng>(&self, net_truth: &NetworkState, t_ms: f64, rng: &mut R) {
-        self.poll_gray(t_ms);
+        let nominal = {
+            let mut fleet = self.fleet.lock();
+            fleet.step(t_ms, Input::Poll);
+            fleet.is_nominal()
+        };
         let forecast = {
             let mut monitor = self.monitor.lock();
             monitor.sample(net_truth, t_ms, rng);
-            self.last_t_ms.store(t_ms.to_bits(), Ordering::Relaxed);
-            let placeable = self.placeable_mask();
-            let penalized = self.gray_penalties().iter().any(|&p| p > 1.0);
-            if self.cfg.precompute_horizon_ms > 0.0 && !penalized && placeable.iter().all(|&a| a) {
-                Some(MonitorPredictor::predict(
+            (self.cfg.precompute_horizon_ms > 0.0 && nominal).then(|| {
+                MonitorPredictor::predict(
                     &monitor,
                     self.scenario().n_remote(),
                     t_ms + self.cfg.precompute_horizon_ms,
-                ))
-            } else {
-                None
-            }
+                )
+            })
         };
         if let Some(forecast) = forecast {
             let cond = self.decision.condition(self.slo_scalar(), &forecast);
@@ -484,12 +332,11 @@ impl SharedRuntime {
     /// the decided plan is still infeasible the runtime falls back to an
     /// all-local plan and reports the degradation.
     pub fn infer<R: Rng>(&self, net_truth: &NetworkState, t_ms: f64, rng: &mut R) -> RequestReport {
-        self.poll_gray(t_ms);
+        self.observe(t_ms, [Input::Poll]);
         // Fresh monitoring sample for this request.
         let estimates = {
             let mut monitor = self.monitor.lock();
             monitor.sample(net_truth, t_ms, rng);
-            self.last_t_ms.store(t_ms.to_bits(), Ordering::Relaxed);
             monitor.estimates()
         };
         let decision = self.decide_for(self.slo.get(), &estimates);
@@ -532,14 +379,14 @@ impl SharedRuntime {
     /// Decision core shared by [`infer`](Self::infer) and
     /// [`serve_decide`](Self::serve_decide).
     fn decide_for(&self, slo: Slo, estimates: &[LinkEstimate]) -> ServeDecision {
-        let placeable = self.placeable_mask();
-        let penalty = self.gray_penalties();
+        let fleet = self.fleet();
+        let placeable = fleet.placeable_mask();
         let raw_cond = self.decision.condition(self.decision_scalar(&slo), estimates);
-        let cond = self.mask_condition(raw_cond, &placeable, &penalty);
+        let cond = self.mask_condition(raw_cond, &fleet);
         // A penalized condition is transient fleet state, not a network
         // observation: caching it would serve straggler-avoiding plans
         // long after the straggler recovered.
-        let allow_cache = penalty.iter().all(|&p| p == 1.0);
+        let allow_cache = fleet.devices.iter().all(|d| d.penalty == 1.0);
         let t0 = Instant::now();
         let decision = self.decision.decide_masked_cached(&cond, &placeable, allow_cache);
         let decision_time = t0.elapsed();
@@ -558,15 +405,8 @@ impl SharedRuntime {
     /// against the decision's SLO. Falls back to an all-local plan when
     /// the decided plan touches a device that died after the decision.
     pub fn deploy(&self, decision: &ServeDecision, net_truth: &NetworkState) -> DeployReport {
-        let alive = self.alive_mask();
-        let placeable = self.placeable_mask();
-        let quarantined_devices: Vec<usize> = self
-            .gray_states()
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == HealthState::Quarantined)
-            .map(|(d, _)| d)
-            .collect();
+        let fleet = self.fleet();
+        let placeable = fleet.placeable_mask();
         let switch = self.supernet.lock().switch_submodel(decision.genome.config.clone());
         let spec = SubnetSpec::lower(&decision.genome.config);
         let mut plan = decision.genome.plan(&spec, self.scenario().devices.len());
@@ -585,15 +425,17 @@ impl SharedRuntime {
             Slo::LatencyMs(v) => latency_ms <= v,
             Slo::AccuracyPct(v) => accuracy_pct >= v,
         };
-        let down_devices: Vec<usize> =
-            alive.iter().enumerate().filter(|(_, &a)| !a).map(|(d, _)| d).collect();
         DeployReport {
             switch_time: switch.elapsed,
             latency_ms,
             accuracy_pct,
             slo_met,
             devices_used: plan.devices_used(),
-            degradation: Degradation { down_devices, quarantined_devices, forced_local },
+            degradation: Degradation {
+                down_devices: fleet.down_devices(),
+                quarantined_devices: fleet.quarantined_devices(),
+                forced_local,
+            },
         }
     }
 
@@ -606,7 +448,7 @@ impl SharedRuntime {
     pub fn pipeline_decide(&self, slo: Slo, net_truth: &NetworkState) -> Option<PipelineDeploy> {
         let decision = self.serve_decide(slo)?;
         let spec = SubnetSpec::lower(&decision.genome.config);
-        let placeable = self.placeable_mask();
+        let placeable = self.fleet().placeable_mask();
         let devices = &self.scenario().devices;
         let (plan, report) = plan_pipeline(&spec, devices, net_truth, &placeable, 8)?;
         // What the coordinator alone would pay per request: the rescue
@@ -639,148 +481,26 @@ impl SharedRuntime {
         self.decision.cache_stats()
     }
 
-    /// Monotone gray-health transition counters (suspects, quarantines,
-    /// re-admissions) — the robustness metrics the serve layer surfaces.
-    pub fn gray_transitions(&self) -> HealthTransitions {
-        self.gray.lock().transitions()
-    }
-
-    /// Exports this node's direct graded-health observations as gossip
-    /// health reports, stamped with `reporter` and `version` (callers
-    /// bump the version each publication so merges stay idempotent).
+    /// This node's direct graded-health observations as gossip health
+    /// reports, stamped with `reporter` and `version` (callers bump the
+    /// version each publication so merges stay idempotent).
     pub fn export_health_reports(&self, reporter: NodeId, version: u64) -> Vec<HealthReport> {
-        let gray = self.gray.lock();
-        (0..gray.n_devices())
-            .map(|dev| {
-                let (p50, p95) = gray.latency_digest(dev).unwrap_or((f64::NAN, f64::NAN));
-                HealthReport {
-                    reporter,
-                    device: dev as u32,
-                    state: gray.state(dev).code(),
-                    penalty: gray.local_penalty(dev),
-                    p50_ms: p50,
-                    p95_ms: p95,
-                    version,
-                }
-            })
-            .collect()
+        self.fleet.lock().export_reports(reporter, version)
     }
 
-    /// Folds peer-reported health claims into routing penalties.
-    ///
-    /// Per device, the claims go through the reputation-weighted trimmed
-    /// mean ([`ReputationAggregator::aggregate`]); the result lands in
-    /// [`FleetHealth::set_peer_penalty`], which caps it and never touches
-    /// the placeable mask — a gossiped claim can steer routing, but
-    /// quarantine still requires local evidence plus a local canary pass.
-    /// Where this node has enough *direct* observations of a device,
-    /// each reporter's claim is also scored against them, so reporters
-    /// who repeatedly contradict reality lose weight.
+    /// Folds peer-reported health claims into routing penalties (see
+    /// [`Fleet::fold_peer_reports`]): they steer routing, never the
+    /// placeable set, so nothing is purged.
     pub fn fold_peer_reports(&self, reports: &[HealthReport]) {
-        let n = self.scenario().devices.len();
-        let mut by_dev: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for r in reports {
-            if let Some(claims) = by_dev.get_mut(r.device as usize) {
-                claims.push((r.reporter, r.penalty));
-            }
-        }
-        let mut rep = self.reputation.lock();
-        let mut gray = self.gray.lock();
-        let min_samples = self.cfg.gray.min_samples;
-        for (dev, claims) in by_dev.iter().enumerate() {
-            if dev == 0 || claims.is_empty() {
-                continue;
-            }
-            if gray.local_samples(dev) >= min_samples {
-                let observed = gray.local_penalty(dev);
-                for (who, claimed) in claims {
-                    rep.observe(*who, *claimed, observed);
-                }
-            }
-            gray.set_peer_penalty(dev, rep.aggregate(claims));
-        }
-    }
-
-    /// Current reputation weight of a gossip reporter (1.0 = trusted).
-    pub fn reputation_weight(&self, reporter: NodeId) -> f64 {
-        self.reputation.lock().weight(reporter)
+        self.fleet.lock().fold_peer_reports(reports);
     }
 
     /// Replaces the reputation-aggregation policy (weights reset). Small
     /// deployments need this: the default `trim = 1` requires three
     /// reporters per device before any peer claim takes effect, so a
-    /// primary/standby pair — one reporter — sets `trim = 0` and accepts
-    /// the other coordinator's claims at face value.
+    /// primary/standby pair — one reporter — sets `trim = 0`.
     pub fn set_reputation_config(&self, cfg: ReputationConfig) {
-        *self.reputation.lock() = ReputationAggregator::new(cfg);
-    }
-}
-
-/// The assembled runtime — the original single-threaded API, kept as a
-/// thin wrapper over [`SharedRuntime`] so existing callers (tests,
-/// figures, examples) are untouched. Derefs to [`SharedRuntime`] for the
-/// read-only surface (`scenario()`, `alive_mask()`, the `slo` field, …).
-pub struct Runtime {
-    shared: SharedRuntime,
-}
-
-impl Deref for Runtime {
-    type Target = SharedRuntime;
-    fn deref(&self) -> &SharedRuntime {
-        &self.shared
-    }
-}
-
-impl Runtime {
-    /// Assembles a runtime from a scenario and a trained policy.
-    pub fn new(
-        scenario: Scenario,
-        policy: LstmPolicy,
-        cfg: RuntimeConfig,
-        initial_slo: Slo,
-    ) -> Self {
-        Runtime { shared: SharedRuntime::new(scenario, policy, cfg, initial_slo) }
-    }
-
-    /// Background tick: sample monitoring and precompute strategies.
-    pub fn tick<R: Rng>(&mut self, net_truth: &NetworkState, t_ms: f64, rng: &mut R) {
-        self.shared.tick(net_truth, t_ms, rng);
-    }
-
-    /// Serves one inference request at virtual time `t_ms`.
-    pub fn infer<R: Rng>(
-        &mut self,
-        net_truth: &NetworkState,
-        t_ms: f64,
-        rng: &mut R,
-    ) -> RequestReport {
-        self.shared.infer(net_truth, t_ms, rng)
-    }
-
-    /// Feeds one executor outcome into device-health tracking.
-    pub fn report_exec_outcome(&mut self, dev: usize, ok: bool) {
-        self.shared.report_exec_outcome(dev, ok);
-    }
-
-    /// Manually marks a device down.
-    pub fn set_device_down(&mut self, dev: usize) {
-        self.shared.set_device_down(dev);
-    }
-
-    /// Manually revives a device.
-    pub fn set_device_up(&mut self, dev: usize) {
-        self.shared.set_device_up(dev);
-    }
-
-    /// Syncs health from a fault trace at virtual time `t_ms`.
-    pub fn apply_fleet_trace(&mut self, fleet: &FleetTrace, t_ms: f64) {
-        self.shared.apply_fleet_trace(fleet, t_ms);
-    }
-
-    /// Unwraps into the shareable runtime (for `Arc`-ing into the serve
-    /// layer).
-    pub fn into_shared(self) -> SharedRuntime {
-        self.shared
+        self.fleet.lock().set_reputation_config(cfg);
     }
 }
 
@@ -795,14 +515,15 @@ fn check_slo_kind(scenario: &Scenario, slo: &Slo) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use murmuration_edgesim::LinkState;
+    use crate::health::HealthState;
+    use murmuration_edgesim::{DeviceStatus, LinkState};
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::Arc;
 
-    fn runtime() -> Runtime {
+    fn runtime() -> SharedRuntime {
         let sc = Scenario::augmented_computing(SloKind::Latency);
         let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
-        Runtime::new(sc, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0))
+        SharedRuntime::new(sc, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0))
     }
 
     fn lan() -> NetworkState {
@@ -811,7 +532,7 @@ mod tests {
 
     #[test]
     fn requests_produce_reports() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(0);
         let net = lan();
         let r = rt.infer(&net, 0.0, &mut rng);
@@ -822,7 +543,7 @@ mod tests {
 
     #[test]
     fn repeat_requests_hit_cache_and_are_faster_to_decide() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(1);
         let net = lan();
         let _ = rt.infer(&net, 0.0, &mut rng);
@@ -833,7 +554,7 @@ mod tests {
 
     #[test]
     fn tick_precomputes_for_stable_network() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(2);
         let net = lan();
         for t in 0..4 {
@@ -851,7 +572,7 @@ mod tests {
 
     #[test]
     fn slo_change_takes_effect() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(3);
         let net = lan();
         let _ = rt.infer(&net, 0.0, &mut rng);
@@ -866,63 +587,62 @@ mod tests {
     fn mismatched_slo_kind_is_rejected() {
         let sc = Scenario::augmented_computing(SloKind::Latency);
         let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
-        let _ = Runtime::new(sc, policy, RuntimeConfig::default(), Slo::AccuracyPct(75.0));
+        let _ = SharedRuntime::new(sc, policy, RuntimeConfig::default(), Slo::AccuracyPct(75.0));
     }
 
     #[test]
     fn dead_device_is_masked_out_of_decisions() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(5);
         let net = lan();
         let r = rt.infer(&net, 0.0, &mut rng);
         assert!(!r.degradation.is_degraded(), "healthy fleet reports no degradation");
-        // Device 1 dies (its worker failed once; threshold is 1).
-        rt.report_exec_outcome(1, false);
-        assert!(!rt.alive_mask()[1]);
+        // Device 1 dies (its worker failed once).
+        rt.observe(50.0, [Input::Outcome { dev: 1, ok: false }]);
+        assert!(rt.fleet().devices[1].down);
         let r = rt.infer(&net, 100.0, &mut rng);
         assert_eq!(r.degradation.down_devices, vec![1]);
         assert!(!r.devices_used.contains(&1), "plan must avoid the dead device");
         // Recovery: a success on the device revives it.
-        rt.report_exec_outcome(1, true);
+        rt.observe(150.0, [Input::Outcome { dev: 1, ok: true }]);
         let r = rt.infer(&net, 200.0, &mut rng);
         assert!(!r.degradation.is_degraded());
     }
 
     #[test]
     fn infer_never_panics_with_all_remotes_down() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(6);
         let net = lan();
-        for dev in 1..rt.scenario().devices.len() {
-            rt.set_device_down(dev);
-        }
+        let n = rt.scenario().devices.len();
+        rt.observe(0.0, (1..n).map(|dev| Input::Force { dev, status: DeviceStatus::Down }));
         let r = rt.infer(&net, 0.0, &mut rng);
         assert!(r.latency_ms.is_finite());
         assert_eq!(r.devices_used, vec![0], "only the local device may serve");
         assert!(r.degradation.is_degraded());
         // Local device can never be marked down.
-        rt.report_exec_outcome(0, false);
-        assert!(rt.alive_mask()[0]);
+        rt.observe(0.0, [Input::Outcome { dev: 0, ok: false }]);
+        assert!(!rt.fleet().devices[0].down);
     }
 
     #[test]
     fn fleet_trace_drives_runtime_health() {
         use murmuration_edgesim::DeviceTrace;
-        let mut rt = runtime();
+        let rt = runtime();
         let n = rt.scenario().devices.len();
         let mut fleet = FleetTrace::always_up(n);
         fleet.set(1, DeviceTrace::down_between(50.0, 150.0));
         rt.apply_fleet_trace(&fleet, 0.0);
-        assert!(rt.alive_mask().iter().all(|&a| a));
+        assert!(rt.fleet().devices.iter().all(|d| !d.down));
         rt.apply_fleet_trace(&fleet, 100.0);
-        assert!(!rt.alive_mask()[1]);
+        assert!(rt.fleet().devices[1].down);
         rt.apply_fleet_trace(&fleet, 200.0);
-        assert!(rt.alive_mask()[1]);
+        assert!(!rt.fleet().devices[1].down);
     }
 
     #[test]
     fn switch_time_is_fast() {
-        let mut rt = runtime();
+        let rt = runtime();
         let mut rng = StdRng::seed_from_u64(4);
         let net = lan();
         let r = rt.infer(&net, 0.0, &mut rng);
@@ -931,8 +651,8 @@ mod tests {
 
     #[test]
     fn seeded_infer_is_deterministic() {
-        let rt_a = runtime().into_shared();
-        let rt_b = runtime().into_shared();
+        let rt_a = runtime();
+        let rt_b = runtime();
         let net = lan();
         let a = rt_a.infer_seeded(&net, 0.0, 42);
         let b = rt_b.infer_seeded(&net, 0.0, 42);
@@ -943,7 +663,7 @@ mod tests {
 
     #[test]
     fn serve_decide_requires_a_monitor_sample() {
-        let rt = runtime().into_shared();
+        let rt = runtime();
         assert!(!rt.monitor_ready());
         assert!(rt.serve_decide(Slo::LatencyMs(140.0)).is_none());
         let mut rng = StdRng::seed_from_u64(7);
@@ -956,7 +676,7 @@ mod tests {
 
     #[test]
     fn cross_kind_slo_maps_to_permissive_goal() {
-        let rt = runtime().into_shared();
+        let rt = runtime();
         // Accuracy request on a latency-trained scenario: decide with the
         // largest latency budget (largest submodels → best accuracy).
         let scalar = rt.decision_scalar(&Slo::AccuracyPct(75.0));
@@ -967,7 +687,7 @@ mod tests {
 
     #[test]
     fn peer_reports_steer_routing_but_never_quarantine() {
-        let rt = runtime().into_shared();
+        let rt = runtime();
         let claim = |who: u64, penalty: f64| HealthReport {
             reporter: NodeId(who),
             device: 1,
@@ -980,22 +700,23 @@ mod tests {
         // Three agreeing reporters: the trimmed mean lands as a routing
         // penalty, but the device stays placeable and locally Healthy.
         rt.fold_peer_reports(&[claim(1, 3.0), claim(2, 3.0), claim(3, 3.0)]);
-        assert_eq!(rt.gray_penalties()[1], 3.0);
-        assert!(rt.placeable_mask()[1]);
-        assert_eq!(rt.gray_states()[1], HealthState::Healthy);
+        let dev = rt.fleet().devices[1];
+        assert_eq!(dev.penalty, 3.0);
+        assert!(dev.placeable);
+        assert_eq!(dev.state, HealthState::Healthy);
         // One liar among honest reporters is trimmed away entirely.
         rt.fold_peer_reports(&[claim(1, 1.0), claim(2, 1.0), claim(3, 16.0)]);
-        assert_eq!(rt.gray_penalties()[1], 1.0);
+        assert_eq!(rt.fleet().devices[1].penalty, 1.0);
         // Too few reports: local evidence rules (no peer penalty).
         rt.fold_peer_reports(&[claim(1, 4.0)]);
-        assert_eq!(rt.gray_penalties()[1], 1.0);
+        assert_eq!(rt.fleet().devices[1].penalty, 1.0);
     }
 
     #[test]
     fn exported_reports_carry_local_observations() {
-        let rt = runtime().into_shared();
+        let rt = runtime();
         for i in 0..16 {
-            rt.report_exec_latency(1, 12.0 + (i % 3) as f64, i as f64);
+            rt.observe(i as f64, [Input::Latency { dev: 1, ms: 12.0 + (i % 3) as f64 }]);
         }
         let me = NodeId::derive(9, 0);
         let reports = rt.export_health_reports(me, 5);
@@ -1009,7 +730,7 @@ mod tests {
 
     #[test]
     fn shared_runtime_serves_concurrent_workers() {
-        let rt = Arc::new(runtime().into_shared());
+        let rt = Arc::new(runtime());
         let net = lan();
         let mut rng = StdRng::seed_from_u64(8);
         rt.tick(&net, 0.0, &mut rng);

@@ -15,6 +15,9 @@ mod counting_alloc;
 use counting_alloc::allocations_in;
 use murmuration_core::decision::DecisionModule;
 use murmuration_core::executor::{ConvStackCompute, ExecOptions, Executor, UnitCompute, UnitWire};
+use murmuration_core::{RuntimeConfig, SharedRuntime};
+use murmuration_edgesim::{LinkState, NetworkState};
+use murmuration_partition::compliance::Slo;
 use murmuration_partition::{ExecutionPlan, UnitPlacement};
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_tensor::quant::BitWidth;
@@ -114,3 +117,39 @@ fn warm_execute_allocates_no_more_than_the_three_loops_did() {
     assert!(local <= PARENT_ALL_LOCAL_MAX, "all-local plan: {local} > {PARENT_ALL_LOCAL_MAX}");
     assert!(tiled <= PARENT_TILED_REMOTE_MAX, "tiled plan: {tiled} > {PARENT_TILED_REMOTE_MAX}");
 }
+
+/// Allocator calls of a warm `SharedRuntime::serve_decide` cache hit at a
+/// 200 Mbps / 10 ms link after one `tick` and one warm-up decision.
+fn warm_hit_allocations(sc: Scenario) -> u64 {
+    let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
+    let link = LinkState { bandwidth_mbps: 200.0, delay_ms: 10.0 };
+    let net = NetworkState::uniform(sc.n_remote(), link);
+    let slo = Slo::LatencyMs(140.0);
+    let rt = SharedRuntime::new(sc, policy, RuntimeConfig::default(), slo);
+    rt.tick(&net, 0.0, &mut StdRng::seed_from_u64(1));
+    rt.serve_decide(slo).expect("the monitor has sampled");
+    let (decision, n) = allocations_in(|| rt.serve_decide(slo));
+    assert!(decision.expect("ready").cached, "the second decision must hit");
+    n
+}
+
+/// A warm hit's allocator calls while the runtime kept the fleet in three
+/// mutexes: 12 on the augmented scenario and 13 on a four-device swarm, of
+/// which four were the fleet reads (the alive mask, the gray mask, their
+/// conjunction and the penalties, each a fresh `Vec`). Reading one
+/// `FleetSnapshot` makes them two: the snapshot and its placeable mask.
+const PARENT_HIT_AUGMENTED: u64 = 12;
+const PARENT_HIT_SWARM: u64 = 13;
+const HIT_AUGMENTED: u64 = 10;
+const HIT_SWARM: u64 = 11;
+
+#[test]
+fn warm_decide_hit_reads_the_fleet_once() {
+    let augmented = warm_hit_allocations(Scenario::augmented_computing(SloKind::Latency));
+    let swarm = warm_hit_allocations(Scenario::device_swarm(4, SloKind::Latency));
+    println!("allocations per warm decide hit: augmented {augmented}, swarm {swarm}");
+    assert_eq!(augmented, HIT_AUGMENTED);
+    assert_eq!(swarm, HIT_SWARM);
+}
+
+const _: () = assert!(HIT_AUGMENTED < PARENT_HIT_AUGMENTED && HIT_SWARM < PARENT_HIT_SWARM);

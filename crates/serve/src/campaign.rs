@@ -37,9 +37,10 @@ use crate::harness::percentile;
 use crate::policy::{Batch, Policy};
 use crate::request::RejectReason;
 use crate::server::ServeConfig;
+use murmuration_core::fleet::Input;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::{FleetKind, LoweredScenario, ScenarioSpec};
-use murmuration_edgesim::NetworkState;
+use murmuration_edgesim::{DeviceStatus, NetworkState};
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_tensor::quant::BitWidth;
@@ -473,15 +474,19 @@ fn device_usable(lowered: &LoweredScenario, dev: usize, t_ms: f64) -> bool {
     lowered.fleet.status(dev, t_ms).is_up() && lowered.partitions.can_reach(0, dev, t_ms)
 }
 
-/// Applies fleet + partition state to the runtime at tick time.
+/// Applies fleet + partition state to the runtime at tick time: one
+/// forced status per device — `Down` when the trace says so or the
+/// coordinator cannot reach it, otherwise the trace's `Up` or `Slow`.
 fn sync_runtime(rt: &SharedRuntime, lowered: &LoweredScenario, t_ms: f64) {
-    rt.apply_fleet_trace(&lowered.fleet, t_ms);
-    let n = lowered.fleet.n_devices();
-    for dev in 1..n {
-        if !lowered.partitions.can_reach(0, dev, t_ms) {
-            rt.set_device_down(dev);
-        }
-    }
+    let forced = (1..lowered.fleet.n_devices()).map(|dev| {
+        let status = if lowered.partitions.can_reach(0, dev, t_ms) {
+            lowered.fleet.status(dev, t_ms)
+        } else {
+            DeviceStatus::Down
+        };
+        Input::Force { dev, status }
+    });
+    rt.observe(t_ms, forced);
 }
 
 /// Max finite compute-slowdown over `devices` at `t` (brownout stretch).
@@ -688,7 +693,7 @@ impl<'a> Engine<'a> {
     /// Final counters: the live coordinator's policy plus gray transitions.
     fn finalize(mut self) -> CellStats {
         self.fold();
-        let gray = self.rt.gray_transitions();
+        let gray = self.rt.fleet().transitions;
         self.stats.gray_suspects = gray.suspects;
         self.stats.gray_quarantines = gray.quarantines;
         self.stats.gray_readmissions = gray.readmissions;

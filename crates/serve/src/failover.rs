@@ -249,8 +249,7 @@ impl FailoverCluster {
             }
         }
         for c in self.coords.iter_mut().filter(|c| !c.dead) {
-            let me = c.node.id();
-            let peer: Vec<_> = c.node.reports().into_iter().filter(|r| r.reporter != me).collect();
+            let peer = c.node.peer_reports(c.node.id());
             if !peer.is_empty() {
                 c.rt.fold_peer_reports(&peer);
             }
@@ -410,8 +409,7 @@ impl FailoverCluster {
         // Hydrate from gossip before serving: the dead primary's health
         // reports steer routing penalties (soft), while quarantine still
         // requires this runtime's own evidence + canary.
-        let me = c.node.id();
-        let peer: Vec<_> = c.node.reports().into_iter().filter(|r| r.reporter != me).collect();
+        let peer = c.node.peer_reports(c.node.id());
         if !peer.is_empty() {
             c.rt.fold_peer_reports(&peer);
         }
@@ -435,6 +433,7 @@ fn crashed_under(o: &ServeOutcome) -> bool {
 mod tests {
     use super::*;
     use crate::class::default_classes;
+    use murmuration_core::fleet::Input;
     use murmuration_core::runtime::RuntimeConfig;
     use murmuration_edgesim::LinkState;
     use murmuration_partition::compliance::Slo;
@@ -523,10 +522,10 @@ mod tests {
         {
             let primary = &cl.coords[0];
             for i in 0..32 {
-                primary.rt.report_exec_latency(1, 80.0, i as f64 * 10.0);
+                primary.rt.observe(i as f64 * 10.0, [Input::Latency { dev: 1, ms: 80.0 }]);
             }
         }
-        let primary_penalty = cl.coords[0].rt.gray_penalties()[1];
+        let primary_penalty = cl.coords[0].rt.fleet().devices[1].penalty;
         for _ in 0..3 {
             cl.pump();
         }
@@ -537,13 +536,13 @@ mod tests {
         let standby = &cl.coords[1];
         if primary_penalty > 1.0 {
             assert!(
-                standby.rt.gray_penalties()[1] > 1.0,
+                standby.rt.fleet().devices[1].penalty > 1.0,
                 "gossiped penalty must steer the standby's routing"
             );
         }
         // Hearsay steers, it never quarantines: the standby has no local
         // evidence, so the device stays placeable.
-        assert!(standby.rt.placeable_mask()[1], "no quarantine without local evidence");
+        assert!(standby.rt.fleet().devices[1].placeable, "no quarantine without local evidence");
         let s = cl.shutdown();
         assert_eq!(s.failovers, 1);
     }

@@ -155,7 +155,7 @@ impl RigInner {
     /// the device down.
     fn slow_factor(&self, dev: usize, t_ms: f64) -> f64 {
         let traced = self.env.fleet_slow_factor(dev, t_ms);
-        if !self.rt.alive_mask().get(dev).copied().unwrap_or(false) {
+        if self.rt.fleet().devices.get(dev).is_none_or(|d| d.down) {
             return f64::INFINITY;
         }
         traced

@@ -33,9 +33,10 @@ use crate::class::{ClassKind, ClassSpec};
 use crate::pipeline::{PipelineRig, PipelineSnapshot};
 use crate::policy::{Batch, Item, Policy};
 use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
+use murmuration_core::fleet::{FleetSnapshot, Input};
 use murmuration_core::SharedRuntime;
 use murmuration_edgesim::trace::NetworkTrace;
-use murmuration_edgesim::{FleetTrace, LinkState, NetworkState};
+use murmuration_edgesim::{DeviceStatus, FleetTrace, LinkState, NetworkState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -593,12 +594,16 @@ impl ServeHandle {
     /// Marks a device down mid-load (chaos hook; also purges cached
     /// strategies that used it).
     pub fn kill_device(&self, dev: usize) {
-        self.core.rt.set_device_down(dev);
+        self.force(dev, DeviceStatus::Down);
     }
 
     /// Revives a device.
     pub fn revive_device(&self, dev: usize) {
-        self.core.rt.set_device_up(dev);
+        self.force(dev, DeviceStatus::Up);
+    }
+
+    fn force(&self, dev: usize, status: DeviceStatus) {
+        self.core.rt.observe(self.core.clock.now_ms(), [Input::Force { dev, status }]);
     }
 
     /// Counter snapshot: the batched path's policy plus the pipeline rig.
@@ -606,7 +611,7 @@ impl ServeHandle {
         let c = &self.core.counters;
         let rig = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let p = self.core.policy().stats();
-        let gray = self.core.rt.gray_transitions();
+        let gray = self.core.rt.fleet().transitions;
         ServeStats {
             submitted: p.submitted + rig(&c.pipeline_submitted),
             completed: p.completed + rig(&c.completed),
@@ -634,15 +639,10 @@ impl ServeHandle {
         self.core.rig.as_ref().map(|r| r.snapshot())
     }
 
-    /// Per-device graded gray-health states (pass-through to the runtime's
-    /// straggler detector).
-    pub fn gray_states(&self) -> Vec<murmuration_core::health::HealthState> {
-        self.core.rt.gray_states()
-    }
-
-    /// Per-device soft routing penalties from the gray-failure detector.
-    pub fn gray_penalties(&self) -> Vec<f64> {
-        self.core.rt.gray_penalties()
+    /// The runtime's fleet view: per device, down, graded gray health,
+    /// placeable and routing penalty (pass-through).
+    pub fn fleet(&self) -> FleetSnapshot {
+        self.core.rt.fleet()
     }
 
     /// Feeds a measured per-device execution latency into the runtime's
@@ -650,7 +650,7 @@ impl ServeHandle {
     /// runtime quarantines devices whose latencies walk into the tail).
     pub fn report_exec_latency(&self, dev: usize, latency_ms: f64) {
         let t = self.core.clock.now_ms();
-        self.core.rt.report_exec_latency(dev, latency_ms, t);
+        self.core.rt.observe(t, [Input::Latency { dev, ms: latency_ms }]);
     }
 
     /// Runtime cache statistics (pass-through).

@@ -25,7 +25,7 @@ fn main() {
         &scenario,
         &SupremeConfig { steps: 600, eval_every: 300, ..Default::default() },
     );
-    let mut rt = Runtime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
+    let rt = SharedRuntime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
     let mut rng = StdRng::seed_from_u64(11);
 
     // The link swings between a good and a congested state.

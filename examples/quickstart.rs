@@ -32,7 +32,7 @@ fn main() {
 
     // 3. Stage 3 (online): the runtime — monitoring, strategy cache,
     //    in-memory supernet reconfig.
-    let mut rt = Runtime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
+    let rt = SharedRuntime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
     let mut rng = StdRng::seed_from_u64(7);
 
     println!("\nserving requests as the network degrades:");

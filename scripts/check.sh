@@ -47,7 +47,7 @@ echo "==> fault-path lint gates (no unwrap/expect in hardened modules)"
 for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
          crates/core/src/wire.rs crates/core/src/transport.rs \
          crates/core/src/fault.rs crates/core/src/health.rs \
-         crates/core/src/gossip.rs \
+         crates/core/src/fleet.rs crates/core/src/gossip.rs \
          crates/tensor/src/simd.rs crates/tensor/src/int8.rs \
          crates/nn/src/layers/quantized.rs \
          crates/transport/src/lib.rs \
@@ -94,6 +94,12 @@ fi
 # in, never read, and locking belongs to the drivers.
 if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/serve/src/policy.rs; then
     echo "error: crates/serve/src/policy.rs names a clock, a thread or a lock" >&2
+    exit 1
+fi
+# The fleet view (liveness, gray health, peer reputation) is the same kind
+# of core: the runtime holds it in one mutex and stamps every input.
+if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/core/src/fleet.rs; then
+    echo "error: crates/core/src/fleet.rs names a clock, a thread or a lock" >&2
     exit 1
 fi
 

@@ -36,7 +36,7 @@
 //! println!("final avg reward: {:.3}", history.final_reward());
 //!
 //! // Stand up the runtime and serve a request under live conditions.
-//! let mut rt = Runtime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
+//! let rt = SharedRuntime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(140.0));
 //! let net = NetworkState::uniform(1, LinkState { bandwidth_mbps: 200.0, delay_ms: 10.0 });
 //! let mut rng = rand::thread_rng();
 //! let report = rt.infer(&net, 0.0, &mut rng);
@@ -59,7 +59,7 @@ pub mod testkit;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use murmuration_core::{Runtime, RuntimeConfig};
+    pub use murmuration_core::{RuntimeConfig, SharedRuntime};
     pub use murmuration_edgesim::{Device, DeviceKind, LinkState, NetworkState, TrafficControl};
     pub use murmuration_partition::compliance::{Outcome, Slo};
     pub use murmuration_partition::{ExecutionPlan, LatencyEstimator, UnitPlacement};

@@ -39,7 +39,7 @@ fn runtime_serves_and_adapts_through_public_api() {
         &scenario,
         &SupremeConfig { steps: 150, eval_every: 150, hidden: 32, ..Default::default() },
     );
-    let mut rt = Runtime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(200.0));
+    let rt = SharedRuntime::new(scenario, policy, RuntimeConfig::default(), Slo::LatencyMs(200.0));
     let mut rng = StdRng::seed_from_u64(0);
 
     // Good network first.
@@ -96,7 +96,7 @@ fn accuracy_slo_mode_works_end_to_end() {
         &scenario,
         &SupremeConfig { steps: 150, eval_every: 150, hidden: 32, ..Default::default() },
     );
-    let mut rt = Runtime::new(scenario, policy, RuntimeConfig::default(), Slo::AccuracyPct(74.0));
+    let rt = SharedRuntime::new(scenario, policy, RuntimeConfig::default(), Slo::AccuracyPct(74.0));
     let mut rng = StdRng::seed_from_u64(5);
     let net = NetworkState::uniform(1, LinkState { bandwidth_mbps: 300.0, delay_ms: 10.0 });
     let r = rt.infer(&net, 0.0, &mut rng);

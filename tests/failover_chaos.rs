@@ -165,7 +165,7 @@ fn byzantine_reports_bounded_by_trim_and_never_quarantine() {
             report(666, 1, f64::INFINITY, 1),
         ];
         rt.fold_peer_reports(&reports);
-        let penalty = rt.gray_penalties()[1];
+        let penalty = rt.fleet().devices[1].penalty;
         assert!(
             penalty <= honest_hi + 1e-9,
             "one liar among three honest reporters (trim 1) must not push the \
@@ -175,7 +175,7 @@ fn byzantine_reports_bounded_by_trim_and_never_quarantine() {
         // Hearsay steers routing, it never quarantines: the device stays
         // placeable because this runtime has no local evidence against it.
         assert!(
-            rt.placeable_mask()[1],
+            rt.fleet().devices[1].placeable,
             "gossip alone must never quarantine — that requires local samples + canary"
         );
 
@@ -190,7 +190,7 @@ fn byzantine_reports_bounded_by_trim_and_never_quarantine() {
             report(666, 1, 1.0, 1), // "nothing to see here"
         ];
         rt2.fold_peer_reports(&reports);
-        let penalty = rt2.gray_penalties()[1];
+        let penalty = rt2.fleet().devices[1].penalty;
         assert!(
             penalty >= 3.0 - 1e-9,
             "a liar claiming perfect health must not mask the honest consensus: {penalty}"

@@ -3,8 +3,9 @@
 //! fresh), SLO compliance dips while the fleet is degraded and recovers
 //! after failover.
 
-use murmuration::edgesim::{DeviceTrace, FleetTrace};
+use murmuration::edgesim::{DeviceStatus, DeviceTrace, FleetTrace};
 use murmuration::prelude::*;
+use murmuration::runtime::fleet::Input;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,7 +33,7 @@ fn device_loss_mid_trace_degrades_then_recovers() {
 
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
     let cfg = RuntimeConfig { monitor_noise: 0.0, ..Default::default() };
-    let mut rt = Runtime::new(sc, policy, cfg, Slo::LatencyMs(slo));
+    let rt = SharedRuntime::new(sc, policy, cfg, Slo::LatencyMs(slo));
 
     // 20 requests at 100 ms spacing; every remote device is down for
     // requests 6..13 (virtual time 600..1300 ms).
@@ -47,11 +48,15 @@ fn device_loss_mid_trace_degrades_then_recovers() {
         let t = i as f64 * 100.0;
         rt.apply_fleet_trace(&fleet, t);
         let r = rt.infer(&net, t, &mut rng);
-        let alive = rt.alive_mask();
+        let fleet = rt.fleet();
         // The invariant the strategy cache must uphold: no served plan —
         // cached, precomputed, or fresh — may place work on a dead device.
         for &d in &r.devices_used {
-            assert!(alive[d], "request {i}: plan uses dead device {d} (cached={})", r.cached);
+            assert!(
+                !fleet.devices[d].down,
+                "request {i}: plan uses dead device {d} (cached={})",
+                r.cached
+            );
         }
         if (6..13).contains(&i) {
             assert!(r.degradation.is_degraded(), "request {i}: outage must be reported");
@@ -82,7 +87,7 @@ fn cache_is_purged_when_a_device_dies() {
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
     let cfg = RuntimeConfig { monitor_noise: 0.0, ..Default::default() };
     // Tight SLO forces the healthy decision to offload.
-    let mut rt = Runtime::new(sc, policy, cfg, Slo::LatencyMs(85.0));
+    let rt = SharedRuntime::new(sc, policy, cfg, Slo::LatencyMs(85.0));
     let mut rng = StdRng::seed_from_u64(1);
 
     let r0 = rt.infer(&net, 0.0, &mut rng);
@@ -91,9 +96,7 @@ fn cache_is_purged_when_a_device_dies() {
     let used_remote = r0.devices_used.iter().any(|&d| d != 0);
 
     // Kill every remote: any cached strategy referencing one must go.
-    for d in 1..n {
-        rt.set_device_down(d);
-    }
+    rt.observe(150.0, (1..n).map(|dev| Input::Force { dev, status: DeviceStatus::Down }));
     let r2 = rt.infer(&net, 200.0, &mut rng);
     assert_eq!(r2.devices_used, vec![0]);
     if used_remote {
@@ -102,9 +105,7 @@ fn cache_is_purged_when_a_device_dies() {
 
     // After recovery the cache serves remote strategies again (repopulated
     // by the first healthy decision).
-    for d in 1..n {
-        rt.set_device_up(d);
-    }
+    rt.observe(250.0, (1..n).map(|dev| Input::Force { dev, status: DeviceStatus::Up }));
     let r3 = rt.infer(&net, 300.0, &mut rng);
     let r4 = rt.infer(&net, 400.0, &mut rng);
     assert_eq!(r3.devices_used, r0.devices_used, "healthy decision is restored");
@@ -126,7 +127,7 @@ fn quarantine_purges_cache_and_readmission_does_not_resurrect() {
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
     let cfg = RuntimeConfig { monitor_noise: 0.0, ..Default::default() };
     // Tight SLO forces the healthy decision to offload.
-    let mut rt = Runtime::new(sc, policy, cfg, Slo::LatencyMs(85.0));
+    let rt = SharedRuntime::new(sc, policy, cfg, Slo::LatencyMs(85.0));
     let mut rng = StdRng::seed_from_u64(2);
 
     let r0 = rt.infer(&net, 0.0, &mut rng);
@@ -142,23 +143,24 @@ fn quarantine_purges_cache_and_readmission_does_not_resurrect() {
     // detector.
     let mut t = 200.0;
     for i in 0..16 {
-        rt.report_exec_latency(straggler, 10.0 + 0.1 * (i % 5) as f64, t);
+        rt.observe(t, [Input::Latency { dev: straggler, ms: 10.0 + 0.1 * (i % 5) as f64 }]);
         t += 1.0;
     }
     for _ in 0..32 {
-        if rt.gray_states()[straggler] == HealthState::Quarantined {
+        if rt.fleet().devices[straggler].state == HealthState::Quarantined {
             break;
         }
-        rt.report_exec_latency(straggler, 200.0, t);
+        rt.observe(t, [Input::Latency { dev: straggler, ms: 200.0 }]);
         t += 1.0;
     }
+    let dev = rt.fleet().devices[straggler];
     assert_eq!(
-        rt.gray_states()[straggler],
+        dev.state,
         HealthState::Quarantined,
         "slow-success outliers must quarantine the brownout device"
     );
-    assert!(!rt.placeable_mask()[straggler], "quarantined devices are not placeable");
-    assert!(rt.alive_mask()[straggler], "gray failure: the device is alive, just slow");
+    assert!(!dev.placeable, "quarantined devices are not placeable");
+    assert!(!dev.down, "gray failure: the device is alive, just slow");
 
     // The cached offload strategy referenced the quarantined device: it
     // must be gone, and the fresh decision must route around it.
@@ -173,19 +175,20 @@ fn quarantine_purges_cache_and_readmission_does_not_resurrect() {
     // Re-admission: wait out the canary backoff (infer polls the gray
     // clock), then pass the canaries with fast successes.
     t += 9_000.0;
-    rt.poll_gray(t);
+    rt.observe(t, [Input::Poll]);
     assert_eq!(
-        rt.gray_states()[straggler],
+        rt.fleet().devices[straggler].state,
         HealthState::Probation,
         "an elapsed canary backoff must re-probe the device"
     );
     for _ in 0..4 {
-        rt.report_exec_latency(straggler, 10.0, t);
+        rt.observe(t, [Input::Latency { dev: straggler, ms: 10.0 }]);
         t += 1.0;
     }
-    assert_eq!(rt.gray_states()[straggler], HealthState::Healthy, "canaries passed");
-    assert_eq!(rt.gray_penalties()[straggler], 1.0, "re-admission clears the penalty");
-    assert!(rt.placeable_mask()[straggler], "re-admitted device is placeable again");
+    let dev = rt.fleet().devices[straggler];
+    assert_eq!(dev.state, HealthState::Healthy, "canaries passed");
+    assert_eq!(dev.penalty, 1.0, "re-admission clears the penalty");
+    assert!(dev.placeable, "re-admitted device is placeable again");
 
     // The purged entries were dropped, not suspended: the first
     // post-recovery decision is computed fresh (cache miss), lands back

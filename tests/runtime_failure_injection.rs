@@ -10,18 +10,18 @@ use murmuration::runtime::RuntimeConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn runtime_with(noise: f64) -> Runtime {
+fn runtime_with(noise: f64) -> SharedRuntime {
     let sc = Scenario::augmented_computing(SloKind::Latency);
     let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 0);
     let cfg = RuntimeConfig { monitor_noise: noise, ..Default::default() };
-    Runtime::new(sc, policy, cfg, Slo::LatencyMs(140.0))
+    SharedRuntime::new(sc, policy, cfg, Slo::LatencyMs(140.0))
 }
 
 #[test]
 fn extreme_monitor_noise_never_breaks_decisions() {
     // 40% observation noise: estimates are garbage but decisions must
     // stay valid and reports finite.
-    let mut rt = runtime_with(0.4);
+    let rt = runtime_with(0.4);
     let mut rng = StdRng::seed_from_u64(1);
     let net = NetworkState::uniform(1, LinkState { bandwidth_mbps: 120.0, delay_ms: 30.0 });
     for t in 0..30 {
@@ -35,7 +35,7 @@ fn extreme_monitor_noise_never_breaks_decisions() {
 fn network_collapse_to_grid_edge_is_handled() {
     // Bandwidth collapses far below the training grid's lower bound; the
     // monitor clamps and the decision pipeline must survive.
-    let mut rt = runtime_with(0.05);
+    let rt = runtime_with(0.05);
     let mut rng = StdRng::seed_from_u64(2);
     let good = NetworkState::uniform(1, LinkState { bandwidth_mbps: 300.0, delay_ms: 10.0 });
     let dead = NetworkState::uniform(1, LinkState { bandwidth_mbps: 0.5, delay_ms: 900.0 });
@@ -50,7 +50,7 @@ fn network_collapse_to_grid_edge_is_handled() {
 
 #[test]
 fn random_walk_trace_long_run_stability() {
-    let mut rt = runtime_with(0.1);
+    let rt = runtime_with(0.1);
     let mut rng = StdRng::seed_from_u64(3);
     let base = LinkState { bandwidth_mbps: 150.0, delay_ms: 20.0 };
     let trace = NetworkTrace::random_walk(base, 100.0, 200, 4.0, 9);
@@ -75,7 +75,7 @@ fn background_traffic_burst_is_survived_and_adapted_to() {
     // A co-tenant bursts onto the GPU link mid-run: the monitor's EWMA
     // converges to the degraded state and decisions keep being valid; when
     // the burst ends, the runtime recovers.
-    let mut rt = runtime_with(0.05);
+    let rt = runtime_with(0.05);
     let mut rng = StdRng::seed_from_u64(9);
     let mut tc = TrafficControl::new(NetworkState::uniform(
         1,
@@ -116,7 +116,7 @@ fn background_traffic_burst_is_survived_and_adapted_to() {
 
 #[test]
 fn slo_flapping_does_not_poison_the_cache() {
-    let mut rt = runtime_with(0.0);
+    let rt = runtime_with(0.0);
     let mut rng = StdRng::seed_from_u64(4);
     let net = NetworkState::uniform(1, LinkState { bandwidth_mbps: 200.0, delay_ms: 10.0 });
     // Alternate between two SLOs; each must get its own cached strategy
