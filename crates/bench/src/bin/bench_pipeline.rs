@@ -72,7 +72,7 @@ fn run_ramp(cfg: ServeConfig, trace: &ArrivalTrace, duration_ms: f64) -> LoadRep
     assert_eq!(
         stats.pipeline_submitted,
         if pipeline_up { stats.submitted } else { 0 },
-        "a pipeline class routes every request through the rig"
+        "a pipeline class routes every request through the pipeline"
     );
     LoadReport::build(&classes, &outcomes, stats, duration_ms).with_pipeline_stats(snapshot)
 }

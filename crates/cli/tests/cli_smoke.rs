@@ -115,6 +115,40 @@ fn estimate_runs_without_a_policy() {
 }
 
 #[test]
+fn loadtest_serves_batched_and_pipeline_classes_together() {
+    // `--pipeline true` streams the best-effort class through the
+    // stage-parallel pipeline while the latency classes keep the batched
+    // path: the one run where both serving cores take requests.
+    let out = bin()
+        .args([
+            "loadtest",
+            "--policy",
+            "fresh",
+            "--scenario",
+            "swarm",
+            "--pipeline",
+            "true",
+            "--duration-ms",
+            "2000",
+            "--bw",
+            "400",
+            "--delay",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("pipeline: ") && text.contains(" stages |"), "{text}");
+    let line = text.lines().find(|l| l.starts_with("conservation:")).unwrap();
+    // "conservation: N submitted = C completed + R rejected"
+    let n: Vec<u64> = line.split_whitespace().filter_map(|w| w.parse().ok()).collect();
+    assert_eq!(n.len(), 3, "{line}");
+    assert_eq!(n[0], n[1] + n[2], "{line}");
+    assert!(n[0] > 0, "{line}");
+}
+
+#[test]
 fn train_decide_simulate_round_trip() {
     let dir = std::env::temp_dir().join("murmuration_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -2,12 +2,14 @@
 //! serving configurations and reports per-scenario Pareto fronts.
 //!
 //! The engine is a single-threaded, virtual-time discrete-event simulator
-//! over [`SharedRuntime`]'s decide/deploy path. Its classic and failover
-//! modes drive the threaded server's own serving policy (`policy`:
-//! admission, priority dispatch, shedding, the batch cut, batch cost, the
-//! EWMAs) under the server's own configuration, so a rule changes in both
-//! at once. Only the driver differs: an event loop instead of the worker
-//! pool, for two reasons:
+//! over [`SharedRuntime`]'s decide/deploy path. It drives the threaded
+//! server's own serving cores under the server's own configuration, so a
+//! rule changes in both at once: `classic` and `failover` cells the
+//! serving policy (`policy`), `pipeline` cells the stage-parallel core
+//! (`pipeline`), deployed once from [`SharedRuntime::pipeline_decide`] (a
+//! cell without such a plan is classic, as the server falls back). What
+//! runs the cores differs, an event loop instead of the server's threads,
+//! for two reasons:
 //!
 //! * **Determinism.** Same `(scenario name, master seed)` ⇒ *identical*
 //!   counters, bit for bit — the replay contract the campaign gates rely
@@ -18,25 +20,19 @@
 //!   gate instead of an overnight job.
 //!
 //! The driver keeps only what the server cannot see: control ticks,
-//! brownout slow factors on the measured service time, the crash and the
-//! promotion schedule. It has no batching window: an idle worker takes
-//! what is queued at the instant it frees (the threaded window ends at
-//! the next arrival or after `batch_window_ms`, a wall-clock race).
-//!
-//! Three serving modes per cell: `classic` (the admission + micro-batch
-//! path), `pipeline` (stage-parallel placement from
-//! [`SharedRuntime::pipeline_decide`], bottleneck-rate draining, re-plan
-//! on stage death; its own admission, like the server's pipeline rig), and
-//! `failover` (primary coordinator death with a gossip-derived detection
-//! delay; dropped and buffered requests retry through a fresh standby's
-//! admission). Conservation — `completed + rejected == submitted`,
-//! `lost == 0` — is asserted as a hard invariant in every cell.
+//! brownout slow factors (on the measured service time, or per pipeline
+//! stage), partitions, the crash and the promotion schedule. It has no
+//! batching window: an idle worker takes what is queued at the instant it
+//! frees (the threaded window ends at the next arrival or after
+//! `batch_window_ms`, a wall-clock race). Conservation — `completed +
+//! rejected == submitted`, `lost == 0` — is asserted in every cell.
 
-use crate::class::{default_classes, ClassKind, ClassSpec};
+use crate::class::{default_classes, ClassSpec};
 use crate::harness::percentile;
+use crate::pipeline::Pipeline;
 use crate::policy::{Batch, Policy};
-use crate::request::RejectReason;
-use crate::server::ServeConfig;
+use crate::request::{RejectReason, ServeOutcome};
+use crate::server::{ServeConfig, ServeStats};
 use murmuration_core::fleet::Input;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::{FleetKind, LoweredScenario, ScenarioSpec};
@@ -181,6 +177,7 @@ pub struct CellStats {
     pub deadline_unmeetable: u64,
     pub expired: u64,
     pub not_ready: u64,
+    pub stage_dead: u64,
     pub slo_ok: u64,
     pub degraded_served: u64,
     pub batches: u64,
@@ -188,7 +185,6 @@ pub struct CellStats {
     pub failovers: u64,
     pub retried: u64,
     pub crash_dropped: u64,
-    pub replans: u64,
     pub pipeline_requeued: u64,
     pub gray_suspects: u64,
     pub gray_quarantines: u64,
@@ -205,17 +201,11 @@ impl CellStats {
     }
 
     /// Books one completion with its end-to-end latency.
-    fn record(&mut self, spec: &ClassSpec, latency_ms: f64, accuracy_pct: f64) {
+    fn record(&mut self, spec: &ClassSpec, latency_ms: f64, accuracy_pct: f32) {
         self.completed += 1;
         self.latencies_ms.push(latency_ms);
-        self.accuracy_sum_pct += accuracy_pct;
-        let ok = match spec.kind {
-            ClassKind::Latency { deadline_ms } => latency_ms <= deadline_ms,
-            ClassKind::Accuracy { floor_pct } => accuracy_pct >= f64::from(floor_pct),
-        };
-        if ok {
-            self.slo_ok += 1;
-        }
+        self.accuracy_sum_pct += f64::from(accuracy_pct);
+        self.slo_ok += u64::from(spec.met(latency_ms, accuracy_pct));
     }
 }
 
@@ -266,36 +256,10 @@ impl CellResult {
         }
     }
 
-    /// A counter fingerprint for determinism checks: every counter plus
-    /// the exact latency stream, rendered losslessly.
+    /// A fingerprint for determinism checks: every counter plus the exact
+    /// latency stream, rendered losslessly (`f64`'s `Debug` round-trips).
     pub fn fingerprint(&self) -> String {
-        let s = &self.stats;
-        let lat: u64 =
-            s.latencies_ms.iter().fold(0u64, |h, l| h.wrapping_mul(0x100000001b3) ^ l.to_bits());
-        format!(
-            "sub={} comp={} rej={} qf={} dl={} exp={} nr={} slo={} deg={} b={} br={} fo={} \
-             rt={} cd={} rp={} pq={} gs={} gq={} gr={} lat={lat:016x} acc={:016x}",
-            s.submitted,
-            s.completed,
-            s.rejected,
-            s.queue_full,
-            s.deadline_unmeetable,
-            s.expired,
-            s.not_ready,
-            s.slo_ok,
-            s.degraded_served,
-            s.batches,
-            s.batched_requests,
-            s.failovers,
-            s.retried,
-            s.crash_dropped,
-            s.replans,
-            s.pipeline_requeued,
-            s.gray_suspects,
-            s.gray_quarantines,
-            s.gray_readmissions,
-            s.accuracy_sum_pct.to_bits(),
-        )
+        format!("{:?}", self.stats)
     }
 
     /// Schema-stable JSON object for this cell.
@@ -328,13 +292,13 @@ impl CellResult {
         ));
         j.push_str(&format!(
             "{indent}  \"rejects\": {{\"queue_full\": {}, \"deadline_unmeetable\": {}, \
-             \"expired\": {}, \"not_ready\": {}}},\n",
-            s.queue_full, s.deadline_unmeetable, s.expired, s.not_ready
+             \"expired\": {}, \"not_ready\": {}, \"stage_dead\": {}}},\n",
+            s.queue_full, s.deadline_unmeetable, s.expired, s.not_ready, s.stage_dead
         ));
         j.push_str(&format!(
             "{indent}  \"robustness\": {{\"gray_suspects\": {}, \"gray_quarantines\": {}, \
              \"gray_readmissions\": {}, \"degraded_served\": {}, \"failovers\": {}, \"retried\": \
-             {}, \"crash_dropped\": {}, \"replans\": {}, \"pipeline_requeued\": {}}},\n",
+             {}, \"crash_dropped\": {}, \"pipeline_requeued\": {}}},\n",
             s.gray_suspects,
             s.gray_quarantines,
             s.gray_readmissions,
@@ -342,7 +306,6 @@ impl CellResult {
             s.failovers,
             s.retried,
             s.crash_dropped,
-            s.replans,
             s.pipeline_requeued
         ));
         j.push_str(&format!("{indent}  \"on_front\": {}\n", self.on_front));
@@ -468,12 +431,6 @@ fn build_runtime(
     Arc::new(SharedRuntime::new(sc, policy, RuntimeConfig::default(), SLO))
 }
 
-/// Effective device availability at `t`: the fleet trace says who is
-/// alive, the partition schedule says who the coordinator can reach.
-fn device_usable(lowered: &LoweredScenario, dev: usize, t_ms: f64) -> bool {
-    lowered.fleet.status(dev, t_ms).is_up() && lowered.partitions.can_reach(0, dev, t_ms)
-}
-
 /// Applies fleet + partition state to the runtime at tick time: one
 /// forced status per device — `Down` when the trace says so or the
 /// coordinator cannot reach it, otherwise the trace's `Up` or `Slow`.
@@ -503,7 +460,7 @@ struct InService {
     done_ms: f64,
     dispatch_ms: f64,
     base_ms: f64,
-    accuracy_pct: f64,
+    accuracy_pct: f32,
     degraded: bool,
     batch: Batch<()>,
 }
@@ -630,7 +587,7 @@ impl<'a> Engine<'a> {
                     done_ms: now + cost,
                     dispatch_ms: now,
                     base_ms,
-                    accuracy_pct: f64::from(report.accuracy_pct),
+                    accuracy_pct: report.accuracy_pct,
                     degraded: report.degradation.is_degraded(),
                     batch,
                 });
@@ -647,19 +604,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Folds the coordinator's policy counters into the cell's
-    /// (completions and submissions are booked one by one).
-    fn fold(&mut self) {
-        let p = self.policy.stats();
+    /// Folds a serving core's counters into the cell's (completions and
+    /// submissions are booked one by one).
+    fn fold(&mut self, p: ServeStats) {
         let s = &mut self.stats;
         s.rejected += p.rejected;
         s.queue_full += p.queue_full;
         s.deadline_unmeetable += p.deadline_unmeetable;
         s.expired += p.expired;
         s.not_ready += p.not_ready;
+        s.stage_dead += p.stage_dead;
         s.degraded_served += p.degraded_served;
         s.batches += p.batches;
         s.batched_requests += p.batched_requests;
+        s.pipeline_requeued += p.pipeline_requeued;
     }
 
     /// The coordinator dies, as `ServeHandle::kill`: queued requests drop
@@ -671,7 +629,7 @@ impl<'a> Engine<'a> {
         for w in 0..self.workers.len() {
             self.complete(w);
         }
-        self.fold();
+        self.fold(self.policy.stats());
         self.stats.failovers += 1;
         dropped
     }
@@ -692,7 +650,7 @@ impl<'a> Engine<'a> {
 
     /// Final counters: the live coordinator's policy plus gray transitions.
     fn finalize(mut self) -> CellStats {
-        self.fold();
+        self.fold(self.policy.stats());
         let gray = self.rt.fleet().transitions;
         self.stats.gray_suspects = gray.suspects;
         self.stats.gray_quarantines = gray.quarantines;
@@ -776,10 +734,9 @@ fn run_failover(
     eng.finalize()
 }
 
-/// Pipeline mode: one stage-parallel placement drains arrivals at the
-/// bottleneck rate; stage death triggers a re-plan (backlog re-timed,
-/// counted as requeues) or a serial coordinator fallback when no plan
-/// survives.
+/// Pipeline mode: every arrival streams through the server's
+/// stage-parallel core, deployed once at the start; with no such plan the
+/// cell is classic, as in the server.
 fn run_pipeline(
     spec: &ScenarioSpec,
     cell: &GridCell,
@@ -788,94 +745,31 @@ fn run_pipeline(
 ) -> CellStats {
     let rt = build_runtime(spec, cell, cfg.master_seed, 0);
     let mut eng = Engine::new(lowered, rt, spec.sub_seed(cfg.master_seed, 0x10));
-    let (tick_ms, queue_cap) = (eng.cfg.tick_interval_ms, eng.cfg.pipeline_queue_cap as f64);
-    let mut deploy = eng.rt.pipeline_decide(SLO, &eng.net_at(0.0));
-    let mut entry_free = 0.0f64;
-    // (class, enqueue, finish, accuracy) of admitted-but-unfinished work.
-    let mut inflight: Vec<(usize, f64, f64, f64)> = Vec::new();
-    let mut next_check = tick_ms;
-
-    // Serial fallback throughput when the planner has no pipeline.
-    let fallback_ms =
-        |d: &Option<murmuration_core::PipelineDeploy>| d.as_ref().map_or(60.0, |p| p.fallback_ms);
-
+    let Some(deploy) = eng.rt.pipeline_decide(SLO, &eng.net_at(0.0)) else {
+        return run_classic(spec, cell, cfg, lowered);
+    };
+    let mut pipe = Pipeline::new(&eng.cfg, &deploy);
+    // What a stage sees: the fleet trace's brownout, and death when its
+    // device is down or cut off from the coordinator.
+    let slow = |dev: usize, t: f64| match lowered.partitions.can_reach(0, dev, t) {
+        true => lowered.fleet.slow_factor(dev, t),
+        false => f64::INFINITY,
+    };
     for arrival in lowered.arrivals.arrivals() {
-        let t = arrival.t_ms;
-        eng.advance_ticks(t);
-        // Retire finished work and check plan health on the tick cadence.
-        while next_check <= t {
-            if let Some(p) = &deploy {
-                let dead =
-                    p.plan.stages.iter().any(|s| !device_usable(lowered, s.device, next_check));
-                if dead {
-                    eng.stats.replans += 1;
-                    let new = eng.rt.pipeline_decide(SLO, &eng.net_at(next_check));
-                    // Re-time the backlog under the new plan (or the
-                    // serial fallback) from the check instant.
-                    let mut still: Vec<(usize, f64, f64, f64)> = Vec::new();
-                    let mut free = next_check;
-                    for &(class, enq, fin, acc) in &inflight {
-                        if fin <= next_check {
-                            still.push((class, enq, fin, acc));
-                            continue;
-                        }
-                        eng.stats.pipeline_requeued += 1;
-                        let (gap, lat) = match &new {
-                            Some(np) => (np.report.bottleneck_ms, np.report.fill_ms),
-                            None => (fallback_ms(&new), fallback_ms(&new)),
-                        };
-                        let entry = free.max(next_check);
-                        still.push((class, enq, entry + lat, acc));
-                        free = entry + gap;
-                    }
-                    inflight = still;
-                    entry_free = free;
-                    deploy = new;
-                }
-            }
-            next_check += tick_ms;
-        }
+        eng.advance_ticks(arrival.t_ms);
         eng.stats.submitted += 1;
-        if !eng.rt.monitor_ready() {
-            eng.stats.rejected += 1;
-            eng.stats.not_ready += 1;
-            continue;
-        }
         let class = arrival.class % eng.cfg.classes.len();
-        let deadline = eng.cfg.classes[class].deadline_ms();
-        let (gap, fill, acc) = match &deploy {
-            Some(p) => {
-                let devices: Vec<usize> = p.plan.stages.iter().map(|s| s.device).collect();
-                let sf = slow_mult(lowered, &devices, t);
-                (p.report.bottleneck_ms * sf, p.report.fill_ms * sf, f64::from(p.accuracy_pct))
-            }
-            None => {
-                let f = fallback_ms(&deploy);
-                let sf = slow_mult(lowered, &[0], t);
-                (f * sf, f * sf, 70.0)
-            }
-        };
-        let entry = entry_free.max(t);
-        // Bounded backlog: the inter-stage queues hold only so much.
-        if entry - t > gap * queue_cap {
-            eng.stats.rejected += 1;
-            eng.stats.queue_full += 1;
-            continue;
-        }
-        let finish = entry + fill;
-        if let Some(deadline) = deadline {
-            if finish - t > deadline {
-                eng.stats.rejected += 1;
-                eng.stats.deadline_unmeetable += 1;
-                continue;
-            }
-        }
-        entry_free = entry + gap;
-        inflight.push((class, t, finish, acc));
+        pipe.submit(0, class, arrival.t_ms, (), &slow);
     }
-    for (class, enq, fin, acc) in inflight {
-        eng.stats.record(&eng.cfg.classes[class], fin - enq, acc);
+    pipe.shutdown();
+    pipe.advance(f64::INFINITY, &slow);
+    for (_, outcome) in pipe.exits() {
+        if let ServeOutcome::Done(c) = outcome {
+            let spec = &eng.cfg.classes[c.class];
+            eng.stats.record(spec, c.total_ms, c.accuracy_pct);
+        }
     }
+    eng.fold(pipe.stats());
     eng.finalize()
 }
 
@@ -897,7 +791,6 @@ pub fn run_cell(spec: &ScenarioSpec, cell: &GridCell, cfg: &CampaignConfig) -> C
         stats.rejected,
         stats.submitted
     );
-    assert_eq!(stats.lost(), 0, "lost requests in {} × {}", spec.name, cell.label());
     assert_eq!(
         stats.submitted,
         lowered.arrivals.len() as u64,

@@ -6,7 +6,7 @@
 //! tier carries throughput-oriented traffic that cares about model quality
 //! but tolerates queueing.
 
-use murmuration_partition::compliance::Slo;
+use murmuration_partition::compliance::{Outcome, Slo};
 
 /// What a class promises its requests.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,6 +71,12 @@ impl ClassSpec {
             ClassKind::Latency { deadline_ms } => Slo::LatencyMs(deadline_ms),
             ClassKind::Accuracy { floor_pct } => Slo::AccuracyPct(floor_pct),
         }
+    }
+
+    /// Whether a request served end to end in `latency_ms` by a submodel
+    /// of `accuracy_pct` met the class SLO.
+    pub(crate) fn met(&self, latency_ms: f64, accuracy_pct: f32) -> bool {
+        self.slo().met(&Outcome { latency_ms, accuracy_pct })
     }
 
     /// End-to-end deadline, when the class has one.

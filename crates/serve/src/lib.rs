@@ -29,9 +29,9 @@
 //!   and conservation is restored at the cluster level.
 //!
 //! Admission, dispatch order, shedding and batching live once, in
-//! `policy`: a state machine with no threads and no clock. [`server`]
-//! drives it with worker threads on a scaled clock; [`campaign`] drives
-//! the same core in deterministic virtual time.
+//! `policy`, and stage-parallel serving in [`pipeline`]: state machines
+//! with no threads and no clock. [`server`] drives both on a scaled clock;
+//! [`campaign`] drives the same cores in deterministic virtual time.
 //!
 //! The [`harness`] module drives it: open-loop trace replay (honest
 //! overload measurement), closed-loop clients, and percentile/goodput

@@ -1,92 +1,46 @@
-//! Pipelined stage-parallel serving: the throughput execution mode.
+//! Stage-parallel serving: one state machine with no threads, no clock and
+//! no lock.
 //!
-//! `PipelineRig` is the serve-layer integration: a virtual-time
-//! stage-parallel server for throughput-mode SLO classes, driven by a
-//! [`PipelineDeploy`] from
-//! [`SharedRuntime::pipeline_decide`](murmuration_core::SharedRuntime::pipeline_decide).
-//! Stage threads model per-stage service (bottleneck-stage cost from the
-//! placement objective, scaled by any brownout factor from the fleet
-//! trace), micro-batch within a stage (batching and pipelining compose),
-//! and preserve the serve layer's conservation invariant
-//! `completed + rejected == submitted` through drain-on-shutdown and
-//! device-death rescue.
+//! `Pipeline` owns every rule for a throughput-mode class once the runtime
+//! has placed a stage-parallel plan
+//! ([`SharedRuntime::pipeline_decide`](murmuration_core::SharedRuntime::pipeline_decide)):
+//! the entry queue (`ENTRY_CAP` deep) and the one-batch-deep queues
+//! between stages, where a stage whose finished batch does not fit below
+//! is held until it does; admission (`policy`'s deadline rule with one
+//! stage batch drained per bottleneck period and the fill as the service
+//! time, over everything admitted and unresolved; then `Shutdown`, then
+//! `QueueFull`); the stage-0 shed (`Expired`) of jobs whose budget no
+//! longer covers a fill; per-stage micro-batches at the stage's planned
+//! cost, stretched by its own brownout factor, which flags them degraded;
+//! stage death, where the coordinator rescues a batch at `fallback_ms ×`
+//! the remaining compute share, or rejects `StageDead` when that would
+//! miss the deadline; shutdown drain, abort, the conservation counters and
+//! the per-stage [`PipelineSnapshot`].
 //!
-//! The rig runs on the scaled virtual clock against modeled service times.
-//! Real tensors stream through a pipeline plan's stages in
-//! [`Executor::execute_stream_with`](murmuration_core::executor::Executor::execute_stream_with),
-//! given [`PipelinePlan::device_of_unit`](murmuration_partition::pipeline::PipelinePlan::device_of_unit):
-//! the one attempt machine every executor path runs on.
+//! The caller passes every instant in (virtual ms) and a `slow(dev, t)`
+//! input: the brownout factor of `dev` at `t`, infinite when it is down.
+//! The threaded server (`server`) holds the core behind its lock and wakes
+//! one thread at its next event; the campaign (`campaign`) steps it through
+//! each arrival in virtual time. `P` is what a request carries: the reply
+//! channel in the server, nothing in the campaign.
+//!
+//! Real tensors stream through a plan's stages in the executor
+//! ([`Executor::execute_stream_with`](murmuration_core::executor::Executor::execute_stream_with)).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::class::{ClassKind, ClassSpec};
+use crate::policy::{self, Item};
 use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
-use crate::server::{Clock, Counters, EnvModel};
-use murmuration_core::{PipelineDeploy, SharedRuntime};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread;
+use crate::server::{ServeConfig, ServeStats};
+use murmuration_core::PipelineDeploy;
+use std::collections::VecDeque;
 
-/// A request travelling through the rig.
-pub(crate) struct RigJob {
-    pub id: u64,
-    pub class: usize,
-    pub enqueue_ms: f64,
-    pub deadline_ms: Option<f64>,
-    /// Set when stage 0 dispatches the job (queue/service split point).
-    pub started_ms: f64,
-    pub tx: Sender<ServeOutcome>,
-}
+/// Depth of the entry queue in front of stage 0: it absorbs open-loop
+/// arrival bursts. The queues between stages hold one batch.
+pub(crate) const ENTRY_CAP: usize = 64;
 
-struct RigStageCounters {
-    jobs: AtomicU64,
-    batches: AtomicU64,
-    requeued: AtomicU64,
-    rejected: AtomicU64,
-    /// Virtual ms this stage spent occupied (f64 bits, monotone adds via
-    /// CAS loop).
-    busy_ms_bits: AtomicU64,
-    /// Instantaneous queued depth in front of the stage.
-    depth: AtomicUsize,
-}
-
-impl RigStageCounters {
-    fn new() -> Self {
-        RigStageCounters {
-            jobs: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            busy_ms_bits: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
-        }
-    }
-
-    fn add_busy(&self, ms: f64) {
-        let mut cur = self.busy_ms_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + ms).to_bits();
-            match self.busy_ms_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn busy_ms(&self) -> f64 {
-        f64::from_bits(self.busy_ms_bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Point-in-time view of one rig stage, for `LoadReport` JSON and the
-/// CLI table.
-#[derive(Clone, Debug)]
+/// Point-in-time view of one stage, for `LoadReport` JSON and the CLI
+/// table.
+#[derive(Clone, Debug, Default)]
 pub struct StageSnapshot {
     pub device: usize,
     /// Unit range `[start, end)`.
@@ -113,7 +67,7 @@ pub struct StageSnapshot {
 
 /// Per-stage occupancy and the bottleneck ids, from
 /// [`ServeHandle::pipeline_stats`](crate::server::ServeHandle::pipeline_stats).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PipelineSnapshot {
     pub stages: Vec<StageSnapshot>,
     /// The stage the placement objective predicted as the bottleneck.
@@ -128,403 +82,584 @@ pub struct PipelineSnapshot {
     pub accuracy_pct: f32,
 }
 
-struct RigInner {
-    rt: Arc<SharedRuntime>,
-    deploy: PipelineDeploy,
-    clock: Clock,
-    env: EnvModel,
-    classes: Vec<ClassSpec>,
-    max_batch: usize,
-    batch_marginal: f64,
-    service_sleep: bool,
-    admission: bool,
-    counters: Arc<Counters>,
-    stage: Vec<RigStageCounters>,
-    entry_depth: AtomicUsize,
-    /// Jobs admitted but not yet completed/rejected — includes in-flight
-    /// stage batches, not just queue depths.
-    in_system: AtomicUsize,
-    /// Coordinator cost of finishing a request from stage `s` onward
-    /// when stage `s`'s device is dead (virtual ms).
-    rescue_ms: Vec<f64>,
+/// An admitted request on its way through the stages.
+struct Job<P> {
+    item: Item<P>,
+    /// When stage 0 dispatched it: where its queueing ends.
+    started_ms: f64,
+    /// A browned-out stage served it, or the coordinator rescued it.
+    degraded: bool,
 }
 
-impl RigInner {
-    /// Effective slowdown of `dev` at virtual `t_ms`: the fleet trace's
-    /// brownout factor, or infinite when the trace or a chaos hook has
-    /// the device down.
-    fn slow_factor(&self, dev: usize, t_ms: f64) -> f64 {
-        let traced = self.env.fleet_slow_factor(dev, t_ms);
-        if self.rt.fleet().devices.get(dev).is_none_or(|d| d.down) {
-            return f64::INFINITY;
-        }
-        traced
-    }
-
-    /// Jobs anywhere in the rig — entry queue, inter-stage queues, *and*
-    /// in-flight stage batches. Queue depths alone undercount by up to
-    /// `max_batch` per stage, which under-admits turn into late
-    /// completions; this is the exact conservation-based occupancy.
-    fn backlog(&self) -> usize {
-        self.in_system.load(Ordering::Relaxed)
-    }
-
-    fn reject(&self, job: RigJob, reason: RejectReason) {
-        self.in_system.fetch_sub(1, Ordering::Relaxed);
-        if let RejectReason::StageDead { stage, .. } = reason {
-            if let Some(c) = self.stage.get(stage) {
-                c.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.counters.note_reject(&reason);
-        let r = Rejection { id: job.id, class: job.class, reason, t_ms: self.clock.now_ms() };
-        let _ = job.tx.send(ServeOutcome::Rejected(r));
-    }
-
-    fn complete(&self, job: RigJob, batch_size: usize, degraded: bool) {
-        self.in_system.fetch_sub(1, Ordering::Relaxed);
-        let now = self.clock.now_ms();
-        let queue_ms = (job.started_ms - job.enqueue_ms).max(0.0);
-        let total_ms = now - job.enqueue_ms;
-        let service_ms = total_ms - queue_ms;
-        let spec = &self.classes[job.class];
-        let slo_ok = match spec.kind {
-            ClassKind::Latency { deadline_ms } => total_ms <= deadline_ms,
-            ClassKind::Accuracy { floor_pct } => self.deploy.accuracy_pct >= floor_pct,
-        };
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.counters.pipeline_completed.fetch_add(1, Ordering::Relaxed);
-        if degraded {
-            self.counters.degraded_served.fetch_add(1, Ordering::Relaxed);
-        }
-        let _ = job.tx.send(ServeOutcome::Done(Completion {
-            id: job.id,
-            class: job.class,
-            queue_ms,
-            service_ms,
-            total_ms,
-            deploy_ms: self.deploy.report.fill_ms,
-            accuracy_pct: self.deploy.accuracy_pct,
-            batch_size,
-            // The pipeline decision is made once and reused for the whole
-            // stream — the definition of a cache hit.
-            cached: true,
-            degraded,
-            slo_ok,
-        }));
-    }
-
-    /// Stage `s`'s thread: drain a micro-batch, model its service time,
-    /// forward downstream (or resolve, for the last stage). Exits when
-    /// the upstream sender closes after draining everything — the
-    /// shutdown cascade.
-    fn stage_loop(&self, s: usize, rx: Receiver<RigJob>, next: Option<SyncSender<RigJob>>) {
-        let stage_ms = self.deploy.report.stages[s].stage_ms();
-        let dev = self.deploy.plan.stages[s].device;
-        let last = next.is_none();
-        loop {
-            let Ok(first) = rx.recv() else { break };
-            self.stage[s].depth.fetch_sub(1, Ordering::Relaxed);
-            if s == 0 {
-                self.entry_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            let mut batch = vec![first];
-            while batch.len() < self.max_batch {
-                match rx.try_recv() {
-                    Ok(job) => {
-                        self.stage[s].depth.fetch_sub(1, Ordering::Relaxed);
-                        if s == 0 {
-                            self.entry_depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                        batch.push(job);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let t = self.clock.now_ms();
-            if s == 0 {
-                // Dispatch-time shed: a job whose remaining budget no
-                // longer covers one pipeline fill would only finish late.
-                let mut live = Vec::with_capacity(batch.len());
-                for mut job in batch {
-                    match job.deadline_ms {
-                        Some(d) if t - job.enqueue_ms + self.deploy.report.fill_ms > d => {
-                            let waited_ms = t - job.enqueue_ms;
-                            self.reject(job, RejectReason::Expired { waited_ms, deadline_ms: d });
-                        }
-                        _ => {
-                            job.started_ms = t;
-                            live.push(job);
-                        }
-                    }
-                }
-                batch = live;
-                if batch.is_empty() {
-                    continue;
-                }
-            }
-            let k = batch.len();
-            let slow = self.slow_factor(dev, t);
-            if slow.is_finite() {
-                // Healthy (or browned-out) stage: the batch occupies the
-                // stage for one bottleneck-objective cost, marginally
-                // extended per extra batched request, stretched by any
-                // brownout factor.
-                let cost = stage_ms * slow * (1.0 + self.batch_marginal * (k as f64 - 1.0));
-                if self.service_sleep {
-                    self.clock.sleep_virtual(cost);
-                }
-                self.stage[s].add_busy(cost);
-                self.stage[s].jobs.fetch_add(k as u64, Ordering::Relaxed);
-                self.stage[s].batches.fetch_add(1, Ordering::Relaxed);
-                let degraded = slow > 1.0;
-                for job in batch {
-                    match &next {
-                        Some(nx) => {
-                            self.stage[s + 1].depth.fetch_add(1, Ordering::Relaxed);
-                            // Blocks when the next stage is saturated —
-                            // the backpressure path.
-                            if let Err(err) = nx.send(job) {
-                                self.stage[s + 1].depth.fetch_sub(1, Ordering::Relaxed);
-                                self.reject(err.0, RejectReason::Shutdown);
-                            }
-                        }
-                        None => {
-                            let _ = last;
-                            self.complete(job, k, degraded);
-                        }
-                    }
-                }
-            } else {
-                // Stage device died with work in flight: requeue onto the
-                // coordinator, which serves the remaining stages
-                // serially; jobs whose budget can't cover the rescue get
-                // the typed death rejection instead.
-                let rescue = self.rescue_ms[s];
-                let mut served = Vec::with_capacity(k);
-                for job in batch {
-                    match job.deadline_ms {
-                        Some(d) if t - job.enqueue_ms + rescue > d => {
-                            self.reject(job, RejectReason::StageDead { stage: s, dev });
-                        }
-                        _ => served.push(job),
-                    }
-                }
-                if served.is_empty() {
-                    continue;
-                }
-                let kk = served.len();
-                let cost = rescue * (1.0 + self.batch_marginal * (kk as f64 - 1.0));
-                if self.service_sleep {
-                    self.clock.sleep_virtual(cost);
-                }
-                self.stage[s].add_busy(cost);
-                self.stage[s].jobs.fetch_add(kk as u64, Ordering::Relaxed);
-                self.stage[s].batches.fetch_add(1, Ordering::Relaxed);
-                self.stage[s].requeued.fetch_add(kk as u64, Ordering::Relaxed);
-                self.counters.pipeline_requeued.fetch_add(kk as u64, Ordering::Relaxed);
-                for mut job in served {
-                    if s == 0 && job.started_ms < job.enqueue_ms {
-                        job.started_ms = t;
-                    }
-                    self.complete(job, kk, true);
-                }
-            }
-        }
-    }
+/// A batch in service; `rescued` when the coordinator serves every
+/// remaining stage.
+struct InStage<P> {
+    done_ms: f64,
+    jobs: Vec<Job<P>>,
+    rescued: bool,
 }
 
-/// The running stage-parallel server for throughput-mode classes.
-pub(crate) struct PipelineRig {
-    inner: Arc<RigInner>,
-    entry: Mutex<Option<SyncSender<RigJob>>>,
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
+struct Stage<P> {
+    /// Plan and counters (`snapshot` fills in the rest).
+    info: StageSnapshot,
+    /// Coordinator cost of finishing a request from this stage onward.
+    rescue_ms: f64,
+    queue: VecDeque<Job<P>>,
+    serving: Option<InStage<P>>,
+    /// A finished batch's jobs still waiting for room below.
+    held: VecDeque<Job<P>>,
 }
 
-impl PipelineRig {
-    /// Spawns one thread per pipeline stage, connected by bounded queues.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn start(
-        rt: Arc<SharedRuntime>,
-        deploy: PipelineDeploy,
-        clock: Clock,
-        env: EnvModel,
-        classes: Vec<ClassSpec>,
-        max_batch: usize,
-        batch_marginal: f64,
-        service_sleep: bool,
-        admission: bool,
-        entry_cap: usize,
-        counters: Arc<Counters>,
-    ) -> Self {
-        let n_stages = deploy.plan.stages.len();
-        assert!(n_stages >= 1 && entry_cap >= 1 && max_batch >= 1);
-        // Coordinator rescue cost from stage `s` onward: the all-local
-        // fallback's time, prorated by the remaining compute share.
-        let total_compute: f64 = deploy.report.stages.iter().map(|c| c.compute_ms).sum();
-        let rescue_ms: Vec<f64> = (0..n_stages)
-            .map(|s| {
-                let remaining: f64 = deploy.report.stages[s..].iter().map(|c| c.compute_ms).sum();
-                if total_compute > 0.0 {
-                    deploy.fallback_ms * remaining / total_compute
-                } else {
-                    deploy.fallback_ms
-                }
-            })
-            .collect();
-        let inner = Arc::new(RigInner {
-            rt,
-            deploy,
-            clock,
-            env,
-            classes,
-            max_batch,
-            batch_marginal,
-            service_sleep,
-            admission,
-            counters,
-            stage: (0..n_stages).map(|_| RigStageCounters::new()).collect(),
-            entry_depth: AtomicUsize::new(0),
-            in_system: AtomicUsize::new(0),
-            rescue_ms,
-        });
-        let mut txs: Vec<SyncSender<RigJob>> = Vec::new();
-        let mut rxs: Vec<Receiver<RigJob>> = Vec::new();
-        for s in 0..n_stages {
-            // The entry queue absorbs the open-loop arrival burstiness;
-            // inter-stage queues stay batch-sized so backpressure (not
-            // buffering) is what absorbs a stalled stage.
-            let cap = if s == 0 { entry_cap } else { max_batch };
-            let (tx, rx) = sync_channel(cap);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let mut tx_iter = txs.into_iter();
-        let entry = tx_iter.next();
-        let threads = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| {
-                let next = tx_iter.next();
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("pipe-stage-{s}"))
-                    .spawn(move || inner.stage_loop(s, rx, next))
-                    .unwrap_or_else(|e| panic!("spawning pipeline stage {s}: {e}"))
-            })
-            .collect();
-        PipelineRig { inner, entry: Mutex::new(entry), threads: Mutex::new(threads) }
-    }
+pub(crate) struct Pipeline<P> {
+    /// The server's configuration: classes, admission and batching.
+    cfg: ServeConfig,
+    /// The plan's bottleneck, fill and accuracy.
+    plan: PipelineSnapshot,
+    stages: Vec<Stage<P>>,
+    /// Admitted and not yet resolved: queued, in service or held.
+    in_system: usize,
+    /// The latest instant the pipeline has acted at.
+    now: f64,
+    shutdown: bool,
+    stats: ServeStats,
+    /// Resolved requests the caller has not collected yet.
+    exits: Vec<(P, ServeOutcome)>,
+}
 
-    /// Admission + enqueue for one throughput-mode request. Resolves the
-    /// outcome channel immediately on rejection.
-    pub(crate) fn submit(&self, id: u64, class: usize, tx: Sender<ServeOutcome>) {
-        let inner = &self.inner;
-        inner.counters.pipeline_submitted.fetch_add(1, Ordering::Relaxed);
-        // Every submitted job leaves `in_system` through exactly one of
-        // `complete` or `reject` (all submit failure paths reject).
-        inner.in_system.fetch_add(1, Ordering::Relaxed);
-        let t = inner.clock.now_ms();
-        let deadline_ms = inner.classes[class].deadline_ms();
-        let job = RigJob { id, class, enqueue_ms: t, deadline_ms, started_ms: t, tx };
-        if inner.admission {
-            if let Some(d) = deadline_ms {
-                // Steady-state drain: each bottleneck period retires one
-                // stage batch, so the backlog clears at
-                // `max_batch / batch_factor` requests per bottleneck.
-                let batch_factor = 1.0 + inner.batch_marginal * (inner.max_batch as f64 - 1.0);
-                let drain = inner.max_batch as f64 / batch_factor;
-                // `backlog() - 1`: jobs ahead of this one (we already
-                // counted ourselves into `in_system`).
-                let wait = inner.backlog().saturating_sub(1) as f64 / drain.max(1e-9)
-                    * inner.deploy.report.bottleneck_ms;
-                let needed_ms = wait + inner.deploy.report.fill_ms;
-                if needed_ms > d {
-                    inner.reject(job, RejectReason::DeadlineUnmeetable { needed_ms, budget_ms: d });
-                    return;
-                }
-            }
-        }
-        let entry = self.entry.lock();
-        let Some(entry_tx) = entry.as_ref() else {
-            drop(entry);
-            inner.reject(job, RejectReason::Shutdown);
-            return;
-        };
-        inner.entry_depth.fetch_add(1, Ordering::Relaxed);
-        inner.stage[0].depth.fetch_add(1, Ordering::Relaxed);
-        match entry_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                inner.entry_depth.fetch_sub(1, Ordering::Relaxed);
-                inner.stage[0].depth.fetch_sub(1, Ordering::Relaxed);
-                drop(entry);
-                inner.reject(job, RejectReason::QueueFull { class });
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                inner.entry_depth.fetch_sub(1, Ordering::Relaxed);
-                inner.stage[0].depth.fetch_sub(1, Ordering::Relaxed);
-                drop(entry);
-                inner.reject(job, RejectReason::Shutdown);
-            }
-        }
-    }
-
-    /// Per-stage occupancy snapshot.
-    pub(crate) fn snapshot(&self) -> PipelineSnapshot {
-        let inner = &self.inner;
-        let elapsed = inner.clock.now_ms().max(1e-9);
-        let stages: Vec<StageSnapshot> = inner
-            .deploy
-            .plan
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                let c = &inner.stage[s];
-                let busy = c.busy_ms();
-                StageSnapshot {
+impl<P> Pipeline<P> {
+    /// A pipeline serving a deployed plan under the server's `cfg`.
+    pub(crate) fn new(cfg: &ServeConfig, deploy: &PipelineDeploy) -> Self {
+        let (plan, report, fallback_ms) = (&deploy.plan, &deploy.report, deploy.fallback_ms);
+        assert!(!plan.stages.is_empty() && cfg.max_batch >= 1);
+        let total: f64 = report.stages.iter().map(|c| c.compute_ms).sum();
+        let stages = plan.stages.iter().zip(&report.stages).enumerate().map(|(s, (st, cost))| {
+            let remaining: f64 = report.stages[s..].iter().map(|c| c.compute_ms).sum();
+            Stage {
+                info: StageSnapshot {
                     device: st.device,
                     units: (st.start, st.end),
-                    est_stage_ms: inner.deploy.report.stages[s].stage_ms(),
-                    jobs: c.jobs.load(Ordering::Relaxed),
-                    batches: c.batches.load(Ordering::Relaxed),
-                    requeued: c.requeued.load(Ordering::Relaxed),
-                    rejected: c.rejected.load(Ordering::Relaxed),
-                    busy_ms: busy,
-                    utilization: busy / elapsed,
-                    queue_depth: c.depth.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
-        let observed = stages
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                a.busy_ms.partial_cmp(&b.busy_ms).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        PipelineSnapshot {
-            stages,
-            planned_bottleneck_stage: inner.deploy.report.bottleneck_stage,
-            planned_bottleneck_ms: inner.deploy.report.bottleneck_ms,
-            observed_bottleneck_stage: observed,
-            fill_ms: inner.deploy.report.fill_ms,
-            accuracy_pct: inner.deploy.accuracy_pct,
+                    est_stage_ms: cost.stage_ms(),
+                    ..StageSnapshot::default()
+                },
+                rescue_ms: if total > 0.0 { fallback_ms * remaining / total } else { fallback_ms },
+                queue: VecDeque::new(),
+                serving: None,
+                held: VecDeque::new(),
+            }
+        });
+        Pipeline {
+            cfg: cfg.clone(),
+            plan: PipelineSnapshot {
+                planned_bottleneck_stage: report.bottleneck_stage,
+                planned_bottleneck_ms: report.bottleneck_ms,
+                fill_ms: report.fill_ms,
+                accuracy_pct: deploy.accuracy_pct,
+                ..PipelineSnapshot::default()
+            },
+            stages: stages.collect(),
+            in_system: 0,
+            now: 0.0,
+            shutdown: false,
+            stats: ServeStats::default(),
+            exits: Vec::new(),
         }
     }
 
-    /// Stops admission, drains every queued job through the stages, and
-    /// joins the stage threads. Conservation holds afterwards: every
-    /// accepted job completed or was rejected with a typed reason.
-    pub(crate) fn shutdown(&self) {
-        // Dropping the entry sender starts the cascade: stage 0 drains
-        // and exits, disconnecting stage 1, and so on.
-        *self.entry.lock() = None;
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
-            let _ = t.join();
+    pub(crate) fn stats(&self) -> ServeStats {
+        self.stats
+    }
+
+    /// Stopped and empty: every admitted request has resolved.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.shutdown && self.in_system == 0
+    }
+
+    /// Requests resolved since the last call, each with its outcome.
+    pub(crate) fn exits(&mut self) -> std::vec::Drain<'_, (P, ServeOutcome)> {
+        self.exits.drain(..)
+    }
+
+    /// The stage whose batch in service finishes first, and when.
+    pub(crate) fn next_event(&self) -> Option<(usize, f64)> {
+        let serving = self.stages.iter().enumerate();
+        let done = serving.filter_map(|(s, st)| Some((s, st.serving.as_ref()?.done_ms)));
+        done.min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    /// Admits a request of `class` arriving at `now`, after running every
+    /// event due by then, and dispatches what it can.
+    pub(crate) fn submit(
+        &mut self,
+        id: u64,
+        class: usize,
+        now: f64,
+        payload: P,
+        slow: &impl Fn(usize, f64) -> f64,
+    ) {
+        self.advance(now, slow);
+        self.now = self.now.max(now);
+        self.stats.submitted += 1;
+        let item = Item { id, class, enqueue_ms: now, payload };
+        let reason = match self.admit(class) {
+            Err(reason) => reason,
+            Ok(()) if self.shutdown => RejectReason::Shutdown,
+            Ok(()) if self.stages[0].queue.len() >= ENTRY_CAP => RejectReason::QueueFull { class },
+            Ok(()) => {
+                self.in_system += 1;
+                self.stages[0].queue.push_back(Job { item, started_ms: now, degraded: false });
+                return self.settle(slow);
+            }
+        };
+        self.reject(item, reason, now);
+    }
+
+    /// `policy`'s deadline rule: everything admitted drains one stage
+    /// batch per bottleneck period, then this request takes one fill.
+    fn admit(&self, class: usize) -> Result<(), RejectReason> {
+        let spec = &self.cfg.classes[class];
+        let Some(deadline) = spec.deadline_ms().filter(|_| self.cfg.admission) else {
+            return Ok(());
+        };
+        let drain = policy::slots(self.cfg.max_batch, self.cfg.batch_marginal);
+        let (period_ms, fill_ms) = (self.plan.planned_bottleneck_ms, self.plan.fill_ms);
+        policy::deadline_rule(deadline, self.in_system, drain, period_ms, fill_ms)
+    }
+
+    /// Runs every event due by `until` in time order (ties to the upstream
+    /// stage), dispatching at each instant what it frees.
+    pub(crate) fn advance(&mut self, until: f64, slow: &impl Fn(usize, f64) -> f64) {
+        while let Some((s, done_ms)) = self.next_event().filter(|&(_, t)| t <= until) {
+            self.now = self.now.max(done_ms);
+            if let Some(batch) = self.stages[s].serving.take() {
+                if batch.rescued || s + 1 == self.stages.len() {
+                    let k = batch.jobs.len();
+                    batch.jobs.into_iter().for_each(|job| self.complete(job, k));
+                } else {
+                    self.stages[s].held.extend(batch.jobs);
+                }
+            }
+            self.settle(slow);
+        }
+    }
+
+    /// At the current instant, downstream first: held jobs move into the
+    /// queue below as it has room, and every free stage takes a batch,
+    /// until nothing moves.
+    fn settle(&mut self, slow: &impl Fn(usize, f64) -> f64) {
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for s in (0..self.stages.len()).rev() {
+                if let [up, down, ..] = &mut self.stages[s..] {
+                    let n = self.cfg.max_batch.saturating_sub(down.queue.len()).min(up.held.len());
+                    down.queue.extend(up.held.drain(..n));
+                    moved |= n > 0;
+                }
+                let st = &self.stages[s];
+                if st.serving.is_none() && st.held.is_empty() && !st.queue.is_empty() {
+                    self.dispatch(s, slow);
+                    moved = true;
+                }
+            }
+        }
+    }
+
+    /// Stage `s` takes up to `max_batch` queued jobs at the current
+    /// instant. Stage 0 sheds the jobs a fill would make late; a dead
+    /// stage rejects those its rescue would make late and hands the rest
+    /// to the coordinator; a live one serves them at its brownout-stretched
+    /// cost.
+    fn dispatch(&mut self, s: usize, slow: &impl Fn(usize, f64) -> f64) {
+        let (now, fill_ms) = (self.now, self.plan.fill_ms);
+        let (dev, rescue_ms) = (self.stages[s].info.device, self.stages[s].rescue_ms);
+        let factor = slow(dev, now);
+        let rescued = !factor.is_finite();
+        let n = self.stages[s].queue.len().min(self.cfg.max_batch);
+        let taken: Vec<Job<P>> = self.stages[s].queue.drain(..n).collect();
+        let mut jobs = Vec::with_capacity(n);
+        for mut job in taken {
+            let (waited_ms, spec) = (now - job.item.enqueue_ms, &self.cfg.classes[job.item.class]);
+            let deadline_ms = spec.deadline_ms().unwrap_or(f64::INFINITY);
+            let reason = if s == 0 && waited_ms + fill_ms > deadline_ms {
+                RejectReason::Expired { waited_ms, deadline_ms }
+            } else if rescued && waited_ms + rescue_ms > deadline_ms {
+                RejectReason::StageDead { stage: s, dev }
+            } else {
+                job.started_ms = if s == 0 { now } else { job.started_ms };
+                job.degraded |= rescued || factor > 1.0;
+                jobs.push(job);
+                continue;
+            };
+            self.in_system -= 1;
+            self.stages[s].info.rejected += 1;
+            self.reject(job.item, reason, now);
+        }
+        let k = jobs.len();
+        if k == 0 {
+            return;
+        }
+        let unit_ms = if rescued { rescue_ms } else { self.stages[s].info.est_stage_ms * factor };
+        let cost = policy::share(self.cfg.batch_marginal, unit_ms, k - 1);
+        let info = &mut self.stages[s].info;
+        info.busy_ms += cost;
+        info.jobs += k as u64;
+        info.batches += 1;
+        if rescued {
+            info.requeued += k as u64;
+            self.stats.pipeline_requeued += k as u64;
+        }
+        self.stages[s].serving = Some(InStage { done_ms: now + cost, jobs, rescued });
+    }
+
+    fn reject(&mut self, item: Item<P>, reason: RejectReason, t_ms: f64) {
+        self.stats.note_reject(&reason);
+        let Item { id, class, payload, .. } = item;
+        self.exits.push((payload, ServeOutcome::Rejected(Rejection { id, class, reason, t_ms })));
+    }
+
+    fn complete(&mut self, job: Job<P>, batch_size: usize) {
+        self.in_system -= 1;
+        self.stats.completed += 1;
+        self.stats.degraded_served += u64::from(job.degraded);
+        let Item { id, class, enqueue_ms, payload } = job.item;
+        let queue_ms = (job.started_ms - enqueue_ms).max(0.0);
+        let total_ms = self.now - enqueue_ms;
+        let done = Completion {
+            id,
+            class,
+            queue_ms,
+            service_ms: total_ms - queue_ms,
+            total_ms,
+            deploy_ms: self.plan.fill_ms,
+            accuracy_pct: self.plan.accuracy_pct,
+            batch_size,
+            // The plan is decided once and reused for the whole stream:
+            // the definition of a cache hit.
+            cached: true,
+            degraded: job.degraded,
+            slo_ok: self.cfg.classes[class].met(total_ms, self.plan.accuracy_pct),
+        };
+        self.exits.push((payload, ServeOutcome::Done(done)));
+    }
+
+    /// Stops admission; admitted requests still drain through the stages.
+    pub(crate) fn shutdown(&mut self) {
+        self.shutdown = true;
+    }
+
+    /// A crash: stops admission and drops the entry queue, returned
+    /// unresolved. Jobs already past it finish, like batches in service on
+    /// the batched path.
+    pub(crate) fn abort(&mut self) -> Vec<Item<P>> {
+        self.shutdown = true;
+        self.in_system -= self.stages[0].queue.len();
+        self.stages[0].queue.drain(..).map(|job| job.item).collect()
+    }
+
+    /// Per-stage occupancy, `now` virtual ms after the start.
+    pub(crate) fn snapshot(&self, now: f64) -> PipelineSnapshot {
+        let stages: Vec<StageSnapshot> = self
+            .stages
+            .iter()
+            .map(|st| StageSnapshot {
+                utilization: st.info.busy_ms / now.max(1e-9),
+                queue_depth: st.queue.len(),
+                ..st.info.clone()
+            })
+            .collect();
+        let observed = (0..stages.len())
+            .max_by(|&a, &b| stages[a].busy_ms.total_cmp(&stages[b].busy_ms))
+            .unwrap_or(0);
+        PipelineSnapshot { stages, observed_bottleneck_stage: observed, ..self.plan.clone() }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    //! Step tests: made-up instants, one rule per test. Stage `s` runs on
+    //! device `s + 1`, compute only, and the coordinator alone takes
+    //! 100 ms per request.
+    use super::*;
+    use crate::class::ClassSpec;
+    use murmuration_partition::compliance::Slo;
+    use murmuration_partition::{PipelinePlan, PipelineStage, StageCost, ThroughputReport};
+    use murmuration_supernet::SubnetConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Out = Vec<((), ServeOutcome)>;
+
+    fn pipe(classes: Vec<ClassSpec>, stage_ms: &[f64], max_batch: usize) -> Pipeline<()> {
+        let cfg =
+            ServeConfig { max_batch, batch_marginal: 0.5, ..ServeConfig::engineered(classes) };
+        let stages =
+            (0..stage_ms.len()).map(|s| PipelineStage { device: s + 1, start: s, end: s + 1 });
+        let costs = stage_ms.iter().enumerate().map(|(s, &compute_ms)| StageCost {
+            device: s + 1,
+            xfer_in_ms: 0.0,
+            compute_ms,
+            xfer_out_ms: 0.0,
+        });
+        let report = ThroughputReport {
+            stages: costs.collect(),
+            bottleneck_ms: stage_ms.iter().cloned().fold(0.0, f64::max),
+            bottleneck_stage: 0,
+            fill_ms: stage_ms.iter().sum(),
+        };
+        let deploy = PipelineDeploy {
+            config: SubnetConfig { resolution: 224, stages: Vec::new() },
+            plan: PipelinePlan { stages: stages.collect() },
+            report,
+            fallback_ms: 100.0,
+            accuracy_pct: 80.0,
+            slo: Slo::LatencyMs(1e9),
+        };
+        Pipeline::new(&cfg, &deploy)
+    }
+
+    fn lat(deadline_ms: f64) -> ClassSpec {
+        ClassSpec::latency("stream", deadline_ms, 1_000).with_pipeline()
+    }
+
+    fn up(_: usize, _: f64) -> f64 {
+        1.0
+    }
+
+    fn offer(p: &mut Pipeline<()>, id: u64, class: usize, now: f64, out: &mut Out) {
+        p.submit(id, class, now, (), &up);
+        out.extend(p.exits());
+    }
+
+    fn run(p: &mut Pipeline<()>, until: f64, slow: &impl Fn(usize, f64) -> f64, out: &mut Out) {
+        p.advance(until, slow);
+        out.extend(p.exits());
+    }
+
+    fn done(out: &Out, id: u64) -> &Completion {
+        out.iter()
+            .find_map(|(_, o)| match o {
+                ServeOutcome::Done(c) if c.id == id => Some(c),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{id} did not complete: {out:?}"))
+    }
+
+    fn reason(out: &Out, id: u64) -> RejectReason {
+        out.iter()
+            .find_map(|(_, o)| match o {
+                ServeOutcome::Rejected(r) if r.id == id => Some(r.reason.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{id} was not rejected: {out:?}"))
+    }
+
+    #[test]
+    fn admission_counts_jobs_in_stages_not_only_queues() {
+        // One batch per 10 ms bottleneck, a 20 ms fill: with job 0 already
+        // in stage 0 and nothing queued, job 1 needs 10 · (1 + 2) = 30.
+        let mut p = pipe(vec![lat(25.0)], &[10.0, 10.0], 1);
+        let mut out = Vec::new();
+        offer(&mut p, 0, 0, 0.0, &mut out);
+        assert!(out.is_empty() && p.stages[0].queue.is_empty() && p.in_system == 1);
+        offer(&mut p, 1, 0, 0.0, &mut out);
+        let needed = RejectReason::DeadlineUnmeetable { needed_ms: 30.0, budget_ms: 25.0 };
+        assert_eq!(reason(&out, 1), needed);
+    }
+
+    #[test]
+    fn admission_drains_a_stage_batch_per_bottleneck_period() {
+        // max_batch 3 at marginal 0.5 retires 3 / 2 per 10 ms: three ahead
+        // need 10 · (3 / 1.5 + 2) = 40.
+        let mut p = pipe(vec![lat(39.0)], &[10.0, 10.0], 3);
+        let mut out = Vec::new();
+        for id in 0..4 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        let needed = RejectReason::DeadlineUnmeetable { needed_ms: 40.0, budget_ms: 39.0 };
+        assert_eq!((out.len(), reason(&out, 3)), (1, needed));
+    }
+
+    #[test]
+    fn unmeetable_is_judged_before_shutdown_and_shutdown_before_queue_full() {
+        let mut p = pipe(vec![lat(1e9), lat(5.0)], &[10.0], 1);
+        let mut out = Vec::new();
+        for id in 0..=ENTRY_CAP as u64 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        assert!(out.is_empty(), "one in stage 0, {ENTRY_CAP} queued");
+        offer(&mut p, 100, 0, 0.0, &mut out);
+        offer(&mut p, 101, 1, 0.0, &mut out);
+        assert_eq!(reason(&out, 100), RejectReason::QueueFull { class: 0 });
+        assert!(matches!(reason(&out, 101), RejectReason::DeadlineUnmeetable { .. }));
+        p.shutdown();
+        offer(&mut p, 102, 0, 0.0, &mut out);
+        offer(&mut p, 103, 1, 0.0, &mut out);
+        assert_eq!(reason(&out, 102), RejectReason::Shutdown);
+        assert!(matches!(reason(&out, 103), RejectReason::DeadlineUnmeetable { .. }));
+        let s = p.stats();
+        assert_eq!((s.queue_full, s.deadline_unmeetable, s.shutdown_rejects), (1, 2, 1));
+    }
+
+    #[test]
+    fn stage_batches_what_queued_at_the_marginal_cost() {
+        let mut p = pipe(vec![lat(1e9)], &[10.0], 4);
+        let mut out = Vec::new();
+        offer(&mut p, 0, 0, 0.0, &mut out);
+        for id in 1..4 {
+            offer(&mut p, id, 0, 1.0, &mut out);
+        }
+        run(&mut p, f64::INFINITY, &up, &mut out);
+        // Job 0 alone from 0 to 10; jobs 1–3 together from 10 to 30.
+        assert_eq!((done(&out, 0).total_ms, done(&out, 0).batch_size), (10.0, 1));
+        let c = done(&out, 3);
+        assert_eq!((c.queue_ms, c.service_ms, c.batch_size), (9.0, 20.0, 3));
+        assert_eq!((p.stages[0].info.batches, p.stages[0].info.jobs), (2, 4));
+    }
+
+    #[test]
+    fn upstream_stage_is_held_while_the_queue_below_is_full() {
+        // Stage 1 takes 100 ms a job and holds one queued; stage 0 finishes
+        // job 2 at 30 and must hold it until stage 1 frees at 110.
+        let mut p = pipe(vec![lat(1e9)], &[10.0, 100.0], 1);
+        let mut out = Vec::new();
+        for id in 0..4 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        run(&mut p, 50.0, &up, &mut out);
+        assert_eq!((p.stages[0].held.len(), p.stages[1].queue.len()), (1, 1));
+        assert_eq!(p.stages[0].queue.len(), 1, "a held stage takes no new work");
+        run(&mut p, f64::INFINITY, &up, &mut out);
+        assert_eq!(done(&out, 3).queue_ms, 110.0, "job 3 enters stage 0 when it frees");
+        assert_eq!(done(&out, 3).total_ms, 410.0);
+    }
+
+    #[test]
+    fn stage_zero_sheds_jobs_whose_budget_no_longer_covers_a_fill() {
+        let mut p = pipe(vec![lat(50.0)], &[10.0, 10.0], 1);
+        p.cfg.admission = false;
+        let mut out = Vec::new();
+        for id in 0..5 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        run(&mut p, f64::INFINITY, &up, &mut out);
+        // Job 3 dispatches at 30: 30 + 20 is on the deadline, not past it.
+        assert_eq!(done(&out, 3).total_ms, 50.0);
+        let expired = RejectReason::Expired { waited_ms: 40.0, deadline_ms: 50.0 };
+        assert_eq!(reason(&out, 4), expired);
+        assert_eq!((p.stats().expired, p.stages[0].info.rejected), (1, 1));
+    }
+
+    #[test]
+    fn brownout_stretches_only_its_own_stage_and_flags_degraded() {
+        for (slow_dev, total_ms) in [(1, 40.0), (2, 50.0), (9, 30.0)] {
+            let mut p = pipe(vec![lat(1e9)], &[10.0, 20.0], 1);
+            let slow = |dev: usize, _: f64| if dev == slow_dev { 2.0 } else { 1.0 };
+            let mut out = Vec::new();
+            p.submit(0, 0, 0.0, (), &slow);
+            run(&mut p, f64::INFINITY, &slow, &mut out);
+            let c = done(&out, 0);
+            assert_eq!((c.total_ms, c.degraded), (total_ms, slow_dev != 9), "device {slow_dev}");
+            assert_eq!(p.stats().degraded_served, u64::from(slow_dev != 9));
+        }
+    }
+
+    #[test]
+    fn dead_stage_rescues_at_the_prorated_fallback() {
+        // Stage 1 holds 30 of 40 ms of compute: the coordinator finishes it
+        // in 100 · 30 / 40 = 75 ms.
+        let mut p = pipe(vec![lat(1e9)], &[10.0, 30.0], 1);
+        let dead = |dev: usize, _: f64| if dev == 2 { f64::INFINITY } else { 1.0 };
+        let mut out = Vec::new();
+        p.submit(0, 0, 0.0, (), &dead);
+        run(&mut p, f64::INFINITY, &dead, &mut out);
+        let c = done(&out, 0);
+        assert_eq!((c.total_ms, c.degraded), (85.0, true));
+        assert_eq!((p.stats().pipeline_requeued, p.stages[1].info.requeued), (1, 1));
+    }
+
+    #[test]
+    fn dead_stage_rejects_stage_dead_when_the_rescue_would_miss() {
+        // At 10 the rescue ends at 85, past an 80 ms deadline.
+        let mut p = pipe(vec![lat(80.0)], &[10.0, 30.0], 1);
+        let dead = |dev: usize, _: f64| if dev == 2 { f64::INFINITY } else { 1.0 };
+        let mut out = Vec::new();
+        p.submit(0, 0, 0.0, (), &dead);
+        run(&mut p, f64::INFINITY, &dead, &mut out);
+        assert_eq!(reason(&out, 0), RejectReason::StageDead { stage: 1, dev: 2 });
+        let s = p.stats();
+        assert_eq!((s.stage_dead, s.pipeline_requeued, p.in_system), (1, 0, 0));
+    }
+
+    #[test]
+    fn shutdown_drains_every_admitted_job() {
+        let mut p = pipe(vec![lat(1e9)], &[10.0, 10.0], 1);
+        let mut out = Vec::new();
+        for id in 0..4 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        p.shutdown();
+        assert!(!p.is_drained());
+        run(&mut p, f64::INFINITY, &up, &mut out);
+        assert_eq!(done(&out, 3).total_ms, 50.0);
+        assert!(p.is_drained() && p.next_event().is_none());
+        assert_eq!(p.stats().completed, 4);
+    }
+
+    #[test]
+    fn abort_drops_the_entry_queue_and_lets_the_stages_finish() {
+        let mut p = pipe(vec![lat(1e9)], &[10.0, 10.0], 1);
+        let mut out = Vec::new();
+        for id in 0..4 {
+            offer(&mut p, id, 0, 0.0, &mut out);
+        }
+        run(&mut p, 15.0, &up, &mut out);
+        let dropped: Vec<u64> = p.abort().iter().map(|i| i.id).collect();
+        assert_eq!(dropped, vec![2, 3], "job 0 is in stage 1, job 1 in stage 0");
+        offer(&mut p, 4, 0, 15.0, &mut out);
+        assert_eq!(reason(&out, 4), RejectReason::Shutdown);
+        run(&mut p, f64::INFINITY, &up, &mut out);
+        assert_eq!((done(&out, 0).total_ms, done(&out, 1).total_ms), (20.0, 30.0));
+        let s = p.stats();
+        assert_eq!(s.submitted, s.completed + s.rejected + dropped.len() as u64);
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn every_offered_item_leaves_exactly_once() {
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let classes = vec![lat(60.0), lat(200.0), ClassSpec::accuracy("acc", 70.0, 8)];
+            let n_stages = rng.gen_range(1..5usize);
+            let stage_ms: Vec<f64> = (0..n_stages).map(|_| rng.gen_range(1.0..20.0)).collect();
+            let mut p = pipe(classes, &stage_ms, rng.gen_range(1..5usize));
+            p.cfg.admission = seed % 3 != 0;
+            // Each device is up, browned out or down, per 50 ms window.
+            let slow = |dev: usize, t: f64| match (seed ^ dev as u64 ^ (t / 50.0) as u64) % 7 {
+                0 => f64::INFINITY,
+                1 => 1.7,
+                _ => 1.0,
+            };
+            let (mut left, mut out, mut now) = (vec![0u32; 500], Vec::new(), 0.0);
+            for id in 0..500u64 {
+                now += rng.gen_range(0.0..6.0);
+                p.submit(id, rng.gen_range(0..3usize), now, (), &slow);
+            }
+            let dropped = if seed % 4 == 0 { p.abort() } else { Vec::new() };
+            p.shutdown();
+            run(&mut p, f64::INFINITY, &slow, &mut out);
+            for (_, o) in &out {
+                let id = match o {
+                    ServeOutcome::Done(c) => c.id,
+                    ServeOutcome::Rejected(r) => r.id,
+                };
+                left[id as usize] += 1;
+            }
+            dropped.iter().for_each(|i| left[i.id as usize] += 1);
+            assert!(left.iter().all(|&n| n == 1), "seed {seed}: {left:?}");
+            let s = p.stats();
+            assert_eq!(s.submitted, s.completed + s.rejected + dropped.len() as u64, "{seed}");
+            assert!(p.is_drained(), "seed {seed}");
         }
     }
 }

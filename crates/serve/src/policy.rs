@@ -91,8 +91,31 @@ fn ewma(old: f64, sample: f64) -> f64 {
 /// Position `i`'s service share in a batch whose unbatched service takes
 /// `base_ms`: the shared fill plus `i` marginal costs. A batch of `k`
 /// costs its last position's share.
-fn share(marginal: f64, base_ms: f64, i: usize) -> f64 {
+pub(crate) fn share(marginal: f64, base_ms: f64, i: usize) -> f64 {
     base_ms * (1.0 + marginal * i as f64)
+}
+
+/// Requests one server of full `max_batch` batches retires per unbatched
+/// service time.
+pub(crate) fn slots(max_batch: usize, marginal: f64) -> f64 {
+    max_batch as f64 / share(marginal, 1.0, max_batch - 1)
+}
+
+/// The deadline rule both serving cores admit by: the `ahead` requests
+/// drain at `slots` per `period_ms`, then this one takes `service_ms`.
+pub(crate) fn deadline_rule(
+    deadline_ms: f64,
+    ahead: usize,
+    slots: f64,
+    period_ms: f64,
+    service_ms: f64,
+) -> Result<(), RejectReason> {
+    let needed_ms = period_ms * (ahead as f64 / slots + service_ms / period_ms);
+    if needed_ms > deadline_ms {
+        Err(RejectReason::DeadlineUnmeetable { needed_ms, budget_ms: deadline_ms })
+    } else {
+        Ok(())
+    }
 }
 
 impl<P> Policy<P> {
@@ -185,14 +208,8 @@ impl<P> Policy<P> {
             return Ok(()); // no evidence yet: admit optimistically
         }
         let ahead = self.backlog_ahead(class) + self.in_service;
-        let batch_factor = share(self.batch_marginal, 1.0, self.max_batch - 1);
-        let slots = self.n_workers as f64 * (self.max_batch as f64 / batch_factor);
-        let needed_ms = ewma * (ahead as f64 / slots + 1.0);
-        if needed_ms > deadline {
-            Err(RejectReason::DeadlineUnmeetable { needed_ms, budget_ms: deadline })
-        } else {
-            Ok(())
-        }
+        let drain = self.n_workers as f64 * slots(self.max_batch, self.batch_marginal);
+        deadline_rule(deadline, ahead, drain, ewma, ewma)
     }
 
     /// Queued requests that drain before a new arrival of `class`.
@@ -361,16 +378,7 @@ impl<P> Policy<P> {
 
     /// Counts one rejection: the total and its reason.
     pub(crate) fn note_reject(&mut self, reason: &RejectReason) {
-        let s = &mut self.stats;
-        s.rejected += 1;
-        *match reason {
-            RejectReason::QueueFull { .. } => &mut s.queue_full,
-            RejectReason::DeadlineUnmeetable { .. } => &mut s.deadline_unmeetable,
-            RejectReason::Expired { .. } => &mut s.expired,
-            RejectReason::NotReady => &mut s.not_ready,
-            RejectReason::StageDead { .. } => &mut s.stage_dead,
-            RejectReason::Shutdown => &mut s.shutdown_rejects,
-        } += 1;
+        self.stats.note_reject(reason);
     }
 }
 

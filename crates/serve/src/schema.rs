@@ -308,12 +308,12 @@ pub fn campaign_required_keys() -> Vec<String> {
         "rejects/deadline_unmeetable",
         "rejects/expired",
         "rejects/not_ready",
+        "rejects/stage_dead",
         "robustness/gray_suspects",
         "robustness/gray_quarantines",
         "robustness/gray_readmissions",
         "robustness/failovers",
         "robustness/retried",
-        "robustness/replans",
         "on_front",
     ] {
         keys.push(format!("scenarios/*/cells/*/{k}"));

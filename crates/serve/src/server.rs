@@ -3,19 +3,23 @@
 //!
 //! Every rule about a request's fate — admission, which class drains
 //! next, shedding, the batch cut, batch cost, the EWMAs, conservation —
-//! lives in `policy`, a state machine with no threads and no clock. This
-//! module drives it with threads and a scaled clock; the campaign drives
-//! the same core in virtual time.
+//! lives in `policy`, a state machine with no threads and no clock;
+//! throughput-mode classes follow `pipeline`, its stage-parallel sibling.
+//! This module drives both cores, behind one lock, with threads and a
+//! scaled clock; the campaign drives the same cores in virtual time.
 //!
 //! # Threads
 //!
 //! * **Submitters** (caller threads) run admission and enqueue under the
-//!   policy's mutex; an idle server serves a lone `submit_wait` inline.
+//!   server's one lock; an idle server serves a lone `submit_wait` inline.
 //! * **Workers** wait on a condvar beside the policy, take same-class
 //!   batches (waiting one batching window for stragglers when short),
 //!   decide once per batch ([`SharedRuntime::serve_decide`]), deploy once
 //!   (one supernet switch amortized over the batch), sleep the batch's
 //!   cost, and resolve every request with a typed outcome.
+//! * **One pipeline thread**, when a class streams through a
+//!   stage-parallel plan, sleeps on its own condvar until the pipeline's
+//!   next event and runs it; submitters admit and dispatch inline.
 //! * **One control thread** owns monitoring: it ticks the runtime on a
 //!   fixed virtual-time cadence and replays the fault trace. Workers never
 //!   touch the monitor, so the decision path is sampling-free and
@@ -29,8 +33,8 @@
 //! runs in about a wall second while preserving queueing dynamics —
 //! workers really are occupied for the (scaled) service time.
 
-use crate::class::{ClassKind, ClassSpec};
-use crate::pipeline::{PipelineRig, PipelineSnapshot};
+use crate::class::ClassSpec;
+use crate::pipeline::{Pipeline, PipelineSnapshot};
 use crate::policy::{Batch, Item, Policy};
 use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
 use murmuration_core::fleet::{FleetSnapshot, Input};
@@ -75,12 +79,6 @@ impl EnvModel {
     pub fn network_at(&self, t_ms: f64) -> NetworkState {
         NetworkState::uniform(self.n_remote, self.net.sample(t_ms))
     }
-
-    /// Ground-truth brownout factor of `dev` at `t_ms` (1.0 when no fleet
-    /// trace is attached; infinite when the trace has the device down).
-    pub(crate) fn fleet_slow_factor(&self, dev: usize, t_ms: f64) -> f64 {
-        self.fleet.as_ref().map_or(1.0, |f| f.slow_factor(dev, t_ms))
-    }
 }
 
 /// Serving-layer knobs. Start from [`engineered`](ServeConfig::engineered)
@@ -117,9 +115,6 @@ pub struct ServeConfig {
     /// completely idle, skipping the queue handoff (the common-case fast
     /// path; only [`submit_wait`](ServeHandle::submit_wait) uses it).
     pub inline_when_idle: bool,
-    /// Entry-queue depth of the stage-parallel pipeline (throughput-mode
-    /// classes). Inter-stage queues stay batch-sized regardless.
-    pub pipeline_queue_cap: usize,
     /// Seed for the control thread's monitoring-noise stream.
     pub base_seed: u64,
 }
@@ -140,7 +135,6 @@ impl ServeConfig {
             tick_interval_ms: 100.0,
             fifo: false,
             inline_when_idle: true,
-            pipeline_queue_cap: 64,
             base_seed: 17,
         }
     }
@@ -191,42 +185,6 @@ impl Clock {
     }
 }
 
-/// The pipeline rig's counters. The batched path counts in its `Policy`;
-/// [`ServeHandle::stats`] adds the two, so the conservation invariant
-/// `completed + rejected == submitted` covers both execution modes.
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) completed: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) queue_full: AtomicU64,
-    pub(crate) deadline_unmeetable: AtomicU64,
-    pub(crate) expired: AtomicU64,
-    pub(crate) not_ready: AtomicU64,
-    pub(crate) stage_dead: AtomicU64,
-    pub(crate) shutdown_rejects: AtomicU64,
-    pub(crate) degraded_served: AtomicU64,
-    pub(crate) pipeline_submitted: AtomicU64,
-    pub(crate) pipeline_completed: AtomicU64,
-    pub(crate) pipeline_requeued: AtomicU64,
-}
-
-impl Counters {
-    /// Books one rejection: the aggregate counter plus the per-reason
-    /// breakdown.
-    pub(crate) fn note_reject(&self, reason: &RejectReason) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        let ctr = match reason {
-            RejectReason::QueueFull { .. } => &self.queue_full,
-            RejectReason::DeadlineUnmeetable { .. } => &self.deadline_unmeetable,
-            RejectReason::Expired { .. } => &self.expired,
-            RejectReason::NotReady => &self.not_ready,
-            RejectReason::StageDead { .. } => &self.stage_dead,
-            RejectReason::Shutdown => &self.shutdown_rejects,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A point-in-time snapshot of the server's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -266,6 +224,36 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Counts one rejection: the total and its reason.
+    pub(crate) fn note_reject(&mut self, reason: &RejectReason) {
+        self.rejected += 1;
+        *match reason {
+            RejectReason::QueueFull { .. } => &mut self.queue_full,
+            RejectReason::DeadlineUnmeetable { .. } => &mut self.deadline_unmeetable,
+            RejectReason::Expired { .. } => &mut self.expired,
+            RejectReason::NotReady => &mut self.not_ready,
+            RejectReason::StageDead { .. } => &mut self.stage_dead,
+            RejectReason::Shutdown => &mut self.shutdown_rejects,
+        } += 1;
+    }
+
+    /// Adds the pipeline's request counters to the batched path's.
+    fn absorb(&mut self, p: &ServeStats) {
+        self.submitted += p.submitted;
+        self.completed += p.completed;
+        self.pipeline_submitted += p.submitted;
+        self.pipeline_completed += p.completed;
+        self.rejected += p.rejected;
+        self.queue_full += p.queue_full;
+        self.deadline_unmeetable += p.deadline_unmeetable;
+        self.expired += p.expired;
+        self.not_ready += p.not_ready;
+        self.stage_dead += p.stage_dead;
+        self.shutdown_rejects += p.shutdown_rejects;
+        self.degraded_served += p.degraded_served;
+        self.pipeline_requeued += p.pipeline_requeued;
+    }
+
     /// Mean dispatched batch size.
     pub fn avg_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -284,10 +272,18 @@ fn rejected<P>(item: &Item<P>, reason: RejectReason, t_ms: f64) -> ServeOutcome 
     ServeOutcome::Rejected(Rejection { id: item.id, class: item.class, reason, t_ms })
 }
 
-fn send(item: Item<Reply>, outcome: ServeOutcome) {
-    if let Some(tx) = item.payload {
+fn send(reply: Reply, outcome: ServeOutcome) {
+    if let Some(tx) = reply {
         let _ = tx.send(outcome);
     }
+}
+
+/// The serving cores, behind the server's one lock.
+struct Cores {
+    policy: Policy<Reply>,
+    /// The stage-parallel pipeline for throughput-mode classes, when any
+    /// class opted in and a pipeline placement was found at boot.
+    pipeline: Option<Pipeline<Reply>>,
 }
 
 struct ServerCore {
@@ -295,23 +291,48 @@ struct ServerCore {
     env: EnvModel,
     cfg: ServeConfig,
     clock: Clock,
-    /// The serving policy; `work` wakes workers when it may hold a batch.
-    policy: Mutex<Policy<Reply>>,
+    cores: Mutex<Cores>,
+    /// Wakes workers when the policy may hold a batch.
     work: Condvar,
+    /// Wakes the pipeline thread when its next event may have moved.
+    pipe_work: Condvar,
     next_id: AtomicU64,
     /// Stops the control thread (workers stop via policy shutdown).
     stop: AtomicBool,
-    counters: Arc<Counters>,
-    /// The stage-parallel pipeline for throughput-mode classes, when any
-    /// class opted in and a pipeline placement was found at boot.
-    rig: Option<PipelineRig>,
 }
 
 impl ServerCore {
     /// Poison-tolerant lock: a panicking worker must not wedge the whole
-    /// server, so the (plain-old-data) policy is adopted as is.
-    fn policy(&self) -> MutexGuard<'_, Policy<Reply>> {
-        self.policy.lock().unwrap_or_else(PoisonError::into_inner)
+    /// server, so the (plain-old-data) cores are adopted as is.
+    fn cores(&self) -> MutexGuard<'_, Cores> {
+        self.cores.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A pipeline stage's slowdown on `dev` at `t_ms`: the fleet trace's
+    /// brownout factor, infinite when the trace or a chaos hook has the
+    /// device down.
+    fn slow(&self, dev: usize, t_ms: f64) -> f64 {
+        if self.rt.fleet().devices.get(dev).is_none_or(|d| d.down) {
+            return f64::INFINITY;
+        }
+        self.env.fleet.as_ref().map_or(1.0, |f| f.slow_factor(dev, t_ms))
+    }
+
+    /// Runs the pipeline's events as they fall due (all at once when
+    /// service is not slept) until it has drained after shutdown.
+    fn pipeline_loop(&self) {
+        let mut cores = self.cores();
+        while let Some(pipe) = cores.pipeline.as_mut() {
+            let until = if self.cfg.service_sleep { self.clock.now_ms() } else { f64::INFINITY };
+            pipe.advance(until, &|dev, t| self.slow(dev, t));
+            pipe.exits().for_each(|(reply, outcome)| send(reply, outcome));
+            if pipe.is_drained() {
+                return;
+            }
+            let next = pipe.next_event().map(|(_, t)| self.clock.wall(t - self.clock.now_ms()));
+            let wait = self.pipe_work.wait_timeout(cores, next.unwrap_or(Duration::MAX));
+            cores = wait.unwrap_or_else(PoisonError::into_inner).0;
+        }
     }
 
     /// Serves one batch dispatched at `now`: the policy sheds and cuts it,
@@ -324,7 +345,7 @@ impl ServerCore {
         now: f64,
         mut resolve: impl FnMut(Item<Reply>, ServeOutcome),
     ) {
-        let (expired, requeued) = self.policy().prepare(&mut batch, now);
+        let (expired, requeued) = self.cores().policy.prepare(&mut batch, now);
         if requeued > 0 {
             self.work.notify_one();
         }
@@ -337,7 +358,7 @@ impl ServerCore {
         }
         let spec = &self.cfg.classes[batch.class];
         let Some(decision) = self.rt.serve_decide(spec.slo()) else {
-            for item in self.policy().refuse(batch, &RejectReason::NotReady) {
+            for item in self.cores().policy.refuse(batch, &RejectReason::NotReady) {
                 let outcome = rejected(&item, RejectReason::NotReady, now);
                 resolve(item, outcome);
             }
@@ -345,19 +366,15 @@ impl ServerCore {
         };
         let report = self.rt.deploy(&decision, &self.env.network_at(now));
         let base = report.latency_ms;
-        let cost = self.policy().start(&batch, base);
+        let cost = self.cores().policy.start(&batch, base);
         if self.cfg.service_sleep {
             thread::sleep(self.clock.wall(cost));
         }
         let k = batch.items.len();
         let degraded = report.degradation.is_degraded();
-        let served = self.policy().finish(batch, now, base, degraded);
+        let served = self.cores().policy.finish(batch, now, base, degraded);
         for s in served {
             let total_ms = s.queue_ms + s.service_ms;
-            let slo_ok = match spec.kind {
-                ClassKind::Latency { deadline_ms } => total_ms <= deadline_ms,
-                ClassKind::Accuracy { floor_pct } => report.accuracy_pct >= floor_pct,
-            };
             let outcome = ServeOutcome::Done(Completion {
                 id: s.item.id,
                 class: s.item.class,
@@ -369,7 +386,7 @@ impl ServerCore {
                 batch_size: k,
                 cached: decision.cached,
                 degraded,
-                slo_ok,
+                slo_ok: spec.met(total_ms, report.accuracy_pct),
             });
             resolve(s.item, outcome);
         }
@@ -381,30 +398,30 @@ impl ServerCore {
         let window = (self.cfg.batch_window_ms > 0.0 && self.cfg.max_batch > 1)
             .then(|| self.clock.wall(self.cfg.batch_window_ms));
         loop {
-            let mut policy = self.policy();
+            let mut cores = self.cores();
             let mut batch = loop {
-                if let Some(batch) = policy.take() {
+                if let Some(batch) = cores.policy.take() {
                     break batch;
                 }
-                if policy.is_shutdown() {
+                if cores.policy.is_shutdown() {
                     return;
                 }
-                policy = self.work.wait(policy).unwrap_or_else(PoisonError::into_inner);
+                cores = self.work.wait(cores).unwrap_or_else(PoisonError::into_inner);
             };
             if let Some(window) = window {
-                if batch.items.len() < self.cfg.max_batch && !policy.is_shutdown() {
-                    policy = self
+                if batch.items.len() < self.cfg.max_batch && !cores.policy.is_shutdown() {
+                    cores = self
                         .work
-                        .wait_timeout(policy, window)
+                        .wait_timeout(cores, window)
                         .unwrap_or_else(PoisonError::into_inner)
                         .0;
-                    policy.top_up(&mut batch);
+                    cores.policy.top_up(&mut batch);
                 }
             }
-            drop(policy);
+            drop(cores);
             // More work may remain for other workers.
             self.work.notify_one();
-            self.serve_batch(batch, self.clock.now_ms(), send);
+            self.serve_batch(batch, self.clock.now_ms(), |item, o| send(item.payload, o));
         }
     }
 
@@ -427,73 +444,54 @@ impl ServerCore {
 pub struct ServeHandle {
     core: Arc<ServerCore>,
     workers: Vec<thread::JoinHandle<()>>,
+    pipeline: Option<thread::JoinHandle<()>>,
     control: Option<thread::JoinHandle<()>>,
 }
 
 impl ServeHandle {
     /// Boots the server: one synchronous warm-up tick (so the monitor is
-    /// ready before the first request), then the control thread and the
-    /// worker pool.
+    /// ready before the first request), then the control thread, the
+    /// worker pool and, when a class streams, the pipeline thread.
     pub fn start(rt: Arc<SharedRuntime>, env: EnvModel, cfg: ServeConfig) -> Self {
-        let policy = Mutex::new(Policy::new(&cfg));
         let clock = Clock::new(cfg.time_scale);
         // Warm-up tick at t=0 so serve_decide never sees a cold monitor.
         let mut rng = StdRng::seed_from_u64(cfg.base_seed ^ 0x5eed);
         rt.tick(&env.network_at(0.0), 0.0, &mut rng);
-        let counters = Arc::new(Counters::default());
         // Boot the stage-parallel pipeline when a class opted into
         // throughput mode and the planner finds a placement. On `None`
         // (planner infeasible) pipeline classes fall back to the batched
         // path — slower, never wrong.
-        let rig = cfg
+        let pipeline = cfg
             .classes
             .iter()
             .find(|c| c.pipeline)
             .and_then(|c| rt.pipeline_decide(c.slo(), &env.network_at(0.0)))
-            .map(|deploy| {
-                PipelineRig::start(
-                    Arc::clone(&rt),
-                    deploy,
-                    clock.clone(),
-                    env.clone(),
-                    cfg.classes.clone(),
-                    cfg.max_batch,
-                    cfg.batch_marginal,
-                    cfg.service_sleep,
-                    cfg.admission,
-                    cfg.pipeline_queue_cap,
-                    Arc::clone(&counters),
-                )
-            });
+            .map(|deploy| Pipeline::new(&cfg, &deploy));
+        let streams = pipeline.is_some();
         let core = Arc::new(ServerCore {
             rt,
             env,
-            cfg,
             clock,
-            policy,
+            cores: Mutex::new(Cores { policy: Policy::new(&cfg), pipeline }),
+            cfg,
             work: Condvar::new(),
+            pipe_work: Condvar::new(),
             next_id: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            counters,
-            rig,
         });
-        let workers = (0..core.cfg.n_workers)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || core.worker_loop())
-                    .unwrap_or_else(|e| panic!("spawning worker {i}: {e}"))
-            })
-            .collect();
-        let control = {
+        let spawn = |name: String, run: fn(&ServerCore)| {
             let core = Arc::clone(&core);
             thread::Builder::new()
-                .name("serve-control".to_string())
-                .spawn(move || core.control_loop())
-                .unwrap_or_else(|e| panic!("spawning control thread: {e}"))
+                .name(name.clone())
+                .spawn(move || run(&core))
+                .unwrap_or_else(|e| panic!("spawning {name}: {e}"))
         };
-        ServeHandle { core, workers, control: Some(control) }
+        let workers = (0..core.cfg.n_workers)
+            .map(|i| spawn(format!("serve-worker-{i}"), ServerCore::worker_loop))
+            .collect();
+        let pipeline = streams.then(|| spawn("serve-pipeline".into(), ServerCore::pipeline_loop));
+        let control = Some(spawn("serve-control".into(), ServerCore::control_loop));
+        ServeHandle { core, workers, pipeline, control }
     }
 
     /// The server's virtual clock.
@@ -515,17 +513,19 @@ impl ServeHandle {
         let core = &self.core;
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel();
-        // Throughput-mode classes stream through the pipeline rig (its
-        // own admission + bounded entry queue); everything else takes the
-        // batched worker path below.
-        if core.cfg.classes[class].pipeline {
-            if let Some(rig) = &core.rig {
-                rig.submit(id, class, tx);
-                return rx;
-            }
-        }
         let now = core.clock.now_ms();
-        let queued = core.policy().submit(id, class, now, Some(tx));
+        let mut cores = core.cores();
+        // Throughput-mode classes stream through the pipeline; everything
+        // else takes the batched worker path below.
+        if let (true, Some(pipe)) = (core.cfg.classes[class].pipeline, cores.pipeline.as_mut()) {
+            pipe.submit(id, class, now, Some(tx), &|dev, t| core.slow(dev, t));
+            pipe.exits().for_each(|(reply, outcome)| send(reply, outcome));
+            drop(cores);
+            core.pipe_work.notify_one();
+            return rx;
+        }
+        let queued = cores.policy.submit(id, class, now, Some(tx));
+        drop(cores);
         match queued {
             Ok(()) => core.work.notify_one(),
             Err((reason, Some(tx))) => {
@@ -553,7 +553,7 @@ impl ServeHandle {
             // The server dropped the sender without resolving — a crash or
             // a panicked worker; surface it as a shutdown.
             Err(_) => {
-                core.policy().note_reject(&RejectReason::Shutdown);
+                core.cores().policy.note_reject(&RejectReason::Shutdown);
                 let t_ms = core.clock.now_ms();
                 ServeOutcome::Rejected(Rejection {
                     id: u64::MAX,
@@ -570,14 +570,14 @@ impl ServeHandle {
     /// server is not idle.
     fn serve_inline(&self, class: usize) -> Option<ServeOutcome> {
         let core = &self.core;
-        let mut policy = core.policy();
-        if !policy.is_idle() {
+        let mut cores = core.cores();
+        if !cores.policy.is_idle() {
             return None;
         }
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         let now = core.clock.now_ms();
-        let admitted = policy.submit_inline(id, class, now, None);
-        drop(policy);
+        let admitted = cores.policy.submit_inline(id, class, now, None);
+        drop(cores);
         match admitted {
             Ok(batch) => {
                 // A batch resolves each member exactly once.
@@ -606,37 +606,29 @@ impl ServeHandle {
         self.core.rt.observe(self.core.clock.now_ms(), [Input::Force { dev, status }]);
     }
 
-    /// Counter snapshot: the batched path's policy plus the pipeline rig.
+    /// Counter snapshot: the batched path's policy plus the pipeline,
+    /// read under one lock.
     pub fn stats(&self) -> ServeStats {
-        let c = &self.core.counters;
-        let rig = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let p = self.core.policy().stats();
+        let cores = self.core.cores();
+        let mut s = cores.policy.stats();
+        if let Some(pipe) = &cores.pipeline {
+            s.absorb(&pipe.stats());
+        }
+        drop(cores);
         let gray = self.core.rt.fleet().transitions;
         ServeStats {
-            submitted: p.submitted + rig(&c.pipeline_submitted),
-            completed: p.completed + rig(&c.completed),
-            rejected: p.rejected + rig(&c.rejected),
-            queue_full: p.queue_full + rig(&c.queue_full),
-            deadline_unmeetable: p.deadline_unmeetable + rig(&c.deadline_unmeetable),
-            expired: p.expired + rig(&c.expired),
-            not_ready: p.not_ready + rig(&c.not_ready),
-            stage_dead: p.stage_dead + rig(&c.stage_dead),
-            shutdown_rejects: p.shutdown_rejects + rig(&c.shutdown_rejects),
-            degraded_served: p.degraded_served + rig(&c.degraded_served),
             gray_suspects: gray.suspects,
             gray_quarantines: gray.quarantines,
             gray_readmissions: gray.readmissions,
-            pipeline_submitted: rig(&c.pipeline_submitted),
-            pipeline_completed: rig(&c.pipeline_completed),
-            pipeline_requeued: rig(&c.pipeline_requeued),
-            ..p
+            ..s
         }
     }
 
-    /// Per-stage occupancy/utilization of the pipeline rig, when the
-    /// server is running one (a throughput-mode class + feasible plan).
+    /// Per-stage occupancy/utilization of the pipeline, when the server
+    /// is running one (a throughput-mode class + feasible plan).
     pub fn pipeline_stats(&self) -> Option<PipelineSnapshot> {
-        self.core.rig.as_ref().map(|r| r.snapshot())
+        let now = self.core.clock.now_ms();
+        self.core.cores().pipeline.as_ref().map(|p| p.snapshot(now))
     }
 
     /// The runtime's fleet view: per device, down, graded gray health,
@@ -662,38 +654,41 @@ impl ServeHandle {
     /// and returns the final counter snapshot. After shutdown,
     /// `completed + rejected == submitted`.
     pub fn shutdown(mut self) -> ServeStats {
-        self.shutdown_inner();
+        self.stop(false);
         self.stats()
     }
 
-    /// Abrupt stop — a simulated coordinator crash. Queued requests are
-    /// *dropped unresolved* (their outcome channels close, so waiting
-    /// submitters see a disconnect and can retry on a failover standby);
-    /// batches already mid-service finish, like responses already on the
-    /// wire. The per-server conservation invariant intentionally breaks
-    /// here: `completed + rejected < submitted` by the number of dropped
-    /// requests, which the failover layer re-serves elsewhere. Returns
-    /// `(final stats, dropped request count)`.
+    /// Abrupt stop — a simulated coordinator crash. Queued requests, and
+    /// those waiting to enter the pipeline, are *dropped unresolved* (their
+    /// outcome channels close, so waiting submitters see a disconnect and
+    /// can retry on a failover standby); batches mid-service and jobs
+    /// inside the pipeline finish, like responses already on the wire. On
+    /// return `completed + rejected + dropped == submitted`; the failover
+    /// layer re-serves the dropped. Returns `(final stats, dropped count)`.
     pub fn kill(mut self) -> (ServeStats, usize) {
-        let dropped = self.core.policy().abort().len();
-        self.core.work.notify_all();
-        self.join_threads();
+        let dropped = self.stop(true);
         (self.stats(), dropped)
     }
 
-    fn shutdown_inner(&mut self) {
-        self.core.policy().shutdown();
+    /// Stops admission on both cores, dropping what is queued on `abort`,
+    /// and joins every thread once the accepted work has resolved.
+    /// Returns how many requests were dropped.
+    fn stop(&mut self, abort: bool) -> usize {
+        let mut cores = self.core.cores();
+        let dropped = if abort {
+            cores.policy.abort().len() + cores.pipeline.as_mut().map_or(0, |p| p.abort().len())
+        } else {
+            cores.policy.shutdown();
+            cores.pipeline.iter_mut().for_each(Pipeline::shutdown);
+            0
+        };
+        drop(cores);
         self.core.work.notify_all();
-        // Drain the pipeline before joining workers: every accepted
-        // pipeline job resolves (conservation), new ones get a typed
-        // shutdown rejection.
-        if let Some(rig) = &self.core.rig {
-            rig.shutdown();
+        self.core.pipe_work.notify_all();
+        // The pipeline drains before the control thread stops ticking.
+        if let Some(p) = self.pipeline.take() {
+            let _ = p.join();
         }
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
         self.core.stop.store(true, Ordering::Relaxed);
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -701,12 +696,13 @@ impl ServeHandle {
         if let Some(c) = self.control.take() {
             let _ = c.join();
         }
+        dropped
     }
 }
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.stop(false);
     }
 }
 

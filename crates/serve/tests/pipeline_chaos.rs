@@ -1,12 +1,13 @@
-//! Chaos suite for the stage-parallel serving rig: device death and
-//! brownout mid-pipeline.
+//! Chaos suite for stage-parallel serving: device death, brownout and a
+//! coordinator crash mid-pipeline.
 //!
-//! The rig drives the virtual-time serving mode under Poisson load with a
-//! fleet trace that kills one pipeline device and browns out another: the
-//! serve-layer conservation invariant (`completed + rejected ==
-//! submitted`) must hold through the mid-stream rescue and the shutdown
-//! drain, and death rejections must carry the typed
-//! [`RejectReason::StageDead`]. Streams of real tensors over a transport
+//! The server streams a throughput-mode class through its pipeline under
+//! Poisson load with a fleet trace that kills one pipeline device and
+//! browns out another: the serve-layer conservation invariant
+//! (`completed + rejected == submitted`) must hold through the mid-stream
+//! rescue and the shutdown drain, death rejections must carry the typed
+//! [`RejectReason::StageDead`], and a crash must account for every
+//! request it drops. Streams of real tensors over a transport
 //! are the executor's; their chaos tests are the workspace root's
 //! `tests/executor_chaos.rs` and `tests/transport_chaos.rs`.
 //!
@@ -34,8 +35,8 @@ use std::time::Duration;
 // ---------------------------------------------------------------------------
 
 /// Aborts the process if the guarded scope outlives `dur`. Chaos bugs
-/// here look like hangs (a stage thread waiting on a queue nobody will
-/// drain); a watchdog turns them into a loud bounded failure.
+/// here look like hangs (a pipeline thread waiting for an event nobody
+/// will schedule); a watchdog turns them into a loud bounded failure.
 struct Watchdog {
     tx: mpsc::Sender<()>,
 }
@@ -201,4 +202,43 @@ fn rig_death_with_tight_deadline_rejects_typed_stage_dead() {
         )
     });
     assert!(stage_dead_seen, "the StageDead reason must name the dead device {dead_dev}");
+}
+
+#[test]
+fn kill_accounts_for_pipeline_work() {
+    let _wd = watchdog("kill_accounts_for_pipeline_work", Duration::from_secs(60));
+    let rt = swarm_runtime(10_000.0);
+    let env = EnvModel::constant(lan(), N_DEVICES - 1);
+    let handle = ServeHandle::start(rt, env, serve_cfg(10_000.0));
+    assert!(handle.pipeline_stats().is_some(), "pipeline must come up");
+    let pending: Vec<_> = (0..20).map(|_| handle.submit(0)).collect();
+    // A crash with the entry queue full: the queued requests drop
+    // unresolved, the ones already inside a stage finish, and kill's
+    // return accounts for all of them.
+    let (stats, dropped) = handle.kill();
+    assert_eq!(stats.submitted, 20);
+    assert!(dropped > 0, "a crash mid-stream drops queued work: {stats:?}");
+    assert_eq!(stats.completed + stats.rejected + dropped as u64, stats.submitted, "{stats:?}");
+    // The dropped see a disconnect; every other request has its outcome.
+    let resolved = pending.into_iter().filter(|rx| rx.try_recv().is_ok()).count();
+    assert_eq!(resolved + dropped, 20);
+}
+
+#[test]
+fn unslept_pipeline_resolves_every_request() {
+    // Without service sleeps the pipeline thread runs every event as soon
+    // as it is scheduled: the overhead-benchmark mode.
+    let _wd = watchdog("unslept_pipeline_resolves_every_request", Duration::from_secs(60));
+    let rt = swarm_runtime(10_000.0);
+    let env = EnvModel::constant(lan(), N_DEVICES - 1);
+    let cfg = ServeConfig { service_sleep: false, ..serve_cfg(10_000.0) };
+    let handle = ServeHandle::start(rt, env, cfg);
+    assert!(handle.pipeline_stats().is_some(), "pipeline must come up");
+    let outcomes: Vec<_> = (0..40).map(|_| handle.submit_wait(0)).collect();
+    let stats = handle.shutdown();
+    assert_eq!((stats.submitted, stats.pipeline_submitted), (40, 40));
+    assert_eq!(stats.completed + stats.rejected, stats.submitted, "{stats:?}");
+    let done = outcomes.iter().filter(|o| matches!(o, ServeOutcome::Done(_))).count();
+    assert_eq!(done as u64, stats.completed);
+    assert!(stats.completed > 0, "{stats:?}");
 }

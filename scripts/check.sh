@@ -96,6 +96,12 @@ if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/serve/src/pol
     echo "error: crates/serve/src/policy.rs names a clock, a thread or a lock" >&2
     exit 1
 fi
+# The stage-parallel pipeline is its sibling: the server's pipeline thread
+# and the campaign's event loop step the same core.
+if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/serve/src/pipeline.rs; then
+    echo "error: crates/serve/src/pipeline.rs names a clock, a thread or a lock" >&2
+    exit 1
+fi
 # The fleet view (liveness, gray health, peer reputation) is the same kind
 # of core: the runtime holds it in one mutex and stamps every input.
 if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/core/src/fleet.rs; then
