@@ -42,6 +42,7 @@ use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::{merge_fdsp, split_fdsp, GridSpec};
 use murmuration_tensor::{Shape, Tensor};
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,6 +56,27 @@ pub enum UnitOutcome {
     Vanish,
     /// Recoverable failure: an error reply is sent, the worker survives.
     Error(String),
+}
+
+/// Runs one unit the way every worker does: a panic becomes
+/// [`UnitOutcome::Error`] carrying its message, so the worker survives and
+/// the request fails typed.
+pub fn run_guarded(
+    compute: &dyn UnitCompute,
+    dev: usize,
+    unit: usize,
+    input: &Tensor,
+) -> UnitOutcome {
+    match catch_unwind(AssertUnwindSafe(|| compute.run_unit_on(dev, unit, input))) {
+        Ok(outcome) => outcome,
+        Err(panic) => UnitOutcome::Error(
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_owned()),
+        ),
+    }
 }
 
 /// Per-unit computation hosted by every worker (weights are shared

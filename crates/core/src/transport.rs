@@ -29,14 +29,13 @@
 //!   progress.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::executor::{UnitCompute, UnitOutcome};
+use crate::executor::{run_guarded, UnitCompute, UnitOutcome};
 use crate::wire::WireError;
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::Tensor;
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -127,6 +126,17 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
+    /// Adds `other`'s counters to these (one peer's into a fleet's).
+    pub fn absorb(&mut self, other: &TransportStats) {
+        self.reconnects += other.reconnects;
+        self.heartbeats_missed += other.heartbeats_missed;
+        self.resends_deduped += other.resends_deduped;
+        self.cancels_delivered += other.cancels_delivered;
+        self.backpressure_rejections += other.backpressure_rejections;
+        self.accepts_shed += other.accepts_shed;
+        self.conns_shed += other.conns_shed;
+    }
+
     /// Counter-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &TransportStats) -> TransportStats {
         TransportStats {
@@ -325,23 +335,12 @@ fn spawn_worker(
                         job.reply = None;
                         continue;
                     }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        compute.run_unit_on(dev, job.unit, &job.input)
-                    }));
-                    let result = match outcome {
-                        Ok(UnitOutcome::Output(t)) => Ok(t),
-                        Ok(UnitOutcome::Error(msg)) => Err(ReplyError::Worker(msg)),
+                    let result = match run_guarded(&*compute, dev, job.unit, &job.input) {
+                        UnitOutcome::Output(t) => Ok(t),
+                        UnitOutcome::Error(msg) => Err(ReplyError::Worker(msg)),
                         // Simulated crash: the worker exits, and this job
                         // and every queued one answer `Link`.
-                        Ok(UnitOutcome::Vanish) => break,
-                        Err(panic) => {
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_owned())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "worker panicked".to_owned());
-                            Err(ReplyError::Worker(msg))
-                        }
+                        UnitOutcome::Vanish => break,
                     };
                     job.answer(result);
                 }

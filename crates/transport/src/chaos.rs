@@ -17,11 +17,12 @@
 //! chaos schedule every run.
 
 use crate::frame::{check32, CRC_COVER, HEADER_BYTES, MAX_PAYLOAD};
+use crate::lock;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,13 +92,6 @@ impl Default for ChaosConfig {
             slow_jitter: Duration::from_millis(0),
             slow_ramp: Duration::from_millis(0),
         }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

@@ -50,6 +50,9 @@ const KIND_LISTENER_RESUME: u32 = u32::MAX;
 const READ_QUOTA: usize = 256 * 1024;
 /// Scratch read-buffer size.
 const SCRATCH: usize = 64 * 1024;
+/// Per-connection outbound byte cap; overflow is typed backpressure,
+/// never unbounded memory.
+pub const OUTBOX_CAP_BYTES: usize = 64 << 20;
 
 /// Why a connection's socket was detached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,11 +127,6 @@ impl Outbox {
     /// Bytes waiting for the socket.
     pub fn pending_bytes(&self) -> usize {
         self.queued_bytes
-    }
-
-    /// Whether a live socket is attached.
-    pub fn is_attached(&self) -> bool {
-        self.stream.is_some() && !self.broken
     }
 
     /// Queues one frame and flushes as much as the socket accepts.
@@ -257,21 +255,9 @@ struct ConnectReq {
 }
 
 enum Cmd {
-    AddConnEntity {
-        token: Token,
-        entity: Box<dyn Entity>,
-        outbox: Arc<Mutex<Outbox>>,
-        stream: Option<TcpStream>,
-    },
-    AddListener {
-        token: Token,
-        listener: TcpListener,
-        acceptor: Box<dyn Acceptor>,
-    },
-    Connected {
-        token: Token,
-        result: io::Result<TcpStream>,
-    },
+    AddConnEntity { token: Token, entity: Box<dyn Entity>, outbox: Arc<Mutex<Outbox>> },
+    AddListener { token: Token, listener: TcpListener, acceptor: Box<dyn Acceptor> },
+    Connected { token: Token, result: io::Result<TcpStream> },
     Nudge(Token),
     Close(Token),
     Remove(Token),
@@ -481,20 +467,8 @@ impl DriverPool {
     /// `on_nudge` once so it can start its connect state machine.
     pub fn spawn_conn(&self, entity: Box<dyn Entity>, outbox: Arc<Mutex<Outbox>>) -> ConnHandle {
         let (token, cmds) = self.assign();
-        cmds.push(Cmd::AddConnEntity { token, entity, outbox, stream: None });
+        cmds.push(Cmd::AddConnEntity { token, entity, outbox });
         cmds.push(Cmd::Nudge(token));
-        ConnHandle { cmds: Arc::clone(cmds), token }
-    }
-
-    /// Spawns a connection entity around an already-connected socket.
-    pub fn spawn_conn_with_stream(
-        &self,
-        entity: Box<dyn Entity>,
-        outbox: Arc<Mutex<Outbox>>,
-        stream: TcpStream,
-    ) -> ConnHandle {
-        let (token, cmds) = self.assign();
-        cmds.push(Cmd::AddConnEntity { token, entity, outbox, stream: Some(stream) });
         ConnHandle { cmds: Arc::clone(cmds), token }
     }
 
@@ -611,7 +585,7 @@ impl Driver<'_> {
             let cmd = self.cmds.q.lock().pop_front();
             let Some(cmd) = cmd else { break };
             match cmd {
-                Cmd::AddConnEntity { token, entity, outbox, stream } => {
+                Cmd::AddConnEntity { token, entity, outbox } => {
                     let conn = ConnState {
                         stream: None,
                         asm: FrameAssembler::new(),
@@ -620,9 +594,6 @@ impl Driver<'_> {
                         connect_pending: false,
                     };
                     self.entries.insert(token, Entry::Conn { conn, entity });
-                    if let Some(s) = stream {
-                        self.attach_stream(token, s);
-                    }
                 }
                 Cmd::AddListener { token, listener, acceptor } => {
                     let ok = self.poller.register(listener.as_raw_fd(), token, true, false).is_ok();

@@ -278,6 +278,16 @@ mod imp {
 
 pub use imp::{fd_budget, Poller, Waker};
 
+/// File descriptors kept spare below the rlimit: dials and accepts that
+/// would dip into the reserve are shed.
+pub const FD_MARGIN: u64 = 64;
+
+/// Whether opening one more socket would dip into the [`FD_MARGIN`]
+/// reserve.
+pub fn near_fd_limit() -> bool {
+    approx_open_fds() + FD_MARGIN >= fd_budget()
+}
+
 /// Approximate count of open fds in this process (Linux: `/proc/self/fd`;
 /// elsewhere a cheap underestimate). Feeds the fd-budget shed policy —
 /// accuracy beyond "are we near the rlimit" is not required.

@@ -54,6 +54,7 @@ for f in crates/core/src/executor.rs crates/core/src/executor/attempt.rs \
          crates/transport/src/driver.rs \
          crates/transport/src/aclient.rs \
          crates/transport/src/aworker.rs \
+         crates/transport/src/proto.rs \
          crates/transport/src/swarm.rs \
          crates/partition/src/estimator.rs \
          crates/partition/src/pipeline.rs \
@@ -106,6 +107,13 @@ fi
 # of core: the runtime holds it in one mutex and stamps every input.
 if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/core/src/fleet.rs; then
     echo "error: crates/core/src/fleet.rs names a clock, a thread or a lock" >&2
+    exit 1
+fi
+# The peer protocol (the TCP client's supervision, the worker's dedup) is
+# one too: the event loop and the transport's methods lock it, step it with
+# `Ctx::now`'s instant, and apply its effects after unlocking.
+if grep -nE 'Instant::now|std::thread|std::sync|Mutex|Condvar|Atomic' crates/transport/src/proto.rs; then
+    echo "error: crates/transport/src/proto.rs names a clock, a thread or a lock" >&2
     exit 1
 fi
 
