@@ -12,8 +12,8 @@
 //!    non-empty latency/accuracy/goodput front.
 //! 3. **Bit-for-bit replay** — a spot-checked scenario re-run from the
 //!    same `(name, seed)` produces an identical counter fingerprint.
-//! 4. **Schema stability** — the emitted report validates against the
-//!    declared `murmuration.campaign.v1` required keys.
+//! 4. **Schema stability** — `emit` refuses a report that misses a
+//!    declared `murmuration.campaign.v1` required key.
 //!
 //! ```text
 //! cargo run -p murmuration-bench --release --bin bench_campaign [-- --smoke]
@@ -21,15 +21,17 @@
 //! ```
 //!
 //! `--smoke` (or a small `MURMURATION_BENCH_MS` budget) shrinks the grid
-//! to the 3-cell smoke grid and writes `results/CAMPAIGN_smoke.json`; the
-//! full run sweeps all 18 cells into `results/CAMPAIGN_builtin.json`.
+//! to the 3-cell smoke grid and writes `target/results/CAMPAIGN_smoke.json`;
+//! the full run sweeps all 18 cells into
+//! `target/results/CAMPAIGN_builtin.json`. The run is deterministic, so a
+//! fresh report must equal the checked-in one under `results/` byte for
+//! byte (`scripts/check.sh` compares the smoke report).
 
+use murmuration_bench::emit;
 use murmuration_edgesim::scenario::builtin_matrix;
 use murmuration_serve::campaign::{
     full_grid, run_cell, run_scenario, smoke_grid, CampaignConfig, CampaignResult,
 };
-use murmuration_serve::schema;
-use std::io::Write;
 use std::time::Instant;
 
 fn main() {
@@ -99,35 +101,10 @@ fn main() {
         failed = true;
     }
 
-    // Gate 4: the emitted report validates against its declared schema.
-    let json = result.to_json();
-    match schema::parse(&json) {
-        Ok(doc) => {
-            let required = schema::campaign_required_keys();
-            let gaps = schema::missing_keys(&doc, &required);
-            if !gaps.is_empty() {
-                eprintln!("WARNING: campaign report is missing required keys: {gaps:?}");
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!("WARNING: campaign report does not parse: {e}");
-            failed = true;
-        }
-    }
-
-    // Smoke runs get their own artifact so a CI smoke pass never clobbers
-    // the checked-in full-grid report.
+    // Gate 4 runs inside `emit`. Smoke runs get their own artifact so a
+    // smoke pass never clobbers the full-grid report.
     let file = if smoke { "CAMPAIGN_smoke.json" } else { "CAMPAIGN_builtin.json" };
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join(file)) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/{file}");
-        }
-        Err(e) => eprintln!("could not write results/{file}: {e}"),
-    }
+    failed |= emit(file, &result.to_json()).is_err();
 
     if failed {
         std::process::exit(1);

@@ -1,41 +1,29 @@
-//! Control-plane benchmark: gossip overhead and failover recovery.
+//! Control-plane benchmark: failover recovery.
 //!
-//! Two measurements, two gates:
-//!
-//! 1. **Gossip overhead** — the happy-path cost of running a request
-//!    through a two-coordinator [`FailoverCluster`] (membership ticks,
-//!    digest exchange every few requests, reputation folds) vs a bare
-//!    [`ServeHandle`] on the same runtime scenario. The control plane
-//!    must cost ≤ 5% per request.
-//! 2. **Failover recovery** — Poisson load, primary killed mid-stream
-//!    with requests in flight: the standby must promote and goodput in
-//!    the post-kill phase must recover to ≥ 80% of the pre-kill phase,
-//!    with cluster-level conservation intact.
+//! Poisson load, primary killed mid-stream with requests in flight: the
+//! standby must promote, goodput in the post-kill phase must recover to
+//! ≥ 80% of the pre-kill phase, and cluster-level conservation must hold
+//! with exactly one failover.
 //!
 //! ```text
 //! cargo run -p murmuration-bench --release --bin bench_failover
 //! ```
 //!
-//! Writes `results/BENCH_failover.json`.
+//! Writes `target/results/BENCH_failover.json`.
 
+use murmuration_bench::emit;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::LinkState;
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{
     default_classes, CoordinatorSpec, EnvModel, FailoverCluster, FailoverConfig, PendingServe,
-    ServeConfig, ServeHandle, ServeOutcome,
+    ServeConfig, ServeOutcome,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::hint::black_box;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Gossip rounds are amortised: one digest exchange per this many
-/// requests on the happy path.
-const PUMP_EVERY: usize = 8;
 
 fn shared_runtime(policy_seed: u64) -> Arc<SharedRuntime> {
     let sc = Scenario::augmented_computing(SloKind::Latency);
@@ -62,47 +50,6 @@ fn spec(seed: u64) -> CoordinatorSpec {
         env: EnvModel::constant(good_link(), 1),
         cfg: serve_cfg(seed),
     }
-}
-
-/// Gate 1: per-request cost with and without the control plane.
-fn bench_overhead(iters: usize) -> (f64, f64, f64) {
-    // Baseline: a bare serving stack, no gossip anywhere.
-    let handle =
-        ServeHandle::start(shared_runtime(1), EnvModel::constant(good_link(), 1), serve_cfg(1));
-    // Subject: the same stack inside a two-coordinator cluster that ticks
-    // membership and exchanges digests every PUMP_EVERY requests.
-    let mut cl = FailoverCluster::new(vec![spec(1), spec(2)], FailoverConfig::default());
-
-    // Interleave and keep the best of two passes each, so a scheduler
-    // hiccup cannot masquerade as control-plane overhead.
-    let mut bare_us = f64::INFINITY;
-    let mut cluster_us = f64::INFINITY;
-    for _ in 0..2 {
-        for _ in 0..iters / 10 + 3 {
-            black_box(handle.submit_wait(0));
-        }
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(handle.submit_wait(0));
-        }
-        bare_us = bare_us.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
-
-        for _ in 0..iters / 10 + 3 {
-            black_box(cl.submit_wait(0));
-        }
-        let t0 = Instant::now();
-        for i in 0..iters {
-            black_box(cl.submit_wait(0));
-            if i % PUMP_EVERY == PUMP_EVERY - 1 {
-                cl.pump();
-            }
-        }
-        cluster_us = cluster_us.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
-    }
-    drop(handle);
-    let _ = cl.shutdown();
-    let overhead_pct = (cluster_us - bare_us) / bare_us * 100.0;
-    (bare_us, cluster_us, overhead_pct)
 }
 
 fn poisson(rng: &mut StdRng, lambda: f64) -> usize {
@@ -146,7 +93,7 @@ struct Recovery {
     failovers: u64,
 }
 
-/// Gate 2: kill the primary under Poisson load, time the promotion, and
+/// Kill the primary under Poisson load, time the promotion, and
 /// compare goodput either side of the crash.
 fn bench_recovery(phase: usize) -> Recovery {
     let mut cl = FailoverCluster::new(vec![spec(11), spec(23)], FailoverConfig::default());
@@ -185,18 +132,10 @@ fn bench_recovery(phase: usize) -> Recovery {
 fn main() {
     let budget_ms: u64 =
         std::env::var("MURMURATION_BENCH_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(1500);
-    let iters = (budget_ms as usize * 2).clamp(200, 10_000);
-
-    let (bare_us, cluster_us, overhead_pct) = bench_overhead(iters);
-    println!("happy path ({iters} iters, gossip round every {PUMP_EVERY} requests):");
-    println!("  bare serve     {bare_us:>9.1} us");
-    println!("  cluster serve  {cluster_us:>9.1} us");
-    println!("  overhead       {overhead_pct:>8.2} %   (budget: 5%)");
-
     let r = bench_recovery((budget_ms as usize / 25).clamp(30, 400));
     let recovery_ratio =
         if r.before > 0 { r.after as f64 / r.before as f64 } else { f64::INFINITY };
-    println!("\nfailover recovery ({} requests per phase):", r.phase);
+    println!("failover recovery ({} requests per phase):", r.phase);
     println!("  goodput before  {:>4}/{}", r.before, r.phase);
     println!("  goodput after   {:>4}/{}   ({recovery_ratio:.2}x, budget: 0.8x)", r.after, r.phase);
     println!("  detect+promote  {:>7.1} ms (12 in-flight requests failed over)", r.detect_ms);
@@ -206,30 +145,21 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"gossip_overhead\": {{\"bare_us\": {bare_us:.2}, \"cluster_us\": {cluster_us:.2}, \
-         \"overhead_pct\": {overhead_pct:.3}, \"budget_pct\": 5.0, \"pump_every\": {PUMP_EVERY}}},\n  \
-         \"failover\": {{\"phase_requests\": {}, \"completed_before\": {}, \"completed_after\": {}, \
-         \"recovery_ratio\": {recovery_ratio:.3}, \"recovery_budget\": 0.8, \
-         \"detect_promote_ms\": {:.2}, \"crash_dropped\": {}, \"retried\": {}, \"lost\": {}, \
-         \"failovers\": {}, \"conservation\": {}}}\n}}\n",
-        r.phase, r.before, r.after, r.detect_ms, r.crash_dropped, r.retried, r.lost, r.failovers,
+        "{{\n  \"failover\": {{\"phase_requests\": {}, \"completed_before\": {}, \
+         \"completed_after\": {}, \"recovery_ratio\": {recovery_ratio:.3}, \
+         \"recovery_budget\": 0.8, \"detect_promote_ms\": {:.2}, \"crash_dropped\": {}, \
+         \"retried\": {}, \"lost\": {}, \"failovers\": {}, \"conservation\": {}}}\n}}\n",
+        r.phase,
+        r.before,
+        r.after,
+        r.detect_ms,
+        r.crash_dropped,
+        r.retried,
+        r.lost,
+        r.failovers,
         r.conserved,
     );
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_failover.json")) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_failover.json");
-        }
-        Err(e) => eprintln!("could not write results/BENCH_failover.json: {e}"),
-    }
-
-    let mut failed = false;
-    if overhead_pct > 5.0 {
-        eprintln!("WARNING: control-plane overhead exceeds the 5% budget");
-        failed = true;
-    }
+    let mut failed = emit("BENCH_failover.json", &json).is_err();
     if recovery_ratio < 0.8 {
         eprintln!("WARNING: post-failover goodput below the 0.8x budget");
         failed = true;

@@ -1,21 +1,26 @@
-//! Hedged-execution benchmark: the three numbers the straggler defense
-//! must hit before it is allowed to ship.
+//! Executor-under-faults benchmark: the numbers the straggler and
+//! failover defenses must hit before they are allowed to ship.
 //!
 //! * **Brownout tail**: under a seeded 1-slow-of-4 brownout (10×),
-//!   hedging must cut end-to-end p99 to ≤ 0.5× the unhedged p99.
-//! * **Happy-path overhead**: arming hedging on a healthy fleet must cost
-//!   ≤ 5% mean wall time (the trigger bookkeeping, not fired hedges).
-//! * **Hedge rate**: on that healthy fleet, ≤ 10% of requests may fire a
-//!   hedge (speculation is a tail defense, not a load doubler).
+//!   hedging must cut end-to-end p99 to ≤ 0.5× the unhedged p99, and at
+//!   least one hedge must beat the straggler.
+//! * **Hedge rate**: on a healthy fleet with hedging armed, ≤ 10% of
+//!   requests may fire a hedge (speculation is a tail defense, not a load
+//!   doubler).
+//! * **Failover**: a device that vanishes on its first job of a request
+//!   is detected and failed over (`failovers >= 1`); the request's wall
+//!   time is reported.
 //!
 //! ```text
 //! cargo run -p murmuration-bench --release --bin bench_hedging
 //! ```
 //!
-//! Writes `results/BENCH_hedging.json` and exits non-zero on any breach.
+//! Writes `target/results/BENCH_hedging.json` and exits non-zero on any
+//! breach.
 
+use murmuration_bench::emit;
 use murmuration_core::executor::{ConvStackCompute, ExecOptions, Executor, HedgeOptions, UnitWire};
-use murmuration_core::fault::FaultyCompute;
+use murmuration_core::fault::{FaultKind, FaultyCompute};
 use murmuration_partition::{ExecutionPlan, UnitPlacement};
 use murmuration_serve::harness::percentile;
 use murmuration_tensor::quant::BitWidth;
@@ -24,15 +29,18 @@ use murmuration_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const N_DEVICES: usize = 4;
 const N_UNITS: usize = 4;
 const STRAGGLER: usize = 2;
 const SLOWDOWN: f64 = 10.0;
 const WARMUP_REQS: usize = 12;
+/// Measured requests per phase.
+const REQS: usize = 60;
+/// Kill-and-failover requests, each on a fresh executor.
+const FAILOVER_REQS: usize = 10;
 
 fn opts(hedge: Option<HedgeOptions>) -> ExecOptions {
     ExecOptions {
@@ -45,7 +53,6 @@ fn opts(hedge: Option<HedgeOptions>) -> ExecOptions {
 
 struct Phase {
     mean_ms: f64,
-    median_ms: f64,
     p99_ms: f64,
     hedged_requests: usize,
     hedges_fired: u32,
@@ -85,7 +92,7 @@ fn run_phase(
     let mut hedges_fired = 0u32;
     let mut hedges_won = 0u32;
     for _ in 0..reqs {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let (out, report) = exec
             .execute_with(&plan, &wires, input.clone(), opts(hedge))
             .expect("measured request must succeed");
@@ -100,116 +107,95 @@ fn run_phase(
     let mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
     samples.sort_by(f64::total_cmp);
     let p99_ms = percentile(&samples, 0.99);
-    let median_ms = samples[samples.len() / 2];
-    Phase { mean_ms, median_ms, p99_ms, hedged_requests, hedges_fired, hedges_won, requests: reqs }
+    Phase { mean_ms, p99_ms, hedged_requests, hedges_fired, hedges_won, requests: reqs }
+}
+
+/// Mean wall time (ms) of a request whose device 1 vanishes on its first
+/// job: detection (the dropped job's `Link` reply) plus failover to the
+/// survivor. Fresh executor per request, since a vanished worker stays
+/// dead. Returns the time and the fewest failovers any request counted.
+fn failover_phase(compute: &Arc<ConvStackCompute>, input: &Tensor) -> (f64, u32) {
+    let plan =
+        ExecutionPlan { placements: (0..N_UNITS).map(|u| UnitPlacement::Single(u % 2)).collect() };
+    let wires = vec![UnitWire { grid: GridSpec::new(1, 1), in_quant: BitWidth::B32 }; N_UNITS];
+    let opts = ExecOptions { deadline: Duration::from_millis(500), ..opts(None) };
+    let mut failovers = u32::MAX;
+    let total = Instant::now();
+    for _ in 0..FAILOVER_REQS {
+        let faulty = Arc::new(FaultyCompute::new(compute.clone(), 2));
+        faulty.script(1, 0, FaultKind::Vanish);
+        let exec = Executor::new(2, faulty);
+        let (out, report) =
+            exec.execute_with(&plan, &wires, input.clone(), opts).expect("failover succeeds");
+        black_box(out);
+        failovers = failovers.min(report.failovers);
+    }
+    (total.elapsed().as_secs_f64() * 1e3 / FAILOVER_REQS as f64, failovers)
 }
 
 fn main() {
-    let happy_reqs: usize =
-        std::env::var("MURMURATION_BENCH_REQS").ok().and_then(|v| v.parse().ok()).unwrap_or(60);
-    let brownout_reqs = happy_reqs.max(40);
     let mut rng = StdRng::seed_from_u64(7);
-    // Portable kernels pinned, as in bench_transport and for its reason: the
-    // budgets here are shares of a request (≈2 ms of units when they were
-    // set), so the compute baseline must not move when the kernels speed up
-    // — bench_kernels gates those. The direct convolution halved this
-    // request on the vector path, which re-expressed the same trigger
-    // bookkeeping as twice the percentage.
+    // Portable kernels pinned: the brownout's absolute slowdown and the
+    // hedge trigger were sized against a request of ≈2 ms of portable
+    // units, so the compute baseline must not move when the kernels speed
+    // up — bench_kernels times those.
     murmuration_tensor::simd::force_scalar(true);
     let compute = Arc::new(ConvStackCompute::random(N_UNITS, 2, 8, 5));
     let input = Tensor::rand_uniform(Shape::nchw(1, 8, 48, 48), 1.0, &mut rng);
     let hedge = HedgeOptions::default();
 
-    // Happy path: identical healthy fleet, hedging off vs armed.
-    // Interleave three passes per mode and compare best per-request
-    // *medians* — a scheduler hiccup lands in a pass's tail and cannot
-    // masquerade as trigger-bookkeeping overhead. The hedge rate
-    // aggregates over every armed pass (a hiccup that fires a hedge is
-    // real speculation and must stay within budget).
-    let mut happy_off_med = f64::INFINITY;
-    let mut happy_on_med = f64::INFINITY;
+    // Healthy fleet, hedging armed: count the requests that fire a hedge
+    // over three passes (a hiccup that fires one is real speculation and
+    // must stay within budget).
     let mut hedged_requests = 0usize;
     let mut armed_requests = 0usize;
     for _ in 0..3 {
-        let off = run_phase(&compute, &input, happy_reqs, false, None);
-        happy_off_med = happy_off_med.min(off.median_ms);
-        let on = run_phase(&compute, &input, happy_reqs, false, Some(hedge));
-        happy_on_med = happy_on_med.min(on.median_ms);
+        let on = run_phase(&compute, &input, REQS, false, Some(hedge));
         hedged_requests += on.hedged_requests;
         armed_requests += on.requests;
     }
-    let overhead_pct = (happy_on_med - happy_off_med) / happy_off_med * 100.0;
     let hedge_rate_pct = hedged_requests as f64 / armed_requests as f64 * 100.0;
 
     // Brownout: one device serves correct results 10x late. Three
     // interleaved unhedged/hedged pairs; the gate takes the best pair's
     // p99 ratio, so one hiccup-inflated hedged tail cannot fail a defense
     // that demonstrably works in the other pairs.
-    let mut p99_ratio = f64::INFINITY;
-    let mut brown_off = None;
-    let mut brown_on = None;
+    let mut best: Option<(f64, Phase, Phase)> = None;
     for _ in 0..3 {
-        let off = run_phase(&compute, &input, brownout_reqs, true, None);
-        let on = run_phase(&compute, &input, brownout_reqs, true, Some(hedge));
+        let off = run_phase(&compute, &input, REQS, true, None);
+        let on = run_phase(&compute, &input, REQS, true, Some(hedge));
         let ratio = on.p99_ms / off.p99_ms;
-        if ratio < p99_ratio {
-            p99_ratio = ratio;
-            brown_off = Some(off);
-            brown_on = Some(on);
+        if best.as_ref().is_none_or(|(r, _, _)| ratio < *r) {
+            best = Some((ratio, off, on));
         }
     }
-    let brown_off = brown_off.expect("three brownout pairs ran");
-    let brown_on = brown_on.expect("three brownout pairs ran");
+    let (p99_ratio, brown_off, brown_on) = best.expect("three brownout pairs ran");
+
+    let (failover_ms, failovers) = failover_phase(&compute, &input);
 
     println!("{:<28} {:>10} {:>10} {:>8} {:>8}", "phase", "mean_ms", "p99_ms", "hedges", "wins");
-    println!("{:<28} {:>10.3} {:>10} {:>8} {:>8}", "happy_unhedged", happy_off_med, "-", 0, 0);
-    println!(
-        "{:<28} {:>10.3} {:>10} {:>8} {:>8}",
-        "happy_hedged", happy_on_med, "-", hedged_requests, 0
-    );
     for (name, p) in [("brownout_unhedged", &brown_off), ("brownout_hedged", &brown_on)] {
         println!(
             "{:<28} {:>10.3} {:>10.3} {:>8} {:>8}",
             name, p.mean_ms, p.p99_ms, p.hedges_fired, p.hedges_won
         );
     }
-    println!("happy-path overhead: {overhead_pct:.2}% (budget 5%)");
+    println!("{:<28} {:>10.3} {:>10} {:>8}", "kill+failover (1 req)", failover_ms, "-", "-");
     println!("happy-path hedge rate: {hedge_rate_pct:.2}% of requests (budget 10%)");
     println!("brownout p99 ratio (hedged/unhedged): {p99_ratio:.3} (budget 0.50)");
 
     let json = format!(
-        "{{\n  \"happy\": {{\n    \"unhedged_median_ms\": {:.4},\n    \"hedged_median_ms\": {:.4},\n    \
-         \"overhead_pct\": {:.3},\n    \"hedge_rate_pct\": {:.3}\n  }},\n  \"brownout\": {{\n    \
-         \"slowdown\": {:.1},\n    \"unhedged_p99_ms\": {:.4},\n    \"hedged_p99_ms\": {:.4},\n    \
-         \"p99_ratio\": {:.4},\n    \"hedges_fired\": {},\n    \"hedges_won\": {}\n  }},\n  \
-         \"gates\": {{\n    \"overhead_budget_pct\": 5.0,\n    \"hedge_rate_budget_pct\": 10.0,\n    \
-         \"p99_ratio_budget\": 0.5\n  }}\n}}\n",
-        happy_off_med,
-        happy_on_med,
-        overhead_pct,
-        hedge_rate_pct,
-        SLOWDOWN,
-        brown_off.p99_ms,
-        brown_on.p99_ms,
-        p99_ratio,
-        brown_on.hedges_fired,
-        brown_on.hedges_won,
+        "{{\n  \"happy\": {{\n    \"requests\": {armed_requests},\n    \
+         \"hedge_rate_pct\": {hedge_rate_pct:.3}\n  }},\n  \"brownout\": {{\n    \
+         \"slowdown\": {SLOWDOWN:.1},\n    \"unhedged_p99_ms\": {:.4},\n    \
+         \"hedged_p99_ms\": {:.4},\n    \"p99_ratio\": {p99_ratio:.4},\n    \
+         \"hedges_fired\": {},\n    \"hedges_won\": {}\n  }},\n  \"failover\": {{\n    \
+         \"requests\": {FAILOVER_REQS},\n    \"request_ms\": {failover_ms:.4},\n    \
+         \"failovers\": {failovers}\n  }},\n  \"gates\": {{\n    \
+         \"hedge_rate_budget_pct\": 10.0,\n    \"p99_ratio_budget\": 0.5\n  }}\n}}\n",
+        brown_off.p99_ms, brown_on.p99_ms, brown_on.hedges_fired, brown_on.hedges_won,
     );
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_hedging.json")) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_hedging.json");
-        }
-        Err(e) => eprintln!("could not write results/BENCH_hedging.json: {e}"),
-    }
-
-    let mut breached = false;
-    if overhead_pct > 5.0 {
-        eprintln!("GATE BREACH: happy-path overhead {overhead_pct:.2}% > 5%");
-        breached = true;
-    }
+    let mut breached = emit("BENCH_hedging.json", &json).is_err();
     if hedge_rate_pct > 10.0 {
         eprintln!("GATE BREACH: happy-path hedge rate {hedge_rate_pct:.2}% > 10%");
         breached = true;
@@ -220,6 +206,10 @@ fn main() {
     }
     if brown_on.hedges_won == 0 {
         eprintln!("GATE BREACH: no hedge ever beat the straggler");
+        breached = true;
+    }
+    if failovers == 0 {
+        eprintln!("GATE BREACH: a vanished device was never failed over");
         breached = true;
     }
     if breached {

@@ -1,13 +1,11 @@
 //! Kernel timing summary for the perf trajectory across PRs.
 //!
-//! Times the tensor-substrate hot kernels with plain wall-clock loops (no
-//! Criterion dependency, so it runs as a release bin) and prints a table to
-//! stdout plus a JSON summary — to `target/BENCH_kernels.json`, so a run
-//! leaves the work tree clean, or over the checked-in
-//! `results/BENCH_kernels.json` with `--bless`:
+//! Times the tensor-substrate hot kernels with plain wall-clock loops and
+//! prints a table to stdout plus a JSON summary to
+//! `target/results/BENCH_kernels.json` (copy it to `results/` to bless it):
 //!
 //! ```text
-//! cargo run -p murmuration-bench --release --bin bench_kernels [-- --bless]
+//! cargo run -p murmuration-bench --release --bin bench_kernels
 //! ```
 //!
 //! Iteration counts adapt to a per-benchmark time budget
@@ -26,6 +24,7 @@
 //! or any kernel falls below its recorded speedup floor. `scripts/check.sh`
 //! runs it under a timeout as the perf-regression leg of CI.
 
+use murmuration_bench::emit;
 use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
@@ -38,37 +37,40 @@ use murmuration_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::io::Write;
 use std::time::Instant;
 
 /// PR-1 seed timings (µs) and the speedup floor each kernel must hold.
 /// Floors are the best speedup recorded by a prior PR, with a little slack
 /// on sub-100 µs kernels where single-core timing noise dominates; the
 /// split/merge/quantize floors are pinned at 1.0 — those kernels regressed
-/// below seed once and must never again. The 16×48×48 and 8×96×96 rows are
+/// below seed once and must never again. A floor must sit outside the
+/// row's own run-to-run spread: `quant/dequantize_b8` (a 5 µs
+/// allocation-bound loop) read 1.00× / 1.08× / 1.10× (quartiles, twelve
+/// runs on a 2-vCPU x86-64 VM) against its old 1.05× floor, so it is timed
+/// and reported with no floor. The 16×48×48 and 8×96×96 rows are
 /// the layers `bench_e2e`'s `steady_inproc` and `swarm_tcp` requests run;
 /// their baseline is im2col + GEMM (the parent of the direct convolution) on
 /// this host. `dense_32x28x28_k3` is the K > 256 shape, so its floor also
 /// guards the direct path's slab banking.
-const BASELINES: &[(&str, f64, f64, f64)] = &[
-    ("gemm/64", 39.187, 26.943, 1.08),
-    ("gemm/128", 313.069, 236.088, 1.50),
-    ("gemm/256", 3260.280, 2056.893, 2.00),
-    ("gemm/bt_32x784x288", 5084.552, 4483.117, 5.67),
-    ("conv2d/dense_32x28x28_k3", 1433.177, 1080.900, 2.90),
-    ("conv2d/dense_16x48x48_k3", 662.670, 472.040, 2.00),
-    ("conv2d/dense_relu_16x48x48_k3", 858.880, 657.060, 2.00),
-    ("conv2d/dense_8x96x96_k3", 1328.010, 993.740, 2.00),
-    ("conv2d/dense_batch4_32x28x28_k3", 6061.882, 4519.478, 1.23),
-    ("conv2d/depthwise_32x28x28_k5", 1387.409, 1151.099, 2.58),
-    ("conv2d/depthwise_border_32x14x14_k5_s2", 81.192, 66.294, 1.70),
-    ("fdsp/split_2x2_64x56x56", 68.982, 49.113, 1.00),
-    ("fdsp/merge_2x2_64x56x56", 74.251, 55.063, 1.00),
-    ("quant/quantize_b8_64x28x28", 197.718, 161.124, 1.00),
-    ("quant/dequantize_b8_64x28x28", 6.746, 4.545, 1.05),
+const BASELINES: &[(&str, f64, f64, Option<f64>)] = &[
+    ("gemm/64", 39.187, 26.943, Some(1.08)),
+    ("gemm/128", 313.069, 236.088, Some(1.50)),
+    ("gemm/256", 3260.280, 2056.893, Some(2.00)),
+    ("gemm/bt_32x784x288", 5084.552, 4483.117, Some(5.67)),
+    ("conv2d/dense_32x28x28_k3", 1433.177, 1080.900, Some(2.90)),
+    ("conv2d/dense_16x48x48_k3", 662.670, 472.040, Some(2.00)),
+    ("conv2d/dense_relu_16x48x48_k3", 858.880, 657.060, Some(2.00)),
+    ("conv2d/dense_8x96x96_k3", 1328.010, 993.740, Some(2.00)),
+    ("conv2d/dense_batch4_32x28x28_k3", 6061.882, 4519.478, Some(1.23)),
+    ("conv2d/depthwise_32x28x28_k5", 1387.409, 1151.099, Some(2.58)),
+    ("conv2d/depthwise_border_32x14x14_k5_s2", 81.192, 66.294, Some(1.70)),
+    ("fdsp/split_2x2_64x56x56", 68.982, 49.113, Some(1.00)),
+    ("fdsp/merge_2x2_64x56x56", 74.251, 55.063, Some(1.00)),
+    ("quant/quantize_b8_64x28x28", 197.718, 161.124, Some(1.00)),
+    ("quant/dequantize_b8_64x28x28", 6.746, 4.545, None),
 ];
 
-fn baseline(name: &str) -> Option<(f64, f64, f64)> {
+fn baseline(name: &str) -> Option<(f64, f64, Option<f64>)> {
     BASELINES.iter().find(|(n, _, _, _)| *n == name).map(|&(_, m, mn, f)| (m, mn, f))
 }
 
@@ -109,7 +111,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0);
     let mut entries: Vec<Entry> = Vec::new();
 
-    // GEMM square sizes (criterion group `gemm`).
+    // GEMM square sizes.
     let mut gemm256_mean = 0.0f64;
     for &n in &[64usize, 128, 256] {
         let a = Tensor::rand_uniform(Shape::d2(n, n), 1.0, &mut rng);
@@ -138,7 +140,7 @@ fn main() {
         }
     }
 
-    // Int8 GEMM at the same 256³ shape (group `qgemm`). `i8_256` times the
+    // Int8 GEMM at the same 256³ shape. `i8_256` times the
     // steady-state kernel alone (weights and activation codes prepared once,
     // as in repeated inference over a quantized unit); `i8_end2end_256` adds
     // the per-call activation quantization the executor actually pays.
@@ -173,7 +175,7 @@ fn main() {
         }));
     }
 
-    // Convolutions (criterion group `conv2d`).
+    // Convolutions.
     {
         let x = Tensor::rand_uniform(Shape::nchw(1, 32, 28, 28), 1.0, &mut rng);
         let w = Tensor::rand_uniform(Shape::nchw(32, 32, 3, 3), 0.2, &mut rng);
@@ -204,7 +206,7 @@ fn main() {
         }));
     }
 
-    // FDSP tiling (criterion group `fdsp_tiling`).
+    // FDSP tiling.
     {
         let x = Tensor::rand_uniform(Shape::nchw(1, 64, 56, 56), 1.0, &mut rng);
         let grid = GridSpec::new(2, 2);
@@ -213,7 +215,7 @@ fn main() {
         entries.push(time_it("fdsp/merge_2x2_64x56x56", budget_ms, || merge_fdsp(&tiles, grid)));
     }
 
-    // Quantization (criterion group `quantization`).
+    // Quantization.
     {
         let x = Tensor::rand_uniform(Shape::nchw(1, 64, 28, 28), 3.0, &mut rng);
         entries.push(time_it("quant/quantize_b8_64x28x28", budget_ms, || {
@@ -296,25 +298,17 @@ fn main() {
         "  }},\n  \"simd\": {},\n  \"threads\": {threads}\n}}\n",
         simd::detected()
     ));
-    let bless = std::env::args().any(|a| a == "--bless");
-    let dir = std::path::PathBuf::from(if bless { "results" } else { "target" });
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_kernels.json");
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote {}", path.display());
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    let mut failures: Vec<String> = Vec::new();
+    if emit("BENCH_kernels.json", &json).is_err() {
+        failures.push("report refused".into());
     }
 
     // Regression gates. Only meaningful when the SIMD path is live — a
     // scalar-only host (or a MURMURATION_FORCE_SCALAR run) can't hold the
     // AVX2-era floors and is reported but not failed.
-    let mut failures: Vec<String> = Vec::new();
     if simd::simd_active() {
         for e in &entries {
-            if let Some((sm, _, floor)) = baseline(e.name) {
+            if let Some((sm, _, Some(floor))) = baseline(e.name) {
                 let speedup = sm / e.mean_us;
                 if speedup < floor {
                     failures

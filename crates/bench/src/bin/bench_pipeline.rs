@@ -18,14 +18,14 @@
 //! cargo run -p murmuration-bench --release --bin bench_pipeline
 //! ```
 //!
-//! Writes `results/BENCH_pipeline.json`.
+//! Writes `target/results/BENCH_pipeline.json`.
 
+use murmuration_bench::emit;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::{ArrivalTrace, LinkState, RateShape};
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{run_open_loop, ClassSpec, EnvModel, LoadReport, ServeConfig, ServeHandle};
-use std::io::Write;
 use std::sync::Arc;
 
 /// Swarm size; the planner may use fewer stages if links don't pay off.
@@ -149,17 +149,8 @@ fn main() {
         ",\n    \"goodput_ratio\": {r1:.3},\n    \"goodput_ratio_vs_2workers\": {r2:.3},\n    \
          \"goodput_budget\": 2.0\n  }}\n}}\n"
     ));
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_pipeline.json")) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_pipeline.json");
-        }
-        Err(e) => eprintln!("could not write results/BENCH_pipeline.json: {e}"),
-    }
+    let mut failed = emit("BENCH_pipeline.json", &json).is_err();
 
-    let mut failed = false;
     if piped.pipeline.is_none() {
         eprintln!("WARNING: pipelined run never brought the pipeline up");
         failed = true;

@@ -1,22 +1,20 @@
-//! Serving-layer benchmark: overhead and overload behaviour.
+//! Serving-layer benchmark: overload behaviour.
 //!
-//! Two measurements, two gates:
-//!
-//! 1. **Single-request overhead** — `submit_wait` through the serving
-//!    layer (idle fast path) vs calling `SharedRuntime::infer` directly.
-//!    The serving layer must cost ≤ 5% on a lone request.
-//! 2. **Overload ramp** — an open-loop Poisson ramp to ~2× the naive
-//!    server's capacity, replayed against (a) the naive FIFO baseline
-//!    (no admission, no batching, no priority) and (b) the engineered
-//!    server (priority queues + admission control + micro-batching), same
-//!    runtime, same trace. Engineered goodput must be ≥ 1.5× naive.
+//! An open-loop Poisson ramp to ~2× the naive server's capacity, replayed
+//! against (a) the naive FIFO baseline (no admission, no batching, no
+//! priority) and (b) the engineered server (priority queues + admission
+//! control + micro-batching), same runtime, same trace. Engineered goodput
+//! must be ≥ 1.5× naive, and the p99 of every admitted latency class must
+//! land inside its SLO. (The cost of the serving path on one request is
+//! `bench_e2e`'s `overload_serve` `serve.*` waterfall.)
 //!
 //! ```text
 //! cargo run -p murmuration-bench --release --bin bench_serve
 //! ```
 //!
-//! Writes `results/BENCH_serve.json`.
+//! Writes `target/results/BENCH_serve.json`.
 
+use murmuration_bench::emit;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::{ArrivalTrace, LinkState, RateShape};
 use murmuration_partition::compliance::Slo;
@@ -24,12 +22,7 @@ use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_serve::{
     default_classes, run_open_loop, EnvModel, LoadReport, ServeConfig, ServeHandle,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::hint::black_box;
-use std::io::Write;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn shared_runtime() -> Arc<SharedRuntime> {
     let sc = Scenario::augmented_computing(SloKind::Latency);
@@ -41,49 +34,7 @@ fn good_link() -> LinkState {
     LinkState { bandwidth_mbps: 300.0, delay_ms: 8.0 }
 }
 
-fn time_mean_us(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters / 10 + 3 {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / iters as f64
-}
-
-/// Gate 1: idle-server request cost vs direct runtime calls.
-fn bench_overhead(iters: usize) -> (f64, f64, f64) {
-    let rt = shared_runtime();
-    let net = murmuration_edgesim::NetworkState::uniform(1, good_link());
-    let mut rng = StdRng::seed_from_u64(3);
-    rt.tick(&net, 0.0, &mut rng);
-
-    let cfg = ServeConfig {
-        service_sleep: false,
-        tick_interval_ms: 1_000.0,
-        ..ServeConfig::engineered(default_classes())
-    };
-    let handle = ServeHandle::start(Arc::clone(&rt), EnvModel::constant(good_link(), 1), cfg);
-
-    // Interleave and keep the best of two passes each, so a scheduler
-    // hiccup cannot masquerade as serving overhead.
-    let mut direct_us = f64::INFINITY;
-    let mut serve_us = f64::INFINITY;
-    for _ in 0..2 {
-        direct_us = direct_us.min(time_mean_us(iters, || {
-            black_box(rt.infer_seeded(&net, 1.0, 7));
-        }));
-        serve_us = serve_us.min(time_mean_us(iters, || {
-            black_box(handle.submit_wait(0));
-        }));
-    }
-    drop(handle);
-    let overhead_pct = (serve_us - direct_us) / direct_us * 100.0;
-    (direct_us, serve_us, overhead_pct)
-}
-
-/// Gate 2: one overload-ramp run against a given server configuration.
+/// One overload-ramp run against a given server configuration.
 fn run_ramp(cfg: ServeConfig, trace: &ArrivalTrace, duration_ms: f64) -> LoadReport {
     let classes = cfg.classes.clone();
     let handle = ServeHandle::start(shared_runtime(), EnvModel::constant(good_link(), 1), cfg);
@@ -98,18 +49,6 @@ fn run_ramp(cfg: ServeConfig, trace: &ArrivalTrace, duration_ms: f64) -> LoadRep
 }
 
 fn main() {
-    let budget_ms: u64 =
-        std::env::var("MURMURATION_BENCH_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(1500);
-    // The overhead loop costs ~a decision-cache hit per call; scale iters
-    // to roughly half the budget.
-    let iters = (budget_ms as usize * 2).clamp(200, 10_000);
-
-    let (direct_us, serve_us, overhead_pct) = bench_overhead(iters);
-    println!("single-request path ({iters} iters):");
-    println!("  direct infer   {direct_us:>9.1} us");
-    println!("  serve (inline) {serve_us:>9.1} us");
-    println!("  overhead       {overhead_pct:>8.2} %   (budget: 5%)");
-
     // Overload ramp: 5 → 40 rps over 30 virtual seconds. The naive
     // single-file server saturates near ~15-20 rps on this scenario, so
     // the tail of the ramp is ~2x its capacity.
@@ -120,7 +59,7 @@ fn main() {
     let scale = 0.02; // 50x faster than wall time
     let mk = |cfg: ServeConfig| ServeConfig { time_scale: scale, ..cfg };
 
-    println!("\noverload ramp: {} arrivals, {:.1} rps offered on average", trace.len(), {
+    println!("overload ramp: {} arrivals, {:.1} rps offered on average", trace.len(), {
         trace.offered_rps()
     });
     let naive = run_ramp(mk(ServeConfig::naive(default_classes())), &trace, duration_ms);
@@ -156,12 +95,7 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"overhead\": {{\"direct_us\": {direct_us:.2}, \"serve_us\": {serve_us:.2}, \
-         \"overhead_pct\": {overhead_pct:.3}, \"budget_pct\": 5.0}},\n"
-    ));
-    json.push_str("  \"overload_ramp\": {\n");
+    let mut json = String::from("{\n  \"overload_ramp\": {\n");
     json.push_str("    \"naive\":\n");
     json.push_str(&naive.to_json("    "));
     json.push_str(",\n    \"engineered\":\n");
@@ -170,21 +104,7 @@ fn main() {
         ",\n    \"goodput_ratio\": {ratio:.3},\n    \"goodput_budget\": 1.5,\n    \
          \"latency_p99_within_slo\": {p99_ok}\n  }}\n}}\n"
     ));
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_serve.json")) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_serve.json");
-        }
-        Err(e) => eprintln!("could not write results/BENCH_serve.json: {e}"),
-    }
-
-    let mut failed = false;
-    if overhead_pct > 5.0 {
-        eprintln!("WARNING: serve-path overhead exceeds the 5% budget");
-        failed = true;
-    }
+    let mut failed = emit("BENCH_serve.json", &json).is_err();
     if ratio < 1.5 {
         eprintln!("WARNING: engineered goodput below the 1.5x budget");
         failed = true;

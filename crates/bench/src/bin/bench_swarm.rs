@@ -13,7 +13,7 @@
 //! MURMURATION_SWARM_WORKERS=64 MURMURATION_SWARM_REQS=128 ... # smoke
 //! ```
 //!
-//! Writes `results/BENCH_swarm.json`; exits nonzero when a gate fails:
+//! Writes `target/results/BENCH_swarm.json`; exits nonzero when a gate fails:
 //!
 //! * every reply exactly once and bit-exact (`verified_ok == requests`);
 //! * exactly-once compute (`computed == requests` — duplicates land in
@@ -24,8 +24,8 @@
 //! * idle CPU stays near-flat per connection (< 1 ms per conn over the
 //!   idle window — a busy-polling regression costs ×10 that).
 
+use murmuration_bench::emit;
 use murmuration_transport::{run_swarm, SwarmConfig};
-use std::io::Write;
 use std::time::Duration;
 
 const IDLE_CPU_MS_PER_CONN_BUDGET: f64 = 1.0;
@@ -140,14 +140,8 @@ fn main() {
         report.elapsed_s,
         failures.is_empty(),
     );
-    let dir = std::path::PathBuf::from("results");
-    let _ = std::fs::create_dir_all(&dir);
-    match std::fs::File::create(dir.join("BENCH_swarm.json")) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            eprintln!("wrote results/BENCH_swarm.json");
-        }
-        Err(e) => eprintln!("could not write results/BENCH_swarm.json: {e}"),
+    if emit("BENCH_swarm.json", &json).is_err() {
+        failures.push("report refused".to_owned());
     }
 
     if failures.is_empty() {

@@ -1,11 +1,14 @@
 //! # murmuration-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper
-//! (`cargo run -p murmuration-bench --release --bin figNN`), plus Criterion
-//! micro-benchmarks (`cargo bench`).
+//! (`cargo run -p murmuration-bench --release --bin figNN`), plus the
+//! `bench_*` gates.
 //!
-//! Every binary prints its series as CSV to stdout and mirrors it to
-//! `results/<name>.csv`. Budgets (training steps, seeds) are configurable
+//! Every artifact goes through [`emit`] into `target/results/` under the
+//! working directory; nothing here rewrites the checked-in `results/`. To
+//! bless an artifact, copy it from `target/results/` to `results/`.
+//! Figure binaries also print their series as CSV to stdout. Budgets
+//! (training steps, seeds) are configurable
 //! through environment variables so the full paper-scale run and a quick
 //! smoke run share the same code:
 //!
@@ -19,8 +22,11 @@ use murmuration_partition::{adcnn, neurosurgeon};
 use murmuration_rl::env::greedy_rollout;
 use murmuration_rl::supreme::{self, SupremeConfig};
 use murmuration_rl::{Condition, LstmPolicy, Scenario};
-use std::io::Write;
-use std::path::PathBuf;
+use murmuration_serve::schema;
+use std::path::{Path, PathBuf};
+
+/// Where [`emit`] writes, relative to the working directory.
+const OUT_DIR: &str = "target/results";
 
 /// RL training episodes for figure runs.
 pub fn steps_budget() -> usize {
@@ -32,27 +38,62 @@ pub fn seeds_budget() -> usize {
     std::env::var("MURMURATION_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(2)
 }
 
-/// A CSV sink writing to stdout and `results/<name>.csv`.
+/// Writes one bench or figure artifact to `target/results/<name>` and
+/// reports the outcome on stderr. A `.json` body must parse and carry
+/// every key `serve::schema::required_keys_for(name)` declares (an
+/// unregistered report name is refused too); a refused body writes
+/// nothing. Gate binaries fail when this returns `Err`.
+pub fn emit(name: &str, body: &str) -> Result<PathBuf, String> {
+    let out = emit_to(Path::new(OUT_DIR), name, body);
+    match &out {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("REPORT REFUSED: {e}"),
+    }
+    out
+}
+
+/// `emit` into `dir` instead of `OUT_DIR`, without the stderr line.
+fn emit_to(dir: &Path, name: &str, body: &str) -> Result<PathBuf, String> {
+    if name.ends_with(".json") {
+        let required = schema::required_keys_for(name)
+            .ok_or_else(|| format!("{name} has no schema in serve::schema::required_keys_for"))?;
+        let doc = schema::parse(body).map_err(|e| format!("{name} does not parse: {e}"))?;
+        let gaps = schema::missing_keys(&doc, &required);
+        if !gaps.is_empty() {
+            return Err(format!("{name} is missing required keys {gaps:?}"));
+        }
+    }
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, body))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// A CSV sink: each row goes to stdout at once, and the whole table to
+/// [`emit`] when the sink drops.
 pub struct CsvOut {
-    file: Option<std::fs::File>,
+    name: String,
+    body: String,
 }
 
 impl CsvOut {
-    /// Opens the sink (the results directory is created on demand).
+    /// Opens the sink for `<name>.csv`.
     pub fn new(name: &str) -> Self {
-        let dir = PathBuf::from("results");
-        let file = std::fs::create_dir_all(&dir)
-            .ok()
-            .and_then(|_| std::fs::File::create(dir.join(format!("{name}.csv"))).ok());
-        CsvOut { file }
+        CsvOut { name: format!("{name}.csv"), body: String::new() }
     }
 
     /// Writes one CSV row to both sinks.
     pub fn row(&mut self, line: &str) {
         println!("{line}");
-        if let Some(f) = &mut self.file {
-            let _ = writeln!(f, "{line}");
-        }
+        self.body.push_str(line);
+        self.body.push('\n');
+    }
+}
+
+impl Drop for CsvOut {
+    fn drop(&mut self) {
+        let _ = emit(&self.name, &self.body);
     }
 }
 
@@ -159,25 +200,6 @@ pub fn uniform_net(n_remote: usize, bw: f64, delay: f64) -> NetworkState {
     NetworkState::uniform(n_remote, LinkState { bandwidth_mbps: bw, delay_ms: delay })
 }
 
-/// Renders a series as a unicode sparkline (for quick eyeballing of curve
-/// shapes on stderr next to the CSV output).
-pub fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let span = (hi - lo).max(1e-12);
-    values
-        .iter()
-        .map(|&v| {
-            let idx = (((v - lo) / span) * (BARS.len() - 1) as f64).round() as usize;
-            BARS[idx.min(BARS.len() - 1)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,14 +235,20 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_maps_extremes() {
-        let s = sparkline(&[0.0, 1.0, 0.5]);
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars.len(), 3);
-        assert_eq!(chars[0], '▁');
-        assert_eq!(chars[1], '█');
-        assert_eq!(sparkline(&[]), "");
-        // Constant series renders without NaN panics.
-        assert_eq!(sparkline(&[2.0, 2.0]).chars().count(), 2);
+    fn emit_refuses_an_incomplete_report_and_writes_the_rest() {
+        let dir = std::env::temp_dir().join(format!("murmuration-emit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let incomplete = r#"{"failover": {"recovery_ratio": 1.0}}"#;
+        assert!(emit_to(&dir, "BENCH_failover.json", incomplete).is_err());
+        assert!(emit_to(&dir, "BENCH_unregistered.json", "{}").is_err());
+        assert!(!dir.exists(), "a refused report must write nothing");
+
+        let kernels = r#"{"benchmarks": {}, "threads": 1}"#;
+        let json = emit_to(&dir, "BENCH_kernels.json", kernels).unwrap();
+        let csv = emit_to(&dir, "fig_test.csv", "a,b\n1,2\n").unwrap();
+        assert_eq!(json, dir.join("BENCH_kernels.json"));
+        assert_eq!(std::fs::read_to_string(&json).unwrap(), kernels);
+        assert_eq!(std::fs::read_to_string(&csv).unwrap(), "a,b\n1,2\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,8 +6,9 @@
 //! without failing any test. This module closes the loop: a small
 //! recursive-descent JSON parser (just enough for our own reports) plus a
 //! pointer-path validator (`a/b/*/c`, where `*` fans out over array
-//! elements) that CI runs over every `results/BENCH_*.json` and
-//! `results/CAMPAIGN_*.json`.
+//! elements) that the bench crate's `emit` applies to every report
+//! before writing it, and CI to every checked-in `results/BENCH_*.json`
+//! and `results/CAMPAIGN_*.json`.
 //!
 //! This is NOT a general JSON library: no `\u` escapes beyond pass-through,
 //! no number-precision guarantees beyond `f64`, no streaming. It parses
@@ -322,19 +323,15 @@ pub fn campaign_required_keys() -> Vec<String> {
 }
 
 /// The declared schema for each report file in `results/`, by file name.
-/// `None` means the file is unknown — the schema-check test fails on it,
-/// forcing new report emitters to register their shape here.
+/// `None` means the file is unknown: the bench crate's `emit` refuses to
+/// write it and the schema-check test fails on it, forcing new report
+/// emitters to register their shape here.
 pub fn required_keys_for(file_name: &str) -> Option<Vec<String>> {
     let strs = |ks: &[&str]| ks.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     match file_name {
         "BENCH_serve.json" => {
-            let mut keys = strs(&[
-                "overhead/direct_us",
-                "overhead/serve_us",
-                "overhead/overhead_pct",
-                "overload_ramp/goodput_ratio",
-                "overload_ramp/latency_p99_within_slo",
-            ]);
+            let mut keys =
+                strs(&["overload_ramp/goodput_ratio", "overload_ramp/latency_p99_within_slo"]);
             keys.extend(load_report_keys("overload_ramp/naive"));
             keys.extend(load_report_keys("overload_ramp/engineered"));
             Some(keys)
@@ -347,7 +344,6 @@ pub fn required_keys_for(file_name: &str) -> Option<Vec<String>> {
             Some(keys)
         }
         "BENCH_failover.json" => Some(strs(&[
-            "gossip_overhead/overhead_pct",
             "failover/completed_before",
             "failover/completed_after",
             "failover/recovery_ratio",
@@ -357,18 +353,17 @@ pub fn required_keys_for(file_name: &str) -> Option<Vec<String>> {
             "failover/failovers",
             "failover/conservation",
         ])),
-        "BENCH_faults.json" => {
-            Some(strs(&["happy_path", "worst_happy_path_overhead_pct", "overhead_budget_pct"]))
-        }
         "BENCH_hedging.json" => Some(strs(&[
-            "happy/overhead_pct",
             "happy/hedge_rate_pct",
             "brownout/p99_ratio",
             "brownout/hedges_fired",
-            "gates/overhead_budget_pct",
+            "brownout/hedges_won",
+            "failover/request_ms",
+            "failover/failovers",
+            "gates/hedge_rate_budget_pct",
+            "gates/p99_ratio_budget",
         ])),
         "BENCH_kernels.json" => Some(strs(&["benchmarks"])),
-        "BENCH_transport.json" => Some(strs(&["worst_overhead_pct", "overhead_budget_pct"])),
         "BENCH_swarm.json" => Some(strs(&[
             "workers",
             "host_driver_threads",

@@ -4,7 +4,9 @@
 #   scripts/check.sh
 #
 # Runs the same checks CI would: rustfmt in check mode, clippy and rustdoc
-# with warnings denied, and the full test suite.
+# with warnings denied, the full test suite, the bench gates and the
+# end-to-end benchmark's smoke runs. It writes only ignored paths and fails
+# if it leaves the work tree dirty, so run it on a committed tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,62 +141,44 @@ for f in crates/tensor/src/simd.rs crates/tensor/src/int8.rs \
     fi
 done
 
-# Perf gates measure single-digit-percent overheads on whatever box CI
-# happens to run on; a background noise burst during one bench reads as
-# a phantom regression. Up to two retries with growing cool-downs
-# separate "this commit regressed" (fails all three) from "the box
-# hiccupped" (passes on a quiet rerun) — noise bursts on a loaded box
-# routinely outlive a single 5 s pause.
-perf_gate() {
-    if ! timeout 300 "$1"; then
-        echo "    (perf gate failed once; retrying after a cool-down)"
-        sleep 5
-        if ! timeout 300 "$1"; then
-            echo "    (perf gate failed twice; final retry after a longer cool-down)"
-            sleep 15
-            timeout 300 "$1"
-        fi
-    fi
-}
+echo "==> bench binaries write only under target/results/ (blessing an artifact is a copy)"
+if grep -rn '"results' crates/bench/src/bin; then
+    echo "error: a bench binary names the checked-in results/ directory; write through murmuration_bench::emit" >&2
+    exit 1
+fi
 
-echo "==> serving benchmark gates (overhead <= 5%, goodput >= 1.5x, p99 in SLO)"
-cargo build --release -q -p murmuration-bench --bin bench_serve
-perf_gate ./target/release/bench_serve
+# Each gate runs once, bounded, with no retry: a gate whose threshold sits
+# inside the host's run-to-run spread is restated or made report-only
+# (ROADMAP item 3), not retried. The bins write their reports under
+# target/results/, never over results/.
+cargo build --release -q -p murmuration-bench \
+    --bin bench_serve --bin bench_swarm --bin bench_hedging --bin bench_kernels \
+    --bin bench_failover --bin bench_pipeline --bin bench_campaign
 
-echo "==> fault-path benchmark (bounded: failover costs are measured, not assumed)"
-cargo build --release -q -p murmuration-bench --bin bench_faults
-perf_gate ./target/release/bench_faults
-
-echo "==> transport benchmark gate (loopback-TCP overhead <= 20% on the B32 happy path)"
-cargo build --release -q -p murmuration-bench --bin bench_transport
-perf_gate ./target/release/bench_transport
+echo "==> serving benchmark gates (goodput >= 1.5x naive, p99 in SLO)"
+timeout 300 ./target/release/bench_serve
 
 echo "==> swarm fleet gate (1k workers: exactly-once through storms, flat idle CPU per conn)"
-cargo build --release -q -p murmuration-bench --bin bench_swarm
-perf_gate ./target/release/bench_swarm
+timeout 300 ./target/release/bench_swarm
 
-echo "==> hedging benchmark gates (brownout p99 <= 0.5x unhedged, overhead <= 5%, hedge rate <= 10%)"
-cargo build --release -q -p murmuration-bench --bin bench_hedging
-perf_gate ./target/release/bench_hedging
+echo "==> hedging benchmark gates (brownout p99 <= 0.5x unhedged, hedge rate <= 10%, failover)"
+timeout 300 ./target/release/bench_hedging
 
-echo "==> kernel benchmark gates (dense conv >= 2x seed, int8 GEMM >= 2x f32, no floor regressions)"
-cargo build --release -q -p murmuration-bench --bin bench_kernels
-perf_gate ./target/release/bench_kernels
+echo "==> kernel benchmark gates (dense conv >= 2x seed, int8 GEMM >= 2x f32, compute-bound floors)"
+timeout 300 ./target/release/bench_kernels
 
-echo "==> failover benchmark gates (gossip overhead <= 5%, goodput recovery >= 0.8x, conservation)"
-cargo build --release -q -p murmuration-bench --bin bench_failover
-perf_gate ./target/release/bench_failover
+echo "==> failover benchmark gates (goodput recovery >= 0.8x, conservation)"
+timeout 300 ./target/release/bench_failover
 
 echo "==> pipeline benchmark gate (stage-parallel goodput >= 2x non-pipelined, conservation)"
-cargo build --release -q -p murmuration-bench --bin bench_pipeline
-MURMURATION_BENCH_MS=120000 perf_gate ./target/release/bench_pipeline
+MURMURATION_BENCH_MS=120000 timeout 300 ./target/release/bench_pipeline
 
-echo "==> campaign smoke gate (>=20 scenarios x smoke grid, conservation + replay + schema)"
-# The campaign engine is a deterministic virtual-time simulation, not a
-# wall-clock benchmark: a failure is a real regression, so no perf_gate
-# retries — one bounded run, pass or fail.
-cargo build --release -q -p murmuration-bench --bin bench_campaign
+echo "==> campaign smoke gate (conservation + fronts + replay + schema, then byte-identical to results/)"
+# The campaign is a deterministic virtual-time simulation: a fresh smoke
+# report that differs from the checked-in one by a byte is a changed price
+# or decision, and must be regenerated and blessed on purpose.
 timeout 300 ./target/release/bench_campaign --smoke
+cmp target/results/CAMPAIGN_smoke.json results/CAMPAIGN_smoke.json
 
 echo "==> end-to-end benchmark leg (its unit tests, then every workload untraced and traced, from the frozen sources)"
 # The driver runs BENCHMARK.json's command on every PR; a change that breaks
@@ -210,6 +194,13 @@ for workload in steady_inproc swarm_tcp churn_decide overload_serve; do
 done
 if git rev-parse --git-dir >/dev/null 2>&1 && ! git diff --quiet HEAD -- bench_e2e BENCHMARK.json; then
     echo "error: bench_e2e/ or BENCHMARK.json differs from HEAD (the benchmark is frozen; building it must not rewrite its lock file)" >&2
+    exit 1
+fi
+
+echo "==> work tree unchanged by the checks"
+if git rev-parse --git-dir >/dev/null 2>&1 && [ -n "$(git status --porcelain)" ]; then
+    git status --porcelain >&2
+    echo "error: the checks left the work tree dirty (a leg wrote outside target/ or an ignored path)" >&2
     exit 1
 fi
 
