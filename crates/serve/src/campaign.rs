@@ -1,48 +1,29 @@
-//! Campaign engine: replays declarative chaos scenarios against a grid of
-//! serving configurations and reports per-scenario Pareto fronts.
+//! Campaign: replays declarative chaos scenarios against a grid of serving
+//! configurations and reports per-scenario Pareto fronts.
 //!
-//! The engine is a single-threaded, virtual-time discrete-event simulator
-//! over [`SharedRuntime`]'s decide/deploy path. It drives the threaded
-//! server's own serving cores under the server's own configuration, so a
-//! rule changes in both at once: `classic` and `failover` cells the
-//! serving policy (`policy`), `pipeline` cells the stage-parallel core
-//! (`pipeline`), deployed once from [`SharedRuntime::pipeline_decide`] (a
-//! cell without such a plan is classic, as the server falls back). What
-//! runs the cores differs, an event loop instead of the server's threads,
-//! for two reasons:
-//!
-//! * **Determinism.** Same `(scenario name, master seed)` ⇒ *identical*
-//!   counters, bit for bit — the replay contract the campaign gates rely
-//!   on. The threaded server cannot promise that (wall-clock EWMAs,
-//!   scheduler races); this engine can, and a proptest pins it.
-//! * **Scale.** A campaign is `scenarios × grid cells` full load runs.
-//!   Virtual time with no sleeping makes the 20-scenario matrix a CI
-//!   gate instead of an overnight job.
-//!
-//! The driver keeps only what the server cannot see: control ticks,
-//! brownout slow factors (on the measured service time, or per pipeline
-//! stage), partitions, the crash and the promotion schedule. It has no
-//! batching window: an idle worker takes what is queued at the instant it
-//! frees (the threaded window ends at the next arrival or after
-//! `batch_window_ms`, a wall-clock race). Conservation — `completed +
-//! rejected == submitted`, `lost == 0` — is asserted in every cell.
+//! A cell is the threaded server in virtual time: each coordinator boots
+//! as `ServeHandle::start` does and its serving `engine` is stepped as the
+//! server's dispatch thread steps it, so every serving rule is the
+//! server's by construction. The campaign keeps only the environment: the
+//! arrival loop, the control ticks, and the coordinator crash and
+//! promotion schedule. One thread and no clock give two things the
+//! threaded server cannot: the same `(scenario name, master seed)` replays
+//! bit for bit (a proptest pins it), and the 28-scenario matrix runs in
+//! seconds, as a CI gate. Conservation (`completed + rejected ==
+//! submitted`, `lost == 0`) is asserted in every cell.
 
-use crate::class::{default_classes, ClassSpec};
+use crate::class::default_classes;
+use crate::engine::Engine;
+use crate::failover::{detection_rounds, FailoverConfig};
 use crate::harness::percentile;
-use crate::pipeline::Pipeline;
-use crate::policy::{Batch, Policy};
-use crate::request::{RejectReason, ServeOutcome};
-use crate::server::{ServeConfig, ServeStats};
-use murmuration_core::fleet::Input;
+use crate::request::ServeOutcome;
+use crate::server::{add_counters, boot, Control, EnvModel, ServeConfig, ServeStats};
 use murmuration_core::{RuntimeConfig, SharedRuntime};
 use murmuration_edgesim::scenario::{FleetKind, LoweredScenario, ScenarioSpec};
-use murmuration_edgesim::{DeviceStatus, NetworkState};
 use murmuration_partition::compliance::Slo;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::GridSpec;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Partition-policy axis of the grid.
@@ -160,11 +141,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// The runtime-global SLO (also the pipeline-planning target).
+/// The runtime-global SLO every cell's runtime is built with.
 const SLO: Slo = Slo::LatencyMs(200.0);
-/// Monitor-priming ticks before load starts (and at a standby's
-/// promotion).
-const WARMUP_TICKS: usize = 10;
 
 /// Raw counters and samples from one cell run. All fields are
 /// deterministic in `(scenario name, master seed, cell)`.
@@ -200,12 +178,22 @@ impl CellStats {
         self.submitted as i64 - self.completed as i64 - self.rejected as i64
     }
 
-    /// Books one completion with its end-to-end latency.
-    fn record(&mut self, spec: &ClassSpec, latency_ms: f64, accuracy_pct: f32) {
-        self.completed += 1;
-        self.latencies_ms.push(latency_ms);
-        self.accuracy_sum_pct += f64::from(accuracy_pct);
-        self.slo_ok += u64::from(spec.met(latency_ms, accuracy_pct));
+    /// Books a coordinator's completions (`add` counts its rejections).
+    fn book(&mut self, exits: impl Iterator<Item = ((), ServeOutcome)>) {
+        for (_, outcome) in exits {
+            if let ServeOutcome::Done(c) = outcome {
+                self.completed += 1;
+                self.latencies_ms.push(c.total_ms);
+                self.accuracy_sum_pct += f64::from(c.accuracy_pct);
+                self.slo_ok += u64::from(c.slo_ok);
+            }
+        }
+    }
+
+    /// Adds a coordinator's serving counters.
+    fn add(&mut self, s: ServeStats) {
+        add_counters!(self, s; rejected, queue_full, deadline_unmeetable, expired, not_ready,
+            stage_dead, degraded_served, batches, batched_requests, pipeline_requeued);
     }
 }
 
@@ -431,356 +419,148 @@ fn build_runtime(
     Arc::new(SharedRuntime::new(sc, policy, RuntimeConfig::default(), SLO))
 }
 
-/// Applies fleet + partition state to the runtime at tick time: one
-/// forced status per device — `Down` when the trace says so or the
-/// coordinator cannot reach it, otherwise the trace's `Up` or `Slow`.
-fn sync_runtime(rt: &SharedRuntime, lowered: &LoweredScenario, t_ms: f64) {
-    let forced = (1..lowered.fleet.n_devices()).map(|dev| {
-        let status = if lowered.partitions.can_reach(0, dev, t_ms) {
-            lowered.fleet.status(dev, t_ms)
-        } else {
-            DeviceStatus::Down
-        };
-        Input::Force { dev, status }
-    });
-    rt.observe(t_ms, forced);
-}
-
-/// Max finite compute-slowdown over `devices` at `t` (brownout stretch).
-fn slow_mult(lowered: &LoweredScenario, devices: &[usize], t_ms: f64) -> f64 {
-    devices
-        .iter()
-        .map(|&d| lowered.fleet.slow_factor(d, t_ms))
-        .filter(|f| f.is_finite())
-        .fold(1.0, f64::max)
-}
-
-/// A batch in service on one worker.
-struct InService {
-    done_ms: f64,
-    dispatch_ms: f64,
-    base_ms: f64,
-    accuracy_pct: f32,
-    degraded: bool,
-    batch: Batch<()>,
-}
-
-/// One coordinator in virtual time: the serving policy core, its runtime
-/// and its workers, plus the environment the server cannot see coming
-/// (ticks, brownouts). Also the tick and stats state the pipeline mode
-/// shares.
-struct Engine<'a> {
-    cfg: ServeConfig,
-    lowered: &'a LoweredScenario,
+/// One coordinator in virtual time.
+struct Node<'a> {
     rt: Arc<SharedRuntime>,
-    rng: StdRng,
-    policy: Policy<()>,
-    /// Per worker: the batch it is serving, if any.
-    workers: Vec<Option<InService>>,
-    now: f64,
-    next_tick: f64,
-    stats: CellStats,
-    n_remote: usize,
+    env: &'a EnvModel,
+    cfg: ServeConfig,
+    control: Control,
+    engine: Engine<()>,
 }
 
-impl<'a> Engine<'a> {
-    fn new(lowered: &'a LoweredScenario, rt: Arc<SharedRuntime>, seed: u64) -> Self {
-        let cfg = ServeConfig::engineered(default_classes());
-        let n_remote = lowered.fleet.n_devices().saturating_sub(1).max(1);
-        let mut eng = Engine {
-            policy: Policy::new(&cfg),
-            workers: (0..cfg.n_workers).map(|_| None).collect(),
-            cfg,
-            lowered,
-            rt,
-            rng: StdRng::seed_from_u64(seed),
-            now: 0.0,
-            next_tick: 0.0,
-            stats: CellStats::default(),
-            n_remote,
-        };
-        eng.warmup(0.0);
-        eng
+impl<'a> Node<'a> {
+    /// Boots coordinator `salt` (0 the primary, 1 the standby) at `t0`.
+    fn boot(
+        spec: &ScenarioSpec,
+        cell: &GridCell,
+        seed: u64,
+        env: &'a EnvModel,
+        salt: u64,
+        t0: f64,
+    ) -> Self {
+        let rt = build_runtime(spec, cell, seed, salt);
+        // The server's engineered configuration, every class streamed in
+        // pipeline cells, and the coordinator's own monitoring-noise seed.
+        let stream = cell.mode == ServingMode::Pipeline;
+        let classes =
+            default_classes().into_iter().map(|c| if stream { c.with_pipeline() } else { c });
+        let base_seed = spec.sub_seed(seed, 0x10 + salt);
+        let cfg = ServeConfig { base_seed, ..ServeConfig::engineered(classes.collect()) };
+        let (control, engine) = boot(&rt, env, &cfg, t0);
+        Node { rt, env, cfg, control, engine }
     }
 
-    fn net_at(&self, t_ms: f64) -> NetworkState {
-        NetworkState::uniform(self.n_remote, self.lowered.net.sample(t_ms))
-    }
-
-    /// Primes the monitor at `t_ms`; the control cadence starts there.
-    fn warmup(&mut self, t_ms: f64) {
-        let net = self.net_at(t_ms);
-        for _ in 0..WARMUP_TICKS {
-            self.rt.tick(&net, t_ms, &mut self.rng);
-        }
-        self.next_tick = t_ms + self.cfg.tick_interval_ms;
-    }
-
-    /// Runs control-plane ticks up to (and including) `t_ms`.
-    fn advance_ticks(&mut self, t_ms: f64) {
-        while self.next_tick <= t_ms {
-            let t = self.next_tick;
-            sync_runtime(&self.rt, self.lowered, t);
-            let net = self.net_at(t);
-            self.rt.tick(&net, t, &mut self.rng);
-            self.next_tick += self.cfg.tick_interval_ms;
-        }
-    }
-
-    /// One arrival of `class` at `t_ms`, after everything due before it.
-    fn arrive(&mut self, class: usize, t_ms: f64) {
-        self.run_until(t_ms);
-        self.advance_ticks(t_ms);
-        self.stats.submitted += 1;
-        let _ = self.policy.submit(0, class, t_ms, ());
-    }
-
-    /// Steps to `horizon`: idle workers take batches at the current
-    /// instant, and batches finishing by the horizon complete in time
-    /// order (ties to the lower worker).
-    fn run_until(&mut self, horizon: f64) {
-        loop {
-            self.dispatch();
-            let next = self
-                .workers
-                .iter()
-                .enumerate()
-                .filter_map(|(w, s)| s.as_ref().map(|s| (w, s.done_ms)))
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            match next {
-                Some((w, done_ms)) if done_ms <= horizon => {
-                    self.now = done_ms;
-                    self.complete(w);
-                }
-                _ => break,
-            }
-        }
-        if horizon.is_finite() {
-            self.now = self.now.max(horizon);
-        }
-    }
-
-    /// Idle workers take batches at the current instant, the way the
-    /// threaded workers do, minus the batching window: one decide and one
-    /// deploy per prepared batch, with the brownout stretching the
-    /// measured base.
-    fn dispatch(&mut self) {
-        for w in 0..self.workers.len() {
-            while self.workers[w].is_none() {
-                let Some(mut batch) = self.policy.take() else { return };
-                let now = self.now;
-                self.advance_ticks(now);
-                let _ = self.policy.prepare(&mut batch, now);
-                if batch.items.is_empty() {
-                    continue;
-                }
-                let Some(decision) = self.rt.serve_decide(self.cfg.classes[batch.class].slo())
-                else {
-                    self.policy.refuse(batch, &RejectReason::NotReady);
-                    continue;
-                };
-                let report = self.rt.deploy(&decision, &self.net_at(now));
-                let base_ms =
-                    report.latency_ms * slow_mult(self.lowered, &report.devices_used, now);
-                let cost = self.policy.start(&batch, base_ms);
-                self.workers[w] = Some(InService {
-                    done_ms: now + cost,
-                    dispatch_ms: now,
-                    base_ms,
-                    accuracy_pct: report.accuracy_pct,
-                    degraded: report.degradation.is_degraded(),
-                    batch,
-                });
-            }
-        }
-    }
-
-    /// Worker `w`'s batch finishes: every member completes.
-    fn complete(&mut self, w: usize) {
-        let Some(s) = self.workers[w].take() else { return };
-        for served in self.policy.finish(s.batch, s.dispatch_ms, s.base_ms, s.degraded) {
-            let spec = &self.cfg.classes[served.item.class];
-            self.stats.record(spec, served.queue_ms + served.service_ms, s.accuracy_pct);
-        }
-    }
-
-    /// Folds a serving core's counters into the cell's (completions and
-    /// submissions are booked one by one).
-    fn fold(&mut self, p: ServeStats) {
-        let s = &mut self.stats;
-        s.rejected += p.rejected;
-        s.queue_full += p.queue_full;
-        s.deadline_unmeetable += p.deadline_unmeetable;
-        s.expired += p.expired;
-        s.not_ready += p.not_ready;
-        s.stage_dead += p.stage_dead;
-        s.degraded_served += p.degraded_served;
-        s.batches += p.batches;
-        s.batched_requests += p.batched_requests;
-        s.pipeline_requeued += p.pipeline_requeued;
-    }
-
-    /// The coordinator dies, as `ServeHandle::kill`: queued requests drop
-    /// unresolved (their classes are returned for retry) and batches in
-    /// service finish.
-    fn crash(&mut self) -> Vec<usize> {
-        let dropped: Vec<usize> = self.policy.abort().into_iter().map(|i| i.class).collect();
-        self.stats.crash_dropped += dropped.len() as u64;
-        for w in 0..self.workers.len() {
-            self.complete(w);
-        }
-        self.fold(self.policy.stats());
-        self.stats.failovers += 1;
-        dropped
-    }
-
-    /// A standby with runtime `rt` promotes at `promote_ms`: a fresh
-    /// serving stack (policy, EWMAs, workers), primed, takes `retries`
-    /// through its own admission.
-    fn promote(&mut self, rt: Arc<SharedRuntime>, promote_ms: f64, retries: &[usize]) {
-        self.rt = rt;
-        self.policy = Policy::new(&self.cfg);
-        self.now = promote_ms;
-        self.warmup(promote_ms);
-        for &class in retries {
-            self.stats.retried += 1;
-            let _ = self.policy.submit(0, class, promote_ms, ());
-        }
-    }
-
-    /// Final counters: the live coordinator's policy plus gray transitions.
-    fn finalize(mut self) -> CellStats {
-        self.fold(self.policy.stats());
-        let gray = self.rt.fleet().transitions;
-        self.stats.gray_suspects = gray.suspects;
-        self.stats.gray_quarantines = gray.quarantines;
-        self.stats.gray_readmissions = gray.readmissions;
-        self.stats
-    }
-}
-
-/// Classic mode: the serving policy driven over the arrival trace.
-fn run_classic(
-    spec: &ScenarioSpec,
-    cell: &GridCell,
-    cfg: &CampaignConfig,
-    lowered: &LoweredScenario,
-) -> CellStats {
-    let rt = build_runtime(spec, cell, cfg.master_seed, 0);
-    let mut eng = Engine::new(lowered, rt, spec.sub_seed(cfg.master_seed, 0x10));
-    for arrival in lowered.arrivals.arrivals() {
-        eng.arrive(arrival.class % eng.cfg.classes.len(), arrival.t_ms);
-    }
-    eng.run_until(f64::INFINITY);
-    eng.finalize()
-}
-
-/// Failover mode: classic serving with a primary coordinator that dies
-/// at the scenario's kill time. Its queued requests, and arrivals during
-/// the detection window, retry on a standby that promotes with a fresh
-/// serving stack; batches in service at the kill finish. Detection delay
-/// derives from the gossip constants (suspect + fail rounds) stretched by
-/// the scenario's gossip drop probability.
-fn run_failover(
-    spec: &ScenarioSpec,
-    cell: &GridCell,
-    cfg: &CampaignConfig,
-    lowered: &LoweredScenario,
-) -> CellStats {
-    let Some(kill_ms) = lowered.coordinator_death_ms else {
-        // No coordinator death in this scenario: the standby never
-        // promotes and failover serving degenerates to classic.
-        return run_classic(spec, cell, cfg, lowered);
-    };
-    let primary = build_runtime(spec, cell, cfg.master_seed, 0);
-    let mut eng = Engine::new(lowered, primary, spec.sub_seed(cfg.master_seed, 0x10));
-    // SWIM-ish detection: suspect_after + fail_after heartbeat rounds at
-    // the tick cadence, stretched when gossip frames drop.
-    let rounds = 3.0 + 6.0;
-    let drop = lowered.gossip.drop_prob.clamp(0.0, 0.9);
-    let promote_ms = kill_ms + rounds * eng.cfg.tick_interval_ms / (1.0 - drop);
-    let standby = || build_runtime(spec, cell, cfg.master_seed, 1);
-    let mut retries: Option<Vec<usize>> = None;
-    let mut promoted = false;
-    for arrival in lowered.arrivals.arrivals() {
-        let (class, t) = (arrival.class % eng.cfg.classes.len(), arrival.t_ms);
-        if retries.is_none() && t >= kill_ms {
-            eng.run_until(kill_ms);
-            retries = Some(eng.crash());
-        }
-        if let Some(buffer) = retries.as_mut().filter(|_| !promoted) {
-            if t < promote_ms {
-                // No coordinator serves yet: the submit waits as a retry.
-                eng.stats.submitted += 1;
-                buffer.push(class);
+    /// Runs the ticks and serving events due by `t` in time order (a tick
+    /// first at a shared instant), deciding each dispatch at its instant.
+    fn run_until(&mut self, t: f64, stats: &mut CellStats) {
+        let env = self.env;
+        let slow = |dev, at| env.slow(dev, at);
+        while let Some(at) = self.engine.next_event().filter(|&at| at <= t) {
+            if self.control.next_ms <= at {
+                self.control.tick(env, &self.rt, self.control.next_ms);
                 continue;
             }
-            eng.promote(standby(), promote_ms, buffer);
-            promoted = true;
-        }
-        eng.arrive(class, t);
-    }
-    if !promoted {
-        let buffer = match retries {
-            Some(buffer) => buffer,
-            None => {
-                eng.run_until(kill_ms);
-                eng.crash()
+            self.engine.advance(at, &slow);
+            while let Some(due) = self.engine.due() {
+                let served = env.serve(&self.rt, self.cfg.classes[due.class].slo(), due.at);
+                self.engine.start(due.slot, due.at, served, &slow);
             }
-        };
-        eng.promote(standby(), promote_ms, &buffer);
+            stats.book(self.engine.exits());
+        }
     }
-    eng.run_until(f64::INFINITY);
-    eng.finalize()
+
+    /// One arrival of `class` at `t`, after everything due by then.
+    fn arrive(&mut self, class: usize, t: f64, stats: &mut CellStats) {
+        self.run_until(t, stats);
+        while self.control.next_ms <= t {
+            self.control.tick(self.env, &self.rt, self.control.next_ms);
+        }
+        let env = self.env;
+        self.engine.submit(0, class % self.cfg.classes.len(), t, (), &|dev, at| env.slow(dev, at));
+        stats.book(self.engine.exits());
+    }
+
+    /// Serves out everything the coordinator holds and adds its counters.
+    fn drain(mut self, stats: &mut CellStats) -> Arc<SharedRuntime> {
+        self.engine.shutdown();
+        self.run_until(f64::INFINITY, stats);
+        stats.add(self.engine.stats());
+        self.rt
+    }
+
+    /// The coordinator dies at `t`, as `ServeHandle::kill`: what it had not
+    /// dispatched drops unresolved (the classes are returned for retry)
+    /// and its dispatched batches finish.
+    fn crash(mut self, t: f64, stats: &mut CellStats) -> Vec<usize> {
+        self.run_until(t, stats);
+        let dropped = self.engine.abort();
+        stats.crash_dropped += dropped.len() as u64;
+        stats.failovers += 1;
+        self.drain(stats);
+        dropped
+    }
 }
 
-/// Pipeline mode: every arrival streams through the server's
-/// stage-parallel core, deployed once at the start; with no such plan the
-/// cell is classic, as in the server.
-fn run_pipeline(
+/// How long a standby takes to promote over a silent primary: the gossip
+/// rounds of [`FailoverCluster`](crate::FailoverCluster)'s detection, one
+/// per control tick, stretched when gossip frames drop.
+fn detection_ms(lowered: &LoweredScenario, tick_interval_ms: f64) -> f64 {
+    let rounds = detection_rounds(&FailoverConfig::default().gossip) as f64;
+    let drop = lowered.gossip.drop_prob.clamp(0.0, 0.9);
+    rounds * tick_interval_ms / (1.0 - drop)
+}
+
+/// Serves one cell's arrivals. In a failover cell whose scenario kills the
+/// coordinator, the primary crashes at the kill; what it dropped and the
+/// arrivals until the standby promotes retry on the standby, which boots
+/// fresh and takes them through its own admission.
+fn serve_cell(
     spec: &ScenarioSpec,
     cell: &GridCell,
-    cfg: &CampaignConfig,
+    seed: u64,
     lowered: &LoweredScenario,
 ) -> CellStats {
-    let rt = build_runtime(spec, cell, cfg.master_seed, 0);
-    let mut eng = Engine::new(lowered, rt, spec.sub_seed(cfg.master_seed, 0x10));
-    let Some(deploy) = eng.rt.pipeline_decide(SLO, &eng.net_at(0.0)) else {
-        return run_classic(spec, cell, cfg, lowered);
-    };
-    let mut pipe = Pipeline::new(&eng.cfg, &deploy);
-    // What a stage sees: the fleet trace's brownout, and death when its
-    // device is down or cut off from the coordinator.
-    let slow = |dev: usize, t: f64| match lowered.partitions.can_reach(0, dev, t) {
-        true => lowered.fleet.slow_factor(dev, t),
-        false => f64::INFINITY,
-    };
-    for arrival in lowered.arrivals.arrivals() {
-        eng.advance_ticks(arrival.t_ms);
-        eng.stats.submitted += 1;
-        let class = arrival.class % eng.cfg.classes.len();
-        pipe.submit(0, class, arrival.t_ms, (), &slow);
-    }
-    pipe.shutdown();
-    pipe.advance(f64::INFINITY, &slow);
-    for (_, outcome) in pipe.exits() {
-        if let ServeOutcome::Done(c) = outcome {
-            let spec = &eng.cfg.classes[c.class];
-            eng.stats.record(spec, c.total_ms, c.accuracy_pct);
+    let n_remote = lowered.fleet.n_devices().saturating_sub(1).max(1);
+    let env = EnvModel::new(lowered.net.clone(), n_remote)
+        .with_fleet(lowered.fleet.clone())
+        .with_partitions(lowered.partitions.clone());
+    let mut stats = CellStats::default();
+    let mut node = Node::boot(spec, cell, seed, &env, 0, 0.0);
+    let mut arrivals = lowered.arrivals.arrivals().iter().peekable();
+    let kill = lowered.coordinator_death_ms.filter(|_| cell.mode == ServingMode::Failover);
+    if let Some(kill_ms) = kill {
+        let promote_ms = kill_ms + detection_ms(lowered, node.cfg.tick_interval_ms);
+        while let Some(a) = arrivals.next_if(|a| a.t_ms < kill_ms) {
+            stats.submitted += 1;
+            node.arrive(a.class, a.t_ms, &mut stats);
+        }
+        let mut retries = node.crash(kill_ms, &mut stats);
+        // No coordinator serves until the promotion: submits wait as retries.
+        while let Some(a) = arrivals.next_if(|a| a.t_ms < promote_ms) {
+            stats.submitted += 1;
+            retries.push(a.class);
+        }
+        node = Node::boot(spec, cell, seed, &env, 1, promote_ms);
+        stats.retried = retries.len() as u64;
+        for class in retries {
+            node.arrive(class, promote_ms, &mut stats);
         }
     }
-    eng.fold(pipe.stats());
-    eng.finalize()
+    for a in arrivals {
+        stats.submitted += 1;
+        node.arrive(a.class, a.t_ms, &mut stats);
+    }
+    let gray = node.drain(&mut stats).fleet().transitions;
+    stats.gray_suspects = gray.suspects;
+    stats.gray_quarantines = gray.quarantines;
+    stats.gray_readmissions = gray.readmissions;
+    stats
 }
 
 /// Runs one scenario × cell under the hard conservation invariant.
 pub fn run_cell(spec: &ScenarioSpec, cell: &GridCell, cfg: &CampaignConfig) -> CellResult {
     let lowered = spec.lower(cfg.master_seed);
-    let stats = match cell.mode {
-        ServingMode::Classic => run_classic(spec, cell, cfg, &lowered),
-        ServingMode::Pipeline => run_pipeline(spec, cell, cfg, &lowered),
-        ServingMode::Failover => run_failover(spec, cell, cfg, &lowered),
-    };
+    let stats = serve_cell(spec, cell, cfg.master_seed, &lowered);
     assert_eq!(
         stats.completed + stats.rejected,
         stats.submitted,

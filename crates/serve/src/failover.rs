@@ -34,10 +34,8 @@
 //! asserts `lost == 0`.
 
 use crate::request::{RejectReason, ServeOutcome};
-use crate::server::{EnvModel, ServeConfig, ServeHandle, ServeStats};
-use murmuration_core::gossip::{
-    GossipConfig, GossipMsg, GossipNode, MemberRecord, NodeRole, ReputationConfig,
-};
+use crate::server::{EnvModel, ServeConfig, ServeHandle};
+use murmuration_core::gossip::{GossipConfig, GossipMsg, GossipNode, NodeRole, ReputationConfig};
 use murmuration_core::SharedRuntime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,8 +94,6 @@ struct Coordinator {
     handle: Option<ServeHandle>,
     /// Crashed: no longer ticks, gossips, or serves.
     dead: bool,
-    /// Final stats captured at crash/shutdown, for post-mortems.
-    final_stats: Option<ServeStats>,
 }
 
 /// Cluster-level counters. Conservation across the handover:
@@ -162,7 +158,6 @@ impl FailoverCluster {
                     cfg: s.cfg,
                     handle: None,
                     dead: false,
-                    final_stats: None,
                 }
             })
             .collect();
@@ -193,16 +188,6 @@ impl FailoverCluster {
     /// How many promotions have happened.
     pub fn failovers(&self) -> u64 {
         self.stats.failovers
-    }
-
-    /// Rank `viewer`'s membership view (for assertions on rumor spread).
-    pub fn view_of(&self, viewer: usize) -> Vec<MemberRecord> {
-        self.coords[viewer].node.members()
-    }
-
-    /// The active coordinator's serve handle (None mid-failover).
-    pub fn active_handle(&self) -> Option<&ServeHandle> {
-        self.active.and_then(|i| self.coords[i].handle.as_ref())
     }
 
     /// Counter snapshot.
@@ -264,14 +249,7 @@ impl FailoverCluster {
         let Some(i) = self.active.take() else { return 0 };
         let c = &mut self.coords[i];
         c.dead = true;
-        let dropped = match c.handle.take() {
-            Some(h) => {
-                let (stats, dropped) = h.kill();
-                c.final_stats = Some(stats);
-                dropped
-            }
-            None => 0,
-        };
+        let dropped = c.handle.take().map_or(0, |h| h.kill().1);
         self.stats.crash_dropped += dropped as u64;
         dropped
     }
@@ -289,29 +267,7 @@ impl FailoverCluster {
     /// when the request resolved nowhere (counted in `lost`).
     pub fn resolve(&mut self, p: PendingServe) -> Option<ServeOutcome> {
         let first = p.rx.and_then(|rx| rx.recv().ok());
-        match first {
-            // A Shutdown rejection out of a crashed coordinator is the
-            // admission race losing to the kill — the request never ran,
-            // so it fails over like a dropped one.
-            Some(o) if !crashed_under(&o) => {
-                self.count(&o);
-                Some(o)
-            }
-            _ => {
-                self.stats.retried += 1;
-                let retry = self.submit_on_active(p.class).and_then(|rx| rx.recv().ok());
-                match retry {
-                    Some(o) => {
-                        self.count(&o);
-                        Some(o)
-                    }
-                    None => {
-                        self.stats.lost += 1;
-                        None
-                    }
-                }
-            }
-        }
+        self.settle(p.class, first)
     }
 
     /// Submit-and-wait convenience for closed-loop drivers. With a live
@@ -324,27 +280,32 @@ impl FailoverCluster {
             .filter(|&i| !self.coords[i].dead)
             .and_then(|i| self.coords[i].handle.as_ref())
             .map(|h| h.submit_wait(class));
-        if let Some(o) = direct {
-            self.stats.submitted += 1;
-            if !crashed_under(&o) {
-                self.count(&o);
-                return Some(o);
-            }
-            // The admission-vs-kill race: retry once, like resolve().
-            self.stats.retried += 1;
-            return match self.submit_on_active(class).and_then(|rx| rx.recv().ok()) {
-                Some(o) => {
-                    self.count(&o);
-                    Some(o)
-                }
-                None => {
-                    self.stats.lost += 1;
-                    None
-                }
-            };
+        if direct.is_none() {
+            let p = self.submit(class);
+            return self.resolve(p);
         }
-        let p = self.submit(class);
-        self.resolve(p)
+        self.stats.submitted += 1;
+        self.settle(class, direct)
+    }
+
+    /// Counts a request's first outcome. A Shutdown rejection out of a
+    /// crashed coordinator is the admission race losing to the kill (the
+    /// request never ran), so, like a dropped one, it retries once on the
+    /// active coordinator.
+    fn settle(&mut self, class: usize, first: Option<ServeOutcome>) -> Option<ServeOutcome> {
+        let outcome = match first {
+            Some(o) if !crashed_under(&o) => Some(o),
+            _ => {
+                self.stats.retried += 1;
+                self.submit_on_active(class).and_then(|rx| rx.recv().ok())
+            }
+        };
+        match &outcome {
+            Some(ServeOutcome::Done(_)) => self.stats.completed += 1,
+            Some(ServeOutcome::Rejected(_)) => self.stats.rejected += 1,
+            None => self.stats.lost += 1,
+        }
+        outcome
     }
 
     /// Graceful end: shuts down whichever coordinator is serving and
@@ -352,17 +313,10 @@ impl FailoverCluster {
     pub fn shutdown(mut self) -> ClusterStats {
         for c in &mut self.coords {
             if let Some(h) = c.handle.take() {
-                c.final_stats = Some(h.shutdown());
+                h.shutdown();
             }
         }
         self.stats
-    }
-
-    fn count(&mut self, o: &ServeOutcome) {
-        match o {
-            ServeOutcome::Done(_) => self.stats.completed += 1,
-            ServeOutcome::Rejected(_) => self.stats.rejected += 1,
-        }
     }
 
     fn submit_on_active(&mut self, class: usize) -> Option<Receiver<ServeOutcome>> {
@@ -417,6 +371,15 @@ impl FailoverCluster {
         self.active = Some(i);
         self.stats.failovers += 1;
     }
+}
+
+/// Gossip rounds after which a standby promotes over a silent primary. A
+/// member's record goes `Failed` once its heartbeat is `fail_after` rounds
+/// stale (`Suspect` is only a waypoint), and the primary election skips
+/// only failed members. The campaign's failover cells wait this many
+/// control ticks.
+pub(crate) fn detection_rounds(gossip: &GossipConfig) -> u64 {
+    gossip.fail_after
 }
 
 /// Whether an outcome means "the coordinator died before serving this":
@@ -478,6 +441,23 @@ mod tests {
         assert_eq!(s.failovers, 1);
         assert_eq!(s.lost, 0, "no request may vanish across the handover");
         assert_eq!(s.completed + s.rejected, s.submitted, "cluster-level conservation");
+    }
+
+    #[test]
+    fn standby_promotes_after_the_detection_rounds_the_campaign_waits() {
+        let mut cl = cluster(FailoverConfig::default());
+        for _ in 0..3 {
+            cl.pump();
+        }
+        cl.kill_active();
+        let mut pumps = 0;
+        while cl.active_rank().is_none() && pumps < 100 {
+            cl.pump();
+            pumps += 1;
+        }
+        assert_eq!(cl.active_rank(), Some(1));
+        assert_eq!(pumps, detection_rounds(&FailoverConfig::default().gossip));
+        assert_eq!(pumps, 6, "fail_after alone, not suspect_after + fail_after");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn run_closed_loop(
     })
 }
 
-/// Blocks for one outcome; a dropped sender (a panicked worker) surfaces
+/// Blocks for one outcome; a dropped sender (a panicked server thread) surfaces
 /// as a synthetic shutdown rejection rather than a harness panic.
 fn collect_outcome(rx: Receiver<ServeOutcome>) -> ServeOutcome {
     rx.recv().unwrap_or(ServeOutcome::Rejected(Rejection {

@@ -11,7 +11,7 @@
 //!
 //! * **SLO classes & priority dispatch** ([`class`], `policy`) — requests
 //!   are tagged with a class (latency deadline or accuracy floor); each
-//!   class gets a bounded queue, and workers drain in class-priority
+//!   class gets a bounded queue, and batches drain in class-priority
 //!   order, so interactive traffic never queues behind best-effort bulk.
 //! * **Admission control & load shedding** (`policy`) — a full queue or
 //!   an EWMA-predicted unmeetable deadline rejects at submit time with a
@@ -29,20 +29,17 @@
 //!   and conservation is restored at the cluster level.
 //!
 //! Admission, dispatch order, shedding and batching live once, in
-//! `policy`, and stage-parallel serving in [`pipeline`]: state machines
-//! with no threads and no clock. [`server`] drives both on a scaled clock;
-//! [`campaign`] drives the same cores in deterministic virtual time.
-//!
-//! The [`harness`] module drives it: open-loop trace replay (honest
-//! overload measurement), closed-loop clients, and percentile/goodput
-//! reports. `cli serve` / `cli loadtest` and `bench_serve` are thin
-//! wrappers around it.
-//!
-//! The [`campaign`] module is the regression surface: it replays the
-//! declarative chaos scenarios from `edgesim::scenario` against a grid of
-//! partition policy × bit-width × serving mode through the serving policy
-//! in deterministic virtual time and emits per-scenario Pareto fronts;
-//! [`schema`] validates the resulting report files' shape in CI.
+//! `policy`, stage-parallel serving in [`pipeline`], and the service
+//! slots, the batching window and the order of events in `engine`, which
+//! steps both: state machines with no threads and no clock. [`server`]
+//! steps the engine on a scaled clock; [`campaign`], the regression
+//! surface, steps it in deterministic virtual time over the declarative
+//! chaos scenarios of `edgesim::scenario` × a grid of partition policy ×
+//! bit-width × serving mode, and emits per-scenario Pareto fronts whose
+//! report shape [`schema`] validates in CI. The [`harness`] drives a
+//! server: open-loop trace replay, closed-loop clients, and
+//! percentile/goodput reports (`cli serve` / `cli loadtest` and
+//! `bench_serve` wrap it).
 //!
 //! [`SharedRuntime`]: murmuration_core::SharedRuntime
 
@@ -50,6 +47,7 @@
 
 pub mod campaign;
 pub mod class;
+mod engine;
 pub mod failover;
 pub mod harness;
 pub mod pipeline;

@@ -19,10 +19,7 @@
 //!
 //! The caller passes every instant in (virtual ms) and a `slow(dev, t)`
 //! input: the brownout factor of `dev` at `t`, infinite when it is down.
-//! The threaded server (`server`) holds the core behind its lock and wakes
-//! one thread at its next event; the campaign (`campaign`) steps it through
-//! each arrival in virtual time. `P` is what a request carries: the reply
-//! channel in the server, nothing in the campaign.
+//! `engine` steps it beside `policy`. `P` is what a request carries.
 //!
 //! Real tensors stream through a plan's stages in the executor
 //! ([`Executor::execute_stream_with`](murmuration_core::executor::Executor::execute_stream_with)).

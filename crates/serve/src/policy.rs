@@ -7,17 +7,11 @@
 //! predictive shed (`Expired`), the marginal-cost batch cut, a batch's cost
 //! and each member's service share, the two service-time EWMAs, the count
 //! of requests in service, shutdown and abort, and the conservation
-//! counters. The caller passes every instant in (virtual ms) and keeps
-//! everything else: threads and waiting, the batching window,
-//! decide/deploy, and how long a batch really takes.
+//! counters. The caller, `engine`, passes every instant in (virtual ms)
+//! and keeps the service slots, the batching window and the order of
+//! events; decide/deploy are its drivers'. `P` is what a request carries.
 //!
-//! Two drivers run it. The threaded server (`server`) holds it in one
-//! mutex beside a condvar; the campaign (`campaign`) steps it through a
-//! virtual-time event loop. `P` is what a request carries through: the
-//! reply channel in the server, nothing in the campaign.
-//!
-//! A batch's life: `take` (or `submit_inline`, the idle fast path)
-//! gathers it; `prepare` dispatches it, shedding and cutting it and
+//! A batch's life: `take` gathers it; `prepare` dispatches it, shedding and cutting it and
 //! counting it in service; then either `refuse` releases it, or `start`
 //! prices it and `finish` completes it.
 
@@ -177,28 +171,11 @@ impl<P> Policy<P> {
         Err((reason, payload))
     }
 
-    /// The idle fast path: admits a request as a batch of one, skipping the
-    /// queue. Call only when [`is_idle`](Self::is_idle).
-    pub(crate) fn submit_inline(
-        &mut self,
-        id: u64,
-        class: usize,
-        now: f64,
-        payload: P,
-    ) -> Result<Batch<P>, (RejectReason, P)> {
-        self.stats.submitted += 1;
-        if let Err(reason) = self.admit(class) {
-            self.note_reject(&reason);
-            return Err((reason, payload));
-        }
-        Ok(Batch { class, items: vec![Item { id, class, enqueue_ms: now, payload }], taken: 1 })
-    }
-
     /// Deadline-aware admission for a latency class: the predicted queue
     /// wait plus one service time must fit the deadline. The wait is the
     /// backlog that drains first (same-or-higher priority, or everything
     /// under FIFO, plus the requests in service) over the drain rate: each
-    /// worker retires `max_batch` requests per batch cost.
+    /// service slot retires `max_batch` requests per batch cost.
     fn admit(&self, class: usize) -> Result<(), RejectReason> {
         let Some(deadline) = self.classes[class].deadline_ms().filter(|_| self.admission) else {
             return Ok(());
@@ -325,7 +302,7 @@ impl<P> Policy<P> {
 
     /// Starts serving a prepared, non-empty batch whose unbatched service
     /// takes `base_ms`: counts it, feeds the class's base EWMA, and returns
-    /// the batch's cost, the time it occupies a worker.
+    /// the batch's cost, the time it occupies a service slot.
     pub(crate) fn start(&mut self, batch: &Batch<P>, base_ms: f64) -> f64 {
         let k = batch.items.len();
         self.stats.batches += 1;
@@ -479,7 +456,8 @@ mod tests {
     #[test]
     fn admission_estimate_is_the_per_request_ewma() {
         let mut p = policy(vec![lat("a", 25.0, 8)], false, 2);
-        let b = p.submit_inline(0, 0, 0.0, ()).unwrap();
+        offer(&mut p, 0, 0, 0.0).unwrap();
+        let b = p.take().unwrap();
         serve(&mut p, b, 0.0, 16.0);
         // A batch of one at base 16 costs 16 per request; at marginal 0.5
         // and two-request batches one worker drains 2/1.5 requests per
@@ -627,7 +605,8 @@ mod tests {
     fn ewmas_weigh_the_new_sample_at_three_tenths() {
         let mut p = policy(vec![lat("a", 1e9, 8)], false, 4);
         for base in [100.0, 200.0] {
-            let b = p.submit_inline(0, 0, 0.0, ()).unwrap();
+            offer(&mut p, 0, 0, 0.0).unwrap();
+            let b = p.take().unwrap();
             serve(&mut p, b, 0.0, base);
         }
         assert!((p.ewma_service_ms - 130.0).abs() < 1e-9, "{}", p.ewma_service_ms);

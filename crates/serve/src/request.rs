@@ -62,7 +62,7 @@ pub struct Rejection {
 pub struct Completion {
     pub id: u64,
     pub class: usize,
-    /// Time spent queued before a worker picked the request up.
+    /// Time spent queued before the request's batch was dispatched.
     pub queue_ms: f64,
     /// This request's service share: deployment latency plus its batch
     /// serialization position.

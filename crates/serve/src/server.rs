@@ -1,46 +1,32 @@
-//! The threaded serving driver: admission → class queues → priority
-//! dispatch → micro-batched decide/deploy on a shared runtime.
+//! The threaded serving driver: one serving `engine` behind one lock and
+//! one condvar, stepped on a scaled clock by two threads. The campaign
+//! steps the same engine in virtual time.
 //!
-//! Every rule about a request's fate — admission, which class drains
-//! next, shedding, the batch cut, batch cost, the EWMAs, conservation —
-//! lives in `policy`, a state machine with no threads and no clock;
-//! throughput-mode classes follow `pipeline`, its stage-parallel sibling.
-//! This module drives both cores, behind one lock, with threads and a
-//! scaled clock; the campaign drives the same cores in virtual time.
+//! * **Submitters** (caller threads) admit under the lock and wake the
+//!   dispatch thread; they never wait behind a decision. On an idle server
+//!   a lone `submit_wait` runs its own dispatch on the caller's thread.
+//! * **The dispatch thread** waits until the engine's next event, steps
+//!   it, and answers each due dispatch with one
+//!   [`SharedRuntime::serve_decide`] and one deploy (one supernet switch
+//!   per batch), made outside the lock. A batch holds its service slot for
+//!   its modeled cost in virtual time; no thread sleeps it.
+//! * **The control thread** syncs the environment into the runtime every
+//!   `tick_interval_ms`. A tick's precompute roll-out takes milliseconds
+//!   of wall time, so it stays off the dispatch thread.
 //!
-//! # Threads
-//!
-//! * **Submitters** (caller threads) run admission and enqueue under the
-//!   server's one lock; an idle server serves a lone `submit_wait` inline.
-//! * **Workers** wait on a condvar beside the policy, take same-class
-//!   batches (waiting one batching window for stragglers when short),
-//!   decide once per batch ([`SharedRuntime::serve_decide`]), deploy once
-//!   (one supernet switch amortized over the batch), sleep the batch's
-//!   cost, and resolve every request with a typed outcome.
-//! * **One pipeline thread**, when a class streams through a
-//!   stage-parallel plan, sleeps on its own condvar until the pipeline's
-//!   next event and runs it; submitters admit and dispatch inline.
-//! * **One control thread** owns monitoring: it ticks the runtime on a
-//!   fixed virtual-time cadence and replays the fault trace. Workers never
-//!   touch the monitor, so the decision path is sampling-free and
-//!   deterministic given the tick schedule.
-//!
-//! # Virtual time
-//!
-//! The server runs on a scaled clock: `time_scale` wall milliseconds per
-//! virtual millisecond. Model latencies (hundreds of virtual ms) become
-//! milliseconds of wall time, so a 60-virtual-second overload experiment
-//! runs in about a wall second while preserving queueing dynamics —
-//! workers really are occupied for the (scaled) service time.
+//! The clock runs `time_scale` wall ms per virtual ms: model latencies of
+//! hundreds of virtual ms become milliseconds, so a 60-virtual-second
+//! overload experiment runs in about a wall second.
 
 use crate::class::ClassSpec;
-use crate::pipeline::{Pipeline, PipelineSnapshot};
-use crate::policy::{Batch, Item, Policy};
-use crate::request::{Completion, RejectReason, Rejection, ServeOutcome};
-use murmuration_core::fleet::{FleetSnapshot, Input};
-use murmuration_core::SharedRuntime;
+use crate::engine::Engine;
+use crate::pipeline::PipelineSnapshot;
+use crate::request::{RejectReason, Rejection, ServeOutcome};
+use murmuration_core::fleet::Input;
+use murmuration_core::{DeployReport, SharedRuntime};
 use murmuration_edgesim::trace::NetworkTrace;
-use murmuration_edgesim::{DeviceStatus, FleetTrace, LinkState, NetworkState};
+use murmuration_edgesim::{DeviceStatus, FleetTrace, LinkState, NetworkState, PartitionSchedule};
+use murmuration_partition::compliance::Slo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,19 +35,21 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Ground truth the server serves under: a network trajectory and an
-/// optional device fault schedule, both functions of virtual time.
+/// Ground truth a coordinator serves under, as functions of virtual time:
+/// a network trajectory, and optionally a device fault schedule and a
+/// partition schedule.
 #[derive(Clone, Debug)]
 pub struct EnvModel {
     net: NetworkTrace,
     n_remote: usize,
     fleet: Option<FleetTrace>,
+    partitions: Option<PartitionSchedule>,
 }
 
 impl EnvModel {
     /// An environment following `net`, uniform across `n_remote` links.
     pub fn new(net: NetworkTrace, n_remote: usize) -> Self {
-        EnvModel { net, n_remote, fleet: None }
+        EnvModel { net, n_remote, fleet: None, partitions: None }
     }
 
     /// Static network conditions.
@@ -69,9 +57,16 @@ impl EnvModel {
         EnvModel::new(NetworkTrace::Constant(link), n_remote)
     }
 
-    /// Attaches a device fault schedule, replayed by the control thread.
+    /// Attaches a device fault schedule, replayed at every control tick.
     pub fn with_fleet(mut self, fleet: FleetTrace) -> Self {
         self.fleet = Some(fleet);
+        self
+    }
+
+    /// Attaches a partition schedule: a device the coordinator (node 0)
+    /// cannot reach counts as down.
+    pub fn with_partitions(mut self, partitions: PartitionSchedule) -> Self {
+        self.partitions = Some(partitions);
         self
     }
 
@@ -79,6 +74,92 @@ impl EnvModel {
     pub fn network_at(&self, t_ms: f64) -> NetworkState {
         NetworkState::uniform(self.n_remote, self.net.sample(t_ms))
     }
+
+    fn reachable(&self, dev: usize, t_ms: f64) -> bool {
+        self.partitions.as_ref().is_none_or(|p| p.can_reach(0, dev, t_ms))
+    }
+
+    /// `dev`'s slowdown at `t_ms`: the fleet trace's brownout factor (1
+    /// without a trace), infinite when the trace has it down or a
+    /// partition cuts it off.
+    pub(crate) fn slow(&self, dev: usize, t_ms: f64) -> f64 {
+        match (self.reachable(dev, t_ms), &self.fleet) {
+            (false, _) => f64::INFINITY,
+            (true, Some(fleet)) => fleet.slow_factor(dev, t_ms),
+            (true, None) => 1.0,
+        }
+    }
+
+    /// One control tick at `t_ms`: forces every remote device's status
+    /// from the fleet trace, `Down` where a partition cuts it off, then
+    /// samples the ground-truth network into the runtime's monitor.
+    fn sync(&self, rt: &SharedRuntime, t_ms: f64, rng: &mut StdRng) {
+        if let Some(fleet) = &self.fleet {
+            let devices = 1..rt.scenario().devices.len().min(fleet.n_devices());
+            rt.observe(
+                t_ms,
+                devices.map(|dev| Input::Force {
+                    dev,
+                    status: match self.reachable(dev, t_ms) {
+                        true => fleet.status(dev, t_ms),
+                        false => DeviceStatus::Down,
+                    },
+                }),
+            );
+        }
+        rt.tick(&self.network_at(t_ms), t_ms, rng);
+    }
+
+    /// Answers a due dispatch: one decision for `slo`, deployed under the
+    /// ground truth at `t_ms`, with whether it was a cache hit. `None`
+    /// while the monitor has no estimate.
+    pub(crate) fn serve(
+        &self,
+        rt: &SharedRuntime,
+        slo: Slo,
+        t_ms: f64,
+    ) -> Option<(DeployReport, bool)> {
+        let decision = rt.serve_decide(slo)?;
+        Some((rt.deploy(&decision, &self.network_at(t_ms)), decision.cached))
+    }
+}
+
+/// The control cadence both drivers keep: a sync at boot, then one every
+/// `tick_interval_ms`, all on one monitoring-noise stream seeded from
+/// `base_seed`.
+pub(crate) struct Control {
+    rng: StdRng,
+    /// When the next tick is due (virtual ms).
+    pub(crate) next_ms: f64,
+    interval_ms: f64,
+}
+
+impl Control {
+    /// Syncs the environment into `rt` at `t_ms`; the next tick falls one
+    /// interval later.
+    pub(crate) fn tick(&mut self, env: &EnvModel, rt: &SharedRuntime, t_ms: f64) {
+        env.sync(rt, t_ms, &mut self.rng);
+        self.next_ms = t_ms + self.interval_ms;
+    }
+}
+
+/// Boots a coordinator at `t0`: one warm-up sync, so `serve_decide` never
+/// sees a cold monitor, then the engine. When a class opted into
+/// throughput mode and the planner finds a placement for the first such
+/// class, the engine streams those classes through it; otherwise they are
+/// batched (slower, never wrong).
+pub(crate) fn boot<P>(
+    rt: &SharedRuntime,
+    env: &EnvModel,
+    cfg: &ServeConfig,
+    t0: f64,
+) -> (Control, Engine<P>) {
+    let rng = StdRng::seed_from_u64(cfg.base_seed);
+    let mut control = Control { rng, next_ms: t0, interval_ms: cfg.tick_interval_ms };
+    control.tick(env, rt, t0);
+    let stream = cfg.classes.iter().find(|c| c.pipeline);
+    let plan = stream.and_then(|c| rt.pipeline_decide(c.slo(), &env.network_at(t0)));
+    (control, Engine::new(cfg, plan.as_ref()))
 }
 
 /// Serving-layer knobs. Start from [`engineered`](ServeConfig::engineered)
@@ -87,15 +168,15 @@ impl EnvModel {
 pub struct ServeConfig {
     /// SLO class table; index is priority (0 drains first).
     pub classes: Vec<ClassSpec>,
-    /// Worker threads draining the queues.
+    /// Service slots: batches in service at once.
     pub n_workers: usize,
     /// Deadline-aware admission control (reject requests whose predicted
     /// queue wait + service already exceeds their deadline).
     pub admission: bool,
     /// Micro-batch ceiling; 1 disables batching.
     pub max_batch: usize,
-    /// How long a worker waits for coalescable same-class arrivals when a
-    /// batch is short (virtual ms); 0 disables the wait.
+    /// How long a short batch waits for same-class arrivals before it
+    /// dispatches (virtual ms); 0 disables the wait.
     pub batch_window_ms: f64,
     /// Marginal cost of each extra batched request relative to the first
     /// (pipelined execution reuses the deployed submodel; only compute
@@ -103,8 +184,9 @@ pub struct ServeConfig {
     pub batch_marginal: f64,
     /// Wall milliseconds per virtual millisecond.
     pub time_scale: f64,
-    /// Whether workers hold their slot for the scaled service time (true
-    /// for load experiments; false for overhead microbenchmarks).
+    /// Whether a batch, and a pipeline stage, holds its slot for its
+    /// service time (true for load experiments; false for overhead
+    /// microbenchmarks, where a slot frees at its dispatch).
     pub service_sleep: bool,
     /// Control-thread monitoring cadence (virtual ms).
     pub tick_interval_ms: f64,
@@ -115,7 +197,8 @@ pub struct ServeConfig {
     /// completely idle, skipping the queue handoff (the common-case fast
     /// path; only [`submit_wait`](ServeHandle::submit_wait) uses it).
     pub inline_when_idle: bool,
-    /// Seed for the control thread's monitoring-noise stream.
+    /// Seed for the monitoring-noise stream of the warm-up and the control
+    /// ticks.
     pub base_seed: u64,
 }
 
@@ -153,7 +236,7 @@ impl ServeConfig {
     }
 }
 
-/// The scaled virtual clock shared by every server thread.
+/// The scaled virtual clock the server's threads and its callers share.
 #[derive(Clone, Debug)]
 pub struct Clock {
     start: Instant,
@@ -179,7 +262,7 @@ impl Clock {
         }
     }
 
-    /// Wall duration of `virtual_ms`.
+    /// Wall duration of `virtual_ms` (zero when negative).
     fn wall(&self, virtual_ms: f64) -> Duration {
         Duration::from_secs_f64((virtual_ms * self.scale / 1000.0).max(0.0))
     }
@@ -237,23 +320,6 @@ impl ServeStats {
         } += 1;
     }
 
-    /// Adds the pipeline's request counters to the batched path's.
-    fn absorb(&mut self, p: &ServeStats) {
-        self.submitted += p.submitted;
-        self.completed += p.completed;
-        self.pipeline_submitted += p.submitted;
-        self.pipeline_completed += p.completed;
-        self.rejected += p.rejected;
-        self.queue_full += p.queue_full;
-        self.deadline_unmeetable += p.deadline_unmeetable;
-        self.expired += p.expired;
-        self.not_ready += p.not_ready;
-        self.stage_dead += p.stage_dead;
-        self.shutdown_rejects += p.shutdown_rejects;
-        self.degraded_served += p.degraded_served;
-        self.pipeline_requeued += p.pipeline_requeued;
-    }
-
     /// Mean dispatched batch size.
     pub fn avg_batch(&self) -> f64 {
         if self.batches == 0 {
@@ -264,26 +330,20 @@ impl ServeStats {
     }
 }
 
-/// Where a queued request's outcome goes; `None` for the idle fast path,
-/// which answers on the submitter's own thread.
-type Reply = Option<Sender<ServeOutcome>>;
-
-fn rejected<P>(item: &Item<P>, reason: RejectReason, t_ms: f64) -> ServeOutcome {
-    ServeOutcome::Rejected(Rejection { id: item.id, class: item.class, reason, t_ms })
+/// Adds the named counters of `$from` into `$into`.
+macro_rules! add_counters {
+    ($into:expr, $from:expr; $($field:ident),+ $(,)?) => { $($into.$field += $from.$field;)+ };
 }
+pub(crate) use add_counters;
 
-fn send(reply: Reply, outcome: ServeOutcome) {
-    if let Some(tx) = reply {
+/// Where a request's outcome goes.
+type Reply = Sender<ServeOutcome>;
+
+/// Answers every resolved request; a receiver that hung up no longer waits.
+fn send(exits: std::vec::Drain<'_, (Reply, ServeOutcome)>) {
+    for (tx, outcome) in exits {
         let _ = tx.send(outcome);
     }
-}
-
-/// The serving cores, behind the server's one lock.
-struct Cores {
-    policy: Policy<Reply>,
-    /// The stage-parallel pipeline for throughput-mode classes, when any
-    /// class opted in and a pipeline placement was found at boot.
-    pipeline: Option<Pipeline<Reply>>,
 }
 
 struct ServerCore {
@@ -291,207 +351,112 @@ struct ServerCore {
     env: EnvModel,
     cfg: ServeConfig,
     clock: Clock,
-    cores: Mutex<Cores>,
-    /// Wakes workers when the policy may hold a batch.
-    work: Condvar,
-    /// Wakes the pipeline thread when its next event may have moved.
-    pipe_work: Condvar,
+    engine: Mutex<Engine<Reply>>,
+    /// Wakes the dispatch thread when the engine's next event may have
+    /// moved.
+    wake: Condvar,
     next_id: AtomicU64,
-    /// Stops the control thread (workers stop via policy shutdown).
+    /// Stops the control thread (the dispatch thread stops once the engine
+    /// has drained).
     stop: AtomicBool,
 }
 
 impl ServerCore {
-    /// Poison-tolerant lock: a panicking worker must not wedge the whole
-    /// server, so the (plain-old-data) cores are adopted as is.
-    fn cores(&self) -> MutexGuard<'_, Cores> {
-        self.cores.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Poison-tolerant lock: a panicking thread must not wedge the whole
+    /// server, so the (plain-old-data) engine is adopted as is.
+    fn engine(&self) -> MutexGuard<'_, Engine<Reply>> {
+        self.engine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A pipeline stage's slowdown on `dev` at `t_ms`: the fleet trace's
-    /// brownout factor, infinite when the trace or a chaos hook has the
-    /// device down.
+    /// The environment's slowdown of `dev` at `t_ms`, infinite while a
+    /// chaos hook has the device down.
     fn slow(&self, dev: usize, t_ms: f64) -> f64 {
         if self.rt.fleet().devices.get(dev).is_none_or(|d| d.down) {
             return f64::INFINITY;
         }
-        self.env.fleet.as_ref().map_or(1.0, |f| f.slow_factor(dev, t_ms))
+        self.env.slow(dev, t_ms)
     }
 
-    /// Runs the pipeline's events as they fall due (all at once when
-    /// service is not slept) until it has drained after shutdown.
-    fn pipeline_loop(&self) {
-        let mut cores = self.cores();
-        while let Some(pipe) = cores.pipeline.as_mut() {
-            let until = if self.cfg.service_sleep { self.clock.now_ms() } else { f64::INFINITY };
-            pipe.advance(until, &|dev, t| self.slow(dev, t));
-            pipe.exits().for_each(|(reply, outcome)| send(reply, outcome));
-            if pipe.is_drained() {
+    /// Steps the engine to the clock's instant and answers every due
+    /// dispatch, deciding and deploying with the lock released; every
+    /// resolved request is answered on its channel.
+    fn run<'a>(
+        &'a self,
+        mut engine: MutexGuard<'a, Engine<Reply>>,
+    ) -> MutexGuard<'a, Engine<Reply>> {
+        let slow = |dev, t| self.slow(dev, t);
+        loop {
+            engine.advance(self.clock.now_ms(), &slow);
+            send(engine.exits());
+            let Some(due) = engine.due() else { return engine };
+            drop(engine);
+            let served = self.env.serve(&self.rt, self.cfg.classes[due.class].slo(), due.at);
+            engine = self.engine();
+            engine.start(due.slot, self.clock.now_ms(), served, &slow);
+        }
+    }
+
+    /// Runs the engine's events as they fall due until it has drained
+    /// after shutdown.
+    fn dispatch_loop(&self) {
+        let mut engine = self.engine();
+        loop {
+            engine = self.run(engine);
+            if engine.is_drained() {
                 return;
             }
-            let next = pipe.next_event().map(|(_, t)| self.clock.wall(t - self.clock.now_ms()));
-            let wait = self.pipe_work.wait_timeout(cores, next.unwrap_or(Duration::MAX));
-            cores = wait.unwrap_or_else(PoisonError::into_inner).0;
+            let next = engine.next_event().map(|t| self.clock.wall(t - self.clock.now_ms()));
+            let wait = self.wake.wait_timeout(engine, next.unwrap_or(Duration::MAX));
+            engine = wait.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
-    /// Serves one batch dispatched at `now`: the policy sheds and cuts it,
-    /// then one decide and one deploy serve what is left, the worker
-    /// sleeps the batch's cost, and every member resolves exactly once
-    /// through `resolve`.
-    fn serve_batch(
-        &self,
-        mut batch: Batch<Reply>,
-        now: f64,
-        mut resolve: impl FnMut(Item<Reply>, ServeOutcome),
-    ) {
-        let (expired, requeued) = self.cores().policy.prepare(&mut batch, now);
-        if requeued > 0 {
-            self.work.notify_one();
-        }
-        for (item, reason) in expired {
-            let outcome = rejected(&item, reason, now);
-            resolve(item, outcome);
-        }
-        if batch.items.is_empty() {
-            return;
-        }
-        let spec = &self.cfg.classes[batch.class];
-        let Some(decision) = self.rt.serve_decide(spec.slo()) else {
-            for item in self.cores().policy.refuse(batch, &RejectReason::NotReady) {
-                let outcome = rejected(&item, RejectReason::NotReady, now);
-                resolve(item, outcome);
-            }
-            return;
-        };
-        let report = self.rt.deploy(&decision, &self.env.network_at(now));
-        let base = report.latency_ms;
-        let cost = self.cores().policy.start(&batch, base);
-        if self.cfg.service_sleep {
-            thread::sleep(self.clock.wall(cost));
-        }
-        let k = batch.items.len();
-        let degraded = report.degradation.is_degraded();
-        let served = self.cores().policy.finish(batch, now, base, degraded);
-        for s in served {
-            let total_ms = s.queue_ms + s.service_ms;
-            let outcome = ServeOutcome::Done(Completion {
-                id: s.item.id,
-                class: s.item.class,
-                queue_ms: s.queue_ms,
-                service_ms: s.service_ms,
-                total_ms,
-                deploy_ms: report.latency_ms,
-                accuracy_pct: report.accuracy_pct,
-                batch_size: k,
-                cached: decision.cached,
-                degraded,
-                slo_ok: spec.met(total_ms, report.accuracy_pct),
-            });
-            resolve(s.item, outcome);
-        }
-    }
-
-    /// Takes batches until shutdown has drained the queues. A short batch
-    /// waits one batching window for same-class stragglers.
-    fn worker_loop(&self) {
-        let window = (self.cfg.batch_window_ms > 0.0 && self.cfg.max_batch > 1)
-            .then(|| self.clock.wall(self.cfg.batch_window_ms));
+    fn control_loop(&self, mut control: Control) {
         loop {
-            let mut cores = self.cores();
-            let mut batch = loop {
-                if let Some(batch) = cores.policy.take() {
-                    break batch;
-                }
-                if cores.policy.is_shutdown() {
-                    return;
-                }
-                cores = self.work.wait(cores).unwrap_or_else(PoisonError::into_inner);
-            };
-            if let Some(window) = window {
-                if batch.items.len() < self.cfg.max_batch && !cores.policy.is_shutdown() {
-                    cores = self
-                        .work
-                        .wait_timeout(cores, window)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                    cores.policy.top_up(&mut batch);
-                }
+            self.clock.sleep_virtual(control.next_ms - self.clock.now_ms());
+            if self.stop.load(Ordering::Relaxed) {
+                return;
             }
-            drop(cores);
-            // More work may remain for other workers.
-            self.work.notify_one();
-            self.serve_batch(batch, self.clock.now_ms(), |item, o| send(item.payload, o));
-        }
-    }
-
-    fn control_loop(&self) {
-        let mut rng = StdRng::seed_from_u64(self.cfg.base_seed);
-        while !self.stop.load(Ordering::Relaxed) {
-            let t = self.clock.now_ms();
-            if let Some(fleet) = &self.env.fleet {
-                self.rt.apply_fleet_trace(fleet, t);
-            }
-            self.rt.tick(&self.env.network_at(t), t, &mut rng);
-            thread::sleep(self.clock.wall(self.cfg.tick_interval_ms));
+            control.tick(&self.env, &self.rt, self.clock.now_ms());
         }
     }
 }
 
 /// Handle to a running server. Dropping it without
-/// [`shutdown`](ServeHandle::shutdown) aborts the control thread and
-/// drains the queues (the drop impl shuts down cleanly).
+/// [`shutdown`](ServeHandle::shutdown) shuts it down cleanly all the same.
 pub struct ServeHandle {
     core: Arc<ServerCore>,
-    workers: Vec<thread::JoinHandle<()>>,
-    pipeline: Option<thread::JoinHandle<()>>,
+    dispatch: Option<thread::JoinHandle<()>>,
     control: Option<thread::JoinHandle<()>>,
 }
 
 impl ServeHandle {
-    /// Boots the server: one synchronous warm-up tick (so the monitor is
-    /// ready before the first request), then the control thread, the
-    /// worker pool and, when a class streams, the pipeline thread.
+    /// Boots the server (one synchronous warm-up tick, so the monitor is
+    /// ready before the first request; the pipeline plan when a class
+    /// streams) and starts its two threads, dispatch and control.
     pub fn start(rt: Arc<SharedRuntime>, env: EnvModel, cfg: ServeConfig) -> Self {
         let clock = Clock::new(cfg.time_scale);
-        // Warm-up tick at t=0 so serve_decide never sees a cold monitor.
-        let mut rng = StdRng::seed_from_u64(cfg.base_seed ^ 0x5eed);
-        rt.tick(&env.network_at(0.0), 0.0, &mut rng);
-        // Boot the stage-parallel pipeline when a class opted into
-        // throughput mode and the planner finds a placement. On `None`
-        // (planner infeasible) pipeline classes fall back to the batched
-        // path — slower, never wrong.
-        let pipeline = cfg
-            .classes
-            .iter()
-            .find(|c| c.pipeline)
-            .and_then(|c| rt.pipeline_decide(c.slo(), &env.network_at(0.0)))
-            .map(|deploy| Pipeline::new(&cfg, &deploy));
-        let streams = pipeline.is_some();
+        let (control, engine) = boot(&rt, &env, &cfg, 0.0);
         let core = Arc::new(ServerCore {
             rt,
             env,
-            clock,
-            cores: Mutex::new(Cores { policy: Policy::new(&cfg), pipeline }),
             cfg,
-            work: Condvar::new(),
-            pipe_work: Condvar::new(),
+            clock,
+            engine: Mutex::new(engine),
+            wake: Condvar::new(),
             next_id: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
-        let spawn = |name: String, run: fn(&ServerCore)| {
+        let spawn = |name: &str, run: Box<dyn FnOnce(&ServerCore) + Send>| {
             let core = Arc::clone(&core);
             thread::Builder::new()
-                .name(name.clone())
+                .name(name.into())
                 .spawn(move || run(&core))
                 .unwrap_or_else(|e| panic!("spawning {name}: {e}"))
         };
-        let workers = (0..core.cfg.n_workers)
-            .map(|i| spawn(format!("serve-worker-{i}"), ServerCore::worker_loop))
-            .collect();
-        let pipeline = streams.then(|| spawn("serve-pipeline".into(), ServerCore::pipeline_loop));
-        let control = Some(spawn("serve-control".into(), ServerCore::control_loop));
-        ServeHandle { core, workers, pipeline, control }
+        let dispatch = spawn("serve-dispatch", Box::new(ServerCore::dispatch_loop));
+        let control = spawn("serve-control", Box::new(move |c| c.control_loop(control)));
+        ServeHandle { core, dispatch: Some(dispatch), control: Some(control) }
     }
 
     /// The server's virtual clock.
@@ -499,96 +464,58 @@ impl ServeHandle {
         &self.core.clock
     }
 
-    /// The shared runtime this server decides on (gossip hooks publish
-    /// and fold health through it).
-    pub fn runtime(&self) -> &Arc<SharedRuntime> {
-        &self.core.rt
-    }
-
     /// Submits a request to `class` and returns the channel its outcome
     /// will arrive on. Admission control and queue bounds may resolve it
     /// immediately (the rejection is already in the channel on return).
     pub fn submit(&self, class: usize) -> Receiver<ServeOutcome> {
-        assert!(class < self.core.cfg.classes.len(), "unknown class {class}");
         let core = &self.core;
+        assert!(class < core.cfg.classes.len(), "unknown class {class}");
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel();
         let now = core.clock.now_ms();
-        let mut cores = core.cores();
-        // Throughput-mode classes stream through the pipeline; everything
-        // else takes the batched worker path below.
-        if let (true, Some(pipe)) = (core.cfg.classes[class].pipeline, cores.pipeline.as_mut()) {
-            pipe.submit(id, class, now, Some(tx), &|dev, t| core.slow(dev, t));
-            pipe.exits().for_each(|(reply, outcome)| send(reply, outcome));
-            drop(cores);
-            core.pipe_work.notify_one();
-            return rx;
-        }
-        let queued = cores.policy.submit(id, class, now, Some(tx));
-        drop(cores);
-        match queued {
-            Ok(()) => core.work.notify_one(),
-            Err((reason, Some(tx))) => {
-                let _ = tx.send(ServeOutcome::Rejected(Rejection { id, class, reason, t_ms: now }));
-            }
-            Err((_, None)) => {}
-        }
+        let mut engine = core.engine();
+        engine.submit(id, class, now, tx, &|dev, t| core.slow(dev, t));
+        send(engine.exits());
+        drop(engine);
+        core.wake.notify_one();
         rx
     }
 
     /// Submits and blocks for the outcome. When the server is completely
-    /// idle (and the config allows), serves inline on this thread —
-    /// skipping the queue handoff so a lone request pays essentially the
-    /// direct-infer price.
+    /// idle (and the config allows), the request's dispatch runs on this
+    /// thread, so a lone request pays no hand-off before its decision.
     pub fn submit_wait(&self, class: usize) -> ServeOutcome {
         let core = &self.core;
         assert!(class < core.cfg.classes.len(), "unknown class {class}");
-        if core.cfg.inline_when_idle && !core.cfg.classes[class].pipeline {
-            if let Some(outcome) = self.serve_inline(class) {
-                return outcome;
-            }
-        }
-        match self.submit(class).recv() {
-            Ok(outcome) => outcome,
-            // The server dropped the sender without resolving — a crash or
-            // a panicked worker; surface it as a shutdown.
-            Err(_) => {
-                core.cores().policy.note_reject(&RejectReason::Shutdown);
-                let t_ms = core.clock.now_ms();
-                ServeOutcome::Rejected(Rejection {
-                    id: u64::MAX,
-                    class,
-                    reason: RejectReason::Shutdown,
-                    t_ms,
-                })
-            }
-        }
+        let rx = self.submit_inline(class).unwrap_or_else(|| self.submit(class));
+        // A sender dropped unresolved means a panicked thread: surface it
+        // as a shutdown.
+        rx.recv().unwrap_or_else(|_| {
+            let (reason, t_ms) = (RejectReason::Shutdown, core.clock.now_ms());
+            core.engine().note_reject(&reason);
+            ServeOutcome::Rejected(Rejection { id: u64::MAX, class, reason, t_ms })
+        })
     }
 
-    /// The idle fast path: the same batch path for a batch of one, run on
-    /// the caller's thread with no queue and no handoff. `None` when the
-    /// server is not idle.
-    fn serve_inline(&self, class: usize) -> Option<ServeOutcome> {
+    /// The idle fast path: a batch of one, dispatched and decided on the
+    /// caller's thread with no queue. `None` when the server is not idle
+    /// or the class streams.
+    fn submit_inline(&self, class: usize) -> Option<Receiver<ServeOutcome>> {
         let core = &self.core;
-        let mut cores = core.cores();
-        if !cores.policy.is_idle() {
+        if !core.cfg.inline_when_idle || core.cfg.classes[class].pipeline {
+            return None;
+        }
+        let mut engine = core.engine();
+        if !engine.is_idle() {
             return None;
         }
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
-        let now = core.clock.now_ms();
-        let admitted = cores.policy.submit_inline(id, class, now, None);
-        drop(cores);
-        match admitted {
-            Ok(batch) => {
-                // A batch resolves each member exactly once.
-                let mut outcome = None;
-                core.serve_batch(batch, now, |_, o| outcome = Some(o));
-                outcome
-            }
-            Err((reason, _)) => {
-                Some(ServeOutcome::Rejected(Rejection { id, class, reason, t_ms: now }))
-            }
-        }
+        let (tx, rx) = channel();
+        engine.submit_inline(id, class, core.clock.now_ms(), tx);
+        drop(core.run(engine));
+        // The batch now serves; the dispatch thread ends it.
+        core.wake.notify_one();
+        Some(rx)
     }
 
     /// Marks a device down mid-load (chaos hook; also purges cached
@@ -606,15 +533,10 @@ impl ServeHandle {
         self.core.rt.observe(self.core.clock.now_ms(), [Input::Force { dev, status }]);
     }
 
-    /// Counter snapshot: the batched path's policy plus the pipeline,
-    /// read under one lock.
+    /// Counter snapshot: the batched path plus the pipeline, read under one
+    /// lock, and the runtime's gray transitions.
     pub fn stats(&self) -> ServeStats {
-        let cores = self.core.cores();
-        let mut s = cores.policy.stats();
-        if let Some(pipe) = &cores.pipeline {
-            s.absorb(&pipe.stats());
-        }
-        drop(cores);
+        let s = self.core.engine().stats();
         let gray = self.core.rt.fleet().transitions;
         ServeStats {
             gray_suspects: gray.suspects,
@@ -628,29 +550,10 @@ impl ServeHandle {
     /// is running one (a throughput-mode class + feasible plan).
     pub fn pipeline_stats(&self) -> Option<PipelineSnapshot> {
         let now = self.core.clock.now_ms();
-        self.core.cores().pipeline.as_ref().map(|p| p.snapshot(now))
+        self.core.engine().pipeline_snapshot(now)
     }
 
-    /// The runtime's fleet view: per device, down, graded gray health,
-    /// placeable and routing penalty (pass-through).
-    pub fn fleet(&self) -> FleetSnapshot {
-        self.core.rt.fleet()
-    }
-
-    /// Feeds a measured per-device execution latency into the runtime's
-    /// gray-failure detector (chaos hook for straggler experiments; the
-    /// runtime quarantines devices whose latencies walk into the tail).
-    pub fn report_exec_latency(&self, dev: usize, latency_ms: f64) {
-        let t = self.core.clock.now_ms();
-        self.core.rt.observe(t, [Input::Latency { dev, ms: latency_ms }]);
-    }
-
-    /// Runtime cache statistics (pass-through).
-    pub fn cache_stats(&self) -> murmuration_core::cache::CacheStats {
-        self.core.rt.cache_stats()
-    }
-
-    /// Stops admission, drains every queued request, joins all threads,
+    /// Stops admission, drains every queued request, joins both threads,
     /// and returns the final counter snapshot. After shutdown,
     /// `completed + rejected == submitted`.
     pub fn shutdown(mut self) -> ServeStats {
@@ -658,41 +561,35 @@ impl ServeHandle {
         self.stats()
     }
 
-    /// Abrupt stop — a simulated coordinator crash. Queued requests, and
-    /// those waiting to enter the pipeline, are *dropped unresolved* (their
-    /// outcome channels close, so waiting submitters see a disconnect and
-    /// can retry on a failover standby); batches mid-service and jobs
-    /// inside the pipeline finish, like responses already on the wire. On
-    /// return `completed + rejected + dropped == submitted`; the failover
-    /// layer re-serves the dropped. Returns `(final stats, dropped count)`.
+    /// Abrupt stop — a simulated coordinator crash. Requests not yet
+    /// dispatched (queued, gathering a batch, or waiting to enter the
+    /// pipeline) are *dropped unresolved* (their outcome channels close, so
+    /// waiting submitters see a disconnect and can retry on a failover
+    /// standby); dispatched batches and jobs inside the pipeline finish,
+    /// like responses already on the wire. On return `completed + rejected
+    /// + dropped == submitted`; the failover layer re-serves the dropped.
+    /// Returns `(final stats, dropped count)`.
     pub fn kill(mut self) -> (ServeStats, usize) {
         let dropped = self.stop(true);
         (self.stats(), dropped)
     }
 
-    /// Stops admission on both cores, dropping what is queued on `abort`,
-    /// and joins every thread once the accepted work has resolved.
+    /// Stops admission, dropping what is not yet dispatched on `abort`,
+    /// and joins both threads once the accepted work has resolved.
     /// Returns how many requests were dropped.
     fn stop(&mut self, abort: bool) -> usize {
-        let mut cores = self.core.cores();
-        let dropped = if abort {
-            cores.policy.abort().len() + cores.pipeline.as_mut().map_or(0, |p| p.abort().len())
-        } else {
-            cores.policy.shutdown();
-            cores.pipeline.iter_mut().for_each(Pipeline::shutdown);
-            0
-        };
-        drop(cores);
-        self.core.work.notify_all();
-        self.core.pipe_work.notify_all();
-        // The pipeline drains before the control thread stops ticking.
-        if let Some(p) = self.pipeline.take() {
-            let _ = p.join();
+        let mut engine = self.core.engine();
+        let dropped = if abort { engine.abort().len() } else { 0 };
+        if !abort {
+            engine.shutdown();
+        }
+        drop(engine);
+        self.core.wake.notify_all();
+        // The engine drains before the control thread stops ticking.
+        if let Some(d) = self.dispatch.take() {
+            let _ = d.join();
         }
         self.core.stop.store(true, Ordering::Relaxed);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
         if let Some(c) = self.control.take() {
             let _ = c.join();
         }
@@ -709,7 +606,7 @@ impl Drop for ServeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::default_classes;
+    use crate::class::{default_classes, ClassSpec};
     use murmuration_core::RuntimeConfig;
     use murmuration_partition::compliance::Slo;
     use murmuration_rl::{LstmPolicy, Scenario, SloKind};
@@ -725,5 +622,36 @@ mod tests {
             ServeConfig { service_sleep: false, ..ServeConfig::engineered(default_classes()) };
         let handle = ServeHandle::start(Arc::new(rt), EnvModel::constant(link, 1), cfg);
         let _ = handle.submit_wait(3);
+    }
+
+    #[test]
+    fn a_running_server_owns_two_threads_for_any_worker_count() {
+        let sc = Scenario::device_swarm(5, SloKind::Latency);
+        let link = LinkState { bandwidth_mbps: 400.0, delay_ms: 2.0 };
+        for (n_workers, stream) in [(1, false), (2, false), (16, false), (4, true)] {
+            let policy = LstmPolicy::new(sc.input_dim(), 16, sc.arities(), 1);
+            let rt = SharedRuntime::new(
+                sc.clone(),
+                policy,
+                RuntimeConfig::default(),
+                Slo::LatencyMs(1e4),
+            );
+            let class = ClassSpec::latency("stream", 1e4, 64);
+            let classes = vec![if stream { class.with_pipeline() } else { class }];
+            let cfg =
+                ServeConfig { n_workers, service_sleep: false, ..ServeConfig::engineered(classes) };
+            let handle = ServeHandle::start(Arc::new(rt), EnvModel::constant(link, 4), cfg);
+            assert_eq!(handle.pipeline_stats().is_some(), stream, "{n_workers} workers");
+            let names: Vec<&str> = [&handle.dispatch, &handle.control]
+                .into_iter()
+                .flatten()
+                .filter_map(|t| t.thread().name())
+                .collect();
+            assert_eq!(names, ["serve-dispatch", "serve-control"], "{n_workers} workers");
+            let served = (0..8).map(|_| handle.submit(0)).filter(|rx| rx.recv().is_ok()).count();
+            assert_eq!(served, 8);
+            let s = handle.shutdown();
+            assert_eq!((s.submitted, s.completed + s.rejected), (8, 8), "{s:?}");
+        }
     }
 }

@@ -92,6 +92,10 @@ if ! grep -q '^mod policy;' crates/serve/src/lib.rs; then
     echo "error: crates/serve/src/policy.rs left the crate-wide lint gate" >&2
     exit 1
 fi
+if ! grep -q '^mod engine;' crates/serve/src/lib.rs; then
+    echo "error: crates/serve/src/engine.rs left the crate-wide lint gate" >&2
+    exit 1
+fi
 # The serving policy is one clockless, threadless core driven by both the
 # threaded server and the campaign's virtual-time loop: instants are passed
 # in, never read, and locking belongs to the drivers.
@@ -103,6 +107,21 @@ fi
 # and the campaign's event loop step the same core.
 if grep -nE 'std::sync|std::thread|std::time|Instant|Clock' crates/serve/src/pipeline.rs; then
     echo "error: crates/serve/src/pipeline.rs names a clock, a thread or a lock" >&2
+    exit 1
+fi
+# The serving engine (service slots, the batching window, the order of
+# events) steps both cores for both drivers: instants and slowdowns come in
+# as arguments, and decide/deploy on the runtime is the driver's effect.
+if grep -nE 'std::sync|std::thread|std::time|Instant|Clock|SharedRuntime' crates/serve/src/engine.rs; then
+    echo "error: crates/serve/src/engine.rs names a clock, a thread, a lock or the runtime" >&2
+    exit 1
+fi
+# The threaded server and the campaign step the engine and nothing else:
+# neither names the policy or pipeline core, so the rules and the stepping
+# each live in one place.
+if grep -nE '\b(Policy|Pipeline)(<|::)|crate::policy|pipeline::Pipeline\b' \
+        crates/serve/src/server.rs crates/serve/src/campaign.rs; then
+    echo "error: a serving driver steps the policy or pipeline core directly; go through serve::engine" >&2
     exit 1
 fi
 # The fleet view (liveness, gray health, peer reputation) is the same kind
