@@ -30,6 +30,7 @@ use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
     qconv2d, qgemm_f32, quantize_activations, QConv2dWeights, QGemmWeights,
 };
+use murmuration_tensor::matvec::{pack_panels, panel_matvec};
 use murmuration_tensor::quant::{BitWidth, QuantizedTensor};
 use murmuration_tensor::simd;
 use murmuration_tensor::tile::{merge_fdsp, split_fdsp, GridSpec};
@@ -252,6 +253,26 @@ fn main() {
         qe.vs_f32_mean_us = Some(dense.mean_us);
         entries.push(dense);
         entries.push(qe);
+    }
+
+    // One LSTM gate step of the policy network (`rl::policy`: 256 hidden
+    // units over a 20-wide input, 1 024 gate rows × 276 columns), vector
+    // and forced scalar. Report-only: like `quant/dequantize_b8`, it gets a
+    // floor once `measure()` states each row against its own spread
+    // (ROADMAP item 3b).
+    {
+        let (rows, k) = (1024usize, 276usize);
+        let w = Tensor::rand_uniform(Shape::d2(rows, k), 0.1, &mut rng);
+        let v = Tensor::rand_uniform(Shape::d1(k), 1.0, &mut rng);
+        let b = Tensor::rand_uniform(Shape::d1(rows), 1.0, &mut rng);
+        let packed = pack_panels(rows, k, |r, c| w.data()[r * k + c]);
+        let (x, h) = v.data().split_at(20);
+        let mut out = vec![0.0f32; rows];
+        let mut gates = || panel_matvec(&packed, x, h, b.data(), &mut out);
+        entries.push(time_it("matvec/lstm_gates_1024x276", budget_ms, &mut gates));
+        simd::force_scalar(true);
+        entries.push(time_it("matvec/lstm_gates_1024x276_scalar", budget_ms, &mut gates));
+        simd::force_scalar(false);
     }
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -6,12 +6,17 @@
 //! digests were recorded on the scalar, one-accumulator-per-row kernel and
 //! the rebuild-every-rung ladder; any faster implementation must reproduce
 //! them exactly (no FMA, no reassociation — see DESIGN.md, "Decision-path
-//! cost").
+//! cost"), on the portable gate loop and on the AVX2 kernel alike.
 
 use murmuration_rl::env::decide_guarded;
 use murmuration_rl::{ActionHead, LstmPolicy, Scenario, SloKind};
+use murmuration_tensor::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+/// The dispatch override is process-wide; each check pins it in turn.
+static DISPATCH: Mutex<()> = Mutex::new(());
 
 const HEADS: [ActionHead; 4] =
     [ActionHead::Resolution, ActionHead::Kernel, ActionHead::Device, ActionHead::Quant];
@@ -62,14 +67,20 @@ fn digests(sc: &Scenario) -> (u64, u64) {
     (steps.0, decisions.0)
 }
 
+/// Checks both dispatch paths: the portable panel loop, then the vector
+/// kernel (the portable loop again on a CPU without AVX2).
 fn check(name: &str, sc: &Scenario, want: (u64, u64)) {
-    let got = digests(sc);
-    println!("{name}: steps {:016x} decisions {:016x}", got.0, got.1);
-    assert_eq!(
-        got, want,
-        "{name}: decision-path bits moved (steps {:016x}, decisions {:016x})",
-        got.0, got.1
-    );
+    let _pinned = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
+    for (scalar, path) in [(true, "portable"), (false, "vector")] {
+        simd::force_scalar(scalar);
+        let got = digests(sc);
+        println!("{name} ({path}): steps {:016x} decisions {:016x}", got.0, got.1);
+        assert_eq!(
+            got, want,
+            "{name} ({path}): decision-path bits moved (steps {:016x}, decisions {:016x})",
+            got.0, got.1
+        );
+    }
 }
 
 #[test]

@@ -20,6 +20,8 @@
 //! * [`int8`] — an end-to-end int8 *compute* path: per-channel i8 weights,
 //!   per-tensor i8 activations, i32-accumulating quantized GEMM with a fused
 //!   requantize epilogue, and an int8 im2col convolution.
+//! * [`matvec`] — a matrix-vector product over packed row panels whose
+//!   rows each keep one serial rounding chain: the LSTM policy's gates.
 //! * [`simd`] — runtime-dispatched AVX2/FMA microkernels behind every hot
 //!   loop above, with `MURMURATION_FORCE_SCALAR` forcing the portable
 //!   fallback for testing.
@@ -47,6 +49,7 @@ pub mod activation;
 pub mod conv;
 pub mod gemm;
 pub mod int8;
+pub mod matvec;
 pub mod pad;
 pub mod par;
 pub mod pool;

@@ -29,6 +29,10 @@
 //!   path by O(k) ULPs over a k-long reduction — never more. Within one
 //!   path, the direct-convolution tile and the GEMM tile over the unfolded
 //!   image agree bit for bit (`tests/conv_direct_exact.rs`).
+//! * The panel mat-vec ([`matvec_panel_pairs`]) is the exception: it feeds
+//!   the policy's argmaxes, so it multiplies and adds separately, row by
+//!   row in the scalar order, and is **bit-exact** against the portable
+//!   loop (`tests/simd_parity.rs`).
 //! * Integer kernels (int8 GEMM, quantize encode) are **bit-exact** against
 //!   their scalar counterparts: i32 accumulation is exact in both, and both
 //!   sides round with round-to-nearest-even (`f32::round_ties_even` scalar,
@@ -310,6 +314,92 @@ unsafe fn conv_tile_16_avx2(
             }
             _mm256_storeu_ps(out[r].add(half * 8), v);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f32 panel mat-vec, one serial chain per row
+// ---------------------------------------------------------------------------
+
+/// Runs the leading pairs of panels of [`crate::matvec::panel_matvec`]
+/// (same arguments, same contract) and returns how many panels it wrote:
+/// an even count, the odd tail panel left to the caller. Two panels side by
+/// side keep eight accumulator chains in flight where one panel's 32 rows
+/// are four `ymm` registers each waiting out its add's latency. Every lane
+/// adds the separately rounded product of its own weight and the broadcast
+/// input, bias first, then `x`, then `h` in index order — never fused, never
+/// reassociated — so each row's bits are those of one scalar accumulator.
+/// Returns 0 when the CPU lacks AVX2/FMA; nothing is written.
+pub fn matvec_panel_pairs(
+    packed: &[f32],
+    x: &[f32],
+    h: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) -> usize {
+    if !detected() {
+        return 0;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        const P: usize = crate::matvec::PANEL;
+        let k = x.len() + h.len();
+        let pairs = out.len().div_ceil(P) / 2;
+        assert_eq!(bias.len(), out.len(), "one bias per row");
+        assert!(packed.len() >= pairs * 2 * k * P, "packed weights shorter than the panels");
+        for ((w, b), o) in packed
+            .chunks_exact(2 * k * P)
+            .take(pairs)
+            .zip(bias.chunks(2 * P))
+            .zip(out.chunks_mut(2 * P))
+        {
+            let mut acc = [0.0f32; 2 * P];
+            acc[..b.len()].copy_from_slice(b);
+            // SAFETY: AVX2 presence was checked via `detected()`. `w` holds
+            // the pair's two panels, `2 * k * P` f32 (a `chunks_exact`
+            // chunk), which is every weight the kernel reads; `x` and `h`
+            // are read through their slices and `acc` is stack storage.
+            unsafe { matvec_panel_pair_avx2(w.as_ptr(), x, h, &mut acc) };
+            o.copy_from_slice(&acc[..o.len()]);
+        }
+        2 * pairs
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (packed, x, h, bias, out);
+        0
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX2 is available and `w` is valid for
+/// `2 * (x.len() + h.len()) * 32` f32 reads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)] // two halves of one accumulator array
+unsafe fn matvec_panel_pair_avx2(mut w: *const f32, x: &[f32], h: &[f32], acc: &mut [f32; 64]) {
+    use std::arch::x86_64::*;
+    // Lanes 0..32 are the first panel's rows, 32..64 the second's, whose
+    // weights sit one panel (`k * 32` f32) further on.
+    let second = 32 * (x.len() + h.len());
+    let mut a = [_mm256_setzero_ps(); 8];
+    for j in 0..8 {
+        a[j] = _mm256_loadu_ps(acc.as_ptr().add(8 * j));
+    }
+    for v in [x, h] {
+        for &s in v {
+            let s = _mm256_set1_ps(s);
+            for j in 0..4 {
+                let (wa, wb) =
+                    (_mm256_loadu_ps(w.add(8 * j)), _mm256_loadu_ps(w.add(second + 8 * j)));
+                a[j] = _mm256_add_ps(a[j], _mm256_mul_ps(wa, s));
+                a[4 + j] = _mm256_add_ps(a[4 + j], _mm256_mul_ps(wb, s));
+            }
+            w = w.add(32);
+        }
+    }
+    for j in 0..8 {
+        _mm256_storeu_ps(acc.as_mut_ptr().add(8 * j), a[j]);
     }
 }
 

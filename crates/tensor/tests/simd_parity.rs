@@ -15,6 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use murmuration_tensor::conv::{conv2d, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::gemm;
+use murmuration_tensor::matvec::{pack_panels, panel_matvec};
 use murmuration_tensor::quant::{BitWidth, QuantizedTensor};
 use murmuration_tensor::simd;
 use murmuration_tensor::{Shape, Tensor};
@@ -69,6 +70,37 @@ fn gemm_paths_agree_on_tile_edge_sizes() {
                 "({m},{k},{n}) element {i}: simd {x} vs scalar {y}"
             );
         }
+    }
+}
+
+#[test]
+fn panel_matvec_is_one_serial_chain_per_row_on_both_paths() {
+    // Odd and even panel counts, partial last panels, an empty `h`: the
+    // vector path pairs panels and leaves an odd tail to the portable loop.
+    for &(rows, nx, nh) in
+        &[(1, 1, 0), (20, 3, 5), (64, 4, 7), (80, 2, 20), (96, 6, 0), (130, 5, 9), (1024, 20, 256)]
+    {
+        let mut rng = StdRng::seed_from_u64((rows * 31 + nx * 7 + nh) as u64);
+        let k = nx + nh;
+        let w = rand_vec(rows * k, &mut rng);
+        let (x, h, bias) =
+            (rand_vec(nx, &mut rng), rand_vec(nh, &mut rng), rand_vec(rows, &mut rng));
+        let packed = pack_panels(rows, k, |r, c| w[r * k + c]);
+        let want: Vec<f32> = (0..rows)
+            .map(|r| {
+                w[r * k..(r + 1) * k]
+                    .iter()
+                    .zip(x.iter().chain(&h))
+                    .fold(bias[r], |a, (w, v)| a + w * v)
+            })
+            .collect();
+        let (v, s, _g) = both_paths(|| {
+            let mut out = vec![f32::NAN; rows];
+            panel_matvec(&packed, &x, &h, &bias, &mut out);
+            bits_of(&out)
+        });
+        assert_eq!(v, bits_of(&want), "{rows} rows, {nx}+{nh} columns, vector path");
+        assert_eq!(s, bits_of(&want), "{rows} rows, {nx}+{nh} columns, portable path");
     }
 }
 

@@ -138,12 +138,13 @@ if grep -nE 'Instant::now|std::thread|std::sync|Mutex|Condvar|Atomic' crates/tra
     exit 1
 fi
 
-echo "==> unsafe-block safety-comment lint (SIMD kernels, helper pool, split convolution)"
+echo "==> unsafe-block safety-comment lint (SIMD kernels, helper pool, split convolution, panel mat-vec)"
 # Every `unsafe fn` / `unsafe {` / `unsafe impl` in the hand-written kernel
 # modules must be preceded (within 12 lines, spanning doc sections and
 # attributes) by a SAFETY comment or a # Safety doc section.
 for f in crates/tensor/src/simd.rs crates/tensor/src/int8.rs \
-         crates/tensor/src/par.rs crates/tensor/src/conv.rs; do
+         crates/tensor/src/par.rs crates/tensor/src/conv.rs \
+         crates/tensor/src/matvec.rs; do
     if ! awk -v file="$f" '
         BEGIN { bad = 0 }
         { line[NR] = $0 }
