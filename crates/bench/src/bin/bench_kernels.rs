@@ -13,8 +13,9 @@
 //! slow seed kernels and fast optimized kernels both get stable numbers.
 //!
 //! The `conv2d/dense_*` rows split each image across the tensor crate's
-//! helper pool, so they depend on the thread count, which the header and the
-//! JSON's `threads` key state (`available_parallelism`, which honours the
+//! helper pool, and `rl/greedy_rollout_1024x276` each roll-out step (beside
+//! its `_inline` twin on a pool without helpers), so they depend on the
+//! thread count, which the header and the JSON's `threads` key state (`available_parallelism`, which honours the
 //! CPU affinity mask: under `taskset -c 0` it is 1 and nothing splits). The
 //! int8 `qconv2d` does not split, so its `vs_f32` ratio falls as threads rise.
 //!
@@ -25,12 +26,15 @@
 //! runs it under a timeout as the perf-regression leg of CI.
 
 use murmuration_bench::emit;
+use murmuration_rl::env::greedy_rollout_on;
+use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
     qconv2d, qgemm_f32, quantize_activations, QConv2dWeights, QGemmWeights,
 };
 use murmuration_tensor::matvec::{pack_panels, panel_matvec};
+use murmuration_tensor::par::Pool;
 use murmuration_tensor::quant::{BitWidth, QuantizedTensor};
 use murmuration_tensor::simd;
 use murmuration_tensor::tile::{merge_fdsp, split_fdsp, GridSpec};
@@ -268,15 +272,32 @@ fn main() {
         let packed = pack_panels(rows, k, |r, c| w.data()[r * k + c]);
         let (x, h) = v.data().split_at(20);
         let mut out = vec![0.0f32; rows];
-        let mut gates = || panel_matvec(&packed, x, h, b.data(), &mut out);
+        let mut gates = || panel_matvec(simd::simd_active(), &packed, x, h, b.data(), &mut out);
         entries.push(time_it("matvec/lstm_gates_1024x276", budget_ms, &mut gates));
         simd::force_scalar(true);
         entries.push(time_it("matvec/lstm_gates_1024x276_scalar", budget_ms, &mut gates));
         simd::force_scalar(false);
     }
 
+    // A whole greedy roll-out of that policy (`bench_e2e`'s: 47 steps over
+    // `device_swarm(4)`), its steps split across the helper pool and inline
+    // on a pool without helpers. Report-only, as the gate rows.
+    {
+        let sc = Scenario::device_swarm(4, SloKind::Latency);
+        let policy = LstmPolicy::new(sc.input_dim(), 256, sc.arities(), 0x6d75_726d);
+        let cond = sc.condition_from_indices(3, &[4; 3], &[5; 3]);
+        let inline = Pool::new(0);
+        let mut split = || greedy_rollout_on(Pool::global(), &policy, &sc, &cond);
+        entries.push(time_it("rl/greedy_rollout_1024x276", budget_ms, &mut split));
+        let mut alone = || greedy_rollout_on(inline, &policy, &sc, &cond);
+        entries.push(time_it("rl/greedy_rollout_1024x276_inline", budget_ms, &mut alone));
+    }
+
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("threads: {threads} (available_parallelism; conv2d/dense_* rows split across them)");
+    println!(
+        "threads: {threads} (available_parallelism; conv2d/dense_* and rl/greedy_rollout rows \
+         split across them)"
+    );
     println!(
         "{:<42} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "kernel", "mean_us", "min_us", "iters", "speedup", "vs_f32"

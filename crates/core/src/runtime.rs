@@ -30,7 +30,7 @@ use crate::monitor::{LinkEstimate, NetworkMonitor};
 use crate::predictor::MonitorPredictor;
 use crate::reconfig::InMemorySupernet;
 use crate::slo::SloApi;
-use murmuration_edgesim::{FleetTrace, NetworkState};
+use murmuration_edgesim::NetworkState;
 use murmuration_partition::compliance::Slo;
 use murmuration_partition::evolutionary::Genome;
 use murmuration_partition::pipeline::{plan_pipeline, score_pipeline, PipelinePlan};
@@ -257,16 +257,6 @@ impl SharedRuntime {
             drop(fleet);
             self.decision.purge_infeasible(&placeable);
         }
-    }
-
-    /// Forces every device's status from a fault trace at `t_ms`. `Slow`
-    /// devices stay up but carry the trace's slowdown as a routing
-    /// penalty, so decisions route around them proportionally (a 10×
-    /// brownout is worth avoiding even before the latency trackers see
-    /// it).
-    pub fn apply_fleet_trace(&self, trace: &FleetTrace, t_ms: f64) {
-        let n = self.scenario().devices.len().min(trace.n_devices());
-        self.observe(t_ms, (1..n).map(|dev| Input::Force { dev, status: trace.status(dev, t_ms) }));
     }
 
     /// Clamps the links of unplaceable devices to the scenario's worst
@@ -627,16 +617,19 @@ mod tests {
 
     #[test]
     fn fleet_trace_drives_runtime_health() {
-        use murmuration_edgesim::DeviceTrace;
+        use murmuration_edgesim::{DeviceTrace, FleetTrace};
         let rt = runtime();
         let n = rt.scenario().devices.len();
         let mut fleet = FleetTrace::always_up(n);
         fleet.set(1, DeviceTrace::down_between(50.0, 150.0));
-        rt.apply_fleet_trace(&fleet, 0.0);
+        let apply = |t: f64| {
+            rt.observe(t, (1..n).map(|dev| Input::Force { dev, status: fleet.status(dev, t) }));
+        };
+        apply(0.0);
         assert!(rt.fleet().devices.iter().all(|d| !d.down));
-        rt.apply_fleet_trace(&fleet, 100.0);
+        apply(100.0);
         assert!(rt.fleet().devices[1].down);
-        rt.apply_fleet_trace(&fleet, 200.0);
+        apply(200.0);
         assert!(!rt.fleet().devices[1].down);
     }
 

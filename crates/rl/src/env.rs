@@ -8,12 +8,13 @@
 //! network condition, paying the reward of Eq. (2) (latency SLO) or
 //! Eq. (3) (accuracy SLO).
 
-use crate::policy::{ActionHead, LstmPolicy, NUM_HEADS};
+use crate::policy::{ActionHead, LstmPolicy, NUM_HEADS, SPLIT_MIN_MACS};
 use murmuration_edgesim::device::{augmented_computing_devices, device_swarm_devices};
 use murmuration_edgesim::{Device, LinkState, NetworkState};
 use murmuration_partition::evolutionary::Genome;
 use murmuration_partition::{ExecutionPlan, LatencyEstimator};
 use murmuration_supernet::{AccuracyModel, SearchSpace, SubnetConfig, SubnetSpec};
+use murmuration_tensor::par::{Pool, Rounds};
 use rand::Rng;
 
 /// Which quantity the SLO constrains.
@@ -188,23 +189,26 @@ impl Scenario {
 
     /// The decision schedule: which head acts at each step.
     pub fn schedule(&self) -> Vec<ActionHead> {
-        let mut s = Vec::with_capacity(2 + 9 * self.space.num_stages);
-        s.push(ActionHead::Resolution);
-        for _ in 0..self.space.num_stages {
-            s.extend([
-                ActionHead::Kernel,
-                ActionHead::Depth,
-                ActionHead::Expand,
-                ActionHead::Quant,
-                ActionHead::Partition,
-                ActionHead::Device,
-                ActionHead::Device,
-                ActionHead::Device,
-                ActionHead::Device,
-            ]);
-        }
-        s.push(ActionHead::Device); // head placement
-        s
+        self.heads().collect()
+    }
+
+    /// [`schedule`](Self::schedule) without the vector: `2 + 9 · stages`
+    /// heads.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = ActionHead> {
+        const STAGE: [ActionHead; 9] = [
+            ActionHead::Kernel,
+            ActionHead::Depth,
+            ActionHead::Expand,
+            ActionHead::Quant,
+            ActionHead::Partition,
+            ActionHead::Device,
+            ActionHead::Device,
+            ActionHead::Device,
+            ActionHead::Device,
+        ];
+        std::iter::once(ActionHead::Resolution)
+            .chain((0..self.space.num_stages).flat_map(|_| STAGE))
+            .chain(std::iter::once(ActionHead::Device)) // head placement
     }
 
     fn head_arities(&self) -> [usize; NUM_HEADS] {
@@ -454,24 +458,38 @@ pub enum RolloutMode {
 
 /// The episode loop every roll-out shares: builds each step's input in a
 /// reused buffer, advances the policy in place and lets `choose` pick from
-/// `(input, head, logits)`. Nothing is allocated per step.
+/// `(input, head, logits)`. A policy whose step carries at least `min_macs`
+/// gate multiply-adds runs its steps as one lockstep job on `pool`, each
+/// step's parts split between this thread and a helper
+/// ([`LstmPolicy::advance_on`]); a smaller one, or a busy or helperless
+/// pool, runs them here. The bits are the same either way. Nothing is
+/// allocated per step.
 fn run_episode(
+    pool: &Pool,
+    min_macs: usize,
     policy: &LstmPolicy,
     scenario: &Scenario,
     cond: &Condition,
     mut choose: impl FnMut(&[f32], ActionHead, &[f32]) -> usize,
 ) -> Vec<usize> {
-    let sched = scenario.schedule();
+    let steps = scenario.heads().count();
     let mut st = policy.initial_state();
     let mut x = Vec::with_capacity(scenario.input_dim());
-    let mut actions = Vec::with_capacity(sched.len());
-    let mut prev_frac = 0.0f32;
-    for (t, &head) in sched.iter().enumerate() {
-        scenario.write_input(&mut x, cond, t, sched.len(), head, prev_frac);
-        policy.advance(&x, &mut st, head);
-        let a = choose(&x, head, st.logits());
-        prev_frac = (a + 1) as f32 / st.logits().len() as f32;
-        actions.push(a);
+    let mut actions = Vec::with_capacity(steps);
+    let mut episode = |rounds: &mut Rounds<'_>| {
+        let mut prev_frac = 0.0f32;
+        for (t, head) in scenario.heads().enumerate() {
+            scenario.write_input(&mut x, cond, t, steps, head, prev_frac);
+            policy.advance_on(rounds, &x, &mut st, head);
+            let a = choose(&x, head, st.logits());
+            prev_frac = (a + 1) as f32 / st.logits().len() as f32;
+            actions.push(a);
+        }
+    };
+    if policy.gate_macs() >= min_macs {
+        pool.lockstep(policy.parts(), episode);
+    } else {
+        episode(&mut Rounds::inline(policy.parts()));
     }
     actions
 }
@@ -487,8 +505,21 @@ pub fn rollout<R: Rng>(
     mode: RolloutMode,
     rng: &mut R,
 ) -> RolloutOutput {
+    rollout_on(Pool::global(), SPLIT_MIN_MACS, policy, scenario, cond, mode, rng)
+}
+
+/// [`rollout`] on `pool`, split from `min_macs` gate multiply-adds a step.
+fn rollout_on<R: Rng>(
+    pool: &Pool,
+    min_macs: usize,
+    policy: &LstmPolicy,
+    scenario: &Scenario,
+    cond: &Condition,
+    mode: RolloutMode,
+    rng: &mut R,
+) -> RolloutOutput {
     let (mut steps, mut logps) = (Vec::new(), Vec::new());
-    let actions = run_episode(policy, scenario, cond, |x, head, logits| {
+    let actions = run_episode(pool, min_macs, policy, scenario, cond, |x, head, logits| {
         let valid = logits.len();
         let a = match mode {
             RolloutMode::Greedy => LstmPolicy::greedy_action(logits, valid),
@@ -506,7 +537,29 @@ pub fn rollout<R: Rng>(
 /// The greedy episode alone — what deployment runs: no replay inputs, no
 /// log-probabilities.
 pub fn greedy_rollout(policy: &LstmPolicy, scenario: &Scenario, cond: &Condition) -> Vec<usize> {
-    run_episode(policy, scenario, cond, |_, _, logits| {
+    greedy_rollout_on(Pool::global(), policy, scenario, cond)
+}
+
+/// [`greedy_rollout`] on `pool` instead of the process-wide pool, for
+/// tests and benches that compare helper counts.
+pub fn greedy_rollout_on(
+    pool: &Pool,
+    policy: &LstmPolicy,
+    scenario: &Scenario,
+    cond: &Condition,
+) -> Vec<usize> {
+    greedy_on(pool, SPLIT_MIN_MACS, policy, scenario, cond)
+}
+
+/// [`greedy_rollout_on`], split from `min_macs` gate multiply-adds a step.
+fn greedy_on(
+    pool: &Pool,
+    min_macs: usize,
+    policy: &LstmPolicy,
+    scenario: &Scenario,
+    cond: &Condition,
+) -> Vec<usize> {
+    run_episode(pool, min_macs, policy, scenario, cond, |_, _, logits| {
         LstmPolicy::greedy_action(logits, logits.len())
     })
 }
@@ -699,6 +752,9 @@ pub fn decide_guarded_masked(
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::mpsc;
+    use std::sync::{Barrier, LazyLock};
+    use std::time::Duration;
 
     #[test]
     fn schedule_and_arities_consistent() {
@@ -929,6 +985,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pools of 0, 1, 2 and 3 helpers, whatever the host's core count.
+    static POOLS: LazyLock<Vec<&'static Pool>> = LazyLock::new(|| (0..4).map(Pool::new).collect());
+
+    /// Runs `body` on its own thread and fails if it has not finished in 60 s.
+    fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => worker.join().expect("test body"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("roll-out hung"),
+        }
+    }
+
+    #[test]
+    fn split_rollouts_are_bit_exact_for_any_helper_count() {
+        let sc = Scenario::device_swarm(3, SloKind::Latency);
+        // 32 hidden units split only when forced (`min_macs` 0); 256 split
+        // at the production threshold, as `bench_e2e`'s policy does.
+        let small = LstmPolicy::new(sc.input_dim(), 32, sc.arities(), 9);
+        let paper = LstmPolicy::new(sc.input_dim(), 256, sc.arities(), 0x6d75_726d);
+        assert!(small.gate_macs() < SPLIT_MIN_MACS && paper.gate_macs() >= SPLIT_MIN_MACS);
+        let mut rng = StdRng::seed_from_u64(11);
+        let conds: Vec<Condition> = (0..6).map(|_| sc.sample_condition(&mut rng)).collect();
+        let sampled = |pool: &Pool, min_macs: usize, policy: &LstmPolicy, cond: &Condition| {
+            let mode = RolloutMode::Sample { epsilon: 0.2 };
+            let (actions, steps, logps) =
+                rollout_on(pool, min_macs, policy, &sc, cond, mode, &mut StdRng::seed_from_u64(3));
+            let inputs: Vec<Vec<u32>> =
+                steps.iter().map(|(x, _)| x.iter().map(|v| v.to_bits()).collect()).collect();
+            (actions, inputs, logps.iter().map(|l| l.to_bits()).collect::<Vec<_>>())
+        };
+        crate::policy::tests::on_both_paths(|| {
+            for (policy, min_macs) in [(&small, 0), (&paper, SPLIT_MIN_MACS)] {
+                for cond in &conds {
+                    let want_greedy = greedy_on(POOLS[0], usize::MAX, policy, &sc, cond);
+                    let want_sampled = sampled(POOLS[0], usize::MAX, policy, cond);
+                    for (helpers, pool) in POOLS.iter().enumerate() {
+                        let greedy = greedy_on(pool, min_macs, policy, &sc, cond);
+                        assert_eq!(greedy, want_greedy, "{helpers} helpers, greedy");
+                        let got = sampled(pool, min_macs, policy, cond);
+                        assert!(got == want_sampled, "{helpers} helpers, sampled");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn two_callers_share_one_policy_and_the_busy_one_runs_inline() {
+        with_watchdog(|| {
+            let sc = Scenario::device_swarm(3, SloKind::Latency);
+            let policy = LstmPolicy::new(sc.input_dim(), 64, sc.arities(), 4);
+            let mut rng = StdRng::seed_from_u64(5);
+            let (a, b) = (sc.sample_condition(&mut rng), sc.sample_condition(&mut rng));
+            let want_a = greedy_on(POOLS[0], usize::MAX, &policy, &sc, &a);
+            let want_b = greedy_on(POOLS[0], usize::MAX, &policy, &sc, &b);
+            // A pool of its own, so no other test holds it. The first caller
+            // holds the pool's job across the second's whole roll-out: it
+            // waits in its first `choose` until the second has finished.
+            let pool = Pool::new(1);
+            let (held, done) = (Barrier::new(2), Barrier::new(2));
+            let (got_a, got_b) = std::thread::scope(|s| {
+                let first = s.spawn(|| {
+                    let mut first_step = true;
+                    run_episode(pool, 0, &policy, &sc, &a, |_, _, logits| {
+                        if std::mem::take(&mut first_step) {
+                            held.wait();
+                            done.wait();
+                        }
+                        LstmPolicy::greedy_action(logits, logits.len())
+                    })
+                });
+                held.wait();
+                let got_b = greedy_on(pool, 0, &policy, &sc, &b);
+                done.wait();
+                (first.join().expect("first caller"), got_b)
+            });
+            assert_eq!(got_a, want_a);
+            assert_eq!(got_b, want_b);
+        });
     }
 
     #[test]

@@ -8,11 +8,12 @@
 use murmuration_nn::module::Module;
 use murmuration_nn::param::Param;
 use murmuration_tensor::activation::{log_softmax_at, sigmoid, softmax};
-use murmuration_tensor::matvec::{pack_panels, panel_matvec};
-use murmuration_tensor::{Shape, Tensor};
+use murmuration_tensor::matvec::{pack_panels, panel_matvec, PANEL};
+use murmuration_tensor::par::Rounds;
+use murmuration_tensor::{simd, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Action-type heads, in decision-schedule order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,6 +29,20 @@ pub enum ActionHead {
 
 /// Number of distinct heads.
 pub const NUM_HEADS: usize = 7;
+
+/// Parts a cell step splits into where its hidden units allow
+/// ([`LstmPolicy::parts`]): one per core of the 2-vCPU devices measured.
+const PARTS: usize = 2;
+
+/// Gate multiply-adds per step (`4H × (I + H)`) from which a roll-out runs
+/// its steps as one lockstep job on `tensor::par`'s pool. A split step pays
+/// two cross-core hand-offs against half of its gates and activations.
+/// Medians of 47-step roll-outs at a 20-wide input on the 2-vCPU host, split
+/// against inline: `H = 16` (2.3 k) 1.48×, `H = 32` (6.7 k) 1.07×, `H = 64`
+/// (21.5 k) 0.79×, `H = 128` (76 k) 0.66×, the paper's `H = 256` (283 k)
+/// 0.61×. So the serving tests' `H = 16` policies stay inline and the
+/// figure bins' trained `H = 64` ones split.
+pub(crate) const SPLIT_MIN_MACS: usize = 16_000;
 
 /// The policy network.
 #[derive(Clone)]
@@ -45,10 +60,22 @@ pub struct LstmPolicy {
     /// Value head `[1, H]` + bias.
     value: (Param, Param),
     arities: Vec<usize>,
-    /// `[wx | wh]` again, k-major in panels of 32 gate rows
-    /// (`murmuration_tensor::matvec`'s layout): built on first use, dropped
-    /// by `visit_params`, the only door through which weights change.
-    packed: OnceLock<Vec<f32>>,
+    /// `[wx | wh]` and `b` again, rows in part order (see [`Packed`]):
+    /// built on first use, dropped by `visit_params`, the only door through
+    /// which weights change.
+    packed: OnceLock<Packed>,
+}
+
+/// The gate rows of `[wx | wh]` and `b`, reordered so that each part's rows
+/// are contiguous — part `p`'s `i`, `f`, `g`, `o` rows of its hidden units —
+/// with the weights k-major in panels of 32 rows
+/// (`murmuration_tensor::matvec`'s layout). A part's rows are whole panels,
+/// so it runs `panel_matvec` on its own panel range. With one part the
+/// order is the parameters' own.
+#[derive(Clone)]
+struct Packed {
+    w: Vec<f32>,
+    b: Vec<f32>,
 }
 
 /// Recurrent state carried across decisions, with the per-step scratch.
@@ -56,8 +83,18 @@ pub struct LstmPolicy {
 pub struct PolicyState {
     pub h: Vec<f32>,
     pub c: Vec<f32>,
+    /// The `h` a step's parts write while every part reads `h`.
+    h_next: Vec<f32>,
+    /// Activated gates of the last step, part by part as in [`Packed`].
     gates: Vec<f32>,
     logits: Vec<f32>,
+}
+
+/// What part `p` of a step writes: its slices of the gates, `c` and the next `h`.
+struct Part<'a> {
+    gates: &'a mut [f32],
+    c: &'a mut [f32],
+    h_next: &'a mut [f32],
 }
 
 impl PolicyState {
@@ -153,43 +190,119 @@ impl LstmPolicy {
         PolicyState {
             h: vec![0.0; self.hidden],
             c: vec![0.0; self.hidden],
+            h_next: vec![0.0; self.hidden],
             gates: vec![0.0; 4 * self.hidden],
             logits: Vec::with_capacity(self.arities.iter().copied().max().unwrap_or(0)),
         }
     }
 
-    fn packed(&self) -> &[f32] {
+    /// Parts a cell step splits into: two halves of the hidden units when
+    /// each half's `2H` gate rows are whole 32-row panels (`H` a multiple of
+    /// 16), else one. Any split gives the same bits.
+    pub fn parts(&self) -> usize {
+        if self.hidden.is_multiple_of(PANEL / 2) {
+            PARTS
+        } else {
+            1
+        }
+    }
+
+    /// Gate multiply-adds of one step, `4H × (I + H)`; compare
+    /// [`SPLIT_MIN_MACS`].
+    pub(crate) fn gate_macs(&self) -> usize {
+        4 * self.hidden * (self.input_dim + self.hidden)
+    }
+
+    /// The parameter row of packed gate row `r` ([`Packed`]): with `n`
+    /// units a part, part `r / 4n`'s gate `r % 4n / n` of its unit `r % n`.
+    fn param_row(&self, r: usize) -> usize {
+        let n = self.hidden / self.parts();
+        r % (4 * n) / n * self.hidden + r / (4 * n) * n + r % n
+    }
+
+    fn packed(&self) -> &Packed {
         self.packed.get_or_init(|| {
             let (id, hd) = (self.input_dim, self.hidden);
-            let (wx, wh) = (self.wx.value.data(), self.wh.value.data());
-            pack_panels(
-                4 * hd,
-                id + hd,
-                |j, k| if k < id { wx[j * id + k] } else { wh[j * hd + k - id] },
-            )
+            let (wx, wh, b) = (self.wx.value.data(), self.wh.value.data(), self.b.value.data());
+            Packed {
+                w: pack_panels(4 * hd, id + hd, |r, k| {
+                    let j = self.param_row(r);
+                    if k < id {
+                        wx[j * id + k]
+                    } else {
+                        wh[j * hd + k - id]
+                    }
+                }),
+                b: (0..4 * hd).map(|r| b[self.param_row(r)]).collect(),
+            }
         })
     }
 
-    /// One LSTM cell step, in place: advances `st.h`/`st.c`, leaves the
-    /// activated gates `[i | f | g | o]` and the head's logits in the state
-    /// ([`PolicyState::logits`]) and returns the value estimate. A warm
-    /// state makes it allocation-free.
-    pub fn advance(&self, x: &[f32], st: &mut PolicyState, head: ActionHead) -> f32 {
-        assert_eq!(x.len(), self.input_dim, "input dim");
-        let hd = self.hidden;
-        let PolicyState { h, c, gates, logits } = st;
+    /// Part `p` of a cell step: the gate pre-activations of its hidden
+    /// units' rows, their activations, and its units' `c` and next `h`.
+    fn part(&self, p: usize, use_simd: bool, x: &[f32], h: &[f32], out: &mut Part<'_>) {
+        let Part { gates, c, h_next } = out;
+        let (n, k) = (c.len(), x.len() + h.len());
+        let rows = 4 * n;
+        let Packed { w, b } = self.packed();
         // Gate pre-activations `b + wx·x + wh·h`, each row one serial chain
         // (bias, the `x` terms, the `h` terms, a separate multiply and add
         // each): decisions are argmaxes over what this feeds, so no FMA and
         // no reassociation (`tests/decision_golden.rs` holds the bits).
-        panel_matvec(self.packed(), x, h, self.b.value.data(), gates);
-        for j in 0..hd {
-            let (i, f) = (sigmoid(gates[j]), sigmoid(gates[hd + j]));
-            let (g, o) = (gates[2 * hd + j].tanh(), sigmoid(gates[3 * hd + j]));
+        panel_matvec(use_simd, &w[p * rows * k..], x, h, &b[p * rows..][..rows], gates);
+        for j in 0..n {
+            let (i, f) = (sigmoid(gates[j]), sigmoid(gates[n + j]));
+            let (g, o) = (gates[2 * n + j].tanh(), sigmoid(gates[3 * n + j]));
             c[j] = f * c[j] + i * g;
-            h[j] = o * c[j].tanh();
-            (gates[j], gates[hd + j], gates[2 * hd + j], gates[3 * hd + j]) = (i, f, g, o);
+            h_next[j] = o * c[j].tanh();
+            (gates[j], gates[n + j], gates[2 * n + j], gates[3 * n + j]) = (i, f, g, o);
         }
+    }
+
+    /// One LSTM cell step, in place: advances `st.h`/`st.c`, leaves the
+    /// activated gates and the head's logits in the state
+    /// ([`PolicyState::logits`]) and returns the value estimate. Its parts
+    /// ([`parts`](Self::parts)) run one after the other here; a warm state
+    /// makes it allocation-free.
+    pub fn advance(&self, x: &[f32], st: &mut PolicyState, head: ActionHead) -> f32 {
+        self.advance_on(&mut Rounds::inline(self.parts()), x, st, head)
+    }
+
+    /// [`advance`](Self::advance) with the step's parts run as one round of
+    /// `rounds`, a lockstep job of [`parts`](Self::parts) parts a round. The
+    /// parts read `st.h` and `x` and write disjoint slices of the gates,
+    /// `c` and the other `h` buffer; the head logits and the value then run
+    /// here on the whole new `h`. The same bits on any thread.
+    pub fn advance_on(
+        &self,
+        rounds: &mut Rounds<'_>,
+        x: &[f32],
+        st: &mut PolicyState,
+        head: ActionHead,
+    ) -> f32 {
+        assert_eq!(x.len(), self.input_dim, "input dim");
+        assert_eq!(rounds.parts(), self.parts(), "one round part per cell part");
+        let hd = self.hidden;
+        // Read here, once: the caller's dispatch holds for every part.
+        let use_simd = simd::simd_active();
+        let PolicyState { h, c, h_next, gates, logits } = st;
+        {
+            let n = hd / self.parts();
+            let (g0, g1) = gates.split_at_mut(4 * n);
+            let (c0, c1) = c.split_at_mut(n);
+            let (h0, h1) = h_next.split_at_mut(n);
+            // Uncontended: part `p` alone locks `out[p]`.
+            let out = [
+                Mutex::new(Part { gates: g0, c: c0, h_next: h0 }),
+                Mutex::new(Part { gates: g1, c: c1, h_next: h1 }),
+            ];
+            let h: &[f32] = h;
+            rounds.run(&|p| {
+                let mut part = out[p].lock().unwrap_or_else(PoisonError::into_inner);
+                self.part(p, use_simd, x, h, &mut part);
+            });
+        }
+        std::mem::swap(h, h_next);
         let dot = |row: &[f32]| row.iter().zip(h.iter()).map(|(w, v)| w * v).sum::<f32>();
         let (hw, hb) = &self.heads[head as usize];
         logits.clear();
@@ -197,6 +310,16 @@ impl LstmPolicy {
             hw.value.data().chunks_exact(hd).zip(hb.value.data()).map(|(row, b)| b + dot(row)),
         );
         self.value.1.value.data()[0] + dot(self.value.0.value.data())
+    }
+
+    /// The activated gates of `st`'s last step in parameter order
+    /// `[i | f | g | o]`, as BPTT reads them.
+    fn gates_in_order(&self, st: &PolicyState) -> Vec<f32> {
+        let mut out = vec![0.0; 4 * self.hidden];
+        for (r, &v) in st.gates.iter().enumerate() {
+            out[self.param_row(r)] = v;
+        }
+        out
     }
 
     /// Inference step: advances the state, returns logits (and value).
@@ -212,7 +335,8 @@ impl LstmPolicy {
             .iter()
             .map(|(x, head)| {
                 let value = self.advance(x, &mut st, *head);
-                let PolicyState { h, c, gates, logits } = st.clone();
+                let (h, c, logits) = (st.h.clone(), st.c.clone(), st.logits.clone());
+                let gates = self.gates_in_order(&st);
                 StepCache { x: x.clone(), gates, c, h, head: *head as usize, logits, value }
             })
             .collect();
@@ -386,12 +510,13 @@ impl Module for LstmPolicy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use murmuration_nn::optim::Adam;
+    use murmuration_tensor::par::Pool;
     use murmuration_tensor::simd;
     use proptest::prelude::*;
-    use std::sync::Mutex;
+    use std::sync::{LazyLock, Mutex};
 
     fn tiny_policy(seed: u64) -> LstmPolicy {
         LstmPolicy::new(4, 8, vec![3, 3, 3, 3, 3, 4, 5], seed)
@@ -470,7 +595,7 @@ mod tests {
 
     /// Runs `f` on the portable panel loop, then on the vector kernel (the
     /// portable loop again on a CPU without AVX2).
-    fn on_both_paths(f: impl Fn()) {
+    pub(crate) fn on_both_paths(f: impl Fn()) {
         let _pinned = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
         for scalar in [true, false] {
             simd::force_scalar(scalar);
@@ -492,6 +617,50 @@ mod tests {
         ) {
             let p = LstmPolicy::new(input_dim, hidden, vec![3, 2, 4, 3, 3, 4, 5], seed);
             on_both_paths(|| assert_matches_scalar(&p, steps, seed));
+        }
+    }
+
+    /// Steps `p` through `steps` random inputs as rounds of a lockstep job
+    /// on a pool of 0–3 helpers and requires the bits of the inline
+    /// `advance` at every step: logits, value, `h` and `c`.
+    fn assert_split_matches_inline(p: &LstmPolicy, steps: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f32>> = (0..steps)
+            .map(|_| (0..p.input_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        let mut want = p.initial_state();
+        let inline: Vec<_> = xs
+            .iter()
+            .enumerate()
+            .map(|(t, x)| {
+                let value = p.advance(x, &mut want, HEADS[t % NUM_HEADS]);
+                (bits(want.logits()), value.to_bits(), bits(&want.h), bits(&want.c))
+            })
+            .collect();
+        for (helpers, pool) in POOLS.iter().enumerate() {
+            let mut st = p.initial_state();
+            let split: Vec<_> = pool.lockstep(p.parts(), |rounds| {
+                let step = |(t, x): (usize, &Vec<f32>)| {
+                    let value = p.advance_on(rounds, x, &mut st, HEADS[t % NUM_HEADS]);
+                    (bits(st.logits()), value.to_bits(), bits(&st.h), bits(&st.c))
+                };
+                xs.iter().enumerate().map(step).collect()
+            });
+            assert!(split == inline, "hidden {}, {helpers} helpers", p.hidden);
+        }
+    }
+
+    /// Pools of 0, 1, 2 and 3 helpers, whatever the host's core count.
+    static POOLS: LazyLock<Vec<&'static Pool>> = LazyLock::new(|| (0..4).map(Pool::new).collect());
+
+    #[test]
+    fn split_steps_are_bit_exact_for_any_helper_count() {
+        // Two panel-aligned halves at 16, 64 and 256 hidden units; one part
+        // at 8 and 20, where a half would not be whole panels.
+        for (hidden, steps) in [(8, 12), (16, 30), (20, 12), (64, 30), (256, 8)] {
+            let p = LstmPolicy::new(20, hidden, vec![3, 2, 4, 3, 3, 4, 5], hidden as u64);
+            assert_eq!(p.parts(), if hidden.is_multiple_of(16) { 2 } else { 1 });
+            on_both_paths(|| assert_split_matches_inline(&p, steps, 7));
         }
     }
 

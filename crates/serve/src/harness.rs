@@ -11,7 +11,6 @@ use crate::class::ClassSpec;
 use crate::pipeline::PipelineSnapshot;
 use crate::request::{RejectReason, Rejection, ServeOutcome};
 use crate::server::{ServeHandle, ServeStats};
-use murmuration_core::transport::TransportStats;
 use murmuration_edgesim::ArrivalTrace;
 use std::sync::mpsc::Receiver;
 
@@ -97,13 +96,6 @@ pub struct LoadReport {
     pub goodput_rps: f64,
     /// Mean dispatched batch size.
     pub avg_batch: f64,
-    /// Transport robustness counters (reconnects, resends deduped,
-    /// delivered cancels) when the run went over a real transport.
-    pub transport: Option<TransportStats>,
-    /// Failover accounting when the run went through a
-    /// [`FailoverCluster`](crate::failover::FailoverCluster):
-    /// `(failovers, retried requests)`.
-    pub failover: Option<(u64, u64)>,
     /// Per-stage occupancy and bottleneck ids when the run routed a
     /// throughput-mode class through the stage-parallel pipeline.
     pub pipeline: Option<PipelineSnapshot>,
@@ -157,22 +149,8 @@ impl LoadReport {
             throughput_rps: completed as f64 / duration_ms * 1000.0,
             goodput_rps: good_total as f64 / duration_ms * 1000.0,
             avg_batch: stats.avg_batch(),
-            transport: None,
-            failover: None,
             pipeline: None,
         }
-    }
-
-    /// Attaches transport robustness counters to the report.
-    pub fn with_transport_stats(mut self, stats: TransportStats) -> Self {
-        self.transport = Some(stats);
-        self
-    }
-
-    /// Attaches failover accounting (`failovers`, `retried`).
-    pub fn with_failover(mut self, failovers: u64, retried: u64) -> Self {
-        self.failover = Some((failovers, retried));
-        self
     }
 
     /// Attaches the pipeline's per-stage occupancy snapshot, when the
@@ -206,24 +184,11 @@ impl LoadReport {
         j.push_str(&format!("{indent}  \"throughput_rps\": {:.2},\n", self.throughput_rps));
         j.push_str(&format!("{indent}  \"goodput_rps\": {:.2},\n", self.goodput_rps));
         j.push_str(&format!("{indent}  \"avg_batch\": {:.2},\n", self.avg_batch));
-        // Robustness block: gray-health transitions always; transport and
-        // failover counters when the run produced them.
         j.push_str(&format!(
             "{indent}  \"robustness\": {{\"gray_suspects\": {}, \"gray_quarantines\": {}, \
-             \"gray_readmissions\": {}",
+             \"gray_readmissions\": {}}},\n",
             s.gray_suspects, s.gray_quarantines, s.gray_readmissions
         ));
-        if let Some(t) = &self.transport {
-            j.push_str(&format!(
-                ", \"reconnects\": {}, \"heartbeats_missed\": {}, \"resends_deduped\": {}, \
-                 \"cancels_delivered\": {}",
-                t.reconnects, t.heartbeats_missed, t.resends_deduped, t.cancels_delivered
-            ));
-        }
-        if let Some((failovers, retried)) = self.failover {
-            j.push_str(&format!(", \"failovers\": {failovers}, \"retried\": {retried}"));
-        }
-        j.push_str("},\n");
         if let Some(p) = &self.pipeline {
             j.push_str(&format!(
                 "{indent}  \"pipeline\": {{\n{indent}    \"submitted\": {}, \"completed\": {}, \
@@ -351,25 +316,11 @@ mod tests {
             gray_quarantines: 1,
             ..ServeStats::default()
         };
-        let report = LoadReport::build(&[], &[], stats, 1_000.0)
-            .with_transport_stats(TransportStats {
-                reconnects: 4,
-                resends_deduped: 7,
-                ..TransportStats::default()
-            })
-            .with_failover(1, 9);
-        let j = report.to_json("");
+        let j = LoadReport::build(&[], &[], stats, 1_000.0).to_json("");
         assert!(j.contains("\"gray_suspects\": 2"), "{j}");
         assert!(j.contains("\"gray_quarantines\": 1"), "{j}");
-        assert!(j.contains("\"reconnects\": 4"), "{j}");
-        assert!(j.contains("\"resends_deduped\": 7"), "{j}");
-        assert!(j.contains("\"failovers\": 1"), "{j}");
-        assert!(j.contains("\"retried\": 9"), "{j}");
-        // Without the optional blocks the keys stay absent.
         let bare = LoadReport::build(&[], &[], ServeStats::default(), 1_000.0).to_json("");
         assert!(bare.contains("\"robustness\""), "{bare}");
-        assert!(!bare.contains("\"failovers\""), "{bare}");
-        assert!(!bare.contains("\"reconnects\""), "{bare}");
     }
 
     #[test]

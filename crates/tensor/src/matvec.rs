@@ -35,17 +35,24 @@ pub fn pack_panels(rows: usize, k: usize, w: impl Fn(usize, usize) -> f32) -> Ve
 
 /// `out[r] = bias[r] + Σ_k W[r][k]·x[k] + Σ_k W[r][x.len() + k]·h[k]`, each
 /// row one serial chain in that order (module docs), over `W` packed in
-/// panels of [`PANEL`] rows.
+/// panels of [`PANEL`] rows. `use_simd` (the caller's
+/// [`simd::simd_active`]) picks the path; both give the same bits.
 ///
 /// # Panics
 /// If `bias` and `out` differ in length, or `packed` holds fewer than
 /// `out.len().div_ceil(PANEL)` panels of `(x.len() + h.len()) · PANEL` f32.
-pub fn panel_matvec(packed: &[f32], x: &[f32], h: &[f32], bias: &[f32], out: &mut [f32]) {
+pub fn panel_matvec(
+    use_simd: bool,
+    packed: &[f32],
+    x: &[f32],
+    h: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) {
     let k = x.len() + h.len();
     assert_eq!(bias.len(), out.len(), "one bias per row");
     assert!(packed.len() >= out.len().div_ceil(PANEL) * k * PANEL, "packed weights too short");
-    let done =
-        if simd::simd_active() { simd::matvec_panel_pairs(packed, x, h, bias, out) } else { 0 };
+    let done = if use_simd { simd::matvec_panel_pairs(packed, x, h, bias, out) } else { 0 };
     let rows = (done * PANEL).min(out.len());
     let panels = packed.chunks_exact(k * PANEL).skip(done);
     for ((panel, bias), out) in

@@ -96,7 +96,7 @@ fn panel_matvec_is_one_serial_chain_per_row_on_both_paths() {
             .collect();
         let (v, s, _g) = both_paths(|| {
             let mut out = vec![f32::NAN; rows];
-            panel_matvec(&packed, &x, &h, &bias, &mut out);
+            panel_matvec(simd::simd_active(), &packed, &x, &h, &bias, &mut out);
             bits_of(&out)
         });
         assert_eq!(v, bits_of(&want), "{rows} rows, {nx}+{nh} columns, vector path");

@@ -46,7 +46,7 @@ fn device_loss_mid_trace_degrades_then_recovers() {
     let mut met = Vec::new();
     for i in 0..20usize {
         let t = i as f64 * 100.0;
-        rt.apply_fleet_trace(&fleet, t);
+        rt.observe(t, (1..n).map(|dev| Input::Force { dev, status: fleet.status(dev, t) }));
         let r = rt.infer(&net, t, &mut rng);
         let fleet = rt.fleet();
         // The invariant the strategy cache must uphold: no served plan —
