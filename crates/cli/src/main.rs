@@ -432,6 +432,10 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     let stats = rt.cache_stats();
     println!("met {met}/{requests}; cache hit ratio {:.0} %", stats.hit_ratio() * 100.0);
+    println!(
+        "precompute: {} speculative roll-outs, {} read, {} skipped",
+        stats.speculated, stats.speculative_reads, stats.speculation_skipped
+    );
     Ok(())
 }
 

@@ -181,6 +181,7 @@ fn train_decide_simulate_round_trip() {
     assert!(out.status.success(), "simulate: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("cache hit ratio"), "{text}");
+    assert!(text.contains("speculative roll-outs"), "{text}");
     std::fs::remove_file(&policy).ok();
 }
 

@@ -9,6 +9,11 @@
 //! FIFO-eviction semantics stay exact where tests and experiments rely on
 //! them; large caches trade strict global FIFO for per-shard FIFO, which
 //! preserves the bounded-capacity contract (`len() <= capacity`).
+//!
+//! An entry put by [`StrategyCache::put_speculative`] carries a mark until
+//! a request's [`get`](StrategyCache::get) first reads it; the cache counts
+//! both, so the precompute that speculates can tell whether its entries
+//! are ever read (see `DecisionModule::precompute`).
 
 use murmuration_rl::{Condition, Scenario};
 use parking_lot::Mutex;
@@ -32,6 +37,14 @@ pub struct CachedStrategy {
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
+    /// Entries put speculatively (a roll-out ahead of any request).
+    pub speculated: u64,
+    /// Hits that were the first read of a speculative entry.
+    pub speculative_reads: u64,
+    /// Speculative roll-outs withheld because speculation went unread.
+    /// Booked by the `DecisionModule` that throttles it; the cache alone
+    /// reports 0.
+    pub speculation_skipped: u64,
 }
 
 impl CacheStats {
@@ -52,14 +65,22 @@ pub struct StrategyCache {
     /// Contention-free hit/miss counting: bumped outside any shard lock.
     hits: AtomicU64,
     misses: AtomicU64,
+    speculated: AtomicU64,
+    speculative_reads: AtomicU64,
     grid_points: usize,
     shard_capacity: usize,
 }
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Vec<u16>, CachedStrategy>,
+    map: HashMap<Vec<u16>, Entry>,
     order: VecDeque<Vec<u16>>, // FIFO eviction order within the shard
+}
+
+struct Entry {
+    strategy: CachedStrategy,
+    /// Put speculatively and not read by a request since.
+    speculative: bool,
 }
 
 impl StrategyCache {
@@ -71,6 +92,8 @@ impl StrategyCache {
             shards: (0..n_shards).map(|_| Mutex::new(Shard::default())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            speculated: AtomicU64::new(0),
+            speculative_reads: AtomicU64::new(0),
             grid_points,
             shard_capacity: capacity.div_ceil(n_shards),
         }
@@ -110,10 +133,16 @@ impl StrategyCache {
         (h % self.shards.len() as u64) as usize
     }
 
-    /// Looks up a strategy, recording hit/miss.
+    /// Looks up a strategy, recording hit/miss. The first hit on a
+    /// speculative entry clears its mark and books a speculative read.
     pub fn get(&self, sc: &Scenario, cond: &Condition) -> Option<CachedStrategy> {
         let key = self.key(sc, cond);
-        let found = self.shards[self.shard_of(&key)].lock().map.get(&key).cloned();
+        let found = self.shards[self.shard_of(&key)].lock().map.get_mut(&key).map(|e| {
+            if std::mem::take(&mut e.speculative) {
+                self.speculative_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            e.strategy.clone()
+        });
         match found {
             Some(s) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -135,9 +164,19 @@ impl StrategyCache {
 
     /// Inserts a strategy for a condition bucket.
     pub fn put(&self, sc: &Scenario, cond: &Condition, strategy: CachedStrategy) {
-        let key = self.key(sc, cond);
+        self.insert(self.key(sc, cond), Entry { strategy, speculative: false });
+    }
+
+    /// [`put`](Self::put) for a strategy decided ahead of any request: the
+    /// entry stays marked speculative until a [`get`](Self::get) reads it.
+    pub fn put_speculative(&self, sc: &Scenario, cond: &Condition, strategy: CachedStrategy) {
+        self.speculated.fetch_add(1, Ordering::Relaxed);
+        self.insert(self.key(sc, cond), Entry { strategy, speculative: true });
+    }
+
+    fn insert(&self, key: Vec<u16>, entry: Entry) {
         let mut shard = self.shards[self.shard_of(&key)].lock();
-        if shard.map.insert(key.clone(), strategy).is_none() {
+        if shard.map.insert(key.clone(), entry).is_none() {
             shard.order.push_back(key);
             if shard.order.len() > self.shard_capacity {
                 if let Some(evict) = shard.order.pop_front() {
@@ -152,6 +191,9 @@ impl StrategyCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            speculated: self.speculated.load(Ordering::Relaxed),
+            speculative_reads: self.speculative_reads.load(Ordering::Relaxed),
+            speculation_skipped: 0,
         }
     }
 
@@ -180,7 +222,7 @@ impl StrategyCache {
         let key = self.key(sc, cond);
         let mut shard = self.shards[self.shard_of(&key)].lock();
         shard.order.retain(|k| k != &key);
-        shard.map.remove(&key)
+        shard.map.remove(&key).map(|e| e.strategy)
     }
 
     /// Keeps only strategies for which `keep` returns true — used to purge
@@ -192,7 +234,7 @@ impl StrategyCache {
             let mut shard = s.lock();
             let before = shard.map.len();
             let Shard { map, order } = &mut *shard;
-            map.retain(|_, v| keep(v));
+            map.retain(|_, e| keep(&e.strategy));
             order.retain(|k| map.contains_key(k));
             evicted += before - shard.map.len();
         }
@@ -235,6 +277,29 @@ mod tests {
         cache.put(&sc, &c, CachedStrategy { actions: vec![1] });
         assert!(cache.contains(&sc, &c));
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn first_read_of_a_speculative_entry_is_booked_once() {
+        let sc = sc();
+        let cache = StrategyCache::new(10, 16);
+        let c = cond(140.0, 100.0, 20.0);
+        cache.put_speculative(&sc, &c, CachedStrategy { actions: vec![4] });
+        assert_eq!(cache.stats(), CacheStats { speculated: 1, ..CacheStats::default() });
+        for _ in 0..3 {
+            assert_eq!(cache.get(&sc, &c).unwrap().actions, vec![4]);
+        }
+        let want =
+            CacheStats { hits: 3, speculated: 1, speculative_reads: 1, ..Default::default() };
+        assert_eq!(cache.stats(), want);
+        // A request's own put is no speculation, and neither is an entry a
+        // request put over a speculative one.
+        let c2 = cond(400.0, 400.0, 100.0);
+        cache.put_speculative(&sc, &c2, CachedStrategy { actions: vec![5] });
+        cache.put(&sc, &c2, CachedStrategy { actions: vec![6] });
+        assert_eq!(cache.get(&sc, &c2).unwrap().actions, vec![6]);
+        assert_eq!(cache.stats().speculative_reads, 1);
+        assert_eq!(cache.len(), 2, "an overwrite keeps its one FIFO slot");
     }
 
     #[test]

@@ -208,18 +208,6 @@ impl Default for ExecOptions {
     }
 }
 
-impl ExecOptions {
-    /// Derives a per-attempt deadline from the latency model's estimate
-    /// for the whole request: generous enough that modeling error never
-    /// trips it (4× the budget plus scheduling slack), tight enough that
-    /// a dead device is detected within a bounded, budget-proportional
-    /// wait instead of a hard-coded worst case.
-    pub fn for_budget_ms(budget_ms: f64) -> Self {
-        let ms = (budget_ms * 4.0 + 100.0).clamp(100.0, 5_000.0);
-        ExecOptions { deadline: Duration::from_micros((ms * 1e3) as u64), ..Default::default() }
-    }
-}
-
 /// The executor: the coordinator over a [`Transport`].
 pub struct Executor {
     transport: Box<dyn Transport>,
@@ -314,12 +302,6 @@ impl Executor {
     /// connections close with a goodbye. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.transport.shutdown();
-    }
-
-    /// Observed per-attempt latency quantile for `dev`, if enough history
-    /// exists (feeds gray-health reporting and diagnostics).
-    pub fn latency_quantile(&self, dev: usize, q: f64) -> Option<f64> {
-        self.lat.lock().get(dev).and_then(|t| t.quantile(q))
     }
 
     /// When hedging should fire for an attempt on `dev`: `factor ×` the

@@ -8,7 +8,8 @@
 //! as `bench_e2e`'s closed loops do, and digests every request's
 //! `(actions, cached)`. A change that must not move decisions, such as one
 //! to when `tick` speculates, must leave every digest and count here as it
-//! is.
+//! is. The speculation counts beside them say what `tick`'s precompute
+//! spent: they move only when its throttle does.
 
 use murmuration_core::cache::CacheStats;
 use murmuration_core::{RuntimeConfig, SharedRuntime};
@@ -158,17 +159,41 @@ fn check(name: &str, steps: &[Step], seed: u64, want: (u64, u64, u64)) -> CacheS
     stats
 }
 
+/// `(speculated, speculative_reads, speculation_skipped)` of a run.
+fn speculation(s: &CacheStats) -> (u64, u64, u64) {
+    (s.speculated, s.speculative_reads, s.speculation_skipped)
+}
+
+/// Roll-outs of the churn sequence before `tick`'s precompute was
+/// throttled: 468 misses plus 441 speculative roll-outs, none of them read.
+const CHURN_ROLLOUTS_UNTHROTTLED: u64 = 909;
+
 #[test]
 fn churn_decisions_are_frozen() {
-    check("churn", &churn(480, 1), 11, (0x182b_2aa4_536d_25e2, 12, 468));
+    const REQUESTS: usize = 480;
+    let s = check("churn", &churn(REQUESTS, 1), 11, (0x182b_2aa4_536d_25e2, 12, 468));
+    assert_eq!(speculation(&s), (27, 0, 449));
+    let per_request = |rollouts: u64| rollouts as f64 / REQUESTS as f64;
+    let rollouts = s.misses + s.speculated;
+    println!(
+        "churn: roll-outs per request {:.3} (unthrottled {:.3})",
+        per_request(rollouts),
+        per_request(CHURN_ROLLOUTS_UNTHROTTLED)
+    );
+    assert!(per_request(CHURN_ROLLOUTS_UNTHROTTLED) > 1.85);
+    assert!(per_request(rollouts) <= 1.05, "churn pays {rollouts} roll-outs");
 }
 
 #[test]
 fn steady_decisions_are_frozen() {
-    check("steady", &steady(64), 12, (0x5d04_d065_398f_6325, 64, 0));
+    let s = check("steady", &steady(64), 12, (0x5d04_d065_398f_6325, 64, 0));
+    assert_eq!(speculation(&s), (3, 1, 0));
 }
 
 #[test]
 fn ramp_decisions_are_frozen() {
-    check("ramp", &ramp(240), 13, (0x1e4b_6875_3234_1925, 220, 20));
+    // A third of the ramp's speculation is read, in bursts: the throttle
+    // never engages.
+    let s = check("ramp", &ramp(240), 13, (0x1e4b_6875_3234_1925, 220, 20));
+    assert_eq!(speculation(&s), (71, 26, 0));
 }

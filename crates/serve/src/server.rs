@@ -11,8 +11,10 @@
 //!   per batch), made outside the lock. A batch holds its service slot for
 //!   its modeled cost in virtual time; no thread sleeps it.
 //! * **The control thread** syncs the environment into the runtime every
-//!   `tick_interval_ms`. A tick's precompute roll-out takes milliseconds
-//!   of wall time, so it stays off the dispatch thread.
+//!   `tick_interval_ms`. A tick that precomputes a roll-out takes
+//!   milliseconds of wall time, so ticks stay off the dispatch thread; the
+//!   precompute backs off while its entries go unread
+//!   (`DecisionModule::precompute`).
 //!
 //! The clock runs `time_scale` wall ms per virtual ms: model latencies of
 //! hundreds of virtual ms become milliseconds, so a 60-virtual-second

@@ -212,6 +212,31 @@ for workload in steady_inproc swarm_tcp churn_decide overload_serve; do
             --workload "$workload" --seed 1 --seconds 2 --trace "$trace" >/dev/null
     done
 done
+
+echo "==> end-to-end count gate (fixed-count traced runs, seed 1: counts equal to results/E2E_counts_seed1.json)"
+# A change that must not move a decision or a plan must leave these counts
+# exactly as they are. Each metric here read the same in 3 runs of each
+# workload; timing metrics and counts that vary run to run are left out.
+# Both runs take about 12 s on a 2-vCPU x86-64 VM, after the build above.
+# Everything the leg writes goes under target/e2e_counts/.
+counts_dir=target/e2e_counts
+mkdir -p "$counts_dir"
+for workload in churn_decide steady_inproc; do
+    timeout 300 cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+        --workload "$workload" --seed 1 --trace 1 --out "$counts_dir" >"$counts_dir/$workload.txt"
+    for metric in decision.hit_share reconfig.switches executor.jobs_per_req \
+                  wire.bytes_per_req compute.macs_per_req; do
+        got=$(tail -n 1 "$counts_dir/$workload.txt" |
+            grep -o "\"$metric\": {\"value\": [^,]*" | sed 's/.*: //')
+        want=$(awk -v w="\"$workload\":" -v m="\"$metric\":" '
+            $1 == w { inside = 1 }
+            inside && $1 == m { sub(/,$/, "", $2); print $2; exit }' results/E2E_counts_seed1.json)
+        if [ -z "$got" ] || [ "$got" != "$want" ]; then
+            echo "error: $workload $metric reads ${got:-nothing}, results/E2E_counts_seed1.json has ${want:-nothing}" >&2
+            exit 1
+        fi
+    done
+done
 if git rev-parse --git-dir >/dev/null 2>&1 && ! git diff --quiet HEAD -- bench_e2e BENCHMARK.json; then
     echo "error: bench_e2e/ or BENCHMARK.json differs from HEAD (the benchmark is frozen; building it must not rewrite its lock file)" >&2
     exit 1
