@@ -284,8 +284,9 @@ impl SharedRuntime {
     }
 
     /// Background tick: sample monitoring and precompute a strategy for
-    /// the forecast condition. Skipped while degraded — precomputed
-    /// strategies would not be cacheable anyway (see
+    /// the forecast condition, which backs off while such strategies go
+    /// unread ([`DecisionModule::precompute`]). Skipped while degraded —
+    /// precomputed strategies would not be cacheable anyway (see
     /// [`DecisionModule::decide_masked`]). On the serve path this runs on
     /// the control thread; workers never touch the monitor.
     pub fn tick<R: Rng>(&self, net_truth: &NetworkState, t_ms: f64, rng: &mut R) {
