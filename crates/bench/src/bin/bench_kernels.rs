@@ -18,6 +18,9 @@
 //! thread count, which the header and the JSON's `threads` key state (`available_parallelism`, which honours the
 //! CPU affinity mask: under `taskset -c 0` it is 1 and nothing splits). The
 //! int8 `qconv2d` does not split, so its `vs_f32` ratio falls as threads rise.
+//! The header and the JSON's `conv_tier` key name the stride-1 register tile
+//! those rows ran (`avx512_8x16`, `avx2_4x16` or `portable`, see
+//! `conv::ConvTier`).
 //!
 //! Each entry carries the PR-1 seed timing baked in below, and the binary
 //! *gates* on the result: it exits non-zero if the dense conv drops under
@@ -28,7 +31,7 @@
 use murmuration_bench::emit;
 use murmuration_rl::env::greedy_rollout_on;
 use murmuration_rl::{LstmPolicy, Scenario, SloKind};
-use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams};
+use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams, ConvTier};
 use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
     qconv2d, qgemm_f32, quantize_activations, QConv2dWeights, QGemmWeights,
@@ -298,6 +301,9 @@ fn main() {
         "threads: {threads} (available_parallelism; conv2d/dense_* and rl/greedy_rollout rows \
          split across them)"
     );
+    // Every conv2d/dense_* row has c_out ≥ 8, so one tier ran them all.
+    let conv_tier = ConvTier::pick(8).name();
+    println!("conv tier: {conv_tier} (stride-1 conv2d/dense_* rows)");
     println!(
         "{:<42} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "kernel", "mean_us", "min_us", "iters", "speedup", "vs_f32"
@@ -337,7 +343,7 @@ fn main() {
         json.push_str(&format!("    \"{}\": {{{}}}{}\n", e.name, fields, sep));
     }
     json.push_str(&format!(
-        "  }},\n  \"simd\": {},\n  \"threads\": {threads}\n}}\n",
+        "  }},\n  \"simd\": {},\n  \"threads\": {threads},\n  \"conv_tier\": \"{conv_tier}\"\n}}\n",
         simd::detected()
     ));
     let mut failures: Vec<String> = Vec::new();

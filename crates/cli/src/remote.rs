@@ -28,10 +28,15 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `--channels`: every unit's input and output channel count.
+fn channels_from(args: &Args) -> Result<usize, ArgError> {
+    args.get_parsed_or("channels", 4)
+}
+
 fn compute_from(args: &Args) -> Result<Arc<ConvStackCompute>, ArgError> {
     let units: usize = args.get_parsed_or("units", 3)?;
     let layers: usize = args.get_parsed_or("layers", 2)?;
-    let channels: usize = args.get_parsed_or("channels", 4)?;
+    let channels = channels_from(args)?;
     let seed: u64 = args.get_parsed_or("compute-seed", 7u64)?;
     Ok(Arc::new(ConvStackCompute::random(units, layers, channels, seed)))
 }
@@ -90,6 +95,7 @@ fn tensor_digest(t: &Tensor) -> u64 {
 pub fn cmd_exec(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let compute = compute_from(args)?;
     let n_units = compute.n_units();
+    let channels = channels_from(args)?;
     let requests: usize = args.get_parsed_or("requests", 3)?;
     let quant = quant_from(args)?;
     let input_seed: u64 = args.get_parsed_or("input-seed", 1u64)?;
@@ -170,7 +176,7 @@ pub fn cmd_exec(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut all = 0u64;
     for r in 0..requests {
         let mut rng = StdRng::seed_from_u64(input_seed.wrapping_add(r as u64));
-        let input = Tensor::rand_uniform(Shape::nchw(1, 4, 12, 12), 1.0, &mut rng);
+        let input = Tensor::rand_uniform(Shape::nchw(1, channels, 12, 12), 1.0, &mut rng);
         let (out, rep) = exec.execute_with(&plan, &wire, input, opts).map_err(|e| {
             Box::new(ArgError(format!("request {r} failed: {e}"))) as Box<dyn std::error::Error>
         })?;

@@ -17,9 +17,12 @@ struct WorkerProc {
 }
 
 impl WorkerProc {
-    fn spawn(dev: usize) -> WorkerProc {
+    /// A worker for device `dev`; `extra` are compute flags such as
+    /// `--channels`, which must match the coordinator's.
+    fn spawn(dev: usize, extra: &[&str]) -> WorkerProc {
         let mut child = bin()
             .args(["worker", "--listen", "127.0.0.1:0", "--dev", &dev.to_string()])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -62,12 +65,24 @@ fn exec_digest(extra: &[&str]) -> String {
 
 #[test]
 fn two_process_tcp_matches_inproc_bit_for_bit() {
-    let w0 = WorkerProc::spawn(0);
-    let w1 = WorkerProc::spawn(1);
+    let w0 = WorkerProc::spawn(0, &[]);
+    let w1 = WorkerProc::spawn(1, &[]);
     let workers = format!("{},{}", w0.addr, w1.addr);
     let tcp = exec_digest(&["--transport", "tcp", "--workers", &workers]);
     let inproc = exec_digest(&["--transport", "inproc", "--devices", "2"]);
     assert_eq!(tcp, inproc, "B32 digests must be identical across transports");
+}
+
+#[test]
+fn sixteen_channel_tcp_matches_inproc_bit_for_bit() {
+    // 16 channels: the input must follow `--channels`, and the units run
+    // the widest stride-1 tile the CPU has (the 8-row one on AVX-512F).
+    let (w0, w1) =
+        (WorkerProc::spawn(0, &["--channels", "16"]), WorkerProc::spawn(1, &["--channels", "16"]));
+    let workers = format!("{},{}", w0.addr, w1.addr);
+    let tcp = exec_digest(&["--channels", "16", "--transport", "tcp", "--workers", &workers]);
+    let inproc = exec_digest(&["--channels", "16", "--transport", "inproc", "--devices", "2"]);
+    assert_eq!(tcp, inproc, "16-channel digests must be identical across transports");
 }
 
 #[test]

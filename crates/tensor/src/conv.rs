@@ -21,7 +21,7 @@
 use std::marker::PhantomData;
 
 use crate::activation::relu_inplace;
-use crate::gemm::{gemm_bias, KC, MR, NR};
+use crate::gemm::{gemm_bias, KC, NR};
 use crate::par;
 use crate::scratch;
 use crate::shape::{conv_out_size, Shape};
@@ -212,12 +212,12 @@ fn conv2d_act(
         let dims = (c_in, h, w, c_out);
         let image_macs = c_out * oh * ow * c_in * p.kernel * p.kernel;
         let run: Runner = if image_macs >= PAR_MIN_MACS { &par::for_each } else { &serial };
-        // Read once per call and handed to every chunk: the AVX2 and portable
-        // tiles round differently, so a helper re-reading the flag could mix
-        // the two paths within one output.
-        let use_simd = simd::simd_active();
+        // Picked once per call and handed to every chunk: the vector and
+        // portable tiles round differently, so a helper re-reading the
+        // override could mix the two paths within one output.
+        let tier = ConvTier::pick(c_out);
         let (x, wt) = (input.data(), weight.data());
-        conv2d_direct(run, use_simd, x, dims, wt, bias_data, p, relu, out.data_mut());
+        conv2d_direct(run, tier, x, dims, wt, bias_data, p, relu, out.data_mut());
         return out;
     }
     let images = input.data().chunks_exact(c_in * h * w);
@@ -233,9 +233,47 @@ fn conv2d_act(
     out
 }
 
-/// Output rows per chunk of the stride-1 convolution. With 4-channel weight
-/// groups it cuts both request layers — 16 ch at 48² and 8 ch at 96² — into
-/// 24 chunks, enough for two cores to finish close together.
+/// The register tile a stride-1 convolution runs, picked once per call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConvTier {
+    /// [`simd::conv_tile_8x16`]: 8 channels × 16 pixels on AVX-512F.
+    Avx512,
+    /// [`simd::conv_tile_16`]: 4 channels × 16 pixels on AVX2+FMA.
+    Avx2,
+    /// The portable 4 × 16 tile, a separate multiply and add per tap.
+    Portable,
+}
+
+impl ConvTier {
+    /// The tier [`conv2d`] runs at stride 1 for `c_out` output channels:
+    /// the 8-row tile where the CPU has AVX-512F and `c_out ≥ 8`, else the
+    /// AVX2 tile where [`simd::simd_active`], else the portable one. The
+    /// two vector tiles give the same bits; the scalar override forces the
+    /// portable tile.
+    pub fn pick(c_out: usize) -> ConvTier {
+        if !simd::simd_active() {
+            ConvTier::Portable
+        } else if simd::detected_avx512() && c_out >= 8 {
+            ConvTier::Avx512
+        } else {
+            ConvTier::Avx2
+        }
+    }
+
+    /// Short name for reports: `avx512_8x16`, `avx2_4x16` or `portable`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ConvTier::Avx512 => "avx512_8x16",
+            ConvTier::Avx2 => "avx2_4x16",
+            ConvTier::Portable => "portable",
+        }
+    }
+}
+
+/// Output rows per chunk of the stride-1 convolution. It cuts both request
+/// layers — 16 ch at 48² and 8 ch at 96² — into 24 chunks with 4-row weight
+/// groups and 12 with 8-row ones, enough for two cores to finish close
+/// together; 4, 6, 12 and 16 rows measured within noise of 8 on either.
 const BAND: usize = 8;
 
 /// Per-image MACs from which a stride-1 convolution is split across the
@@ -288,11 +326,12 @@ impl<'a> SharedOut<'a> {
 ///
 /// Each image is copied once into a zero-padded buffer (`NR` floats of tail
 /// slack keep the last row's 16-wide loads in bounds) and the weights are
-/// transposed into `MR`-row groups `[group][tap][MR]`. The image is then cut
+/// transposed into `G`-row groups `[group][tap][G]`, `G` the tier's tile
+/// rows (8 for [`ConvTier::Avx512`], else 4). The image is then cut
 /// into chunks of one group × [`BAND`] output rows, band-major, which `run`
 /// executes — possibly several at once. Within a chunk, every 16-pixel strip
 /// of every row is one register tile stored once (edges through a stack
-/// tile); `use_simd` picks the tile for the whole call.
+/// tile); `tier` picks the tile for the whole call.
 ///
 /// The values are `im2col` + [`gemm_bias`]'s, bit for bit, whatever the
 /// runner: zero-start accumulators take the taps in unfold order (padding
@@ -302,7 +341,49 @@ impl<'a> SharedOut<'a> {
 #[allow(clippy::too_many_arguments)]
 fn conv2d_direct(
     run: Runner,
-    use_simd: bool,
+    tier: ConvTier,
+    input: &[f32],
+    dims: (usize, usize, usize, usize),
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    p: Conv2dParams,
+    relu: bool,
+    out: &mut [f32],
+) {
+    match tier {
+        ConvTier::Avx512 => {
+            direct_groups::<8>(run, tile_avx512, input, dims, weight, bias, p, relu, out)
+        }
+        ConvTier::Avx2 => {
+            direct_groups::<4>(run, tile_avx2, input, dims, weight, bias, p, relu, out)
+        }
+        ConvTier::Portable => {
+            direct_groups::<4>(run, conv_tile_portable, input, dims, weight, bias, p, relu, out)
+        }
+    }
+}
+
+/// One register tile over `G` weight-group rows (arguments as
+/// [`simd::conv_tile_16`]'s).
+type Tile<const G: usize> = fn(ConvTile, &[f32], &[f32], &[f32; G], &mut [&mut [f32; NR]; G]);
+
+fn tile_avx2(t: ConvTile, img: &[f32], wg: &[f32], bv: &[f32; 4], dst: &mut [&mut [f32; NR]; 4]) {
+    if !simd::conv_tile_16(t, img, wg, bv, dst) {
+        conv_tile_portable(t, img, wg, bv, dst);
+    }
+}
+
+fn tile_avx512(t: ConvTile, img: &[f32], wg: &[f32], bv: &[f32; 8], dst: &mut [&mut [f32; NR]; 8]) {
+    if !simd::conv_tile_8x16(t, img, wg, bv, dst) {
+        conv_tile_portable(t, img, wg, bv, dst);
+    }
+}
+
+/// [`conv2d_direct`]'s driver for `G`-row weight groups.
+#[allow(clippy::too_many_arguments)]
+fn direct_groups<const G: usize>(
+    run: Runner,
+    tile: Tile<G>,
     input: &[f32],
     (c_in, h, w, c_out): (usize, usize, usize, usize),
     weight: &[f32],
@@ -316,22 +397,17 @@ fn conv2d_direct(
     let (oh, ow) = (ph - k + 1, pw - k + 1);
     let taps = c_in * k * k;
     let t = ConvTile { c_in, k, plane: ph * pw, pw, relu };
-    let tile = |img: &[f32], wg: &[f32], bv: &[f32; MR], dst: &mut [&mut [f32; NR]; MR]| {
-        if !(use_simd && simd::conv_tile_16(t, img, wg, bv, dst)) {
-            conv_tile_portable(t, img, wg, bv, dst);
-        }
-    };
-    let groups = c_out.div_ceil(MR);
+    let groups = c_out.div_ceil(G);
     scratch::with(|wg| {
         scratch::with(|padded| {
             // Rows past `c_out` in the last group stay zero; their outputs
             // are never stored.
             wg.clear();
-            wg.resize(groups * taps * MR, 0.0);
+            wg.resize(groups * taps * G, 0.0);
             for (co, w_row) in weight.chunks_exact(taps).enumerate() {
-                let base = (co / MR) * taps * MR + co % MR;
+                let base = (co / G) * taps * G + co % G;
                 for (tap, &v) in w_row.iter().enumerate() {
-                    wg[base + tap * MR] = v;
+                    wg[base + tap * G] = v;
                 }
             }
             // Borders and slack are zeroed here; only interiors are written.
@@ -347,19 +423,19 @@ fn conv2d_direct(
                 let out_img = SharedOut::new(out_img);
                 run(groups * oh.div_ceil(BAND), &|chunk| {
                     let (band, g) = (chunk / groups, chunk % groups);
-                    let wg_g = &wg[g * taps * MR..][..taps * MR];
-                    let mr = MR.min(c_out - g * MR);
-                    let mut bv = [0.0f32; MR];
+                    let wg_g = &wg[g * taps * G..][..taps * G];
+                    let mr = G.min(c_out - g * G);
+                    let mut bv = [0.0f32; G];
                     if let Some(b) = bias {
-                        bv[..mr].copy_from_slice(&b[g * MR..g * MR + mr]);
+                        bv[..mr].copy_from_slice(&b[g * G..g * G + mr]);
                     }
                     let rows = band * BAND..oh.min(band * BAND + BAND);
-                    // The chunk's output: rows `rows` of channels g·MR + r, r < mr.
-                    let mut planes: [&mut [f32]; MR] = std::array::from_fn(|r| {
+                    // The chunk's output: rows `rows` of channels g·G + r, r < mr.
+                    let mut planes: [&mut [f32]; G] = std::array::from_fn(|r| {
                         if r >= mr {
                             return &mut [][..];
                         }
-                        let at = ((g * MR + r) * oh + rows.start) * ow;
+                        let at = ((g * G + r) * oh + rows.start) * ow;
                         // SAFETY: chunks are disjoint — `run` calls each
                         // (band, group) once, and this slice is that chunk's
                         // band of one of its channels, which no other chunk
@@ -374,14 +450,14 @@ fn conv2d_direct(
                             let origin = &padded[oy * pw + ox0..];
                             let nr = NR.min(ow - ox0);
                             let at = (oy - rows.start) * ow + ox0;
-                            if nr == NR && mr == MR {
+                            if nr == NR && mr == G {
                                 let mut dst = planes.each_mut().map(|pl| {
                                     pl[at..].first_chunk_mut::<NR>().expect("a full strip")
                                 });
-                                tile(origin, wg_g, &bv, &mut dst);
+                                tile(t, origin, wg_g, &bv, &mut dst);
                             } else {
-                                let mut edge = [[0.0f32; NR]; MR];
-                                tile(origin, wg_g, &bv, &mut edge.each_mut());
+                                let mut edge = [[0.0f32; NR]; G];
+                                tile(t, origin, wg_g, &bv, &mut edge.each_mut());
                                 for (pl, row) in planes.iter_mut().zip(&edge).take(mr) {
                                     pl[at..at + nr].copy_from_slice(&row[..nr]);
                                 }
@@ -396,16 +472,16 @@ fn conv2d_direct(
 
 /// Portable twin of [`simd::conv_tile_16`] (same arguments): a separately
 /// rounded multiply and add per tap, as in `gemm`'s scalar microkernel.
-fn conv_tile_portable(
+fn conv_tile_portable<const G: usize>(
     t: ConvTile,
     img: &[f32],
     wg: &[f32],
-    bias: &[f32; MR],
-    out: &mut [&mut [f32; NR]; MR],
+    bias: &[f32; G],
+    out: &mut [&mut [f32; NR]; G],
 ) {
     let mut bank = bias.map(|b| [b; NR]);
-    let mut acc = [[0.0f32; NR]; MR];
-    for (tap, wv) in wg.chunks_exact(MR).take(t.c_in * t.k * t.k).enumerate() {
+    let mut acc = [[0.0f32; NR]; G];
+    for (tap, wv) in wg.chunks_exact(G).take(t.c_in * t.k * t.k).enumerate() {
         if tap > 0 && tap % KC == 0 {
             for (bv, av) in bank.as_flattened_mut().iter_mut().zip(acc.as_flattened_mut()) {
                 *bv += *av;
@@ -692,26 +768,78 @@ fn dw_interior_k5(
     }
 }
 
-/// Naive reference convolution used for testing the fast paths.
-pub fn conv2d_ref(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-) -> Tensor {
-    let (n, c_in, h, w) =
-        (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
-    let c_out = weight.shape().dim(0);
-    let k = p.kernel;
-    let (oh, ow) = p.out_hw(h, w);
-    let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    for b in 0..n {
-        for co in 0..c_out {
-            let bv = bias.map_or(0.0, |bt| bt.data()[co]);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bv;
-                    for ci in 0..c_in {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assert_close;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// Naive reference convolution used for testing the fast paths.
+    fn conv2d_ref(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        p: Conv2dParams,
+    ) -> Tensor {
+        let (n, c_in, h, w) =
+            (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
+        let c_out = weight.shape().dim(0);
+        let k = p.kernel;
+        let (oh, ow) = p.out_hw(h, w);
+        let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
+        for b in 0..n {
+            for co in 0..c_out {
+                let bv = bias.map_or(0.0, |bt| bt.data()[co]);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = bv;
+                        for ci in 0..c_in {
+                            for ky in 0..k {
+                                let iy = (oy * p.stride + ky) as isize - p.pad as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = (ox * p.stride + kx) as isize - p.pad as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    acc += input.at(b, ci, iy as usize, ix as usize)
+                                        * weight.data()[((co * c_in + ci) * k + ky) * k + kx];
+                                }
+                            }
+                        }
+                        *out.at_mut(b, co, oy, ox) = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Naive reference depthwise convolution (per-tap bounds checks everywhere),
+    /// used to validate the interior/border fast path.
+    fn depthwise_conv2d_ref(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        p: Conv2dParams,
+    ) -> Tensor {
+        let (n, c, h, w) =
+            (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
+        let (oh, ow) = p.out_hw(h, w);
+        let mut out = Tensor::zeros(Shape::nchw(n, c, oh, ow));
+        let k = p.kernel;
+        for b in 0..n {
+            for ch in 0..c {
+                let in_base = (b * c + ch) * h * w;
+                let w_base = ch * k * k;
+                let out_base = (b * c + ch) * oh * ow;
+                let bv = bias.map_or(0.0, |bt| bt.data()[ch]);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = bv;
                         for ky in 0..k {
                             let iy = (oy * p.stride + ky) as isize - p.pad as isize;
                             if iy < 0 || iy >= h as isize {
@@ -722,68 +850,17 @@ pub fn conv2d_ref(
                                 if ix < 0 || ix >= w as isize {
                                     continue;
                                 }
-                                acc += input.at(b, ci, iy as usize, ix as usize)
-                                    * weight.data()[((co * c_in + ci) * k + ky) * k + kx];
+                                acc += input.data()[in_base + iy as usize * w + ix as usize]
+                                    * weight.data()[w_base + ky * k + kx];
                             }
                         }
+                        out.data_mut()[out_base + oy * ow + ox] = acc;
                     }
-                    *out.at_mut(b, co, oy, ox) = acc;
                 }
             }
         }
+        out
     }
-    out
-}
-
-/// Naive reference depthwise convolution (per-tap bounds checks everywhere),
-/// used to validate the interior/border fast path.
-pub fn depthwise_conv2d_ref(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-) -> Tensor {
-    let (n, c, h, w) = (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
-    let (oh, ow) = p.out_hw(h, w);
-    let mut out = Tensor::zeros(Shape::nchw(n, c, oh, ow));
-    let k = p.kernel;
-    for b in 0..n {
-        for ch in 0..c {
-            let in_base = (b * c + ch) * h * w;
-            let w_base = ch * k * k;
-            let out_base = (b * c + ch) * oh * ow;
-            let bv = bias.map_or(0.0, |bt| bt.data()[ch]);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bv;
-                    for ky in 0..k {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += input.data()[in_base + iy as usize * w + ix as usize]
-                                * weight.data()[w_base + ky * k + kx];
-                        }
-                    }
-                    out.data_mut()[out_base + oy * ow + ox] = acc;
-                }
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::assert_close;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn identity_kernel_passthrough() {
@@ -912,29 +989,45 @@ mod tests {
 
     #[test]
     fn split_is_bit_exact_for_any_helper_count() {
-        // c_out 6 leaves a half group, oh 13 a 5-row band, w 21 a partial
-        // strip; c_in·k² = 270 crosses KC; batch 2 reuses the padded buffer.
-        let mut rng = StdRng::seed_from_u64(31);
-        let (n, c_in, h, w, c_out) = (2, 30, 13, 21, 6);
-        let p = Conv2dParams::same(3);
-        let (oh, ow) = p.out_hw(h, w);
-        let x = Tensor::rand_uniform(Shape::nchw(n, c_in, h, w), 1.0, &mut rng);
-        let wt = Tensor::rand_uniform(Shape::nchw(c_out, c_in, 3, 3), 0.5, &mut rng);
-        let b = Tensor::rand_uniform(Shape::d1(c_out), 0.5, &mut rng);
-        let (dims, bias) = ((c_in, h, w, c_out), Some(b.data()));
-        let conv = |run: Runner, use_simd: bool, relu: bool| {
-            let mut out = vec![0.0f32; n * c_out * oh * ow];
-            conv2d_direct(run, use_simd, x.data(), dims, wt.data(), bias, p, relu, &mut out);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
-        };
-        let pools: Vec<_> = (0..4).map(par::Pool::new).collect();
-        let paths: &[bool] = if simd::detected() { &[false, true] } else { &[false] };
-        for &use_simd in paths {
-            for relu in [false, true] {
-                let want = conv(&serial, use_simd, relu);
-                for (helpers, pool) in pools.iter().enumerate() {
-                    let got = conv(&|n, f| pool.for_each(n, f), use_simd, relu);
-                    assert!(got == want, "{helpers} helpers, simd {use_simd}, relu {relu}");
+        // c_out 6 leaves a half 4-row group and c_out 13 one full 8-row group
+        // and a 5-row one; oh 13 leaves a 5-row band, w 21 a partial strip;
+        // c_in·k² = 270 crosses KC; batch 2 reuses the padded buffer.
+        for (seed, c_out) in [(31, 6), (37, 13)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, c_in, h, w) = (2, 30, 13, 21);
+            let p = Conv2dParams::same(3);
+            let (oh, ow) = p.out_hw(h, w);
+            let x = Tensor::rand_uniform(Shape::nchw(n, c_in, h, w), 1.0, &mut rng);
+            let wt = Tensor::rand_uniform(Shape::nchw(c_out, c_in, 3, 3), 0.5, &mut rng);
+            let b = Tensor::rand_uniform(Shape::d1(c_out), 0.5, &mut rng);
+            let (dims, bias) = ((c_in, h, w, c_out), Some(b.data()));
+            let conv = |run: Runner, tier: ConvTier, relu: bool| {
+                let mut out = vec![0.0f32; n * c_out * oh * ow];
+                conv2d_direct(run, tier, x.data(), dims, wt.data(), bias, p, relu, &mut out);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            let pools: Vec<_> = (0..4).map(par::Pool::new).collect();
+            let mut tiers = vec![ConvTier::Portable];
+            if simd::detected() {
+                tiers.push(ConvTier::Avx2);
+            }
+            if simd::detected_avx512() {
+                tiers.push(ConvTier::Avx512);
+            }
+            for tier in tiers {
+                for relu in [false, true] {
+                    let want = conv(&serial, tier, relu);
+                    for (helpers, pool) in pools.iter().enumerate() {
+                        let got = conv(&|n, f| pool.for_each(n, f), tier, relu);
+                        assert!(
+                            got == want,
+                            "c_out {c_out}, {helpers} helpers, {tier:?}, relu {relu}"
+                        );
+                    }
+                }
+                if tier == ConvTier::Avx512 {
+                    let avx2 = conv(&serial, ConvTier::Avx2, false);
+                    assert!(conv(&serial, tier, false) == avx2, "c_out {c_out}: tiers differ");
                 }
             }
         }

@@ -110,6 +110,23 @@ pub fn detected_vnni() -> bool {
     false
 }
 
+/// True when the CPU additionally supports AVX-512F (implies [`detected`]).
+/// Upgrades the stride-1 convolution tile from 4×16 on `ymm` pairs to 8×16
+/// on single `zmm` registers ([`conv_tile_8x16`]) — same bits, twice the
+/// lanes per FMA.
+#[cfg(target_arch = "x86_64")]
+pub fn detected_avx512() -> bool {
+    use std::sync::OnceLock;
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| detected() && std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// True when the CPU additionally supports AVX-512F.
+#[cfg(not(target_arch = "x86_64"))]
+pub fn detected_avx512() -> bool {
+    false
+}
+
 /// True when callers should dispatch to the vector kernels: the CPU has
 /// AVX2+FMA and neither `MURMURATION_FORCE_SCALAR` nor [`force_scalar`] is in
 /// effect. Call sites read this once per operation so the choice is stable
@@ -314,6 +331,102 @@ unsafe fn conv_tile_16_avx2(
             }
             _mm256_storeu_ps(out[r].add(half * 8), v);
         }
+    }
+}
+
+/// [`conv_tile_16`] for eight output channels: `wg` is `[tap][8]`, channel
+/// `r` stored into `out[r]`, and the value is bit for bit that of two
+/// `conv_tile_16` calls over the two 4-row halves (each lane runs the same
+/// FMAs in the same order and is banked at the same `gemm::KC` boundaries).
+/// Returns `false` when the CPU lacks AVX-512F; nothing is written.
+pub fn conv_tile_8x16(
+    t: ConvTile,
+    img: &[f32],
+    wg: &[f32],
+    bias: &[f32; 8],
+    out: &mut [&mut [f32; 16]; 8],
+) -> bool {
+    if !detected_avx512() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!(t.c_in > 0 && t.k > 0, "empty conv tile");
+        assert!(
+            img.len() >= (t.c_in - 1) * t.plane + (t.k - 1) * t.pw + (t.k - 1) + 16,
+            "padded image too short for the tile's last tap"
+        );
+        assert!(wg.len() >= 8 * t.c_in * t.k * t.k, "weight group shorter than 8*c_in*k*k");
+        // SAFETY: AVX-512F presence was checked via `detected_avx512()`. The
+        // widest read is 16 f32 at `img[(c_in-1)*plane + (k-1)*pw + (k-1)]`
+        // and the kernel reads `8*c_in*k*k` f32 of `wg`, both asserted above;
+        // it writes the eight 16-f32 rows of `out`, exclusive borrows by type.
+        unsafe {
+            conv_tile_8x16_avx512(
+                t,
+                img.as_ptr(),
+                wg.as_ptr(),
+                bias,
+                out.each_mut().map(|r| r.as_mut_ptr()),
+            )
+        }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (t, img, wg, bias, out);
+        false
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX-512F is available, `img` is valid for
+/// `(c_in-1)*plane + (k-1)*pw + (k-1) + 16` f32 reads, `wg` for `8*c_in*k*k`
+/// reads, and each `out[r]` for 16 f32 writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::needless_range_loop)] // as in `conv_tile_16_avx2`
+unsafe fn conv_tile_8x16_avx512(
+    t: ConvTile,
+    img: *const f32,
+    mut wg: *const f32,
+    bias: &[f32; 8],
+    out: [*mut f32; 8],
+) {
+    use std::arch::x86_64::*;
+    // 8 independent `zmm` chains, one per channel, as the AVX2 tile's 8 `ymm`.
+    let zero = _mm512_setzero_ps();
+    let mut bank = bias.map(|b| _mm512_set1_ps(b));
+    let mut acc = [zero; 8];
+    let mut open = 0; // taps in the open slab
+    for c in 0..t.c_in {
+        for ky in 0..t.k {
+            let row = img.add(c * t.plane + ky * t.pw);
+            for kx in 0..t.k {
+                if open == crate::gemm::KC {
+                    for r in 0..8 {
+                        bank[r] = _mm512_add_ps(bank[r], acc[r]);
+                    }
+                    acc = [zero; 8];
+                    open = 0;
+                }
+                let b = _mm512_loadu_ps(row.add(kx));
+                for r in 0..8 {
+                    let av = _mm512_set1_ps(*wg.add(r));
+                    acc[r] = _mm512_fmadd_ps(av, b, acc[r]);
+                }
+                wg = wg.add(8);
+                open += 1;
+            }
+        }
+    }
+    for r in 0..8 {
+        let mut v = _mm512_add_ps(bank[r], acc[r]);
+        if t.relu {
+            // Same operand order as the AVX2 tile: −0.0 and NaN pass through.
+            v = _mm512_max_ps(zero, v);
+        }
+        _mm512_storeu_ps(out[r], v);
     }
 }
 

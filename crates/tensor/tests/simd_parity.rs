@@ -17,7 +17,7 @@ use murmuration_tensor::conv::{conv2d, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::gemm;
 use murmuration_tensor::matvec::{pack_panels, panel_matvec};
 use murmuration_tensor::quant::{BitWidth, QuantizedTensor};
-use murmuration_tensor::simd;
+use murmuration_tensor::simd::{self, ConvTile};
 use murmuration_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -241,5 +241,64 @@ proptest! {
             QuantizedTensor::quantize(&t, BitWidth::B8).dequantize().data().to_vec()
         });
         prop_assert_eq!(v, s);
+    }
+}
+
+/// Values that a fused ReLU must pass or clear exactly as `if v < 0 { 0 }`:
+/// signed zeros, NaN, a negative subnormal, and magnitudes whose products
+/// with a 1e-30 weight underflow.
+const RELU_SPECIALS: [f32; 8] = [-0.0, 0.0, f32::NAN, -1e-40, -1e-30, 1e-10, -1e-10, 1e35];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn prop_conv_tile_8x16_is_two_4x16_tiles(
+        c_in in 1usize..41,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        extra_w in 0usize..9, extra_h in 0usize..3,
+        relu in 0usize..2, specials in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        if !simd::detected_avx512() {
+            eprintln!("skipped: no AVX-512F on this CPU, so conv_tile_8x16 has no kernel");
+            return Ok(());
+        }
+        // c_in up to 40 at k 3 or 5 crosses KC = 256 (up to 3 slabs); a
+        // third of the draws feed the ReLU specials with 1e-30 weights.
+        let (pw, ph) = (k - 1 + 16 + extra_w, k + extra_h);
+        let t = ConvTile { c_in, k, plane: ph * pw, pw, relu: relu == 1 };
+        let taps = c_in * k * k;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let special = specials == 0;
+        let img: Vec<f32> = (0..c_in * t.plane)
+            .map(|i| match special && i % 3 != 0 {
+                true => RELU_SPECIALS[rng.gen_range(0..8)],
+                false => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        let wg8: Vec<f32> = (0..8 * taps)
+            .map(|_| match special {
+                true => 1e-30 * rng.gen_range(-1.0f32..1.0).signum(),
+                false => rng.gen_range(-0.5..0.5),
+            })
+            .collect();
+        let bias8: [f32; 8] = std::array::from_fn(|r| {
+            if special { [-0.0, 0.0, -1e-40][r % 3] } else { rng.gen_range(-0.5..0.5) }
+        });
+        // The same groups as two 4-row halves `[tap][4]`.
+        let half = |h: usize| -> Vec<f32> {
+            wg8.chunks_exact(8).flat_map(|tap| tap[4 * h..4 * h + 4].to_vec()).collect()
+        };
+        let mut wide = [[0.0f32; 16]; 8];
+        prop_assert!(simd::conv_tile_8x16(t, &img, &wg8, &bias8, &mut wide.each_mut()));
+        let mut narrow = [[[0.0f32; 16]; 4]; 2];
+        for (h, rows) in narrow.iter_mut().enumerate() {
+            let bias: [f32; 4] = std::array::from_fn(|r| bias8[4 * h + r]);
+            prop_assert!(simd::conv_tile_16(t, &img, &half(h), &bias, &mut rows.each_mut()));
+        }
+        for (r, (a, b)) in wide.iter().zip(narrow.as_flattened()).enumerate() {
+            prop_assert!(bits_of(a) == bits_of(b), "channel {r}: {a:?} vs {b:?}");
+        }
     }
 }

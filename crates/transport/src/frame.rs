@@ -299,36 +299,60 @@ fn u64_at(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(a)
 }
 
-/// Parses one payload (type byte + body) into a [`Msg`], consuming the
-/// buffer so bulk tensor bodies are split off in place instead of copied.
+/// The longest fixed prefix ahead of a message body: type byte, request
+/// id and unit of a [`Msg::Request`].
+const PREFIX_MAX: usize = 13;
+
+/// How many leading bytes of a `len`-byte payload of type `ty` are fixed
+/// fields; the rest is the body. Tensor messages put their ids in the
+/// prefix (13 bytes for a request, 10 for a response), every other
+/// message only its type byte.
+fn prefix_len(ty: u8, len: usize) -> usize {
+    let fixed = match ty {
+        TYPE_REQUEST => 13,
+        TYPE_RESPONSE_OK => 10,
+        _ => 1,
+    };
+    fixed.min(len)
+}
+
+/// Parses one payload (type byte + body) into a [`Msg`]. The reference
+/// parse: a tensor body is copied out of `payload` into the message, where
+/// [`FrameAssembler`] reads it into a buffer of its own and moves that.
 pub fn parse_payload(mut payload: Vec<u8>) -> Result<Msg, FrameError> {
-    match payload.first().copied() {
-        Some(TYPE_REQUEST) => {
-            if payload.len() < 13 {
+    let n = payload.first().map_or(0, |&ty| prefix_len(ty, payload.len()));
+    let body = payload.split_off(n);
+    parse_parts(&payload, body)
+}
+
+/// Parses a payload cut at [`prefix_len`]: `prefix` holds the type byte and
+/// fixed fields, `body` the rest, which becomes the message's tensor frame
+/// or gossip digest without a copy.
+fn parse_parts(prefix: &[u8], body: Vec<u8>) -> Result<Msg, FrameError> {
+    let Some(&ty) = prefix.first() else {
+        return Err(FrameError::Corrupt("truncated body"));
+    };
+    match ty {
+        TYPE_REQUEST => {
+            if prefix.len() < 13 {
                 return Err(FrameError::Corrupt("truncated body"));
             }
-            let req_id = u64_at(&payload, 1);
-            let unit = u32::from_le_bytes([payload[9], payload[10], payload[11], payload[12]]);
-            let frame = payload.split_off(13);
-            Ok(Msg::Request { req_id, unit, frame })
+            let req_id = u64_at(prefix, 1);
+            let unit = u32::from_le_bytes([prefix[9], prefix[10], prefix[11], prefix[12]]);
+            Ok(Msg::Request { req_id, unit, frame: body })
         }
-        Some(TYPE_RESPONSE_OK) => {
-            if payload.len() < 10 {
+        TYPE_RESPONSE_OK => {
+            if prefix.len() < 10 {
                 return Err(FrameError::Corrupt("truncated body"));
             }
-            let req_id = u64_at(&payload, 1);
-            let deduped = payload[9] != 0;
-            let frame = payload.split_off(10);
-            Ok(Msg::ResponseOk { req_id, deduped, frame })
+            let req_id = u64_at(prefix, 1);
+            let deduped = prefix[9] != 0;
+            Ok(Msg::ResponseOk { req_id, deduped, frame: body })
         }
-        Some(TYPE_GOSSIP) => {
-            // Splitting in place keeps gossip digests copy-free too.
-            let body = payload.split_off(1);
-            Ok(Msg::Gossip { payload: body })
-        }
+        TYPE_GOSSIP => Ok(Msg::Gossip { payload: body }),
         _ => {
-            let mut c = Cursor { buf: &payload, pos: 0 };
-            let msg = match c.u8()? {
+            let mut c = Cursor { buf: &body, pos: 0 };
+            let msg = match ty {
                 TYPE_HELLO => Msg::Hello { session: c.u64()?, version: c.u8()? },
                 TYPE_RESPONSE_ERR => {
                     let req_id = c.u64()?;
@@ -366,15 +390,49 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Msg, FrameError> {
     parse_payload(payload)
 }
 
+/// A payload's fixed prefix ([`prefix_len`] bytes) and its header crc.
+#[derive(Clone, Copy)]
+struct Head {
+    crc: u32,
+    prefix: [u8; PREFIX_MAX],
+    plen: usize,
+}
+
+impl Head {
+    /// Prefix bytes a `len`-byte payload needs before its body: one, the
+    /// type byte, until that is in, then [`prefix_len`]'s count.
+    fn want(&self, len: usize) -> usize {
+        match self.plen {
+            0 => usize::from(len > 0),
+            _ => prefix_len(self.prefix[0], len),
+        }
+    }
+
+    /// Whether `crc` matches [`payload_crc`] of `prefix ++ body`: the
+    /// covered bytes are gathered on the stack, never the whole payload.
+    fn crc_ok(&self, body: &[u8]) -> bool {
+        let mut covered = [0u8; CRC_COVER];
+        covered[..self.plen].copy_from_slice(&self.prefix[..self.plen]);
+        let n = (CRC_COVER - self.plen).min(body.len());
+        covered[self.plen..self.plen + n].copy_from_slice(&body[..n]);
+        check32(&covered[..self.plen + n]) == self.crc
+    }
+}
+
 /// Where a [`FrameAssembler`] stands in the byte stream.
 enum AsmState {
     /// Collecting the 8 header bytes.
     Header { got: [u8; HEADER_BYTES], fill: usize },
-    /// Collecting `payload.len()` body bytes; `crc` from the header.
-    Body { crc: u32, payload: Vec<u8>, fill: usize },
+    /// Collecting the fixed prefix of a `len`-byte payload: its type byte
+    /// first, which sets how long the prefix is.
+    Prefix { len: usize, head: Head },
+    /// Collecting `body.len()` body bytes straight into the message's buffer.
+    Body { head: Head, body: Vec<u8>, fill: usize },
     /// Stream desynchronized; all further input is garbage.
     Corrupt(&'static str),
 }
+
+const AT_HEADER: AsmState = AsmState::Header { got: [0; HEADER_BYTES], fill: 0 };
 
 /// Incremental frame reassembly for non-blocking sockets: feed whatever
 /// bytes `read` returned — one byte at a time, a torn header, three
@@ -382,19 +440,21 @@ enum AsmState {
 ///
 /// Semantics are byte-identical to [`read_frame`] over the same stream:
 /// the same checks run in the same order (length cap at header
-/// completion, checksum at payload completion, then [`parse_payload`]),
-/// so how the bytes were split can never change what a byte sequence
-/// means. Any [`FrameError::Corrupt`] is sticky: the stream can
-/// no longer be trusted to be in sync, so every later call returns the
-/// same error and pushed bytes are discarded — exactly the
-/// connection-fatal contract the supervisor expects.
+/// completion, checksum at payload completion, then the parse), so how the
+/// bytes were split can never change what a byte sequence means. The
+/// payload is kept as its fixed prefix plus a body buffer that becomes the
+/// message's tensor frame as is, and [`read_from`](Self::read_from) reads
+/// the socket straight into that buffer. Any [`FrameError::Corrupt`] is
+/// sticky: the stream can no longer be trusted to be in sync, so every
+/// later call returns the same error and pushed bytes are discarded —
+/// exactly the connection-fatal contract the supervisor expects.
 pub struct FrameAssembler {
     state: AsmState,
-    /// Completed `(crc, payload)` pairs awaiting checksum + parse. The
-    /// checks run in [`FrameAssembler::next_frame`] so frames queued
-    /// before a corrupt tail still decode (same as a blocking reader that
-    /// consumed them first).
-    ready: std::collections::VecDeque<(u32, Vec<u8>)>,
+    /// Completed payloads awaiting checksum + parse. The checks run in
+    /// [`FrameAssembler::next_frame`] so frames queued before a corrupt
+    /// tail still decode (same as a blocking reader that consumed them
+    /// first).
+    ready: std::collections::VecDeque<(Head, Vec<u8>)>,
 }
 
 impl Default for FrameAssembler {
@@ -406,10 +466,7 @@ impl Default for FrameAssembler {
 impl FrameAssembler {
     /// An assembler at a frame boundary.
     pub fn new() -> FrameAssembler {
-        FrameAssembler {
-            state: AsmState::Header { got: [0; HEADER_BYTES], fill: 0 },
-            ready: std::collections::VecDeque::new(),
-        }
+        FrameAssembler { state: AT_HEADER, ready: std::collections::VecDeque::new() }
     }
 
     /// Feeds bytes in. Never fails and never panics; errors surface from
@@ -426,27 +483,55 @@ impl FrameAssembler {
                     if *fill == HEADER_BYTES {
                         let len = u32::from_le_bytes([got[0], got[1], got[2], got[3]]) as usize;
                         let crc = u32::from_le_bytes([got[4], got[5], got[6], got[7]]);
-                        if len > MAX_PAYLOAD {
-                            self.state = AsmState::Corrupt("payload length exceeds cap");
-                        } else if len == 0 {
-                            self.ready.push_back((crc, Vec::new()));
-                            self.state = AsmState::Header { got: [0; HEADER_BYTES], fill: 0 };
+                        let head = Head { crc, prefix: [0; PREFIX_MAX], plen: 0 };
+                        self.state = if len > MAX_PAYLOAD {
+                            AsmState::Corrupt("payload length exceeds cap")
                         } else {
-                            self.state = AsmState::Body { crc, payload: vec![0u8; len], fill: 0 };
-                        }
+                            AsmState::Prefix { len, head }
+                        };
+                        self.close_prefix();
                     }
                 }
-                AsmState::Body { crc, payload, fill } => {
-                    let take = (payload.len() - *fill).min(bytes.len());
-                    payload[*fill..*fill + take].copy_from_slice(&bytes[..take]);
+                AsmState::Prefix { len, head } => {
+                    let take = (head.want(*len) - head.plen).min(bytes.len());
+                    head.prefix[head.plen..head.plen + take].copy_from_slice(&bytes[..take]);
+                    head.plen += take;
+                    bytes = &bytes[take..];
+                    self.close_prefix();
+                }
+                AsmState::Body { body, fill, .. } => {
+                    let take = (body.len() - *fill).min(bytes.len());
+                    body[*fill..*fill + take].copy_from_slice(&bytes[..take]);
                     *fill += take;
                     bytes = &bytes[take..];
-                    if *fill == payload.len() {
-                        let done = std::mem::take(payload);
-                        self.ready.push_back((*crc, done));
-                        self.state = AsmState::Header { got: [0; HEADER_BYTES], fill: 0 };
-                    }
+                    self.close_body();
                 }
+            }
+        }
+    }
+
+    /// Moves a complete prefix on: to the body, or, for a payload with
+    /// none, straight to the ready queue.
+    fn close_prefix(&mut self) {
+        let AsmState::Prefix { len, head } = &self.state else { return };
+        let (len, head) = (*len, *head);
+        if head.plen < head.want(len) {
+            return;
+        }
+        self.state = if len == head.plen {
+            self.ready.push_back((head, Vec::new()));
+            AT_HEADER
+        } else {
+            AsmState::Body { head, body: vec![0u8; len - head.plen], fill: 0 }
+        };
+    }
+
+    /// Queues a complete body and returns to the next header.
+    fn close_body(&mut self) {
+        if let AsmState::Body { body, fill, head } = &mut self.state {
+            if *fill == body.len() {
+                self.ready.push_back((*head, std::mem::take(body)));
+                self.state = AT_HEADER;
             }
         }
     }
@@ -454,13 +539,13 @@ impl FrameAssembler {
     /// Pops the next complete message, `Ok(None)` when more bytes are
     /// needed, or the stream's (sticky) corruption error.
     pub fn next_frame(&mut self) -> Result<Option<Msg>, FrameError> {
-        if let Some((crc, payload)) = self.ready.pop_front() {
-            if payload_crc(&payload) != crc {
+        if let Some((head, body)) = self.ready.pop_front() {
+            if !head.crc_ok(&body) {
                 self.state = AsmState::Corrupt("checksum mismatch");
                 self.ready.clear();
                 return Err(FrameError::Corrupt("checksum mismatch"));
             }
-            return match parse_payload(payload) {
+            return match parse_parts(&head.prefix[..head.plen], body) {
                 Ok(msg) => Ok(Some(msg)),
                 Err(FrameError::Corrupt(why)) => {
                     self.state = AsmState::Corrupt(why);
@@ -472,7 +557,7 @@ impl FrameAssembler {
         }
         match &self.state {
             AsmState::Corrupt(why) => Err(FrameError::Corrupt(why)),
-            AsmState::Header { .. } | AsmState::Body { .. } => Ok(None),
+            _ => Ok(None),
         }
     }
 
@@ -483,9 +568,17 @@ impl FrameAssembler {
     }
 
     /// Drives the assembler directly from a non-blocking reader: one
-    /// `read` into a scratch buffer, pushed in. Returns the byte count
-    /// (`0` = clean EOF); `WouldBlock` surfaces to the caller.
+    /// `read`, pushed in. Inside a body the read lands in the body's own
+    /// buffer (at most the bytes it still lacks); elsewhere it goes through
+    /// `scratch`. Returns the byte count (`0` = clean EOF); `WouldBlock`
+    /// surfaces to the caller.
     pub fn read_from<R: Read>(&mut self, r: &mut R, scratch: &mut [u8]) -> std::io::Result<usize> {
+        if let AsmState::Body { body, fill, .. } = &mut self.state {
+            let n = r.read(&mut body[*fill..])?;
+            *fill += n;
+            self.close_body();
+            return Ok(n);
+        }
         let n = r.read(scratch)?;
         self.push(&scratch[..n]);
         Ok(n)
@@ -496,10 +589,11 @@ impl FrameAssembler {
     pub fn buffered(&self) -> usize {
         let partial = match &self.state {
             AsmState::Header { fill, .. } => *fill,
-            AsmState::Body { fill, .. } => *fill,
+            AsmState::Prefix { head, .. } => head.plen,
+            AsmState::Body { head, fill, .. } => head.plen + *fill,
             AsmState::Corrupt(_) => 0,
         };
-        partial + self.ready.iter().map(|(_, p)| p.len()).sum::<usize>()
+        partial + self.ready.iter().map(|(h, b)| h.plen + b.len()).sum::<usize>()
     }
 
     /// True once the stream hit a corrupt frame (connection-fatal).

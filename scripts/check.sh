@@ -217,11 +217,13 @@ echo "==> end-to-end count gate (fixed-count traced runs, seed 1: counts equal t
 # A change that must not move a decision or a plan must leave these counts
 # exactly as they are. Each metric here read the same in 3 runs of each
 # workload; timing metrics and counts that vary run to run are left out.
-# Both runs take about 12 s on a 2-vCPU x86-64 VM, after the build above.
+# churn_decide and steady_inproc take about 12 s together on a 2-vCPU x86-64
+# VM after the build above; swarm_tcp (the TCP path: framing, sockets, tile
+# fan-out) adds about 12 s more.
 # Everything the leg writes goes under target/e2e_counts/.
 counts_dir=target/e2e_counts
 mkdir -p "$counts_dir"
-for workload in churn_decide steady_inproc; do
+for workload in churn_decide steady_inproc swarm_tcp; do
     timeout 300 cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
         --workload "$workload" --seed 1 --trace 1 --out "$counts_dir" >"$counts_dir/$workload.txt"
     for metric in decision.hit_share reconfig.switches executor.jobs_per_req \
