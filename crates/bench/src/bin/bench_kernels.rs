@@ -12,21 +12,25 @@
 //! (`MURMURATION_BENCH_MS`, default 300 ms after 3 warmup iterations), so
 //! slow seed kernels and fast optimized kernels both get stable numbers.
 //!
-//! The `conv2d/dense_*` rows split each image across the tensor crate's
-//! helper pool, and `rl/greedy_rollout_1024x276` each roll-out step (beside
+//! The `conv2d/dense_*` and `conv2d/qconv_*` rows split each image across
+//! the tensor crate's helper pool (the int8 rows in the same chunks as their
+//! f32 twins), and `rl/greedy_rollout_1024x276` each roll-out step (beside
 //! its `_inline` twin on a pool without helpers), so they depend on the
-//! thread count, which the header and the JSON's `threads` key state (`available_parallelism`, which honours the
-//! CPU affinity mask: under `taskset -c 0` it is 1 and nothing splits). The
-//! int8 `qconv2d` does not split, so its `vs_f32` ratio falls as threads rise.
-//! The header and the JSON's `conv_tier` key name the stride-1 register tile
-//! those rows ran (`avx512_8x16`, `avx2_4x16` or `portable`, see
-//! `conv::ConvTier`).
+//! thread count, which the header and the JSON's `threads` key state
+//! (`available_parallelism`, which honours the CPU affinity mask: under
+//! `taskset -c 0` it is 1 and nothing splits). The header and the JSON's
+//! `conv_tier` key name the f32 stride-1 register tile those rows ran
+//! (`avx512_8x16`, `avx2_4x16` or `portable`, see `conv::ConvTier`), and
+//! `qconv_tier` the int8 one (`avxvnni_4x16`, `avx2_4x16` or `portable`,
+//! see `int8::qtile_name`).
 //!
 //! Each entry carries the PR-1 seed timing baked in below, and the binary
 //! *gates* on the result: it exits non-zero if the dense conv drops under
-//! 2× seed, the int8 GEMM under 2× this run's f32 GEMM at the same shape,
-//! or any kernel falls below its recorded speedup floor. `scripts/check.sh`
-//! runs it under a timeout as the perf-regression leg of CI.
+//! 2× seed, any kernel falls below its recorded speedup floor, or an int8
+//! row falls below its `vs_f32` floor against this run's f32 twin (the int8
+//! GEMM 2×, each int8 convolution 1×: never slower than the layer it
+//! replaces). `scripts/check.sh` runs it under a timeout as the
+//! perf-regression leg of CI.
 
 use murmuration_bench::emit;
 use murmuration_rl::env::greedy_rollout_on;
@@ -34,7 +38,7 @@ use murmuration_rl::{LstmPolicy, Scenario, SloKind};
 use murmuration_tensor::conv::{conv2d, conv2d_relu, depthwise_conv2d, Conv2dParams, ConvTier};
 use murmuration_tensor::gemm::{gemm, gemm_bt};
 use murmuration_tensor::int8::{
-    qconv2d, qgemm_f32, quantize_activations, QConv2dWeights, QGemmWeights,
+    qconv2d, qgemm_f32, qtile_name, quantize_activations, QConv2dWeights, QGemmWeights,
 };
 use murmuration_tensor::matvec::{pack_panels, panel_matvec};
 use murmuration_tensor::par::Pool;
@@ -77,6 +81,10 @@ const BASELINES: &[(&str, f64, f64, Option<f64>)] = &[
     ("quant/quantize_b8_64x28x28", 197.718, 161.124, Some(1.00)),
     ("quant/dequantize_b8_64x28x28", 6.746, 4.545, None),
 ];
+
+/// Floors on `vs_f32`, this run's f32 twin mean over the int8 row's mean.
+const VS_F32_FLOORS: &[(&str, f64)] =
+    &[("qgemm/i8_256", 2.0), ("conv2d/qconv_32x28x28_k3", 1.0), ("conv2d/qconv_8x96x96_k3", 1.0)];
 
 fn baseline(name: &str) -> Option<(f64, f64, Option<f64>)> {
     BASELINES.iter().find(|(n, _, _, _)| *n == name).map(|&(_, m, mn, f)| (m, mn, f))
@@ -298,12 +306,14 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "threads: {threads} (available_parallelism; conv2d/dense_* and rl/greedy_rollout rows \
-         split across them)"
+        "threads: {threads} (available_parallelism; conv2d/dense_*, conv2d/qconv_* and \
+         rl/greedy_rollout rows split across them)"
     );
     // Every conv2d/dense_* row has c_out ≥ 8, so one tier ran them all.
     let conv_tier = ConvTier::pick(8).name();
     println!("conv tier: {conv_tier} (stride-1 conv2d/dense_* rows)");
+    let qconv_tier = qtile_name();
+    println!("qconv tier: {qconv_tier} (stride-1 conv2d/qconv_* rows)");
     println!(
         "{:<42} {:>12} {:>12} {:>8} {:>9} {:>8}",
         "kernel", "mean_us", "min_us", "iters", "speedup", "vs_f32"
@@ -343,7 +353,8 @@ fn main() {
         json.push_str(&format!("    \"{}\": {{{}}}{}\n", e.name, fields, sep));
     }
     json.push_str(&format!(
-        "  }},\n  \"simd\": {},\n  \"threads\": {threads},\n  \"conv_tier\": \"{conv_tier}\"\n}}\n",
+        "  }},\n  \"simd\": {},\n  \"threads\": {threads},\n  \"conv_tier\": \"{conv_tier}\",\n  \
+         \"qconv_tier\": \"{qconv_tier}\"\n}}\n",
         simd::detected()
     ));
     let mut failures: Vec<String> = Vec::new();
@@ -363,12 +374,13 @@ fn main() {
                         .push(format!("{}: speedup {speedup:.2}x below floor {floor:.2}x", e.name));
                 }
             }
-            if e.name == "qgemm/i8_256" {
-                let f32_mean = e.vs_f32_mean_us.unwrap_or(0.0);
-                if e.mean_us * 2.0 > f32_mean {
+            let vs_floor = VS_F32_FLOORS.iter().find(|(n, _)| *n == e.name);
+            if let (Some(&(_, floor)), Some(f32_mean)) = (vs_floor, e.vs_f32_mean_us) {
+                let vs = f32_mean / e.mean_us;
+                if vs < floor {
                     failures.push(format!(
-                        "qgemm/i8_256: {:.1} µs not ≥2x faster than f32 gemm/256 ({:.1} µs)",
-                        e.mean_us, f32_mean
+                        "{}: vs_f32 {vs:.2}x below floor {floor:.2}x ({:.1} µs against {f32_mean:.1})",
+                        e.name, e.mean_us
                     ));
                 }
             }

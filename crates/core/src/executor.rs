@@ -35,9 +35,8 @@ use crate::wire::WireError;
 use attempt::{drive, Ctx, Slot, Work};
 use crossbeam::channel::unbounded;
 use murmuration_partition::{ExecutionPlan, UnitPlacement};
-use murmuration_tensor::activation::relu_inplace;
 use murmuration_tensor::conv::{conv2d_relu, Conv2dParams};
-use murmuration_tensor::int8::{qconv2d, QConv2dWeights};
+use murmuration_tensor::int8::{qconv2d_relu, QConv2dWeights};
 use murmuration_tensor::quant::BitWidth;
 use murmuration_tensor::tile::{merge_fdsp, split_fdsp, GridSpec};
 use murmuration_tensor::{Shape, Tensor};
@@ -482,12 +481,14 @@ fn run_unit(
 /// tests and examples. Deterministic from its seed, so a remote worker
 /// process built with the same parameters hosts bit-identical weights.
 ///
-/// Units whose plan selects 8-bit compute
-/// ([`ExecUnit::compute_bits`](murmuration_supernet::ExecUnit::compute_bits)) carry pre-quantized int8 weights alongside the f32
-/// originals and run the `murmuration_tensor::int8` path. Quantization
-/// happens at construction — deterministic from the same seed — and the
-/// int8 kernels round identically on every device (SIMD or scalar), so
-/// distributed execution still reproduces local execution bit for bit.
+/// Every layer is one fused convolution + bias + ReLU: `conv2d_relu` for f32
+/// units, `int8::qconv2d_relu` for units whose plan selects 8-bit compute
+/// ([`ExecUnit::compute_bits`](murmuration_supernet::ExecUnit::compute_bits)).
+/// Those carry int8 weights beside the f32 originals, quantized (and
+/// regrouped for the direct int8 tile) at construction, deterministic from
+/// the same seed. Both paths run the direct stride-1 tile and round
+/// identically on every device (SIMD or scalar), so distributed execution
+/// still reproduces local execution bit for bit.
 pub struct ConvStackCompute {
     /// Per unit: a list of (weight, bias, params) conv layers.
     units: Vec<Vec<(Tensor, Tensor, Conv2dParams)>>,
@@ -533,11 +534,6 @@ impl ConvStackCompute {
                 .collect();
         ConvStackCompute { units, qunits }
     }
-
-    /// Whether `unit` runs the int8 compute path.
-    pub fn is_int8_unit(&self, unit: usize) -> bool {
-        self.qunits.get(unit).map(Option::is_some).unwrap_or(false)
-    }
 }
 
 impl UnitCompute for ConvStackCompute {
@@ -551,11 +547,7 @@ impl UnitCompute for ConvStackCompute {
         for (l, (w, b, p)) in layers.iter().enumerate() {
             let x = cur.as_ref().unwrap_or(input);
             cur = Some(match &self.qunits[unit] {
-                Some(qlayers) => {
-                    let mut y = qconv2d(x, &qlayers[l], Some(b), *p);
-                    relu_inplace(&mut y);
-                    y
-                }
+                Some(qlayers) => qconv2d_relu(x, &qlayers[l], Some(b), *p),
                 None => conv2d_relu(x, w, Some(b), *p),
             });
         }
@@ -635,8 +627,8 @@ mod tests {
         // must reproduce the local pass exactly.
         let compute =
             Arc::new(ConvStackCompute::random_quantized(3, 2, 4, 7, &[false, true, false]));
-        assert!(!compute.is_int8_unit(0));
-        assert!(compute.is_int8_unit(1));
+        assert!(compute.qunits[0].is_none());
+        assert!(compute.qunits[1].is_some());
         let exec = Executor::new(3, compute.clone());
         let mut rng = StdRng::seed_from_u64(1);
         let input = Tensor::rand_uniform(Shape::nchw(1, 4, 12, 12), 1.0, &mut rng);

@@ -11,7 +11,8 @@
 //!   [`scratch`] pool (zero steady-state allocation). An
 //!   image of at least 4 M MACs is cut into (weight group × row band) chunks
 //!   that [`par::for_each`] spreads over the device's cores, with the same
-//!   bits.
+//!   bits. The int8 stride-1 convolution ([`crate::int8::qconv2d`]) runs
+//!   its own tile in the same chunks.
 //! * [`depthwise_conv2d`] splits every output plane into a
 //!   bounds-check-free **interior** (with fully unrolled k=3 / k=5 inner
 //!   loops) and a checked **border** band, so the per-tap `isize` casts and
@@ -281,14 +282,14 @@ const BAND: usize = 8;
 /// same layers (≈1.4 M) stay whole: several tile workers already share the
 /// cores, and splitting them as well (a 1 M threshold) cost the tiled
 /// workload 10–28 % at p90.
-const PAR_MIN_MACS: usize = 4_000_000;
+pub(crate) const PAR_MIN_MACS: usize = 4_000_000;
 
 /// How one image's chunks run: [`par::for_each`], [`serial`], or in tests a
 /// pool of a given size. Every runner calls each chunk exactly once.
-type Runner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
+pub(crate) type Runner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
 
 /// The plain-loop [`Runner`], for convolutions under [`PAR_MIN_MACS`].
-fn serial(n: usize, chunk: &(dyn Fn(usize) + Sync)) {
+pub(crate) fn serial(n: usize, chunk: &(dyn Fn(usize) + Sync)) {
     (0..n).for_each(chunk);
 }
 
@@ -327,11 +328,10 @@ impl<'a> SharedOut<'a> {
 /// Each image is copied once into a zero-padded buffer (`NR` floats of tail
 /// slack keep the last row's 16-wide loads in bounds) and the weights are
 /// transposed into `G`-row groups `[group][tap][G]`, `G` the tier's tile
-/// rows (8 for [`ConvTier::Avx512`], else 4). The image is then cut
-/// into chunks of one group × [`BAND`] output rows, band-major, which `run`
-/// executes — possibly several at once. Within a chunk, every 16-pixel strip
-/// of every row is one register tile stored once (edges through a stack
-/// tile); `tier` picks the tile for the whole call.
+/// rows (8 for [`ConvTier::Avx512`], else 4). [`for_each_strip`] then cuts
+/// the output into (group × [`BAND`]) chunks for `run` and stores one
+/// register tile per 16-pixel strip; `tier` picks the tile for the whole
+/// call.
 ///
 /// The values are `im2col` + [`gemm_bias`]'s, bit for bit, whatever the
 /// runner: zero-start accumulators take the taps in unfold order (padding
@@ -420,53 +420,79 @@ fn direct_groups<const G: usize>(
                     padded[at..at + w].copy_from_slice(src);
                 }
                 let (padded, wg) = (&padded[..], &wg[..]);
-                let out_img = SharedOut::new(out_img);
-                run(groups * oh.div_ceil(BAND), &|chunk| {
-                    let (band, g) = (chunk / groups, chunk % groups);
-                    let wg_g = &wg[g * taps * G..][..taps * G];
+                for_each_strip::<G, _>(run, c_out, (oh, ow), out_img, |g| {
                     let mr = G.min(c_out - g * G);
                     let mut bv = [0.0f32; G];
                     if let Some(b) = bias {
                         bv[..mr].copy_from_slice(&b[g * G..g * G + mr]);
                     }
-                    let rows = band * BAND..oh.min(band * BAND + BAND);
-                    // The chunk's output: rows `rows` of channels g·G + r, r < mr.
-                    let mut planes: [&mut [f32]; G] = std::array::from_fn(|r| {
-                        if r >= mr {
-                            return &mut [][..];
-                        }
-                        let at = ((g * G + r) * oh + rows.start) * ow;
-                        // SAFETY: chunks are disjoint — `run` calls each
-                        // (band, group) once, and this slice is that chunk's
-                        // band of one of its channels, which no other chunk
-                        // reads or writes. The slices die with the chunk, and
-                        // `run` returns only after every chunk has returned
-                        // and no helper still holds the job, so `out_img`'s
-                        // borrow outlives every access from any thread.
-                        unsafe { out_img.slice(at, rows.len() * ow) }
-                    });
-                    for oy in rows.clone() {
-                        for ox0 in (0..ow).step_by(NR) {
-                            let origin = &padded[oy * pw + ox0..];
-                            let nr = NR.min(ow - ox0);
-                            let at = (oy - rows.start) * ow + ox0;
-                            if nr == NR && mr == G {
-                                let mut dst = planes.each_mut().map(|pl| {
-                                    pl[at..].first_chunk_mut::<NR>().expect("a full strip")
-                                });
-                                tile(t, origin, wg_g, &bv, &mut dst);
-                            } else {
-                                let mut edge = [[0.0f32; NR]; G];
-                                tile(t, origin, wg_g, &bv, &mut edge.each_mut());
-                                for (pl, row) in planes.iter_mut().zip(&edge).take(mr) {
-                                    pl[at..at + nr].copy_from_slice(&row[..nr]);
-                                }
-                            }
-                        }
-                    }
+                    let wg_g = &wg[g * taps * G..][..taps * G];
+                    move |oy, ox0, dst| tile(t, &padded[oy * pw + ox0..], wg_g, &bv, dst)
                 });
             }
         });
+    });
+}
+
+/// The chunking every stride-1 direct convolution shares, f32 and int8.
+///
+/// One image's `c_out × oh × ow` output is cut into chunks of one `G`-row
+/// channel group × [`BAND`] output rows, band-major, which `run` executes —
+/// possibly several at once. A chunk of group `g` calls `group(g)` once for
+/// its per-group state, then the returned `strip(oy, ox0, dst)` once for
+/// every 16-pixel strip of every row, which must store channel `g·G + r` of
+/// the pixels from `(oy, ox0)` into `dst[r]`. A full strip of a full group
+/// writes the output in place; an edge strip (fewer than 16 pixels left, or
+/// fewer than `G` channels) writes a stack tile whose first `c_out − g·G`
+/// rows and in-range pixels are copied out.
+pub(crate) fn for_each_strip<const G: usize, S>(
+    run: Runner,
+    c_out: usize,
+    (oh, ow): (usize, usize),
+    out_img: &mut [f32],
+    group: impl Fn(usize) -> S + Sync,
+) where
+    S: FnMut(usize, usize, &mut [&mut [f32; NR]; G]),
+{
+    let groups = c_out.div_ceil(G);
+    let out_img = SharedOut::new(out_img);
+    run(groups * oh.div_ceil(BAND), &|chunk| {
+        let (band, g) = (chunk / groups, chunk % groups);
+        let mut strip = group(g);
+        let mr = G.min(c_out - g * G);
+        let rows = band * BAND..oh.min(band * BAND + BAND);
+        // The chunk's output: rows `rows` of channels g·G + r, r < mr.
+        let mut planes: [&mut [f32]; G] = std::array::from_fn(|r| {
+            if r >= mr {
+                return &mut [][..];
+            }
+            let at = ((g * G + r) * oh + rows.start) * ow;
+            // SAFETY: chunks are disjoint — `run` calls each (band, group)
+            // once, and this slice is that chunk's band of one of its
+            // channels, which no other chunk reads or writes. The slices die
+            // with the chunk, and `run` returns only after every chunk has
+            // returned and no helper still holds the job, so `out_img`'s
+            // borrow outlives every access from any thread.
+            unsafe { out_img.slice(at, rows.len() * ow) }
+        });
+        for oy in rows.clone() {
+            for ox0 in (0..ow).step_by(NR) {
+                let nr = NR.min(ow - ox0);
+                let at = (oy - rows.start) * ow + ox0;
+                if nr == NR && mr == G {
+                    let mut dst = planes
+                        .each_mut()
+                        .map(|pl| pl[at..].first_chunk_mut::<NR>().expect("a full strip"));
+                    strip(oy, ox0, &mut dst);
+                } else {
+                    let mut edge = [[0.0f32; NR]; G];
+                    strip(oy, ox0, &mut edge.each_mut());
+                    for (pl, row) in planes.iter_mut().zip(&edge).take(mr) {
+                        pl[at..at + nr].copy_from_slice(&row[..nr]);
+                    }
+                }
+            }
+        }
     });
 }
 

@@ -1,5 +1,5 @@
-//! End-to-end int8 compute path: quantized GEMM with i32 accumulation and a
-//! fused requantize epilogue.
+//! End-to-end int8 compute path: quantized GEMM and a direct stride-1
+//! convolution, both with i32 accumulation and a fused epilogue.
 //!
 //! The wire quantization in [`crate::quant`] only shrinks *transfer* cost —
 //! compute still runs in f32 after dequantize. This module makes low-bit
@@ -13,32 +13,50 @@
 //! * **Activations** are quantized per tensor to `[-127, 127]` ([`A_QMAX`])
 //!   with round-to-nearest-even — the same formula as the AVX2 encode, so
 //!   codes are bit-identical across paths.
-//! * **The GEMM** accumulates in i32, which is exact for any `k` used here
-//!   (`|acc| ≤ k · 63 · 255 < 2³¹` for `k` up to ~130 000). The vector
-//!   kernel feeds `vpmaddubsw` *unsigned* activation bytes, so the packed
-//!   panels store `code + 128` (`code ^ 0x80`) and the driver subtracts
-//!   `128 · Σ_k w[r,k]` — precomputed per weight row — after each tile.
-//!   Scalar and SIMD paths therefore produce **identical i32 accumulators**.
+//! * **The tile** ([`crate::simd::qgemm_tile_16`], twin
+//!   [`qgemm_tile_portable`]) accumulates 4 rows × 16 columns in i32, which
+//!   is exact for any `k` used here (`|acc| ≤ k · 63 · 255 < 2³¹` for `k` up
+//!   to ~130 000). It feeds `vpmaddubsw` *unsigned* activation bytes, so
+//!   its source stores `code + 128` (`code ^ 0x80`) and the driver
+//!   subtracts `128 · Σ_k w[r,k]` — precomputed per weight row — after each
+//!   tile. Scalar and SIMD paths therefore produce **identical i32
+//!   accumulators**.
 //! * **Epilogues** are fused per register tile (the accumulator never
 //!   round-trips through memory as a full i32 matrix): either dequantize to
-//!   f32 with an optional bias ([`qgemm_f32`]) or requantize back to i8
-//!   codes ([`qgemm_requant`]). Epilogue arithmetic is the same scalar f32
-//!   code on both paths, so whole-op outputs stay bit-identical — a property
-//!   the distributed executor relies on for cross-device determinism, and
-//!   which `tests/int8_exact.rs` locks in.
+//!   f32 with an optional bias ([`qgemm_f32`], the convolutions) or
+//!   requantize back to i8 codes ([`qgemm_requant`]). The vector epilogue
+//!   of the direct convolution ([`crate::simd::dequant_tile_16`]) rounds as
+//!   the scalar one does, so whole-op outputs stay bit-identical — a
+//!   property the distributed executor relies on for cross-device
+//!   determinism, and which `tests/int8_exact.rs` and
+//!   `tests/qconv_direct_exact.rs` lock in.
 //!
-//! Packed-panel layout (shared by [`crate::simd::qgemm_tile_16`]): for each
-//! 16-column panel, `k` is walked in groups of 4; one group is 64 bytes —
-//! 16 columns × 4 consecutive k-bytes, each byte an offset activation code.
-//! Weight rows are stored padded to a multiple of 4 codes (zeros) so the
-//! kernel's 4-byte broadcast loads never read past the row.
+//! The tile reads 64-byte groups, each 16 columns × 4 consecutive k-bytes of
+//! offset activation codes, wherever a [`QTaps`] walk puts them:
+//!
+//! * **Packed panels** (the GEMM, strided convolutions, [`qlinear`]): for
+//!   each 16-column panel, `k` is walked in groups of 4, one group after
+//!   another. Weight rows are stored padded to a multiple of 4 codes (zeros)
+//!   so the kernel's 4-byte broadcast loads never read past the row.
+//! * **The direct image** (stride-1 [`qconv2d`] / [`qconv2d_relu`]): each
+//!   image is quantized straight into `[⌈c_in/4⌉][h+2·pad][w+2·pad][4]`
+//!   bytes — four channels interleaved per pixel, spatial and channel
+//!   padding byte `0x80` (code 0) — so the group of tap `(cg, ky, kx)` for
+//!   16 output pixels is 64 contiguous bytes at the strip's origin plus a
+//!   fixed offset, and no column matrix or panel is built. The weights are
+//!   regrouped once, at [`QConv2dWeights::quantize`], in the same
+//!   `(cg, ky, kx, c4)` order. The chunks are the f32 direct convolution's
+//!   (4-channel group × band rows, split across [`crate::par`] from 4 M
+//!   MACs an image).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::conv::{im2col_i8, Conv2dParams};
+use crate::activation::relu_inplace;
+use crate::conv::{for_each_strip, im2col_i8, serial, Conv2dParams, Runner, PAR_MIN_MACS};
+use crate::par::{self, Pool};
 use crate::scratch;
 use crate::shape::Shape;
-use crate::simd;
+use crate::simd::{self, QTaps};
 use crate::tensor::Tensor;
 
 /// Weight-code magnitude bound. 63 (7 bits) keeps the `vpmaddubsw` i16 pair
@@ -247,10 +265,11 @@ fn qgemm_drive(w: &QGemmWeights, b: &[i8], n: usize, layout: BLayout, epilogue: 
                     let j0 = jp * QNR;
                     let nr = QNR.min(n - j0);
                     let mut acc = [[0i32; QNR]; QMR];
-                    if !simd::qgemm_tile_16(groups, &rows, panel, &mut acc) {
+                    let taps = QTaps::panel(groups);
+                    if !simd::qgemm_tile_16(taps, &rows, panel, &mut acc) {
                         // CPU support cannot vanish mid-run; fall back to the
-                        // scalar tile over the same offset panel regardless.
-                        scalar_tile_from_panel(groups, &rows, panel, &mut acc);
+                        // portable tile over the same offset panel regardless.
+                        qgemm_tile_portable(taps, &rows, panel, &mut acc);
                     }
                     for (ri, acc_row) in acc.iter_mut().enumerate().take(mr) {
                         // Undo the +128 activation offset: raw − 128·Σw.
@@ -307,28 +326,45 @@ fn qgemm_drive(w: &QGemmWeights, b: &[i8], n: usize, layout: BLayout, epilogue: 
     }
 }
 
-/// Scalar register tile over the *packed offset* panel — only reached if the
-/// vector wrapper declines after the driver chose the packed path; kept so
-/// that path is total. Produces the same raw (offset) accumulators as the
-/// vector kernel.
-fn scalar_tile_from_panel(
-    groups: usize,
-    rows: &[&[i8]; QMR],
-    panel: &[u8],
+/// Portable twin of [`simd::qgemm_tile_16`] (same arguments, same exact i32
+/// accumulators): the int8 tile of the scalar override and of CPUs without
+/// AVX2, over the same offset-u8 groups.
+pub fn qgemm_tile_portable(
+    taps: QTaps,
+    rows_a: &[&[i8]; QMR],
+    src: &[u8],
     acc: &mut [[i32; QNR]; QMR],
 ) {
-    for g in 0..groups {
-        let grp = &panel[g * K_GROUP * QNR..(g + 1) * K_GROUP * QNR];
-        for (r, row) in rows.iter().enumerate() {
-            let wv = &row[g * K_GROUP..(g + 1) * K_GROUP];
-            for j in 0..QNR {
-                let mut s = acc[r][j];
-                for kk in 0..K_GROUP {
-                    s += wv[kk] as i32 * grp[j * K_GROUP + kk] as i32;
+    *acc = [[0; QNR]; QMR];
+    let mut aw_at = 0; // offset of the group's 4 codes in each A row
+    for cg in 0..taps.c_groups {
+        for ky in 0..taps.rows {
+            for kx in 0..taps.cols {
+                let at = cg * taps.plane + ky * taps.row + kx * taps.col;
+                let grp = &src[at..at + K_GROUP * QNR];
+                for (acc_row, row) in acc.iter_mut().zip(rows_a) {
+                    let wv = &row[aw_at..aw_at + K_GROUP];
+                    for (a, col) in acc_row.iter_mut().zip(grp.chunks_exact(K_GROUP)) {
+                        *a += wv.iter().zip(col).map(|(&w, &b)| w as i32 * b as i32).sum::<i32>();
+                    }
                 }
-                acc[r][j] = s;
+                aw_at += K_GROUP;
             }
         }
+    }
+}
+
+/// Name of the int8 register tile [`qconv2d`] and [`qgemm_f32`] run in this
+/// process, for reports: `avxvnni_4x16` (`vpdpbusd`), `avx2_4x16`
+/// (`maddubs`/`madd`) or `portable` ([`qgemm_tile_portable`], under the
+/// scalar override or without AVX2).
+pub fn qtile_name() -> &'static str {
+    if !simd::simd_active() {
+        "portable"
+    } else if simd::detected_vnni() {
+        "avxvnni_4x16"
+    } else {
+        "avx2_4x16"
     }
 }
 
@@ -427,10 +463,16 @@ pub fn qlinear(x: &Tensor, w: &QGemmWeights, bias: Option<&[f32]>) -> Tensor {
 
 /// Convolution weights quantized for the int8 path: the `[c_out, c_in, k,
 /// k]` tensor flattened to `c_out × (c_in·k·k)` GEMM rows, one scale per
-/// output channel.
+/// output channel, plus the same codes regrouped once for the stride-1
+/// direct convolution.
 #[derive(Clone, Debug)]
 pub struct QConv2dWeights {
+    /// GEMM rows in unfold order `(c, ky, kx)`, for stride ≠ 1.
     q: QGemmWeights,
+    /// Direct-convolution rows: per output channel, `⌈c_in/4⌉·k·k` groups of
+    /// 4 codes in `(cg, ky, kx, c4)` order (channel `4·cg + c4`; codes past
+    /// `c_in` are 0). Rows past `c_out`, up to a multiple of 4, are all 0.
+    direct: Vec<i8>,
     c_in: usize,
     kernel: usize,
 }
@@ -442,11 +484,20 @@ impl QConv2dWeights {
         assert_eq!(ws.rank(), 4, "conv weight must be [c_out, c_in, k, k]");
         assert_eq!(ws.dim(2), ws.dim(3), "conv kernel must be square");
         let (c_out, c_in, k) = (ws.dim(0), ws.dim(1), ws.dim(2));
-        QConv2dWeights {
-            q: QGemmWeights::quantize(c_out, c_in * k * k, weight.data()),
-            c_in,
-            kernel: k,
+        let q = QGemmWeights::quantize(c_out, c_in * k * k, weight.data());
+        let row_len = c_in.div_ceil(K_GROUP) * k * k * K_GROUP;
+        let mut direct = vec![0i8; c_out.div_ceil(QMR) * QMR * row_len];
+        for (co, dst) in direct.chunks_exact_mut(row_len).take(c_out).enumerate() {
+            // Unfold tap c·k² + t (t = ky·k + kx) goes to group
+            // (c / 4)·k² + t, byte c % 4.
+            for (c, taps) in q.row(co)[..q.k].chunks_exact(k * k).enumerate() {
+                let group = &mut dst[(c / K_GROUP) * k * k * K_GROUP..];
+                for (t, &code) in taps.iter().enumerate() {
+                    group[t * K_GROUP + c % K_GROUP] = code;
+                }
+            }
         }
+        QConv2dWeights { q, direct, c_in, kernel: k }
     }
 
     /// Output channels.
@@ -460,15 +511,54 @@ impl QConv2dWeights {
     }
 }
 
-/// int8 convolution: quantize each input image per tensor, unfold the codes
-/// with [`im2col_i8`], and run the quantized GEMM with the dequantize+bias
-/// epilogue fused. Same signature and output shape as
-/// [`conv2d`](crate::conv::conv2d); output is f32.
+/// int8 convolution. Each input image is quantized per tensor; at stride 1
+/// the direct tile reads the codes from a padded image (module docs), at any
+/// other stride they are unfolded with [`im2col_i8`] into the quantized GEMM.
+/// The dequantize+bias epilogue is fused into both. Same signature and
+/// output shape as [`conv2d`](crate::conv::conv2d); output is f32.
 pub fn qconv2d(
     input: &Tensor,
     w: &QConv2dWeights,
     bias: Option<&Tensor>,
     p: Conv2dParams,
+) -> Tensor {
+    qconv2d_act(None, input, w, bias, p, false)
+}
+
+/// [`qconv2d`] followed by ReLU, with the activation fused into the store at
+/// stride 1. Bit-identical to `qconv2d` then
+/// [`relu_inplace`].
+pub fn qconv2d_relu(
+    input: &Tensor,
+    w: &QConv2dWeights,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+) -> Tensor {
+    qconv2d_act(None, input, w, bias, p, true)
+}
+
+/// [`qconv2d`] (or, with `relu`, [`qconv2d_relu`]) with every stride-1 image
+/// cut into chunks on `pool`, whatever its size — the split those functions
+/// make on the process-wide pool from 4 M MACs an image. The bits are theirs
+/// for any pool; a strided convolution does not split.
+pub fn qconv2d_on(
+    pool: &Pool,
+    input: &Tensor,
+    w: &QConv2dWeights,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+    relu: bool,
+) -> Tensor {
+    qconv2d_act(Some(pool), input, w, bias, p, relu)
+}
+
+fn qconv2d_act(
+    pool: Option<&Pool>,
+    input: &Tensor,
+    w: &QConv2dWeights,
+    bias: Option<&Tensor>,
+    p: Conv2dParams,
+    relu: bool,
 ) -> Tensor {
     let (n, c_in, h, iw) =
         (input.shape().n(), input.shape().c(), input.shape().h(), input.shape().w());
@@ -477,14 +567,23 @@ pub fn qconv2d(
     let (oh, ow) = p.out_hw(h, iw);
     let c_out = w.q.m;
     let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    let img_in = c_in * h * iw;
-    let img_out = c_out * oh * ow;
     let in_data = input.data();
     let bias_data = bias.map(|b| {
         assert_eq!(b.numel(), c_out, "bias length");
         b.data()
     });
-    for (b_ix, out_img) in out.data_mut().chunks_exact_mut(img_out).enumerate() {
+    if p.stride == 1 {
+        let image_macs = c_out * oh * ow * w.q.k;
+        let run: Runner = match pool {
+            Some(pool) => &|n, chunk| pool.for_each(n, chunk),
+            None if image_macs >= PAR_MIN_MACS => &par::for_each,
+            None => &serial,
+        };
+        qconv2d_direct(run, in_data, (c_in, h, iw), w, bias_data, p.pad, relu, out.data_mut());
+        return out;
+    }
+    let img_in = c_in * h * iw;
+    for (b_ix, out_img) in out.data_mut().chunks_exact_mut(c_out * oh * ow).enumerate() {
         scratch::with_i8(|img_codes| {
             scratch::with_i8(|cols| {
                 let img = &in_data[b_ix * img_in..(b_ix + 1) * img_in];
@@ -494,7 +593,121 @@ pub fn qconv2d(
             });
         });
     }
+    if relu {
+        relu_inplace(&mut out);
+    }
     out
+}
+
+/// Stride-1 int8 forward without a column matrix or packed panels (DESIGN.md
+/// §8.2).
+///
+/// Each image is quantized straight into the padded offset image of
+/// [`quantize_image`]; [`for_each_strip`] cuts the output into the f32 direct
+/// convolution's (4-channel group × band) chunks for `run`, and each 16-pixel
+/// strip is one [`simd::qgemm_tile_16`] (or [`qgemm_tile_portable`]) walking
+/// the image from the strip's origin pixel. The epilogue is `qgemm_f32`'s:
+/// `(acc − 128·Σw) as f32 · (scale·a_scale) + bias`, then ReLU if asked.
+/// i32 sums are exact in any order, so the output is bit for bit that of
+/// [`im2col_i8`] + [`qgemm_f32`], whatever the runner or the tile.
+#[allow(clippy::too_many_arguments)]
+fn qconv2d_direct(
+    run: Runner,
+    input: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    wq: &QConv2dWeights,
+    bias: Option<&[f32]>,
+    pad: usize,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let k = wq.kernel;
+    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+    let (oh, ow) = (ph - k + 1, pw - k + 1);
+    let c_out = wq.q.m;
+    let taps = QTaps::conv(c_in.div_ceil(K_GROUP), k, ph, pw);
+    let row_len = taps.groups() * K_GROUP;
+    // Picked once per call, as the f32 tier is; every tile gives the same
+    // accumulators, so this is for consistency, not for the bits.
+    let vector = simd::simd_active();
+    scratch::with_u8(|image| {
+        let images = input.chunks_exact(c_in * h * w);
+        for (img, out_img) in images.zip(out.chunks_exact_mut(c_out * oh * ow)) {
+            let a_scale = quantize_image(vector, img, (c_in, h, w), pad, image);
+            let image = &image[..];
+            for_each_strip::<QMR, _>(run, c_out, (oh, ow), out_img, |g| {
+                let rows: [&[i8]; QMR] =
+                    std::array::from_fn(|r| &wq.direct[(g * QMR + r) * row_len..][..row_len]);
+                // Rows past `c_out` (the zero rows that pad the last group)
+                // land in the strip's scratch rows; their values are unused.
+                let co = |r: usize| (g * QMR + r).min(c_out - 1);
+                let corr: [i32; QMR] = std::array::from_fn(|r| 128 * wq.q.row_sums[co(r)]);
+                let mul: [f32; QMR] = std::array::from_fn(|r| wq.q.scales[co(r)] * a_scale);
+                let add: [f32; QMR] = std::array::from_fn(|r| bias.map_or(0.0, |b| b[co(r)]));
+                move |oy, ox0, dst| {
+                    let src = &image[(oy * pw + ox0) * K_GROUP..];
+                    let mut acc = [[0i32; QNR]; QMR];
+                    if !(vector && simd::qgemm_tile_16(taps, &rows, src, &mut acc)) {
+                        qgemm_tile_portable(taps, &rows, src, &mut acc);
+                    }
+                    if !(vector && simd::dequant_tile_16(&acc, &corr, &mul, &add, relu, dst)) {
+                        for (r, (dst_row, acc_row)) in dst.iter_mut().zip(&acc).enumerate() {
+                            for (o, &a) in dst_row.iter_mut().zip(acc_row) {
+                                let v = (a - corr[r]) as f32 * mul[r] + add[r];
+                                *o = if relu && v < 0.0 { 0.0 } else { v };
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// Quantizes one CHW image per tensor — the scale and codes of
+/// [`quantize_activations_into`] — straight into the direct convolution's
+/// image (module docs): `[⌈c_in/4⌉][h + 2·pad][w + 2·pad][4]` bytes, each
+/// `code ^ 0x80`, with spatial and channel padding both 0x80 (code 0), and
+/// 16 pixels of 0x80 slack after the last plane so a last-row strip's
+/// 16-wide reads stay in bounds. Returns the scale. `use_simd` picks the
+/// encode; both give the same bytes.
+fn quantize_image(
+    use_simd: bool,
+    img: &[f32],
+    (c_in, h, w): (usize, usize, usize),
+    pad: usize,
+    image: &mut Vec<u8>,
+) -> f32 {
+    let scale = crate::quant::symmetric_scale(img, A_QMAX, use_simd);
+    let inv = 1.0 / scale;
+    let pw = w + 2 * pad;
+    let plane = (h + 2 * pad) * pw * K_GROUP;
+    image.clear();
+    image.resize(c_in.div_ceil(K_GROUP) * plane + QNR * K_GROUP, 0x80);
+    for cg in 0..c_in.div_ceil(K_GROUP) {
+        let nc = K_GROUP.min(c_in - cg * K_GROUP);
+        for y in 0..h {
+            let rows: [&[f32]; K_GROUP] = std::array::from_fn(|c| match c < nc {
+                true => &img[((cg * K_GROUP + c) * h + y) * w..][..w],
+                false => &[],
+            });
+            let at = cg * plane + ((y + pad) * pw + pad) * K_GROUP;
+            let dst = &mut image[at..at + w * K_GROUP];
+            if use_simd && simd::encode_i8_x4(&rows[..nc], inv, A_QMAX, dst) {
+                continue;
+            }
+            for (x, px) in dst.chunks_exact_mut(K_GROUP).enumerate() {
+                for (c, byte) in px.iter_mut().enumerate() {
+                    let code = match c < nc {
+                        true => ((rows[c][x] * inv).clamp(-A_QMAX, A_QMAX)).round_ties_even() as i8,
+                        false => 0, // channel padding
+                    };
+                    *byte = (code as u8) ^ 0x80;
+                }
+            }
+        }
+    }
+    scale
 }
 
 #[cfg(test)]
@@ -608,6 +821,41 @@ mod tests {
             worst <= 0.02 * scale_ref.max(1.0),
             "worst abs err {worst} (ref scale {scale_ref})"
         );
+    }
+
+    #[test]
+    fn direct_image_holds_offset_codes_and_0x80_padding() {
+        // 5 channels: one full group and one with 3 padding channels; w 11
+        // takes the vector encode's 8-pixel body and a 3-pixel tail.
+        let mut rng = StdRng::seed_from_u64(7);
+        let (c_in, h, w, pad) = (5, 3, 11, 2);
+        let mut img = rand_vec(c_in * h * w, &mut rng);
+        img[4] = f32::NAN;
+        let (codes, want_scale) = quantize_activations(&img);
+        let was_scalar = !simd::simd_active();
+        for scalar in [false, true] {
+            simd::force_scalar(scalar);
+            let mut image = Vec::new();
+            let scale = quantize_image(simd::simd_active(), &img, (c_in, h, w), pad, &mut image);
+            assert_eq!(scale, want_scale);
+            let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+            assert_eq!(image.len(), 2 * ph * pw * K_GROUP + QNR * K_GROUP);
+            for (i, &byte) in image.iter().enumerate() {
+                let (cg, rest) = (i / (ph * pw * K_GROUP), i % (ph * pw * K_GROUP));
+                let (y, x, c) =
+                    (rest / (pw * K_GROUP), rest / K_GROUP % pw, cg * K_GROUP + i % K_GROUP);
+                let inside = cg < 2 && (pad..pad + h).contains(&y) && (pad..pad + w).contains(&x);
+                let want = match inside && c < c_in {
+                    true => (codes[(c * h + y - pad) * w + x - pad] as u8) ^ 0x80,
+                    false => 0x80, // spatial padding, channel padding, slack
+                };
+                assert_eq!(
+                    byte, want,
+                    "byte {i} (group {cg}, y {y}, x {x}, channel {c}), scalar={scalar}"
+                );
+            }
+        }
+        simd::force_scalar(was_scalar);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   device boundary.
 //! * [`int8`] — an end-to-end int8 *compute* path: per-channel i8 weights,
 //!   per-tensor i8 activations, i32-accumulating quantized GEMM with a fused
-//!   requantize epilogue, and an int8 im2col convolution.
+//!   requantize epilogue, and an int8 convolution (direct at stride 1, as
+//!   the f32 one).
 //! * [`matvec`] — a matrix-vector product over packed row panels whose
 //!   rows each keep one serial rounding chain: the LSTM policy's gates.
 //! * [`simd`] — runtime-dispatched AVX2/FMA microkernels behind every hot
@@ -36,10 +37,11 @@
 //! straight over a zero-padded copy of the image, bit-identical to im2col +
 //! GEMM; the depthwise kernel splits each plane into a bounds-check-free
 //! interior and a checked border. One kernel uses more than the calling
-//! thread: a stride-1 dense convolution of at least 4 M MACs per image
-//! splits across [`par`]'s helpers, bit-identical to its single-thread run;
-//! every other kernel (GEMM, im2col, depthwise, int8) is sequential, and
-//! callers that want more cores run one request per thread. Steady-state
+//! thread: a stride-1 dense convolution (f32 or int8) of at least 4 M MACs
+//! per image splits across [`par`]'s helpers, bit-identical to its
+//! single-thread run; every other kernel (GEMM, im2col, depthwise, int8
+//! GEMM) is sequential, and callers that want more cores run one request
+//! per thread. Steady-state
 //! forward passes allocate only their output — every kernel workspace
 //! (padded images, weight groups, im2col columns, packing panels,
 //! transposes, int8 code buffers) comes from the thread-local [`scratch`]

@@ -813,6 +813,96 @@ unsafe fn encode_i8_avx2(d: *const f32, n: usize, inv: f32, qmax: f32, out: *mut
     }
 }
 
+/// [`encode_i8`] for up to four channel rows of one image row, stored
+/// channel-interleaved and offset, as the int8 direct convolution reads them:
+/// `out[4x + c] = (code(rows[c][x]) as u8) ^ 0x80`, and `0x80` (code 0) for
+/// every `c ≥ rows.len()`. Rows must have equal lengths `n` and `out` must
+/// hold `4n` bytes. Bit-exact with the scalar formula. Returns `false` when
+/// the vector path is unavailable.
+pub fn encode_i8_x4(rows: &[&[f32]], inv: f32, qmax: f32, out: &mut [u8]) -> bool {
+    if !detected() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!((1..=4).contains(&rows.len()), "one to four channel rows");
+        let n = rows[0].len();
+        assert!(rows.iter().all(|r| r.len() == n), "channel rows differ in length");
+        assert_eq!(out.len(), 4 * n, "interleaved output must hold 4 bytes per pixel");
+        assert!(qmax <= 127.0, "i8 encode requires qmax <= 127");
+        let ptrs: [*const f32; 4] =
+            std::array::from_fn(|c| rows.get(c).map_or(std::ptr::null(), |r| r.as_ptr()));
+        // SAFETY: AVX2 presence was checked via `detected()`; the kernel
+        // reads `n` f32 from each of the first `rows.len()` pointers (rows of
+        // length `n`, asserted) and never dereferences the others, writes
+        // `4n` bytes of `out` (asserted), and clamped codes fit i8 because
+        // qmax <= 127 (asserted).
+        unsafe { encode_i8_x4_avx2(ptrs, rows.len(), n, inv, qmax, out.as_mut_ptr()) }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (rows, inv, qmax, out);
+        false
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX2 is available, `rows[c]` is valid for `n` f32
+/// reads for every `c < nc ≤ 4`, `out` for `4n` byte writes, and
+/// `qmax <= 127` so codes fit i8.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)] // `codes[c]` beside `rows[c]`, as the scalar tail
+unsafe fn encode_i8_x4_avx2(
+    rows: [*const f32; 4],
+    nc: usize,
+    n: usize,
+    inv: f32,
+    qmax: f32,
+    out: *mut u8,
+) {
+    use std::arch::x86_64::*;
+    let vi = _mm256_set1_ps(inv);
+    let lo = _mm256_set1_ps(-qmax);
+    let hi = _mm256_set1_ps(qmax);
+    let flip = _mm256_set1_epi8(i8::MIN);
+    // After the two packs each 128-bit lane holds its 4 pixels channel-major
+    // (`[c0 p0..3, c1 p0..3, c2 p0..3, c3 p0..3]`); this gathers them
+    // pixel-major, so lane 0 is pixels 0..3 and lane 1 pixels 4..7.
+    let pixel_major = _mm256_setr_epi8(
+        0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+        0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+    );
+    let mut i = 0;
+    while i + 8 <= n {
+        // Missing channels stay code 0, which the offset makes 0x80.
+        let mut codes = [_mm256_setzero_si256(); 4];
+        for c in 0..nc {
+            let v = _mm256_mul_ps(_mm256_loadu_ps(rows[c].add(i)), vi);
+            codes[c] = nan_to_zero(v, _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(v, lo), hi)));
+        }
+        // Codes are already in [-127, 127], so the saturating packs are pure
+        // width changes.
+        let c01 = _mm256_packs_epi32(codes[0], codes[1]);
+        let c23 = _mm256_packs_epi32(codes[2], codes[3]);
+        let bytes = _mm256_shuffle_epi8(_mm256_packs_epi16(c01, c23), pixel_major);
+        _mm256_storeu_si256(out.add(4 * i).cast(), _mm256_xor_si256(bytes, flip));
+        i += 8;
+    }
+    while i < n {
+        for c in 0..4 {
+            let code = if c < nc {
+                ((*rows[c].add(i) * inv).clamp(-qmax, qmax)).round_ties_even() as i8
+            } else {
+                0
+            };
+            *out.add(4 * i + c) = (code as u8) ^ 0x80;
+        }
+        i += 1;
+    }
+}
+
 /// Zeroes the lanes of `codes` whose `v` is NaN: `vcvtps2dq` and the clamp's
 /// `maxps` turn NaN into a bound, where the scalar `as` cast gives 0.
 ///
@@ -1007,21 +1097,70 @@ unsafe fn dequant_i32_avx2(c: *const i32, n: usize, scale: f32, out: *mut f32) {
 // int8 GEMM register tile
 // ---------------------------------------------------------------------------
 
-/// Computes a 4×16 int8 GEMM register tile with i32 accumulation over the
-/// offset-u8 panel layout of `int8::pack_b` (see that module for the layout):
+/// Where an int8 register tile's 64-byte groups sit in its source bytes.
 ///
-/// `acc[r][j] = Σ_k a[r][k] * (panel_byte(k, j) as i32)`  — where the panel
-/// bytes are activation codes offset by +128, so the caller must subtract
-/// `128 * row_sum(a[r])` afterwards to recover the true product.
+/// Group `(cg, ky, kx)` — `cg < c_groups`, `ky < rows`, `kx < cols`, walked
+/// in that order — starts at `cg·plane + ky·row + kx·col` and holds 16
+/// columns × 4 consecutive k-bytes, each byte an activation code offset by
+/// +128. A packed GEMM panel is one run of 64-byte groups
+/// ([`QTaps::panel`]); the stride-1 int8 convolution's channel-interleaved
+/// image (`int8` module docs) is walked by channel group, kernel row and
+/// kernel column from the tile's origin pixel ([`QTaps::conv`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QTaps {
+    pub c_groups: usize,
+    pub rows: usize,
+    pub cols: usize,
+    pub plane: usize,
+    pub row: usize,
+    pub col: usize,
+}
+
+impl QTaps {
+    /// The walk over a packed panel of `groups` consecutive 64-byte groups.
+    pub fn panel(groups: usize) -> QTaps {
+        QTaps { c_groups: 1, rows: 1, cols: groups, plane: 0, row: 0, col: 64 }
+    }
+
+    /// The walk of a `k × k` stride-1 convolution over `c_groups` planes of
+    /// 4-channel pixels, each plane `ph × pw` pixels.
+    pub fn conv(c_groups: usize, k: usize, ph: usize, pw: usize) -> QTaps {
+        QTaps { c_groups, rows: k, cols: k, plane: ph * pw * 4, row: pw * 4, col: 4 }
+    }
+
+    /// Groups in the walk; each weight row holds 4 codes per group.
+    pub fn groups(&self) -> usize {
+        self.c_groups * self.rows * self.cols
+    }
+
+    /// Source bytes the walk reads: its last group's offset plus 64 (0 for
+    /// an empty walk).
+    pub fn span(&self) -> usize {
+        if self.groups() == 0 {
+            return 0;
+        }
+        (self.c_groups - 1) * self.plane
+            + (self.rows - 1) * self.row
+            + (self.cols - 1) * self.col
+            + 64
+    }
+}
+
+/// Computes a 4×16 int8 register tile with i32 accumulation over the 64-byte
+/// groups that `taps` locates in `src` (see [`QTaps`]):
+///
+/// `acc[r][j] = Σ_g Σ_kk a[r][4g + kk] * (group_g[4j + kk] as i32)` — where
+/// the source bytes are activation codes offset by +128, so the caller must
+/// subtract `128 * row_sum(a[r])` afterwards to recover the true product.
 ///
 /// The accumulation is exact: weights are bounded to |w| ≤ 63 by
 /// `int8::QGemmWeights`, so each `vpmaddubsw` pair sum |u8·w + u8·w| ≤
 /// 255·63·2 = 32130 < i16::MAX and can never saturate. Returns `false` when
 /// the CPU lacks AVX2; nothing is written.
 pub fn qgemm_tile_16(
-    groups: usize,
+    taps: QTaps,
     rows_a: &[&[i8]; 4],
-    panel: &[u8],
+    src: &[u8],
     acc: &mut [[i32; 16]; 4],
 ) -> bool {
     if !detected() {
@@ -1029,61 +1168,72 @@ pub fn qgemm_tile_16(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        assert!(panel.len() >= groups * 64, "panel too short for {groups} k-groups");
+        assert!(src.len() >= taps.span(), "source too short for the tile's last group");
         for r in rows_a {
-            assert!(r.len() >= groups * 4, "A row shorter than groups*4");
+            assert!(r.len() >= taps.groups() * 4, "A row shorter than groups*4");
         }
         let a = [rows_a[0].as_ptr(), rows_a[1].as_ptr(), rows_a[2].as_ptr(), rows_a[3].as_ptr()];
         // SAFETY: AVX2 presence was checked via `detected()` (and AVX-VNNI
         // via `detected_vnni()` on that branch). Each A-row pointer is
-        // readable for `groups * 4` bytes and the panel pointer for
-        // `groups * 64` bytes (asserted above); `acc` is fully overwritten.
-        // The unaligned 4-byte weight loads stay within the asserted row
-        // bounds. Both kernels produce identical exact i32 sums.
+        // readable for `groups * 4` bytes and every group the walk visits
+        // lies within `src` (its last ends at `taps.span()`; both asserted
+        // above); `acc` is fully overwritten. The unaligned 4-byte weight
+        // loads stay within the asserted row bounds. Both kernels produce
+        // identical exact i32 sums.
         unsafe {
             if detected_vnni() {
-                i8_tile_16_vnni(groups, a, panel.as_ptr(), acc);
+                i8_tile_16_vnni(taps, a, src.as_ptr(), acc);
             } else {
-                i8_tile_16_avx2(groups, a, panel.as_ptr(), acc);
+                i8_tile_16_avx2(taps, a, src.as_ptr(), acc);
             }
         }
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (groups, rows_a, panel, acc);
+        let _ = (taps, rows_a, src, acc);
         false
     }
 }
 
 /// # Safety
 /// Caller must ensure AVX2 is available, each `a[r]` is valid for
-/// `groups * 4` byte reads, and `panel` for `groups * 64` byte reads.
+/// `taps.groups() * 4` byte reads, and `src` for `taps.span()` byte reads.
 /// Weight codes must satisfy |w| ≤ 63 so the i16 pair sums cannot saturate.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)] // as in `conv_tile_16_avx2`
 unsafe fn i8_tile_16_avx2(
-    groups: usize,
+    taps: QTaps,
     a: [*const i8; 4],
-    panel: *const u8,
+    src: *const u8,
     out: &mut [[i32; 16]; 4],
 ) {
     use std::arch::x86_64::*;
     let ones = _mm256_set1_epi16(1);
     let mut acc = [[_mm256_setzero_si256(); 2]; 4];
-    for g in 0..groups {
-        // 64-byte k-group: columns j0..j0+7 in b0, j0+8..j0+15 in b1, each
-        // column as 4 consecutive k-bytes (activations, offset +128 → u8).
-        let b0 = _mm256_loadu_si256(panel.add(g * 64).cast());
-        let b1 = _mm256_loadu_si256(panel.add(g * 64 + 32).cast());
-        for r in 0..4 {
-            let aw = _mm256_set1_epi32(a[r].add(g * 4).cast::<i32>().read_unaligned());
-            // u8 activations × i8 weights → i16 pair sums (saturation-free
-            // because |w| ≤ 63), then widen pairs to the i32 accumulators.
-            let p0 = _mm256_maddubs_epi16(b0, aw);
-            let p1 = _mm256_maddubs_epi16(b1, aw);
-            acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(p0, ones));
-            acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(p1, ones));
+    let mut aw_at = 0; // byte offset of the group's 4 codes in each A row
+    for cg in 0..taps.c_groups {
+        for ky in 0..taps.rows {
+            let row = src.add(cg * taps.plane + ky * taps.row);
+            for kx in 0..taps.cols {
+                // 64-byte group: columns 0..7 in b0, 8..15 in b1, each column
+                // as 4 consecutive k-bytes (activations, offset +128 → u8).
+                let grp = row.add(kx * taps.col);
+                let b0 = _mm256_loadu_si256(grp.cast());
+                let b1 = _mm256_loadu_si256(grp.add(32).cast());
+                for r in 0..4 {
+                    let aw = _mm256_set1_epi32(a[r].add(aw_at).cast::<i32>().read_unaligned());
+                    // u8 activations × i8 weights → i16 pair sums (saturation-
+                    // free because |w| ≤ 63), then widen pairs to the i32
+                    // accumulators.
+                    let p0 = _mm256_maddubs_epi16(b0, aw);
+                    let p1 = _mm256_maddubs_epi16(b1, aw);
+                    acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(p0, ones));
+                    acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(p1, ones));
+                }
+                aw_at += 4;
+            }
         }
     }
     for r in 0..4 {
@@ -1094,34 +1244,111 @@ unsafe fn i8_tile_16_avx2(
 
 /// # Safety
 /// Caller must ensure AVX2 **and** AVX-VNNI are available, each `a[r]` is
-/// valid for `groups * 4` byte reads, and `panel` for `groups * 64` byte
-/// reads.
+/// valid for `taps.groups() * 4` byte reads, and `src` for `taps.span()`
+/// byte reads.
 ///
 /// `vpdpbusd` sums the four u8·i8 products of each lane group into the i32
 /// accumulator *without* an intermediate i16 — exact for any i8 weights, so
 /// it matches the `maddubs` kernel and the scalar path bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "avxvnni")]
+#[allow(clippy::needless_range_loop)] // as in `conv_tile_16_avx2`
 unsafe fn i8_tile_16_vnni(
-    groups: usize,
+    taps: QTaps,
     a: [*const i8; 4],
-    panel: *const u8,
+    src: *const u8,
     out: &mut [[i32; 16]; 4],
 ) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm256_setzero_si256(); 2]; 4];
-    for g in 0..groups {
-        let b0 = _mm256_loadu_si256(panel.add(g * 64).cast());
-        let b1 = _mm256_loadu_si256(panel.add(g * 64 + 32).cast());
-        for r in 0..4 {
-            let aw = _mm256_set1_epi32(a[r].add(g * 4).cast::<i32>().read_unaligned());
-            acc[r][0] = _mm256_dpbusd_avx_epi32(acc[r][0], b0, aw);
-            acc[r][1] = _mm256_dpbusd_avx_epi32(acc[r][1], b1, aw);
+    let mut aw_at = 0;
+    for cg in 0..taps.c_groups {
+        for ky in 0..taps.rows {
+            let row = src.add(cg * taps.plane + ky * taps.row);
+            for kx in 0..taps.cols {
+                let grp = row.add(kx * taps.col);
+                let b0 = _mm256_loadu_si256(grp.cast());
+                let b1 = _mm256_loadu_si256(grp.add(32).cast());
+                for r in 0..4 {
+                    let aw = _mm256_set1_epi32(a[r].add(aw_at).cast::<i32>().read_unaligned());
+                    acc[r][0] = _mm256_dpbusd_avx_epi32(acc[r][0], b0, aw);
+                    acc[r][1] = _mm256_dpbusd_avx_epi32(acc[r][1], b1, aw);
+                }
+                aw_at += 4;
+            }
         }
     }
     for r in 0..4 {
         _mm256_storeu_si256(out[r].as_mut_ptr().cast(), acc[r][0]);
         _mm256_storeu_si256(out[r].as_mut_ptr().add(8).cast(), acc[r][1]);
+    }
+}
+
+/// Dequantizes one 4×16 int8 tile into f32 rows, as the int8 direct
+/// convolution's epilogue: `out[r][j] = (acc[r][j] − corr[r]) as f32 ·
+/// mul[r] + add[r]`, then, with `relu`, `0` for any value `< 0`. The i32
+/// subtract is exact, the convert rounds to nearest even as `as f32` does,
+/// and the multiply and add round separately (no FMA), so the bits are the
+/// scalar formula's. It reads `acc` at the 32-byte width the tile stored it
+/// with: the scalar loop, compiled to 16-byte loads, cost ≈100 µs more per
+/// 8×96×96 layer on a 2-vCPU Sapphire Rapids guest, most likely in failed
+/// store-to-load forwarding. Returns `false` when the CPU lacks AVX2;
+/// nothing is written.
+pub fn dequant_tile_16(
+    acc: &[[i32; 16]; 4],
+    corr: &[i32; 4],
+    mul: &[f32; 4],
+    add: &[f32; 4],
+    relu: bool,
+    out: &mut [&mut [f32; 16]; 4],
+) -> bool {
+    if !detected() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: AVX2 presence was checked via `detected()`; the kernel
+        // reads the 4×16 i32 of `acc` and writes the four 16-f32 rows of
+        // `out`, all fixed-size borrows (exclusive for `out`) by type.
+        unsafe { dequant_tile_16_avx2(acc, corr, mul, add, relu, out) }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (acc, corr, mul, add, relu, out);
+        false
+    }
+}
+
+/// # Safety
+/// Caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::needless_range_loop)] // as in `conv_tile_16_avx2`
+unsafe fn dequant_tile_16_avx2(
+    acc: &[[i32; 16]; 4],
+    corr: &[i32; 4],
+    mul: &[f32; 4],
+    add: &[f32; 4],
+    relu: bool,
+    out: &mut [&mut [f32; 16]; 4],
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_ps();
+    for r in 0..4 {
+        let (c, m, a) =
+            (_mm256_set1_epi32(corr[r]), _mm256_set1_ps(mul[r]), _mm256_set1_ps(add[r]));
+        for half in 0..2 {
+            let raw = _mm256_loadu_si256(acc[r].as_ptr().add(half * 8).cast());
+            let f = _mm256_cvtepi32_ps(_mm256_sub_epi32(raw, c));
+            let mut v = _mm256_add_ps(_mm256_mul_ps(f, m), a);
+            if relu {
+                // `max(0, v)` in this operand order returns `v` for −0.0 and
+                // NaN, which is what `if v < 0 { 0 }` leaves.
+                v = _mm256_max_ps(zero, v);
+            }
+            _mm256_storeu_ps(out[r].as_mut_ptr().add(half * 8), v);
+        }
     }
 }
 
@@ -1183,7 +1410,7 @@ mod tests {
         }
         let rows: [&[i8]; 4] = [&a[0..k], &a[k..2 * k], &a[2 * k..3 * k], &a[3 * k..4 * k]];
         let mut acc = [[0i32; 16]; 4];
-        assert!(qgemm_tile_16(groups, &rows, &panel, &mut acc));
+        assert!(qgemm_tile_16(QTaps::panel(groups), &rows, &panel, &mut acc));
         for r in 0..4 {
             for j in 0..16 {
                 let mut want = 0i64;

@@ -15,9 +15,10 @@ use std::sync::{Mutex, MutexGuard};
 
 use murmuration_tensor::conv::{conv2d, depthwise_conv2d, Conv2dParams};
 use murmuration_tensor::gemm::gemm;
+use murmuration_tensor::int8::qgemm_tile_portable;
 use murmuration_tensor::matvec::{pack_panels, panel_matvec};
 use murmuration_tensor::quant::{BitWidth, QuantizedTensor};
-use murmuration_tensor::simd::{self, ConvTile};
+use murmuration_tensor::simd::{self, ConvTile, QTaps};
 use murmuration_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -300,5 +301,38 @@ proptest! {
         for (r, (a, b)) in wide.iter().zip(narrow.as_flattened()).enumerate() {
             prop_assert!(bits_of(a) == bits_of(b), "channel {r}: {a:?} vs {b:?}");
         }
+    }
+
+    #[test]
+    fn prop_qgemm_tile_16_offsets_match_the_portable_tile(
+        c_groups in 1usize..6,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        extra_w in 0usize..9, extra_h in 0usize..3,
+        walk in 0usize..4, seed in 0u64..10_000,
+    ) {
+        if !simd::detected() {
+            eprintln!("skipped: no AVX2 on this CPU, so qgemm_tile_16 has no kernel");
+            return Ok(());
+        }
+        // Three draws in four walk a padded conv image from a tile origin
+        // (unaligned 4-byte pixel steps, row and plane pitches); the fourth
+        // walks a packed panel of as many groups. Source bytes span all of
+        // 0..=255 and weights the ±63 bound, so on a CPU without AVX-VNNI
+        // the maddubs kernel's i16 pair sums reach their worst case.
+        let taps = match walk {
+            0 => QTaps::panel(c_groups * k * k),
+            _ => QTaps::conv(c_groups, k, k + extra_h, k - 1 + 16 + extra_w),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src: Vec<u8> = (0..taps.span()).map(|_| rng.gen_range(0u32..256) as u8).collect();
+        let w: Vec<i8> =
+            (0..4 * taps.groups() * 4).map(|_| rng.gen_range(-63i32..64) as i8).collect();
+        let row_len = taps.groups() * 4;
+        let rows: [&[i8]; 4] = std::array::from_fn(|r| &w[r * row_len..][..row_len]);
+        let mut vector = [[0i32; 16]; 4];
+        prop_assert!(simd::qgemm_tile_16(taps, &rows, &src, &mut vector));
+        let mut portable = [[7i32; 16]; 4];
+        qgemm_tile_portable(taps, &rows, &src, &mut portable);
+        prop_assert_eq!(vector, portable);
     }
 }

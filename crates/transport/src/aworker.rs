@@ -21,7 +21,7 @@ use crate::driver::{
     OUTBOX_CAP_BYTES,
 };
 use crate::frame::{self, Msg};
-use crate::proto::{Delivery, Jobs};
+use crate::proto::{Answer, Delivery, Jobs};
 use crate::{lock, poller, wait};
 use murmuration_core::executor::{run_guarded, UnitCompute, UnitOutcome};
 use murmuration_core::gossip::{GossipMsg, GossipNode, MemberRecord};
@@ -196,11 +196,11 @@ impl Entity for WorkerConn {
                             let body = Err(format!("request frame: {e}"));
                             let sent = lock(&self.worker.jobs).finish(key, body);
                             if let Some((route, resp)) = sent {
-                                route.send(Arc::new(resp));
+                                route.send(resp);
                             }
                         }
                     },
-                    Delivery::Replay(resp) => self.route.send(Arc::new(resp)),
+                    Delivery::Replay(resp) => self.route.send(resp),
                     Delivery::Held => {}
                 }
             }
@@ -377,7 +377,7 @@ fn run_item(host: &Arc<HostShared>, item: AWorkItem) {
     // Cancel that landed while queued: saved compute, answered typed.
     let skipped = lock(&worker.jobs).start(item.key);
     if let Some((route, resp)) = skipped {
-        route.send(Arc::new(resp));
+        route.send(resp);
         return;
     }
     let body = match run_guarded(&*worker.compute, worker.dev_id, item.unit, &item.input) {
@@ -390,11 +390,13 @@ fn run_item(host: &Arc<HostShared>, item: AWorkItem) {
             return;
         }
     };
-    // Encoded under the dedup lock: a duplicate racing in must not see
-    // the entry pending after its route was chosen.
-    let sent = lock(&worker.jobs).finish(item.key, body);
+    // Encoded before the dedup lock (the body's one copy, into the frame
+    // the cache and the outbox then share) and routed under it: a duplicate
+    // racing in must not see the entry pending after its route was chosen.
+    let answer = Answer::encode(item.key.1, &body);
+    let sent = lock(&worker.jobs).finish(item.key, answer);
     if let Some((route, resp)) = sent {
-        route.send(Arc::new(resp));
+        route.send(resp);
     }
 }
 

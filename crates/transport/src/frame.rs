@@ -252,6 +252,30 @@ pub fn encode_response_ok(req_id: u64, deduped: bool, tframe: &[u8]) -> Vec<u8> 
     finish_frame(out)
 }
 
+/// An encoded frame shared by reference count, so that one copy serves the
+/// worker's dedup cache and every outbox that sends it.
+pub type SharedFrame = std::sync::Arc<Vec<u8>>;
+
+/// A copy of `frame`, a [`Msg::ResponseOk`] frame as [`encode_response_ok`]
+/// built it, with its `deduped` flag set and the checksum recomputed; `None`
+/// for any other message, which carries no such flag. What a worker sends
+/// for a resent or replayed request whose answer it has already encoded.
+pub(crate) fn with_deduped(frame: &[u8]) -> Option<Vec<u8>> {
+    if !is_response_ok(frame) || frame.len() < HEADER_BYTES + 10 {
+        return None;
+    }
+    let mut out = frame.to_vec();
+    out[HEADER_BYTES + 9] = 1;
+    let crc = payload_crc(&out[HEADER_BYTES..]);
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
+    Some(out)
+}
+
+/// Whether the encoded `frame` is a [`Msg::ResponseOk`] (by its type byte).
+pub(crate) fn is_response_ok(frame: &[u8]) -> bool {
+    frame.get(HEADER_BYTES) == Some(&TYPE_RESPONSE_OK)
+}
+
 /// Serializes `msg` into a complete outer frame (header + payload).
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
     let mut out = begin_frame(32);

@@ -14,7 +14,7 @@
 //! [`Jobs`] is a worker's bounded `(session, req_id)` dedup map.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::frame::{self, Msg};
+use crate::frame::{self, Msg, SharedFrame};
 use murmuration_core::transport::{ReplyError, TransportStats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -503,10 +503,41 @@ impl<R, F: Clone> Peer<R, F> {
 /// A worker's finished answer: a B32 tensor frame or an error message.
 pub type Body = Result<Vec<u8>, String>;
 
-fn encode_response(req_id: u64, body: &Body, deduped: bool) -> Vec<u8> {
+/// The response frame answering `req_id` with `body`, flagged not deduped.
+fn encode_response(req_id: u64, body: &Body) -> Vec<u8> {
     match body {
-        Ok(tframe) => frame::encode_response_ok(req_id, deduped, tframe),
+        Ok(tframe) => frame::encode_response_ok(req_id, false, tframe),
         Err(msg) => frame::encode_frame(&Msg::ResponseErr { req_id, msg: msg.clone() }),
+    }
+}
+
+/// A copy of a cached response frame flagged `deduped`, for an answer that
+/// goes out after a resend; an error frame has no flag and is shared as is.
+fn restamped(resp: &SharedFrame) -> SharedFrame {
+    frame::with_deduped(resp).map_or_else(|| SharedFrame::clone(resp), SharedFrame::new)
+}
+
+/// What [`Jobs::finish`] takes: a finished body, which it encodes, or the
+/// response frame already encoded by [`Answer::encode`]. A compute thread
+/// encodes before it takes the dedup lock, so the lock is never held across
+/// a copy of a large body.
+#[derive(Debug)]
+pub enum Answer {
+    Body(Body),
+    Frame(SharedFrame),
+}
+
+impl Answer {
+    /// Encodes the response frame answering `req_id` with `body` (flagged
+    /// not deduped; [`Jobs::finish`] re-stamps a copy if it was resent).
+    pub fn encode(req_id: u64, body: &Body) -> Answer {
+        Answer::Frame(SharedFrame::new(encode_response(req_id, body)))
+    }
+}
+
+impl From<Body> for Answer {
+    fn from(body: Body) -> Answer {
+        Answer::Body(body)
     }
 }
 
@@ -515,8 +546,9 @@ enum Job<H> {
     Pending { route: H, resent: bool },
     /// Cancelled while still queued: answered `"cancelled"`, not computed.
     Cancelled { route: H },
-    /// Finished; cached for duplicate deliveries.
-    Done(Body),
+    /// Finished; its response frame (not flagged deduped), cached for
+    /// duplicate deliveries and shared with the outbox that sent it.
+    Done(SharedFrame),
 }
 
 /// What a delivered request asks of the worker.
@@ -524,8 +556,9 @@ enum Job<H> {
 pub enum Delivery {
     /// First delivery: decode and queue the compute.
     Compute,
-    /// A finished duplicate: push this cached answer, flagged `deduped`.
-    Replay(Vec<u8>),
+    /// A finished duplicate: push this copy of the cached answer, flagged
+    /// `deduped`.
+    Replay(SharedFrame),
     /// Pending or cancelled: its answer is already on the way.
     Held,
 }
@@ -577,9 +610,9 @@ impl<H: Clone> Jobs<H> {
                 self.counts.deduped += 1;
                 Delivery::Held
             }
-            Some(Job::Done(body)) => {
+            Some(Job::Done(resp)) => {
                 self.counts.deduped += 1;
-                Delivery::Replay(encode_response(key.1, body, true))
+                Delivery::Replay(restamped(resp))
             }
             Some(Job::Cancelled { .. }) => Delivery::Held,
         }
@@ -595,30 +628,41 @@ impl<H: Clone> Jobs<H> {
 
     /// A compute thread dequeued `key`; `Some` if it was cancelled while
     /// queued: push that answer instead of computing.
-    pub fn start(&mut self, key: (u64, u64)) -> Option<(H, Vec<u8>)> {
+    pub fn start(&mut self, key: (u64, u64)) -> Option<(H, SharedFrame)> {
         let Some(Job::Cancelled { route }) = self.map.get(&key) else { return None };
         let route = route.clone();
         self.counts.cancelled += 1;
-        Some((route, self.settle(key, Err("cancelled".to_owned()), false)))
+        let resp = SharedFrame::new(encode_response(key.1, &Err("cancelled".to_owned())));
+        self.settle(key, SharedFrame::clone(&resp));
+        Some((route, resp))
     }
 
-    /// `key` finished with `body`: cache it and answer on the newest route,
-    /// flagged `deduped` if a duplicate arrived meanwhile.
-    pub fn finish(&mut self, key: (u64, u64), body: Body) -> Option<(H, Vec<u8>)> {
-        self.counts.computed += u64::from(body.is_ok());
+    /// `key` finished with `answer`: cache its frame and answer on the
+    /// newest route — with the cached frame itself, or a copy flagged
+    /// `deduped` if a duplicate arrived meanwhile.
+    pub fn finish(
+        &mut self,
+        key: (u64, u64),
+        answer: impl Into<Answer>,
+    ) -> Option<(H, SharedFrame)> {
+        let resp = match answer.into() {
+            Answer::Frame(resp) => resp,
+            Answer::Body(body) => SharedFrame::new(encode_response(key.1, &body)),
+        };
+        self.counts.computed += u64::from(frame::is_response_ok(&resp));
         let (route, resent) = match self.map.get(&key)? {
             Job::Pending { route, resent } => (route.clone(), *resent),
             Job::Cancelled { route } => (route.clone(), false),
             Job::Done(_) => return None,
         };
-        Some((route, self.settle(key, body, resent)))
+        let sent = if resent { restamped(&resp) } else { SharedFrame::clone(&resp) };
+        self.settle(key, resp);
+        Some((route, sent))
     }
 
-    fn settle(&mut self, key: (u64, u64), body: Body, deduped: bool) -> Vec<u8> {
-        let resp = encode_response(key.1, &body, deduped);
-        self.map.insert(key, Job::Done(body));
+    fn settle(&mut self, key: (u64, u64), resp: SharedFrame) {
+        self.map.insert(key, Job::Done(resp));
         self.evict();
-        resp
     }
 
     /// Evicts the oldest finished entries beyond capacity; pending ones
@@ -948,7 +992,7 @@ mod tests {
     }
 
     /// `(route, parsed answer)` of a job's answer.
-    fn answer(sent: Option<(u8, Vec<u8>)>) -> (u8, Msg) {
+    fn answer(sent: Option<(u8, SharedFrame)>) -> (u8, Msg) {
         let (route, bytes) = sent.unwrap();
         (route, parse(&bytes))
     }
@@ -984,6 +1028,33 @@ mod tests {
         let Delivery::Replay(bytes) = jobs.deliver(key(1), &1u8) else { panic!("replay") };
         assert_eq!(parse(&bytes), Msg::ResponseOk { req_id: 1, deduped: true, frame: vec![9] });
         assert_eq!(jobs.counts(), JobCounts { computed: 1, deduped: 1, cancelled: 0 });
+    }
+
+    #[test]
+    fn restamped_frame_parses_deduped_and_leaves_the_cache_unflagged() {
+        let body: Body = Ok(vec![9, 8, 7]);
+        let Answer::Frame(resp) = Answer::encode(1, &body) else { panic!("encoded") };
+        let copy = restamped(&resp);
+        assert_eq!(
+            parse(&copy),
+            Msg::ResponseOk { req_id: 1, deduped: true, frame: vec![9, 8, 7] }
+        );
+        assert_eq!(
+            parse(&resp),
+            Msg::ResponseOk { req_id: 1, deduped: false, frame: vec![9, 8, 7] }
+        );
+        // A pending duplicate gets the re-stamped copy; the cache keeps the
+        // unflagged frame itself, and a later replay re-stamps it again.
+        let mut jobs = Jobs::new(4);
+        jobs.deliver(key(1), &0u8);
+        jobs.deliver(key(1), &1u8);
+        let (_, sent) = jobs.finish(key(1), Answer::encode(1, &body)).unwrap();
+        assert!(matches!(parse(&sent), Msg::ResponseOk { deduped: true, .. }));
+        let Some(Job::Done(cached)) = jobs.map.get(&key(1)) else { panic!("cached") };
+        assert!(matches!(parse(cached), Msg::ResponseOk { deduped: false, .. }));
+        // An error frame has no flag: it is shared, not copied.
+        let Answer::Frame(err) = Answer::encode(2, &Err("boom".into())) else { panic!() };
+        assert!(SharedFrame::ptr_eq(&restamped(&err), &err));
     }
 
     #[test]

@@ -184,7 +184,7 @@ timeout 300 ./target/release/bench_swarm
 echo "==> hedging benchmark gates (brownout p99 <= 0.5x unhedged, hedge rate <= 10%, failover)"
 timeout 300 ./target/release/bench_hedging
 
-echo "==> kernel benchmark gates (dense conv >= 2x seed, int8 GEMM >= 2x f32, compute-bound floors)"
+echo "==> kernel benchmark gates (dense conv >= 2x seed, int8 GEMM >= 2x f32, int8 conv >= 1x f32, compute-bound floors)"
 timeout 300 ./target/release/bench_kernels
 
 echo "==> failover benchmark gates (goodput recovery >= 0.8x, conservation)"
